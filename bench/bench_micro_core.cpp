@@ -22,8 +22,6 @@
 #include "orion/scangen/target_sampler.hpp"
 #include "orion/stats/ecdf.hpp"
 #include "orion/stats/hyperloglog.hpp"
-#include "orion/stats/p2_quantile.hpp"
-#include "orion/stats/reservoir.hpp"
 #include "orion/telescope/aggregator.hpp"
 
 namespace {
@@ -321,35 +319,6 @@ void BM_ExactSetAdd(benchmark::State& state) {
 BENCHMARK(BM_ExactSetAdd)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // --- detection statistics ----------------------------------------------------
-
-/// Ablation: streaming-quantile strategies for the online detector —
-/// reservoir-sampled ECDF (memory O(capacity), re-sorted per query) vs P²
-/// (O(1) memory, approximate).
-void BM_ReservoirQuantile(benchmark::State& state) {
-  net::Rng rng(13);
-  for (auto _ : state) {
-    stats::ReservoirSampler<std::uint64_t> reservoir(100000, 1);
-    for (int i = 0; i < 200000; ++i) reservoir.add(rng.bounded(1000000));
-    stats::Ecdf ecdf(reservoir.sample());
-    benchmark::DoNotOptimize(ecdf.top_alpha_threshold(1e-3));
-  }
-  state.SetItemsProcessed(state.iterations() * 200000);
-}
-BENCHMARK(BM_ReservoirQuantile)->Unit(benchmark::kMillisecond);
-
-void BM_P2Quantile(benchmark::State& state) {
-  net::Rng rng(14);
-  for (auto _ : state) {
-    stats::P2Quantile p2(0.999);
-    for (int i = 0; i < 200000; ++i) {
-      p2.add(static_cast<double>(rng.bounded(1000000)));
-    }
-    benchmark::DoNotOptimize(p2.estimate());
-  }
-  state.SetItemsProcessed(state.iterations() * 200000);
-}
-BENCHMARK(BM_P2Quantile)->Unit(benchmark::kMillisecond);
-
 
 void BM_EcdfTopAlpha(benchmark::State& state) {
   net::Rng rng(3);

@@ -7,17 +7,15 @@
 // puts each source's whole state in one shard. The only cross-source
 // state — the rolling ECDF samples behind the D2/D3 thresholds — is kept
 // as bottom-k samples, which merge exactly (stats/bottomk.hpp). A slice
-// therefore never calibrates or publishes anything; it accumulates per-day
-// partials in ANY event order (all per-day state is order-independent),
-// and merge_shard_slices replays the serial day-close schedule over the
-// merged state, producing StreamingDayResults byte-identical to a serial
-// StreamingDetector fed the same events in start order — for any shard
-// count and any interleaving (DESIGN.md §9).
+// therefore never calibrates or publishes anything; it folds events into
+// per-day DayPartials in ANY order, and merge_shard_slices closes every
+// day with the serial detector's DayCloser, producing StreamingDayResults
+// byte-identical to a serial StreamingDetector fed the same events in
+// start order — for any shard count and any interleaving (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "orion/detect/streaming.hpp"
@@ -35,24 +33,6 @@ class ShardDetectorSlice {
   std::uint64_t events_seen() const { return events_seen_; }
   const StreamingConfig& config() const { return config_; }
   std::uint64_t darknet_size() const { return darknet_size_; }
-
-  /// Per-day accumulated partial state, exposed for the merge.
-  struct DayPartial {
-    /// D1 qualifiers (dispersion is scale-free: decidable in-shard).
-    IpSet d1;
-    /// Per-source max event packets — D2 candidates for the day.
-    std::unordered_map<net::Ipv4Address, std::uint64_t> best_packets;
-    /// Per-source distinct darknet ports — D3 candidates for the day.
-    std::unordered_map<net::Ipv4Address, PortSet> ports;
-    /// The day's per-event packet-volume samples. Day-local truncation to
-    /// k is lossless for the merge: an entry outside its own day's
-    /// bottom-k is outside every cumulative bottom-k that includes that
-    /// day.
-    stats::BottomKSampler packet_samples;
-
-    DayPartial(std::size_t capacity, std::uint64_t seed)
-        : packet_samples(capacity, seed) {}
-  };
 
   /// Days this shard saw events for, in day order.
   const std::map<std::int64_t, DayPartial>& days() const { return days_; }
@@ -78,12 +58,9 @@ struct MergedDetection {
 };
 
 /// Deterministically merges shard slices (which must share config and
-/// darknet size — std::invalid_argument otherwise). Replays the serial
-/// day-close schedule: for each day from the earliest to the latest seen,
-/// fold the day's packet samples into the rolling sample, calibrate,
-/// qualify each definition from the disjoint per-shard partials, then
-/// fold the day's port counts for future days — the exact ordering
-/// close_day() uses.
+/// darknet size — std::invalid_argument otherwise). Runs the serial
+/// day-close schedule: every day from the earliest to the latest seen,
+/// empty ones included, closes over that day's per-shard partials.
 MergedDetection merge_shard_slices(
     const std::vector<const ShardDetectorSlice*>& slices);
 

@@ -7,17 +7,19 @@
 // months of traffic, and emits each day's list using only thresholds
 // calibrated on data seen BEFORE that day ends.
 //
-// The rolling ECDFs are bottom-k samples (stats/bottomk.hpp), not
-// reservoirs: a bottom-k sample is a pure function of the events seen, so
-// the sharded ParallelPipeline can keep one sampler per shard and merge
-// them into the exact sample this serial detector holds — the root of the
+// The D1–D3 day rule exists once, as two pieces that the serial detector
+// and the sharded merge (shard_detector.hpp) both use: DayPartial folds a
+// day's events, and DayCloser turns a closed day's partials into its
+// published result. The rolling ECDFs are bottom-k samples
+// (stats/bottomk.hpp), not reservoirs: a bottom-k sample is a pure
+// function of the events seen, so per-day and per-shard samples merge
+// into exactly the sample one serial pass draws — the root of the
 // pipeline's byte-identical-results guarantee (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "orion/detect/detector.hpp"
@@ -64,20 +66,47 @@ struct StreamingDayResult {
                          const StreamingDayResult&) = default;
 };
 
-/// Stable per-event identity used to rank packet-volume samples; shared
-/// by the serial detector and the per-shard slices so both draw the same
-/// bottom-k sample.
-inline std::uint64_t packet_sample_id(const telescope::EventKey& key) {
-  return (std::uint64_t{key.src.value()} << 24) |
-         (std::uint64_t{key.dst_port} << 8) |
-         static_cast<std::uint64_t>(key.type);
-}
+/// One day's fold of its events. Every field is keyed by source (or is a
+/// bottom-k sample), so the fold is order-independent and a source
+/// partition splits it into disjoint partials.
+struct DayPartial {
+  /// D1 qualifiers (dispersion is scale-free: decidable per event).
+  IpSet d1;
+  /// Per-source max event packets — D2 candidates for the day.
+  std::unordered_map<net::Ipv4Address, std::uint64_t> best_packets;
+  /// Per-source distinct darknet ports — D3 candidates for the day.
+  std::unordered_map<net::Ipv4Address, PortSet> ports;
+  /// The day's per-event packet-volume samples. Day-local truncation to
+  /// k is lossless: an entry outside its own day's bottom-k is outside
+  /// every cumulative bottom-k that includes that day.
+  stats::BottomKSampler packet_samples;
 
-/// Derived seed of the daily port-count sampler (packet sampler uses the
-/// configured seed directly).
-constexpr std::uint64_t port_sampler_seed(std::uint64_t seed) {
-  return seed ^ 0xF00Dull;
-}
+  explicit DayPartial(const StreamingConfig& config);
+
+  /// Folds one event: the D1 dispersion test, the source's max packets
+  /// and port set, and the event's packet sample.
+  void add(const telescope::DarknetEvent& event, const StreamingConfig& config,
+           std::uint64_t darknet_size);
+};
+
+/// What outlives a day: the rolling packet-volume and port-count samples
+/// behind the D2/D3 thresholds, and the cumulative AH sets.
+struct DayCloser {
+  StreamingConfig config;
+  stats::BottomKSampler packet_samples;
+  stats::BottomKSampler port_samples;
+  std::array<IpSet, 3> ips;
+
+  explicit DayCloser(const StreamingConfig& config);
+
+  /// Closes `day` over partials with disjoint sources: folds their packet
+  /// samples into the rolling sample (today's events inform today's
+  /// threshold — the list is published after the day ends), calibrates,
+  /// qualifies and sorts the D1–D3 lists, then folds the day's port
+  /// counts in for later days' thresholds.
+  StreamingDayResult close(std::int64_t day,
+                           const std::vector<const DayPartial*>& partials);
+};
 
 class StreamingDetector {
  public:
@@ -93,7 +122,7 @@ class StreamingDetector {
 
   /// Dataset-wide AH so far, per definition.
   const IpSet& ips(Definition d) const {
-    return ips_[static_cast<std::size_t>(d)];
+    return closer_.ips[static_cast<std::size_t>(d)];
   }
   std::uint64_t events_seen() const { return events_seen_; }
   /// Late events folded into the open day (tolerate_late_events mode).
@@ -110,32 +139,13 @@ class StreamingDetector {
   void restore(telescope::CheckpointReader& reader);
 
  private:
-  void ingest_into_day(const telescope::DarknetEvent& event);
-  StreamingDayResult close_day();
-
-  StreamingConfig config_;
   std::uint64_t darknet_size_;
-
-  stats::BottomKSampler packet_samples_;
-  stats::BottomKSampler port_samples_;
-
+  DayCloser closer_;
+  DayPartial open_;
   bool day_open_ = false;
   std::int64_t current_day_ = 0;
-  std::array<std::unordered_set<net::Ipv4Address>, 3> day_daily_;
-  std::unordered_map<net::Ipv4Address, PortSet> day_ports_;
-  std::unordered_map<net::Ipv4Address, std::uint64_t> day_best_packets_;
-
-  std::array<IpSet, 3> ips_;
   std::uint64_t events_seen_ = 0;
   std::uint64_t late_events_folded_ = 0;
 };
-
-/// Shared checkpoint plumbing (also used by the shard slices).
-void put_sampler(telescope::CheckpointWriter& writer,
-                 const stats::BottomKSampler& sampler);
-void get_sampler(telescope::CheckpointReader& reader,
-                 stats::BottomKSampler& sampler);
-void put_ip_set(telescope::CheckpointWriter& writer, const IpSet& ips);
-IpSet get_ip_set(telescope::CheckpointReader& reader);
 
 }  // namespace orion::detect

@@ -1,28 +1,10 @@
 #include "orion/detect/shard_detector.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <limits>
 #include <stdexcept>
 
-#include "orion/stats/ecdf.hpp"
-#include "orion/telescope/checkpoint.hpp"
-
 namespace orion::detect {
-
-namespace {
-
-constexpr std::uint64_t kSliceTag = telescope::checkpoint_tag('S', 'D', 'S', '1');
-
-template <typename Map>
-std::vector<typename Map::key_type> sorted_keys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-}  // namespace
 
 ShardDetectorSlice::ShardDetectorSlice(StreamingConfig config,
                                        std::uint64_t darknet_size)
@@ -34,112 +16,8 @@ ShardDetectorSlice::ShardDetectorSlice(StreamingConfig config,
 
 void ShardDetectorSlice::observe(const telescope::DarknetEvent& event) {
   ++events_seen_;
-  auto it = days_.find(event.day());
-  if (it == days_.end()) {
-    it = days_
-             .emplace(event.day(),
-                      DayPartial(config_.ecdf_reservoir, config_.seed))
-             .first;
-  }
-  DayPartial& day = it->second;
-
-  // Mirrors StreamingDetector::ingest_into_day exactly, with identical
-  // sample identities, so the merged bottom-k equals the serial one.
-  day.packet_samples.add(packet_sample_id(event.key),
-                         static_cast<std::uint64_t>(
-                             event.start.since_epoch().total_nanos()),
-                         event.packets);
-  if (event.key.type != pkt::TrafficType::IcmpEchoReq) {
-    day.ports[event.key.src].insert(event.key.dst_port);
-  }
-  if (event.dispersion(darknet_size_) >= config_.base.dispersion_threshold) {
-    day.d1.insert(event.key.src);
-  }
-  auto& best = day.best_packets[event.key.src];
-  best = std::max(best, event.packets);
-}
-
-void ShardDetectorSlice::checkpoint(telescope::CheckpointWriter& writer) const {
-  writer.tag(kSliceTag);
-  writer.f64(config_.base.dispersion_threshold);
-  writer.f64(config_.base.packet_volume_alpha);
-  writer.f64(config_.base.port_count_alpha);
-  writer.u64(config_.ecdf_reservoir);
-  writer.u64(config_.warmup_samples);
-  writer.u64(config_.seed);
-  writer.u64(darknet_size_);
-  writer.u64(events_seen_);
-  writer.u64(days_.size());
-  for (const auto& [day, partial] : days_) {
-    writer.i64(day);
-    put_sampler(writer, partial.packet_samples);
-    put_ip_set(writer, partial.d1);
-    writer.u64(partial.best_packets.size());
-    for (const net::Ipv4Address src : sorted_keys(partial.best_packets)) {
-      writer.u64(src.value());
-      writer.u64(partial.best_packets.at(src));
-    }
-    writer.u64(partial.ports.size());
-    for (const net::Ipv4Address src : sorted_keys(partial.ports)) {
-      const PortSet& ports = partial.ports.at(src);
-      writer.u64(src.value());
-      writer.u64(ports.size());
-      ports.for_each([&](std::uint16_t port) { writer.u64(port); });
-    }
-  }
-}
-
-void ShardDetectorSlice::restore(telescope::CheckpointReader& reader) {
-  reader.expect_tag(kSliceTag, "ShardDetectorSlice");
-  const bool config_matches =
-      std::bit_cast<std::uint64_t>(reader.f64("dispersion threshold")) ==
-          std::bit_cast<std::uint64_t>(config_.base.dispersion_threshold) &&
-      std::bit_cast<std::uint64_t>(reader.f64("packet alpha")) ==
-          std::bit_cast<std::uint64_t>(config_.base.packet_volume_alpha) &&
-      std::bit_cast<std::uint64_t>(reader.f64("port alpha")) ==
-          std::bit_cast<std::uint64_t>(config_.base.port_count_alpha) &&
-      reader.u64("sampler capacity") == config_.ecdf_reservoir &&
-      reader.u64("warmup samples") == config_.warmup_samples &&
-      reader.u64("seed") == config_.seed;
-  if (!config_matches) {
-    throw telescope::ConfigMismatchError(
-        "ShardDetectorSlice configuration mismatch");
-  }
-  if (reader.u64("darknet size") != darknet_size_) {
-    throw telescope::ConfigMismatchError("ShardDetectorSlice darknet mismatch");
-  }
-  events_seen_ = reader.u64("events seen");
-  const std::uint64_t day_count = reader.u64("day count");
-  days_.clear();
-  for (std::uint64_t d = 0; d < day_count; ++d) {
-    const std::int64_t day = reader.i64("day");
-    auto [it, inserted] = days_.emplace(
-        day, DayPartial(config_.ecdf_reservoir, config_.seed));
-    if (!inserted) {
-      throw std::runtime_error("checkpoint: duplicate slice day");
-    }
-    DayPartial& partial = it->second;
-    get_sampler(reader, partial.packet_samples);
-    partial.d1 = get_ip_set(reader);
-    const std::uint64_t best_count = reader.u64("best source count");
-    partial.best_packets.reserve(static_cast<std::size_t>(best_count));
-    for (std::uint64_t i = 0; i < best_count; ++i) {
-      const net::Ipv4Address src(
-          static_cast<std::uint32_t>(reader.u64("best source")));
-      partial.best_packets[src] = reader.u64("best packets");
-    }
-    const std::uint64_t port_sources = reader.u64("port source count");
-    partial.ports.reserve(static_cast<std::size_t>(port_sources));
-    for (std::uint64_t i = 0; i < port_sources; ++i) {
-      const net::Ipv4Address src(
-          static_cast<std::uint32_t>(reader.u64("port source")));
-      const std::uint64_t port_count = reader.u64("port count");
-      auto& ports = partial.ports[src];
-      for (std::uint64_t p = 0; p < port_count; ++p) {
-        ports.insert(static_cast<std::uint16_t>(reader.u64("port")));
-      }
-    }
-  }
+  days_.try_emplace(event.day(), config_)
+      .first->second.add(event, config_, darknet_size_);
 }
 
 MergedDetection merge_shard_slices(
@@ -148,9 +26,8 @@ MergedDetection merge_shard_slices(
   if (slices.empty()) return merged;
   const StreamingConfig& config = slices.front()->config();
   const std::uint64_t darknet_size = slices.front()->darknet_size();
-  bool any_days = false;
-  std::int64_t first_day = 0;
-  std::int64_t last_day = 0;
+  std::int64_t first_day = std::numeric_limits<std::int64_t>::max();
+  std::int64_t last_day = std::numeric_limits<std::int64_t>::min();
   for (const ShardDetectorSlice* slice : slices) {
     if (!(slice->config() == config) ||
         slice->darknet_size() != darknet_size) {
@@ -159,82 +36,20 @@ MergedDetection merge_shard_slices(
     }
     merged.events_seen += slice->events_seen();
     if (slice->days().empty()) continue;
-    const std::int64_t lo = slice->days().begin()->first;
-    const std::int64_t hi = slice->days().rbegin()->first;
-    if (!any_days) {
-      first_day = lo;
-      last_day = hi;
-      any_days = true;
-    } else {
-      first_day = std::min(first_day, lo);
-      last_day = std::max(last_day, hi);
-    }
+    first_day = std::min(first_day, slice->days().begin()->first);
+    last_day = std::max(last_day, slice->days().rbegin()->first);
   }
-  if (!any_days) return merged;
 
-  stats::BottomKSampler packet_samples(config.ecdf_reservoir, config.seed);
-  stats::BottomKSampler port_samples(config.ecdf_reservoir,
-                                     port_sampler_seed(config.seed));
-
-  // Serial day-close schedule: the detector closes every day from the
-  // first event's day through the last, including empty ones.
+  DayCloser closer(config);
   for (std::int64_t day = first_day; day <= last_day; ++day) {
-    std::vector<const ShardDetectorSlice::DayPartial*> partials;
+    std::vector<const DayPartial*> partials;
     for (const ShardDetectorSlice* slice : slices) {
       const auto it = slice->days().find(day);
-      if (it == slice->days().end()) continue;
-      partials.push_back(&it->second);
-      // Packet samples enter the rolling ECDF on ingest — before the
-      // day's own close — so today's events inform today's threshold.
-      packet_samples.merge(it->second.packet_samples);
+      if (it != slice->days().end()) partials.push_back(&it->second);
     }
-
-    StreamingDayResult result;
-    result.day = day;
-    result.calibrated = packet_samples.seen() >= config.warmup_samples;
-    if (result.calibrated) {
-      stats::Ecdf packet_ecdf(packet_samples.values());
-      result.packet_threshold =
-          packet_ecdf.top_alpha_threshold(config.base.packet_volume_alpha);
-      if (port_samples.seen() > 0) {
-        stats::Ecdf port_ecdf(port_samples.values());
-        result.port_threshold =
-            port_ecdf.top_alpha_threshold(config.base.port_count_alpha);
-      }
-
-      // Sources are disjoint across shards (hash-of-source partition), so
-      // per-definition qualification unions without conflicts.
-      std::array<IpSet, 3> qualified;
-      for (const auto* partial : partials) {
-        qualified[0].insert(partial->d1.begin(), partial->d1.end());
-        for (const auto& [src, packets] : partial->best_packets) {
-          if (packets > result.packet_threshold) qualified[1].insert(src);
-        }
-        if (result.port_threshold > 0) {
-          for (const auto& [src, ports] : partial->ports) {
-            if (ports.size() >= result.port_threshold) qualified[2].insert(src);
-          }
-        }
-      }
-      for (std::size_t d = 0; d < 3; ++d) {
-        result.daily[d].assign(qualified[d].begin(), qualified[d].end());
-        std::sort(result.daily[d].begin(), result.daily[d].end());
-        for (const net::Ipv4Address ip : result.daily[d]) {
-          merged.ips[d].insert(ip);
-        }
-      }
-    }
-
-    // After close: the day's per-source port counts become ECDF samples
-    // for future days (identity (day, src) matches the serial detector).
-    for (const auto* partial : partials) {
-      for (const auto& [src, ports] : partial->ports) {
-        port_samples.add(static_cast<std::uint64_t>(day), src.value(),
-                         ports.size());
-      }
-    }
-    merged.days.push_back(std::move(result));
+    merged.days.push_back(closer.close(day, partials));
   }
+  merged.ips = std::move(closer.ips);
   return merged;
 }
 

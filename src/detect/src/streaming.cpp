@@ -1,81 +1,91 @@
 #include "orion/detect/streaming.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "orion/stats/ecdf.hpp"
-#include "orion/telescope/checkpoint.hpp"
 
 namespace orion::detect {
 
 namespace {
 
-constexpr std::uint64_t kDetectorTag = telescope::checkpoint_tag('S', 'D', 'T', '2');
-
-/// Sorted copies of the per-day tables, so checkpoints and the day-close
-/// qualification loops are deterministic regardless of hash-table order.
-template <typename Map>
-std::vector<typename Map::key_type> sorted_keys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
+/// Stable per-event identity that ranks packet-volume samples.
+std::uint64_t packet_sample_id(const telescope::EventKey& key) {
+  return (std::uint64_t{key.src.value()} << 24) |
+         (std::uint64_t{key.dst_port} << 8) |
+         static_cast<std::uint64_t>(key.type);
 }
 
 }  // namespace
 
-void put_sampler(telescope::CheckpointWriter& w,
-                 const stats::BottomKSampler& sampler) {
-  w.u64(sampler.seen());
-  const auto entries = sampler.sorted_entries();
-  w.u64(entries.size());
-  for (const auto& e : entries) {
-    w.u64(e.rank);
-    w.u64(e.value);
+DayPartial::DayPartial(const StreamingConfig& config)
+    : packet_samples(config.ecdf_reservoir, config.seed) {}
+
+void DayPartial::add(const telescope::DarknetEvent& event,
+                     const StreamingConfig& config, std::uint64_t darknet_size) {
+  packet_samples.add(packet_sample_id(event.key),
+                     static_cast<std::uint64_t>(event.start.since_epoch().total_nanos()),
+                     event.packets);
+  if (event.key.type != pkt::TrafficType::IcmpEchoReq) {
+    ports[event.key.src].insert(event.key.dst_port);
   }
+  if (event.dispersion(darknet_size) >= config.base.dispersion_threshold) {
+    d1.insert(event.key.src);
+  }
+  auto& best = best_packets[event.key.src];
+  best = std::max(best, event.packets);
 }
 
-void get_sampler(telescope::CheckpointReader& r,
-                 stats::BottomKSampler& sampler) {
-  const std::uint64_t seen = r.u64("sampler seen");
-  const std::uint64_t size = r.u64("sampler size");
-  if (size > sampler.capacity()) {
-    throw std::runtime_error("checkpoint: bottom-k sample over capacity");
-  }
-  std::vector<stats::BottomKSampler::Entry> entries;
-  entries.reserve(static_cast<std::size_t>(size));
-  for (std::uint64_t i = 0; i < size; ++i) {
-    const std::uint64_t rank = r.u64("sampler rank");
-    entries.push_back({rank, r.u64("sampler value")});
-  }
-  sampler.restore(seen, std::move(entries));
-}
+DayCloser::DayCloser(const StreamingConfig& config)
+    : config(config),
+      packet_samples(config.ecdf_reservoir, config.seed),
+      // The port sampler's seed is derived so its ranks differ from the
+      // packet sampler's.
+      port_samples(config.ecdf_reservoir, config.seed ^ 0xF00Dull) {}
 
-void put_ip_set(telescope::CheckpointWriter& w, const IpSet& ips) {
-  std::vector<net::Ipv4Address> sorted(ips.begin(), ips.end());
-  std::sort(sorted.begin(), sorted.end());
-  w.u64(sorted.size());
-  for (const net::Ipv4Address ip : sorted) w.u64(ip.value());
-}
-
-IpSet get_ip_set(telescope::CheckpointReader& r) {
-  const std::uint64_t count = r.u64("ip set size");
-  IpSet ips;
-  ips.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ips.insert(net::Ipv4Address(static_cast<std::uint32_t>(r.u64("ip"))));
+StreamingDayResult DayCloser::close(std::int64_t day,
+                                    const std::vector<const DayPartial*>& partials) {
+  StreamingDayResult result;
+  result.day = day;
+  for (const DayPartial* partial : partials) {
+    packet_samples.merge(partial->packet_samples);
   }
-  return ips;
+  result.calibrated = packet_samples.seen() >= config.warmup_samples;
+  if (result.calibrated) {
+    result.packet_threshold = stats::Ecdf(packet_samples.values())
+                                  .top_alpha_threshold(config.base.packet_volume_alpha);
+    if (port_samples.seen() > 0) {
+      result.port_threshold = stats::Ecdf(port_samples.values())
+                                  .top_alpha_threshold(config.base.port_count_alpha);
+    }
+    auto& [d1, d2, d3] = result.daily;
+    for (const DayPartial* partial : partials) {
+      d1.insert(d1.end(), partial->d1.begin(), partial->d1.end());
+      for (const auto& [src, packets] : partial->best_packets) {
+        if (packets > result.packet_threshold) d2.push_back(src);
+      }
+      if (result.port_threshold == 0) continue;
+      for (const auto& [src, set] : partial->ports) {
+        if (set.size() >= result.port_threshold) d3.push_back(src);
+      }
+    }
+    for (std::size_t d = 0; d < 3; ++d) {
+      std::sort(result.daily[d].begin(), result.daily[d].end());
+      ips[d].insert(result.daily[d].begin(), result.daily[d].end());
+    }
+  }
+  // Sample identity (day, src): the same across any source partition.
+  for (const DayPartial* partial : partials) {
+    for (const auto& [src, set] : partial->ports) {
+      port_samples.add(static_cast<std::uint64_t>(day), src.value(), set.size());
+    }
+  }
+  return result;
 }
 
 StreamingDetector::StreamingDetector(StreamingConfig config,
                                      std::uint64_t darknet_size)
-    : config_(config),
-      darknet_size_(darknet_size),
-      packet_samples_(config.ecdf_reservoir, config.seed),
-      port_samples_(config.ecdf_reservoir, port_sampler_seed(config.seed)) {
+    : darknet_size_(darknet_size), closer_(config), open_(config) {
   if (darknet_size == 0) {
     throw std::invalid_argument("StreamingDetector: zero darknet size");
   }
@@ -86,7 +96,7 @@ std::vector<StreamingDayResult> StreamingDetector::observe(
   std::vector<StreamingDayResult> out;
   const std::int64_t day = event.day();
   if (day_open_ && day < current_day_) {
-    if (!config_.tolerate_late_events) {
+    if (!closer_.config.tolerate_late_events) {
       throw std::invalid_argument(
           "StreamingDetector::observe: events must be day-ordered");
     }
@@ -94,176 +104,25 @@ std::vector<StreamingDayResult> StreamingDetector::observe(
     // may be published). Fold it into the open day — its samples still
     // feed the rolling ECDFs — and account for the redirect.
     ++late_events_folded_;
-    ingest_into_day(event);
-    return out;
-  }
-  if (!day_open_) {
+  } else if (!day_open_) {
     current_day_ = day;
     day_open_ = true;
   }
-  while (current_day_ < day) {
-    out.push_back(close_day());
-    ++current_day_;
+  for (; current_day_ < day; ++current_day_) {
+    out.push_back(closer_.close(current_day_, {&open_}));
+    open_ = DayPartial(closer_.config);
   }
-  ingest_into_day(event);
-  return out;
-}
-
-void StreamingDetector::ingest_into_day(const telescope::DarknetEvent& event) {
   ++events_seen_;
-  packet_samples_.add(packet_sample_id(event.key),
-                      static_cast<std::uint64_t>(
-                          event.start.since_epoch().total_nanos()),
-                      event.packets);
-  if (event.key.type != pkt::TrafficType::IcmpEchoReq) {
-    day_ports_[event.key.src].insert(event.key.dst_port);
-  }
-
-  // Definition 1 qualifies immediately (scale-free rule).
-  if (event.dispersion(darknet_size_) >= config_.base.dispersion_threshold) {
-    day_daily_[0].insert(event.key.src);
-  }
-  // Definition 2 is evaluated when the day closes, against the threshold
-  // in force then; remember candidates cheaply by keeping per-day events'
-  // packet maxima per source.
-  auto& best = day_best_packets_[event.key.src];
-  best = std::max(best, event.packets);
-}
-
-StreamingDayResult StreamingDetector::close_day() {
-  StreamingDayResult result;
-  result.day = current_day_;
-
-  // Calibrate thresholds on everything seen so far (including today: the
-  // list for day D is published after D closes, so D's samples are known).
-  result.calibrated = packet_samples_.seen() >= config_.warmup_samples;
-  if (result.calibrated) {
-    stats::Ecdf packet_ecdf(packet_samples_.values());
-    result.packet_threshold =
-        packet_ecdf.top_alpha_threshold(config_.base.packet_volume_alpha);
-    if (port_samples_.seen() > 0) {
-      stats::Ecdf port_ecdf(port_samples_.values());
-      result.port_threshold =
-          port_ecdf.top_alpha_threshold(config_.base.port_count_alpha);
-    }
-
-    for (const auto& [src, packets] : day_best_packets_) {
-      if (packets > result.packet_threshold) day_daily_[1].insert(src);
-    }
-    if (result.port_threshold > 0) {
-      for (const auto& [src, ports] : day_ports_) {
-        if (ports.size() >= result.port_threshold) day_daily_[2].insert(src);
-      }
-    }
-    for (std::size_t d = 0; d < 3; ++d) {
-      result.daily[d].assign(day_daily_[d].begin(), day_daily_[d].end());
-      std::sort(result.daily[d].begin(), result.daily[d].end());
-      for (const net::Ipv4Address ip : result.daily[d]) ips_[d].insert(ip);
-    }
-  }
-
-  // The day's per-source port counts become ECDF samples for future days.
-  for (const auto& [src, ports] : day_ports_) {
-    port_samples_.add(static_cast<std::uint64_t>(current_day_), src.value(),
-                      ports.size());
-  }
-
-  // Rollover: drop the day's working sets but keep their capacity — the
-  // next day's source population is about the same size.
-  const std::size_t port_sources = day_ports_.size();
-  const std::size_t best_sources = day_best_packets_.size();
-  for (auto& set : day_daily_) set.clear();
-  day_ports_.clear();
-  day_ports_.reserve(port_sources);
-  day_best_packets_.clear();
-  day_best_packets_.reserve(best_sources);
-  return result;
+  open_.add(event, closer_.config, darknet_size_);
+  return out;
 }
 
 std::optional<StreamingDayResult> StreamingDetector::finish() {
   if (!day_open_) return std::nullopt;
   day_open_ = false;
-  return close_day();
-}
-
-void StreamingDetector::checkpoint(telescope::CheckpointWriter& writer) const {
-  writer.tag(kDetectorTag);
-  // Configuration echo, verified on restore: resuming under different
-  // thresholds or sampler parameters would silently change the lists.
-  writer.f64(config_.base.dispersion_threshold);
-  writer.f64(config_.base.packet_volume_alpha);
-  writer.f64(config_.base.port_count_alpha);
-  writer.u64(config_.ecdf_reservoir);
-  writer.u64(config_.warmup_samples);
-  writer.u64(config_.seed);
-  writer.u64(darknet_size_);
-  put_sampler(writer, packet_samples_);
-  put_sampler(writer, port_samples_);
-  writer.u8(day_open_ ? 1 : 0);
-  writer.i64(current_day_);
-  for (const auto& daily : day_daily_) put_ip_set(writer, daily);
-  writer.u64(day_ports_.size());
-  for (const net::Ipv4Address src : sorted_keys(day_ports_)) {
-    const PortSet& ports = day_ports_.at(src);
-    writer.u64(src.value());
-    writer.u64(ports.size());
-    ports.for_each([&](std::uint16_t port) { writer.u64(port); });
-  }
-  writer.u64(day_best_packets_.size());
-  for (const net::Ipv4Address src : sorted_keys(day_best_packets_)) {
-    writer.u64(src.value());
-    writer.u64(day_best_packets_.at(src));
-  }
-  for (const IpSet& ips : ips_) put_ip_set(writer, ips);
-  writer.u64(events_seen_);
-  writer.u64(late_events_folded_);
-}
-
-void StreamingDetector::restore(telescope::CheckpointReader& reader) {
-  reader.expect_tag(kDetectorTag, "StreamingDetector");
-  const bool config_matches =
-      std::bit_cast<std::uint64_t>(reader.f64("dispersion threshold")) ==
-          std::bit_cast<std::uint64_t>(config_.base.dispersion_threshold) &&
-      std::bit_cast<std::uint64_t>(reader.f64("packet alpha")) ==
-          std::bit_cast<std::uint64_t>(config_.base.packet_volume_alpha) &&
-      std::bit_cast<std::uint64_t>(reader.f64("port alpha")) ==
-          std::bit_cast<std::uint64_t>(config_.base.port_count_alpha) &&
-      reader.u64("sampler capacity") == config_.ecdf_reservoir &&
-      reader.u64("warmup samples") == config_.warmup_samples &&
-      reader.u64("seed") == config_.seed;
-  if (!config_matches) {
-    throw telescope::ConfigMismatchError(
-        "StreamingDetector configuration mismatch");
-  }
-  if (reader.u64("darknet size") != darknet_size_) {
-    throw telescope::ConfigMismatchError("StreamingDetector darknet mismatch");
-  }
-  get_sampler(reader, packet_samples_);
-  get_sampler(reader, port_samples_);
-  day_open_ = reader.u8("day open") != 0;
-  current_day_ = reader.i64("current day");
-  for (auto& daily : day_daily_) daily = get_ip_set(reader);
-  const std::uint64_t port_sources = reader.u64("port source count");
-  day_ports_.clear();
-  day_ports_.reserve(static_cast<std::size_t>(port_sources));
-  for (std::uint64_t i = 0; i < port_sources; ++i) {
-    const net::Ipv4Address src(static_cast<std::uint32_t>(reader.u64("port source")));
-    const std::uint64_t port_count = reader.u64("port count");
-    auto& ports = day_ports_[src];
-    for (std::uint64_t p = 0; p < port_count; ++p) {
-      ports.insert(static_cast<std::uint16_t>(reader.u64("port")));
-    }
-  }
-  const std::uint64_t best_sources = reader.u64("best source count");
-  day_best_packets_.clear();
-  day_best_packets_.reserve(static_cast<std::size_t>(best_sources));
-  for (std::uint64_t i = 0; i < best_sources; ++i) {
-    const net::Ipv4Address src(static_cast<std::uint32_t>(reader.u64("best source")));
-    day_best_packets_[src] = reader.u64("best packets");
-  }
-  for (IpSet& ips : ips_) ips = get_ip_set(reader);
-  events_seen_ = reader.u64("events seen");
-  late_events_folded_ = reader.u64("late events folded");
+  StreamingDayResult result = closer_.close(current_day_, {&open_});
+  open_ = DayPartial(closer_.config);
+  return result;
 }
 
 }  // namespace orion::detect

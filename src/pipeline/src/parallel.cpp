@@ -25,34 +25,6 @@ constexpr std::uint64_t kPipelineTagV1 = checkpoint_tag('P', 'P', 'L', '1');
 // whole-pipeline PPL2 section so one can never be restored as the other.
 constexpr std::uint64_t kShardSnapTag = checkpoint_tag('S', 'S', 'H', '1');
 
-void put_event(CheckpointWriter& w, const DarknetEvent& e) {
-  w.u64(e.key.src.value());
-  w.u64(e.key.dst_port);
-  w.u8(static_cast<std::uint8_t>(e.key.type));
-  w.i64(e.start.since_epoch().total_nanos());
-  w.i64(e.end.since_epoch().total_nanos());
-  w.u64(e.packets);
-  w.u64(e.unique_dests);
-  for (const std::uint64_t t : e.packets_by_tool) w.u64(t);
-}
-
-DarknetEvent get_event(CheckpointReader& r) {
-  DarknetEvent e;
-  e.key.src = net::Ipv4Address(static_cast<std::uint32_t>(r.u64("event src")));
-  e.key.dst_port = static_cast<std::uint16_t>(r.u64("event port"));
-  const std::uint8_t type = r.u8("event type");
-  if (type > static_cast<std::uint8_t>(pkt::TrafficType::Other)) {
-    throw std::runtime_error("checkpoint: bad traffic type");
-  }
-  e.key.type = static_cast<pkt::TrafficType>(type);
-  e.start = net::SimTime::at(net::Duration::nanos(r.i64("event start")));
-  e.end = net::SimTime::at(net::Duration::nanos(r.i64("event end")));
-  e.packets = r.u64("event packets");
-  e.unique_dests = r.u64("event dests");
-  for (std::uint64_t& t : e.packets_by_tool) t = r.u64("tool packets");
-  return e;
-}
-
 }  // namespace
 
 ParallelPipeline::ParallelPipeline(net::PrefixSet dark_space,
@@ -169,8 +141,7 @@ void ParallelPipeline::snapshot_shard(Shard& shard, std::uint64_t batches_done) 
   CheckpointWriter w;
   w.tag(kShardSnapTag);
   w.u64(shard.delivered);
-  w.u64(shard.events.size());
-  for (const DarknetEvent& e : shard.events) put_event(w, e);
+  put_events(w, shard.events);
   shard.aggregator->checkpoint(w);
   shard.slice->checkpoint(w);
   std::ostringstream out;
@@ -200,11 +171,7 @@ void ParallelPipeline::rebuild_from_snapshot(Shard& shard) {
   CheckpointReader reader(in);
   reader.expect_tag(kShardSnapTag, "shard snapshot");
   shard.delivered = reader.u64("shard delivered");
-  const std::uint64_t count = reader.u64("shard event count");
-  shard.events.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    shard.events.push_back(get_event(reader));
-  }
+  shard.events = get_events(reader);
   shard.aggregator->restore(reader);
   shard.slice->restore(reader);
 }
@@ -489,8 +456,7 @@ void ParallelPipeline::checkpoint(CheckpointWriter& writer) {
   writer.u64(health_.worker_restarts);
   for (const auto& shard : shards_) {
     writer.u64(shard->delivered);
-    writer.u64(shard->events.size());
-    for (const DarknetEvent& e : shard->events) put_event(writer, e);
+    put_events(writer, shard->events);
     shard->aggregator->checkpoint(writer);
     shard->slice->checkpoint(writer);
   }
@@ -531,12 +497,7 @@ void ParallelPipeline::restore(CheckpointReader& reader) {
     // dispatcher may write shard state; the first pushed batch's release/
     // acquire pair publishes it to the worker.
     shard->delivered = reader.u64("shard delivered");
-    const std::uint64_t event_count = reader.u64("shard event count");
-    shard->events.clear();
-    shard->events.reserve(static_cast<std::size_t>(event_count));
-    for (std::uint64_t i = 0; i < event_count; ++i) {
-      shard->events.push_back(get_event(reader));
-    }
+    shard->events = get_events(reader);
     shard->aggregator->restore(reader);
     shard->slice->restore(reader);
     // Seed the supervision snapshot with the restored state at ring

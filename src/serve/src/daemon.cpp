@@ -499,7 +499,12 @@ void Daemon::start() {
 void Daemon::stop() {
   Impl& d = *impl_;
   if (!d.running) return;
-  d.stopping.store(true, std::memory_order_release);
+  {
+    // Under task_mu: a worker between its predicate check and its wait
+    // would otherwise miss the notify below and never exit.
+    std::lock_guard<std::mutex> lock(d.task_mu);
+    d.stopping.store(true, std::memory_order_release);
+  }
   d.task_cv.notify_all();
   d.wake();
   for (std::thread& t : d.worker_threads) t.join();

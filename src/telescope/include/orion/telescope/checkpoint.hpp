@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "orion/netbase/io.hpp"
+#include "orion/telescope/event.hpp"
 
 namespace orion::telescope {
 
@@ -96,6 +97,11 @@ class CheckpointReader {
   std::uint8_t u8(const char* what);
   std::vector<std::uint8_t> bytes(std::size_t n, const char* what);
 
+  /// Reads an element count and throws unless that many entries of at
+  /// least `min_entry_bytes` each fit in the unread payload, so a lying
+  /// count fails here instead of sizing an allocation.
+  std::uint64_t count(const char* what, std::size_t min_entry_bytes);
+
   /// Reads a section tag and throws unless it matches `expected`.
   void expect_tag(std::uint64_t expected, const char* component);
 
@@ -109,5 +115,10 @@ class CheckpointReader {
   std::vector<std::uint8_t> payload_;
   std::size_t pos_ = 0;
 };
+
+/// The DarknetEvent list codec shared by every section that snapshots
+/// closed events (CAP1, PPL2, SSH1): a count, then each event's fields.
+void put_events(CheckpointWriter& writer, const std::vector<DarknetEvent>& events);
+std::vector<DarknetEvent> get_events(CheckpointReader& reader);
 
 }  // namespace orion::telescope

@@ -479,7 +479,11 @@ void EventAggregator::restore(CheckpointReader& reader) {
   ignored_out_of_space_ = reader.u64("ignored out of space");
   ignored_non_scanning_ = reader.u64("ignored non scanning");
   events_emitted_ = reader.u64("events emitted");
-  const std::uint64_t live_count = reader.u64("live event count");
+  // Six u64 fields (the exact-key count among them), two single-byte
+  // fields, the per-tool packet counts and the 2^p HLL registers.
+  const std::size_t live_event_bytes = 6 * 8 + 2 + sizeof(ToolPackets) +
+                                       (std::size_t{1} << config_.hll_precision);
+  const std::uint64_t live_count = reader.count("live event count", live_event_bytes);
   live_.clear();
   live_.reserve(static_cast<std::size_t>(live_count));
   for (std::uint64_t i = 0; i < live_count; ++i) {

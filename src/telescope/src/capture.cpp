@@ -1,7 +1,6 @@
 #include "orion/telescope/capture.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "orion/telescope/checkpoint.hpp"
 
@@ -10,34 +9,6 @@ namespace orion::telescope {
 namespace {
 
 constexpr std::uint64_t kCaptureTag = checkpoint_tag('C', 'A', 'P', '1');
-
-void put_event(CheckpointWriter& w, const DarknetEvent& e) {
-  w.u64(e.key.src.value());
-  w.u64(e.key.dst_port);
-  w.u8(static_cast<std::uint8_t>(e.key.type));
-  w.i64(e.start.since_epoch().total_nanos());
-  w.i64(e.end.since_epoch().total_nanos());
-  w.u64(e.packets);
-  w.u64(e.unique_dests);
-  for (const std::uint64_t t : e.packets_by_tool) w.u64(t);
-}
-
-DarknetEvent get_event(CheckpointReader& r) {
-  DarknetEvent e;
-  e.key.src = net::Ipv4Address(static_cast<std::uint32_t>(r.u64("event src")));
-  e.key.dst_port = static_cast<std::uint16_t>(r.u64("event port"));
-  const std::uint8_t type = r.u8("event type");
-  if (type > static_cast<std::uint8_t>(pkt::TrafficType::Other)) {
-    throw std::runtime_error("checkpoint: bad traffic type");
-  }
-  e.key.type = static_cast<pkt::TrafficType>(type);
-  e.start = net::SimTime::at(net::Duration::nanos(r.i64("event start")));
-  e.end = net::SimTime::at(net::Duration::nanos(r.i64("event end")));
-  e.packets = r.u64("event packets");
-  e.unique_dests = r.u64("event dests");
-  for (std::uint64_t& t : e.packets_by_tool) t = r.u64("tool packets");
-  return e;
-}
 
 }  // namespace
 
@@ -101,8 +72,7 @@ void TelescopeCapture::checkpoint(CheckpointWriter& writer) const {
   writer.u64(packets_captured_);
   writer.u64(sources_.size());
   for (const net::Ipv4Address src : sources_) writer.u64(src.value());
-  writer.u64(collector_.events().size());
-  for (const DarknetEvent& e : collector_.events()) put_event(writer, e);
+  put_events(writer, collector_.events());
   aggregator_.checkpoint(writer);
 }
 
@@ -112,19 +82,13 @@ void TelescopeCapture::restore(CheckpointReader& reader) {
     throw ConfigMismatchError("TelescopeCapture darknet mismatch");
   }
   packets_captured_ = reader.u64("packets captured");
-  const std::uint64_t source_count = reader.u64("source count");
+  const std::uint64_t source_count = reader.count("source count", 8);
   sources_.clear();
   sources_.reserve(static_cast<std::size_t>(source_count));
   for (std::uint64_t i = 0; i < source_count; ++i) {
     sources_.insert(net::Ipv4Address(static_cast<std::uint32_t>(reader.u64("source"))));
   }
-  const std::uint64_t pending_count = reader.u64("pending event count");
-  std::vector<DarknetEvent> pending;
-  pending.reserve(static_cast<std::size_t>(pending_count));
-  for (std::uint64_t i = 0; i < pending_count; ++i) {
-    pending.push_back(get_event(reader));
-  }
-  collector_.restore(std::move(pending));
+  collector_.restore(get_events(reader));
   aggregator_.restore(reader);
 }
 

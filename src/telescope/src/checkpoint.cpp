@@ -132,6 +132,15 @@ std::vector<std::uint8_t> CheckpointReader::bytes(std::size_t n,
   return out;
 }
 
+std::uint64_t CheckpointReader::count(const char* what,
+                                      std::size_t min_entry_bytes) {
+  const std::uint64_t n = u64(what);
+  if (n > remaining() / min_entry_bytes) {
+    fail(std::string("count exceeds payload: ") + what);
+  }
+  return n;
+}
+
 void CheckpointReader::expect_tag(std::uint64_t expected, const char* component) {
   if (u64("section tag") != expected) {
     fail(std::string("wrong section tag for ") + component);
@@ -140,6 +149,42 @@ void CheckpointReader::expect_tag(std::uint64_t expected, const char* component)
 
 void CheckpointReader::fail(const std::string& why) const {
   throw std::runtime_error("checkpoint: " + why);
+}
+
+void put_events(CheckpointWriter& w, const std::vector<DarknetEvent>& events) {
+  w.u64(events.size());
+  for (const DarknetEvent& e : events) {
+    w.u64(e.key.src.value());
+    w.u64(e.key.dst_port);
+    w.u8(static_cast<std::uint8_t>(e.key.type));
+    w.i64(e.start.since_epoch().total_nanos());
+    w.i64(e.end.since_epoch().total_nanos());
+    w.u64(e.packets);
+    w.u64(e.unique_dests);
+    for (const std::uint64_t t : e.packets_by_tool) w.u64(t);
+  }
+}
+
+std::vector<DarknetEvent> get_events(CheckpointReader& r) {
+  // Six u64 fields, the type byte and the per-tool packet counts.
+  constexpr std::size_t kEventBytes = 6 * 8 + 1 + sizeof(ToolPackets);
+  std::vector<DarknetEvent> events(
+      static_cast<std::size_t>(r.count("event count", kEventBytes)));
+  for (DarknetEvent& e : events) {
+    e.key.src = net::Ipv4Address(static_cast<std::uint32_t>(r.u64("event src")));
+    e.key.dst_port = static_cast<std::uint16_t>(r.u64("event port"));
+    const std::uint8_t type = r.u8("event type");
+    if (type > static_cast<std::uint8_t>(pkt::TrafficType::Other)) {
+      throw std::runtime_error("checkpoint: bad traffic type");
+    }
+    e.key.type = static_cast<pkt::TrafficType>(type);
+    e.start = net::SimTime::at(net::Duration::nanos(r.i64("event start")));
+    e.end = net::SimTime::at(net::Duration::nanos(r.i64("event end")));
+    e.packets = r.u64("event packets");
+    e.unique_dests = r.u64("event dests");
+    for (std::uint64_t& t : e.packets_by_tool) t = r.u64("tool packets");
+  }
+  return events;
 }
 
 }  // namespace orion::telescope

@@ -646,3 +646,292 @@ TEST(PortSet, HandlesExtremePortValues) {
 
 }  // namespace
 }  // namespace orion::detect
+
+// NOTE: appended suite — the D1–D3 day-close against references that
+// share none of its code: pinned checkpoint and list bytes, thresholds
+// recomputed with plain loops, and shard slices fed directly in shuffled
+// order. Plus the OCP1 restore paths' handling of lying element counts.
+#include <map>
+#include <memory>
+#include <span>
+
+#include "orion/detect/shard_detector.hpp"
+#include "orion/netbase/crc32.hpp"
+#include "orion/netbase/shard.hpp"
+#include "orion/scangen/event_synth.hpp"
+#include "orion/scangen/packet_gen.hpp"
+#include "orion/scangen/scenario.hpp"
+#include "orion/stats/ecdf.hpp"
+#include "orion/telescope/checkpoint.hpp"
+#include "orion/telescope/parallel.hpp"
+
+namespace orion::detect {
+namespace {
+
+const scangen::Scenario& tiny_scenario() {
+  static const scangen::Scenario scenario{scangen::tiny()};
+  return scenario;
+}
+
+std::uint64_t tiny_darknet() { return tiny_scenario().darknet().total_addresses(); }
+
+/// The serial feed and detector configuration of examples/live_monitor.
+const std::vector<telescope::DarknetEvent>& tiny_events() {
+  static const auto events = scangen::synthesize_events(
+      tiny_scenario().population_2021(),
+      {.darknet_size = tiny_darknet(), .seed = 17});
+  return events;
+}
+
+StreamingConfig tiny_config() {
+  StreamingConfig config;
+  config.base = {.dispersion_threshold = tiny_scenario().config().def1_dispersion,
+                 .packet_volume_alpha = tiny_scenario().config().def2_alpha,
+                 .port_count_alpha = tiny_scenario().config().def3_alpha};
+  config.warmup_samples = 500;
+  config.tolerate_late_events = true;
+  return config;
+}
+
+std::uint32_t crc_of(const std::string& bytes) {
+  return net::Crc32::of(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+}
+
+template <typename Component>
+std::string checkpoint_bytes(Component& component) {
+  telescope::CheckpointWriter writer;
+  component.checkpoint(writer);
+  std::ostringstream out;
+  writer.finish(out);
+  return out.str();
+}
+
+std::string render(const std::vector<StreamingDayResult>& days) {
+  std::ostringstream out;
+  for (const StreamingDayResult& day : days) {
+    out << day.day << '|' << day.calibrated << '|' << day.packet_threshold
+        << '|' << day.port_threshold;
+    for (const auto& list : day.daily) {
+      out << '[';
+      for (const net::Ipv4Address ip : list) out << ip.to_string() << ',';
+      out << ']';
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+struct SerialRun {
+  std::vector<StreamingDayResult> days;
+  std::array<IpSet, 3> ips;
+};
+
+SerialRun run_serial(const StreamingConfig& config,
+                     const std::vector<telescope::DarknetEvent>& events) {
+  SerialRun run;
+  StreamingDetector detector(config, tiny_darknet());
+  for (const auto& e : events) {
+    for (auto& day : detector.observe(e)) run.days.push_back(std::move(day));
+  }
+  if (auto last = detector.finish()) run.days.push_back(std::move(*last));
+  for (std::size_t d = 0; d < 3; ++d) run.ips[d] = detector.ips(kAllDefinitions[d]);
+  return run;
+}
+
+// Checkpoint and list bytes pinned from the implementation that kept the
+// serial and sharded day-close as two separate copies.
+TEST(DayClose, PinnedCheckpointAndListBytes) {
+  const auto& events = tiny_events();
+  const std::size_t half = events.size() / 2;
+  ASSERT_EQ(events[half - 1].day(), events[half].day());  // mid-day cut
+
+  StreamingDetector detector(tiny_config(), tiny_darknet());
+  std::vector<StreamingDayResult> days;
+  std::uint32_t mid_day_crc = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i == half) mid_day_crc = crc_of(checkpoint_bytes(detector));
+    for (auto& day : detector.observe(events[i])) days.push_back(std::move(day));
+  }
+  if (auto last = detector.finish()) days.push_back(std::move(*last));
+
+  EXPECT_EQ(mid_day_crc, 0x858002f7u);
+  // The final snapshot is the file `live_monitor --checkpoint F` leaves.
+  EXPECT_EQ(crc_of(checkpoint_bytes(detector)), 0x2ead39b2u);
+  EXPECT_EQ(crc_of(render(days)), 0x4ebe963fu);
+}
+
+TEST(DayClose, PinnedShardedCheckpointBytes) {
+  scangen::PacketStreamGenerator generator(
+      tiny_scenario().population_2021().scanners, tiny_scenario().darknet(),
+      net::SimTime::epoch(), net::SimTime::epoch() + net::Duration::days(5),
+      {.seed = 17, .exact_targets = true, .stable_streams = true});
+  std::vector<pkt::Packet> packets;
+  while (auto p = generator.next()) packets.push_back(*p);
+
+  telescope::ParallelConfig config;
+  config.shards = 3;
+  config.aggregator.timeout = tiny_scenario().event_timeout();
+  config.detector = tiny_config();
+  telescope::ParallelPipeline pipeline(tiny_scenario().darknet(), config);
+  for (std::size_t i = 0; i < packets.size() / 2; ++i) pipeline.observe(packets[i]);
+  EXPECT_EQ(crc_of(checkpoint_bytes(pipeline)), 0x38cd7714u);
+}
+
+// With a sample capacity above every sample count, bottom-k keeps every
+// sample and each day's thresholds and lists have exact values.
+TEST(DayClose, ThresholdsEqualPlainLoopsWhenEverySampleIsKept) {
+  const auto& events = tiny_events();
+  StreamingConfig config = tiny_config();
+  config.ecdf_reservoir = events.size();  // >= packet and port sample counts
+
+  std::map<std::int64_t, std::set<net::Ipv4Address>> d1;
+  std::map<std::int64_t, std::map<net::Ipv4Address, std::uint64_t>> best;
+  std::map<std::int64_t, std::map<net::Ipv4Address, std::set<std::uint16_t>>> ports;
+  for (const auto& e : events) {
+    if (e.dispersion(tiny_darknet()) >= config.base.dispersion_threshold) {
+      d1[e.day()].insert(e.key.src);
+    }
+    auto& max = best[e.day()][e.key.src];
+    max = std::max(max, e.packets);
+    if (e.key.type != pkt::TrafficType::IcmpEchoReq) {
+      ports[e.day()][e.key.src].insert(e.key.dst_port);
+    }
+  }
+
+  std::vector<StreamingDayResult> want;
+  std::array<IpSet, 3> want_ips;
+  const std::int64_t first_day = best.begin()->first;
+  const std::int64_t last_day = best.rbegin()->first;
+  for (std::int64_t day = first_day; day <= last_day; ++day) {
+    std::vector<std::uint64_t> packets_so_far;  // events with start day <= day
+    for (const auto& e : events) {
+      if (e.day() <= day) packets_so_far.push_back(e.packets);
+    }
+    std::vector<std::uint64_t> port_counts_before;  // (day', src), day' < day
+    for (const auto& [d, sources] : ports) {
+      if (d >= day) break;
+      for (const auto& [src, set] : sources) port_counts_before.push_back(set.size());
+    }
+    StreamingDayResult r;
+    r.day = day;
+    r.calibrated = packets_so_far.size() >= config.warmup_samples;
+    if (r.calibrated) {
+      r.packet_threshold = stats::Ecdf(packets_so_far)
+                               .top_alpha_threshold(config.base.packet_volume_alpha);
+      if (!port_counts_before.empty()) {
+        r.port_threshold = stats::Ecdf(port_counts_before)
+                               .top_alpha_threshold(config.base.port_count_alpha);
+      }
+      r.daily[0].assign(d1[day].begin(), d1[day].end());
+      for (const auto& [src, packets] : best[day]) {
+        if (packets > r.packet_threshold) r.daily[1].push_back(src);
+      }
+      for (const auto& [src, set] : ports[day]) {
+        if (r.port_threshold > 0 && set.size() >= r.port_threshold) {
+          r.daily[2].push_back(src);
+        }
+      }
+      for (std::size_t d = 0; d < 3; ++d) {
+        want_ips[d].insert(r.daily[d].begin(), r.daily[d].end());
+      }
+    }
+    want.push_back(std::move(r));
+  }
+  // The feed exercises every branch: warm-up days, and D2/D3 lists.
+  EXPECT_FALSE(want.front().calibrated);
+  EXPECT_FALSE(want_ips[1].empty());
+  EXPECT_FALSE(want_ips[2].empty());
+
+  const SerialRun got = run_serial(config, events);
+  ASSERT_EQ(got.days.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.days[i], want[i]) << "day " << want[i].day;
+  }
+  EXPECT_EQ(got.ips, want_ips);
+}
+
+// Slices reached directly, not through the packet pipeline: any source
+// partition, any per-slice event order, and sample truncation (small
+// capacity) all merge to the serial detector's output.
+TEST(DayClose, ShuffledSlicesMergeToTheSerialDetector) {
+  const auto& events = tiny_events();
+  StreamingConfig small = tiny_config();
+  small.ecdf_reservoir = 256;
+  for (const StreamingConfig& config : {tiny_config(), small}) {
+    const SerialRun serial = run_serial(config, events);
+    for (const std::size_t shards : {1, 2, 5}) {
+      std::vector<std::vector<telescope::DarknetEvent>> parts(shards);
+      for (const auto& e : events) parts[net::shard_of(e.key.src, shards)].push_back(e);
+      net::Rng rng(shards);
+      std::vector<std::unique_ptr<ShardDetectorSlice>> slices;
+      std::vector<const ShardDetectorSlice*> views;
+      for (auto& part : parts) {
+        for (std::size_t i = part.size(); i > 1; --i) {
+          std::swap(part[i - 1], part[rng.bounded(i)]);
+        }
+        slices.push_back(std::make_unique<ShardDetectorSlice>(config, tiny_darknet()));
+        for (const auto& e : part) slices.back()->observe(e);
+        views.push_back(slices.back().get());
+      }
+      const MergedDetection merged = merge_shard_slices(views);
+      EXPECT_EQ(merged.days, serial.days)
+          << shards << " shards, capacity " << config.ecdf_reservoir;
+      EXPECT_EQ(merged.ips, serial.ips);
+      EXPECT_EQ(merged.events_seen, events.size());
+    }
+  }
+}
+
+/// Re-frames an OCP1 container with the payload u64 at `offset` replaced,
+/// under a valid CRC: a snapshot that lies without being corrupt.
+std::string with_payload_u64(const std::string& frame, std::size_t offset,
+                             std::uint64_t value) {
+  // OCP1 frame: magic(4) version(8) length(8) payload crc(4).
+  std::vector<std::uint8_t> payload(frame.begin() + 20, frame.end() - 4);
+  for (std::size_t i = 0; i < 8; ++i) {
+    payload.at(offset + i) = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  telescope::CheckpointWriter writer;
+  writer.bytes(payload);
+  std::ostringstream out;
+  writer.finish(out);
+  return out.str();
+}
+
+TEST(CheckpointCounts, LyingCountIsATypedError) {
+  constexpr std::uint64_t kLie = std::uint64_t{1} << 40;
+  {
+    // SDT2 of a fresh detector: tag, config echo (3 f64, 4 u64), two empty
+    // samplers (seen, size), day-open u8 and current day, then the first
+    // IP-set count.
+    StreamingDetector fresh(tiny_config(), tiny_darknet());
+    constexpr std::size_t kFirstIpSetCount = 8 + 7 * 8 + 2 * 16 + 1 + 8;
+    std::istringstream in(
+        with_payload_u64(checkpoint_bytes(fresh), kFirstIpSetCount, kLie));
+    telescope::CheckpointReader reader(in);
+    StreamingDetector restored(tiny_config(), tiny_darknet());
+    EXPECT_THROW(restored.restore(reader), std::runtime_error);
+  }
+  {
+    // PPL2 of an idle pipeline: tag, shard count, darknet size, saw-packet
+    // u8, last timestamp, ingested, three ledger counters, then shard 0's
+    // delivered count and its event-list count.
+    telescope::ParallelConfig config;
+    config.shards = 2;
+    config.detector = tiny_config();
+    constexpr std::size_t kShard0EventCount = 3 * 8 + 1 + 2 * 8 + 3 * 8 + 8;
+    std::string frame;
+    {
+      telescope::ParallelPipeline idle(tiny_scenario().darknet(), config);
+      frame = checkpoint_bytes(idle);
+    }
+    std::istringstream in(with_payload_u64(frame, kShard0EventCount, kLie));
+    telescope::CheckpointReader reader(in);
+    telescope::ParallelPipeline restored(tiny_scenario().darknet(), config);
+    EXPECT_THROW(restored.restore(reader), std::runtime_error);
+  }
+}
+
+}  // namespace
+}  // namespace orion::detect

@@ -595,7 +595,7 @@ detect::StreamingConfig streaming_config() {
   config.base.packet_volume_alpha = 0.01;
   config.base.port_count_alpha = 0.01;
   config.warmup_samples = 100;
-  config.ecdf_reservoir = 512;  // small: forces reservoir eviction + RNG use
+  config.ecdf_reservoir = 512;  // small: forces bottom-k eviction
   return config;
 }
 
@@ -624,8 +624,8 @@ TEST(CrashResume, StreamingDetectorEmitsByteIdenticalDailyLists) {
   }
   if (const auto last = uninterrupted.finish()) want += render_day(*last);
 
-  // Checkpoint mid-day (not at a boundary): open-day working sets, both
-  // reservoirs and their RNG positions all have to survive.
+  // Checkpoint mid-day (not at a boundary): the open day's working sets
+  // and both bottom-k samples all have to survive.
   const std::size_t half = events.size() / 2;
   std::string got;
   std::stringstream snapshot;

@@ -565,5 +565,39 @@ TEST(ServeDaemon, MidSwapResponsesMatchTheirOwnGeneration) {
   daemon.stop();
 }
 
+// stop() right after start() catches workers between their predicate check
+// and their wait. A stop flag set without the task mutex can be missed
+// there, and join() then hangs; the watchdog turns a hang (no finished
+// start/stop cycle for 10 s) into a failure.
+TEST(ServeDaemon, StopRightAfterStartNeverHangs) {
+  constexpr int kCycles = 5000;
+  std::atomic<int> cycles{0};
+  std::thread watchdog([&] {
+    int seen = 0;
+    auto last_progress = std::chrono::steady_clock::now();
+    while (seen < kCycles) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      const int now_seen = cycles.load(std::memory_order_acquire);
+      const auto now = std::chrono::steady_clock::now();
+      if (now_seen != seen) {
+        seen = now_seen;
+        last_progress = now;
+      } else if (now - last_progress > std::chrono::seconds(10)) {
+        std::fprintf(stderr, "Daemon::stop() hung: a worker missed the stop wake-up\n");
+        std::abort();
+      }
+    }
+  });
+  DaemonConfig config;
+  config.workers = 8;
+  for (int i = 0; i < kCycles; ++i) {
+    Daemon daemon(config);
+    daemon.start();
+    daemon.stop();
+    cycles.fetch_add(1, std::memory_order_release);
+  }
+  watchdog.join();
+}
+
 }  // namespace
 }  // namespace orion::serve

@@ -344,33 +344,9 @@ TEST(Sparkline, RendersPeaks) {
 }  // namespace
 }  // namespace orion::stats
 
-// NOTE: appended suites — reservoir sampling and KS distance.
-#include "orion/stats/reservoir.hpp"
-
+// NOTE: appended suites — KS distance and bottom-k sampling.
 namespace orion::stats {
 namespace {
-
-TEST(ReservoirSampler, KeepsEverythingBelowCapacity) {
-  ReservoirSampler<int> sampler(100, 1);
-  for (int i = 0; i < 50; ++i) sampler.add(i);
-  EXPECT_EQ(sampler.sample().size(), 50u);
-  EXPECT_EQ(sampler.seen(), 50u);
-  EXPECT_FALSE(sampler.saturated());
-}
-
-TEST(ReservoirSampler, BoundedAndUniformOverStream) {
-  // Each of 10k elements should survive with probability 100/10000.
-  const int trials = 300;
-  std::vector<int> hits(10, 0);  // bucket stream positions by decile
-  for (int t = 0; t < trials; ++t) {
-    ReservoirSampler<int> sampler(100, static_cast<std::uint64_t>(t));
-    for (int i = 0; i < 10000; ++i) sampler.add(i);
-    EXPECT_EQ(sampler.sample().size(), 100u);
-    for (const int v : sampler.sample()) ++hits[v / 1000];
-  }
-  // Expect trials*100/10 = 3000 per decile.
-  for (const int h : hits) EXPECT_NEAR(h, 3000, 350);
-}
 
 TEST(KsDistance, IdenticalAndDisjointDistributions) {
   Ecdf a({1, 2, 3, 4, 5});
@@ -398,67 +374,6 @@ TEST(KsDistance, DetectsShift) {
     b.add(rng.bounded(1000) + 250);
   }
   EXPECT_GT(ks_distance(a, b), 0.2);
-}
-
-}  // namespace
-}  // namespace orion::stats
-
-// NOTE: appended suite — P² streaming quantile.
-#include "orion/stats/p2_quantile.hpp"
-
-namespace orion::stats {
-namespace {
-
-TEST(P2Quantile, ExactForSmallSamples) {
-  P2Quantile p2(0.5);
-  EXPECT_DOUBLE_EQ(p2.estimate(), 0.0);  // empty
-  p2.add(7);
-  EXPECT_DOUBLE_EQ(p2.estimate(), 7.0);
-  p2.add(3);
-  p2.add(9);
-  EXPECT_DOUBLE_EQ(p2.estimate(), 7.0);  // median of {3,7,9}
-}
-
-TEST(P2Quantile, RejectsBadQuantile) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-}
-
-class P2Accuracy : public testing::TestWithParam<double> {};
-
-TEST_P(P2Accuracy, TracksUniformQuantile) {
-  const double q = GetParam();
-  P2Quantile p2(q);
-  net::Rng rng(31);
-  std::vector<double> samples;
-  for (int i = 0; i < 50000; ++i) {
-    const double v = rng.uniform() * 1000.0;
-    p2.add(v);
-    samples.push_back(v);
-  }
-  std::sort(samples.begin(), samples.end());
-  const double exact = samples[static_cast<std::size_t>(q * samples.size())];
-  // P2 is approximate; a few percent of the range is fine.
-  EXPECT_NEAR(p2.estimate(), exact, 25.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, P2Accuracy,
-                         testing::Values(0.1, 0.5, 0.9, 0.99));
-
-TEST(P2Quantile, TracksHeavyTail) {
-  // Pareto-ish tail: P2 must still land in the right decade.
-  P2Quantile p2(0.99);
-  net::Rng rng(32);
-  std::vector<double> samples;
-  for (int i = 0; i < 50000; ++i) {
-    const double v = std::pow(1.0 - rng.uniform(), -1.2);
-    p2.add(v);
-    samples.push_back(v);
-  }
-  std::sort(samples.begin(), samples.end());
-  const double exact = samples[static_cast<std::size_t>(0.99 * samples.size())];
-  EXPECT_GT(p2.estimate(), exact * 0.5);
-  EXPECT_LT(p2.estimate(), exact * 2.0);
 }
 
 // ----------------------------------------------------------- BottomKSampler
