@@ -20,7 +20,7 @@
 // wraps.
 //
 // The API is the minimal surface those tables need — find / try_emplace /
-// erase / for_each / erase_if — not a drop-in std::unordered_map.
+// erase / for_each — not a drop-in std::unordered_map.
 // Iteration order is the slot order (arbitrary but deterministic for a
 // given insertion/deletion history); callers that need a canonical order
 // (checkpoints) sort keys themselves.
@@ -111,8 +111,8 @@ class FlatMap {
 
   /// Current slot index of a key, or npos if absent. Only meaningful until
   /// the next mutation — erase's backward shift and rehash both move
-  /// elements — but that transient index is exactly what erase_if-order
-  /// emulation needs (see EventAggregator::batch_sweep).
+  /// elements — but that transient index is exactly what the aggregator's
+  /// slot-ordered expiry needs (see EventAggregator::sweep_wheel).
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t slot_index_hashed(const K& key, std::size_t h) const {
     if (slots_.empty()) return npos;
@@ -177,23 +177,6 @@ class FlatMap {
     for (const auto& slot : slots_) {
       if (slot) f(slot->first, slot->second);
     }
-  }
-
-  /// Removes every element for which `f(key, value)` returns true and
-  /// returns how many were removed. Safe with backward-shift deletion: a
-  /// slot refilled by a shifted element is re-examined before moving on.
-  /// (An element the shift wraps to an already-visited slot is simply
-  /// seen on the next sweep — callers' predicates must be idempotent.)
-  template <typename F>
-  std::size_t erase_if(F&& f) {
-    std::size_t removed = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      while (slots_[i] && f(slots_[i]->first, slots_[i]->second)) {
-        erase_slot(i);
-        ++removed;
-      }
-    }
-    return removed;
   }
 
  private:

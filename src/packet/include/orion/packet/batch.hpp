@@ -10,8 +10,8 @@
 // recycled batch performs zero allocations in steady state.
 //
 // The bridge is lossless both ways: push_back(Packet) → packet_at(i)
-// round-trips every field, which is what lets the batch path promise
-// byte-identical results to the scalar path (see DESIGN.md §11).
+// round-trips every field, which is what lets the batched consumers
+// promise byte-identical results for any chunking (see DESIGN.md §11).
 #pragma once
 
 #include <cstddef>

@@ -40,30 +40,29 @@ struct AggregatorConfig {
 /// the inactivity timeout. Non-scanning packets ("Other") and packets
 /// outside the dark space are ignored but counted.
 ///
-/// Expiry is lazy: a sweep over the live-event table runs every
-/// `sweep_interval` of stream time. The sweep compares against packet
-/// timestamps, so events are emitted with exact start/end times regardless
-/// of when the sweep happens to run.
+/// Expiry is lazy: a sweep runs every `sweep_interval` of stream time,
+/// over a timing wheel of live events (DESIGN.md §11.3) rather than the
+/// whole live-event table. The sweep compares against packet timestamps,
+/// so events are emitted with exact start/end times regardless of when
+/// the sweep happens to run.
 class EventAggregator {
  public:
   EventAggregator(net::PrefixSet dark_space, AggregatorConfig config,
                   EventSink sink);
 
-  /// Feeds one packet. Timestamps must be non-decreasing; a regression
-  /// throws std::invalid_argument (the pipeline always merges sorted
-  /// streams, so a violation is a programming error worth failing loudly).
+  /// Feeds one packet, as a one-record observe_batch(). Timestamps must be
+  /// non-decreasing; a regression throws std::invalid_argument (the
+  /// pipeline always merges sorted streams, so a violation is a
+  /// programming error worth failing loudly).
   void observe(const pkt::Packet& packet);
 
   /// Feeds a whole columnar batch. State after the call is byte-identical
-  /// to calling observe() on each record in order — same events in the
-  /// same order, same counters, same checkpoint bytes — for any batch
-  /// size (DESIGN.md §11). The batch engine pre-classifies and pre-hashes
-  /// every record, software-prefetches the live-table buckets, and skips
-  /// (only) expiry sweeps it can prove would emit nothing.
-  ///
-  /// One deliberate strengthening: timestamps are validated for the whole
-  /// batch up front, so a mid-batch regression throws *before* any record
-  /// is applied (the scalar loop would have applied the valid prefix).
+  /// to feeding the records one by one — same events in the same order,
+  /// same counters, same checkpoint bytes — for any batch size and at
+  /// every SIMD tier (DESIGN.md §11.4). The engine pre-classifies and
+  /// pre-hashes every record and software-prefetches the live-table
+  /// buckets. Timestamps are validated for the whole batch up front, so a
+  /// regression throws before any record of the batch is applied.
   void observe_batch(const pkt::PacketBatch& batch) {
     observe_batch(batch, {});
   }
@@ -99,8 +98,8 @@ class EventAggregator {
   /// cardinality estimators, counters, stream clock) so a killed process
   /// resumes mid-capture. Restore verifies the snapshot was taken under
   /// the same configuration and dark space (std::runtime_error
-  /// otherwise); the sink is NOT serialized — the restoring caller wires
-  /// its own.
+  /// otherwise, and for a snapshot that repeats a live-event key); the
+  /// sink is NOT serialized — the restoring caller wires its own.
   void checkpoint(CheckpointWriter& writer) const;
   void restore(CheckpointReader& reader);
 
@@ -117,11 +116,10 @@ class EventAggregator {
   };
 
   void emit(const EventKey& key, const LiveEvent& live);
-  void sweep(net::SimTime now);
-  void batch_sweep(net::SimTime now);
-  void rebuild_aux();
-  void aux_rebase(std::int64_t top_granule);
-  std::size_t aux_bucket_of(std::int64_t last_seen_ns) const;
+  void sweep_wheel(net::SimTime now);
+  void rebuild_wheel();
+  void rebase_wheel(std::int64_t top_granule);
+  std::size_t bucket_of(std::int64_t last_seen_ns) const;
 
   net::PrefixSet dark_space_;
   AggregatorConfig config_;
@@ -134,28 +132,23 @@ class EventAggregator {
   net::SimTime next_sweep_;
   bool saw_packet_ = false;
 
-  // --- batch-path expiry wheel (DESIGN.md §11.3) ---
-  // A lazy timing wheel over last_seen, in coarse granules of
-  // aux_granule_ns_: wheel bucket i holds (key, hash) stamps for events
-  // whose last_seen entered granule aux_base_granule_ + i; bucket 0 also
-  // absorbs everything older than the base (rebases fold entries down).
-  // Stamps are append-only — touching an event leaves its old stamp
-  // stale — and a sweep validates only the stamps in buckets at or below
-  // the expiry cutoff against the live table. In the common case those
-  // buckets are empty and the sweep is a clock update; when stamps are
-  // present, the few truly-expired events are emitted in an order provably
-  // identical to the scalar erase_if scan (smallest current slot index
-  // first, re-queried after every erase), so the batch path never walks
-  // the full live table on a sweep at all.
-  // Maintained only by observe_batch; the scalar entry points just flip
-  // aux_valid_ and the next batch call rebuilds from the live table.
-  static constexpr std::size_t kAuxBuckets = 64;
-  using AuxStamp = std::pair<EventKey, std::size_t>;  // key + its hash
-  bool aux_valid_ = false;
-  std::int64_t aux_granule_ns_ = 1;
-  std::int64_t aux_base_granule_ = 0;
-  std::array<std::vector<AuxStamp>, kAuxBuckets> aux_wheel_;
-  std::vector<AuxStamp> aux_candidates_;  // sweep scratch
+  // --- expiry wheel (DESIGN.md §11.3) ---
+  // A lazy timing wheel over last_seen, in coarse granules of granule_ns_:
+  // bucket i holds (key, hash) stamps for events whose last_seen entered
+  // granule base_granule_ + i; bucket 0 also absorbs everything older than
+  // the base (rebases fold entries down). Stamps are append-only — touching
+  // an event leaves its old stamp stale — and a sweep validates only the
+  // stamps in buckets at or below the expiry cutoff against the live
+  // table, so it never walks the whole table. The constructor builds the
+  // wheel, restore() rebuilds it from the restored table, and finish()
+  // clears it.
+  static constexpr std::size_t kBuckets = 64;
+  using Stamp = std::pair<EventKey, std::size_t>;  // key + its hash
+  std::int64_t granule_ns_ = 1;
+  std::int64_t base_granule_ = 0;
+  std::array<std::vector<Stamp>, kBuckets> wheel_;
+  std::vector<Stamp> candidates_;  // sweep scratch
+  pkt::PacketBatch single_;        // observe()'s one-record batch
   // Per-record scratch columns reused across batches (kept as members so
   // a steady-state observe_batch call performs zero allocations).
   std::vector<std::uint8_t> scratch_kind_;

@@ -42,6 +42,8 @@ class TelescopeCapture {
  public:
   TelescopeCapture(net::PrefixSet dark_space, AggregatorConfig config);
 
+  /// Feeds one packet; a rejected one (timestamp regression) leaves the
+  /// capture unchanged.
   void observe(const pkt::Packet& packet);
   /// Batched equivalent of observe() — identical state for any batch size
   /// (the per-record work is delegated to EventAggregator::observe_batch).

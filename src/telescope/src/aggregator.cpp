@@ -25,59 +25,13 @@ EventAggregator::EventAggregator(net::PrefixSet dark_space,
     throw std::invalid_argument("EventAggregator: non-positive timeout");
   }
   live_.reserve(config_.live_reserve);
+  rebuild_wheel();
 }
 
 void EventAggregator::observe(const pkt::Packet& packet) {
-  if (saw_packet_ && packet.timestamp < last_timestamp_) {
-    throw std::invalid_argument(
-        "EventAggregator::observe: timestamps must be non-decreasing");
-  }
-  aux_valid_ = false;  // scalar path does not maintain the batch aux state
-  if (!saw_packet_) {
-    next_sweep_ = packet.timestamp + config_.sweep_interval;
-    saw_packet_ = true;
-  }
-  last_timestamp_ = packet.timestamp;
-  ++packets_seen_;
-
-  if (packet.timestamp >= next_sweep_) sweep(packet.timestamp);
-
-  if (!dark_space_.contains(packet.tuple.dst)) {
-    ++ignored_out_of_space_;
-    return;
-  }
-  const pkt::TrafficType type = packet.traffic_type();
-  if (type == pkt::TrafficType::Other) {
-    ++ignored_non_scanning_;
-    return;
-  }
-  ++scanning_packets_;
-
-  const EventKey key{packet.tuple.src,
-                     type == pkt::TrafficType::IcmpEchoReq ? std::uint16_t{0}
-                                                           : packet.tuple.dst_port,
-                     type};
-  LiveEvent* live = live_.find(key);
-  if (live != nullptr &&
-      packet.timestamp - live->last_seen > config_.timeout) {
-    // The previous event for this key already expired; emit it and start a
-    // fresh one. (The sweep usually does this, but a key can stay idle
-    // across a sweep boundary when sweeps are coarse.)
-    emit(key, *live);
-    live_.erase(key);
-    live = nullptr;
-  }
-  if (live == nullptr) {
-    live = live_
-               .try_emplace(key, LiveEvent(config_.exact_dest_limit,
-                                           config_.hll_precision))
-               .first;
-    live->start = packet.timestamp;
-  }
-  live->last_seen = packet.timestamp;
-  ++live->packets;
-  ++live->packets_by_tool[tool_index(pkt::fingerprint_of(packet))];
-  live->dests.add(dark_space_.offset_of(packet.tuple.dst));
+  single_.clear();
+  single_.push_back(packet);
+  observe_batch(single_);
 }
 
 void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
@@ -108,14 +62,13 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
     next_sweep_ = batch.timestamp(0) + config_.sweep_interval;
     saw_packet_ = true;
   }
-  if (!aux_valid_) rebuild_aux();
 
   // Pass 1: classify every record and precompute key hashes / dark-space
   // offsets into the scratch columns. kind: 0 = outside the dark space,
   // 1 = non-scanning, 2 = scanning. The dark-space membership, traffic
   // classification, and tool attribution columns are filled by the SIMD
-  // batch kernels (DESIGN.md §14) — on the scalar tier those dispatch to
-  // the same constexpr cores the original per-record loop called, so the
+  // batch kernels (DESIGN.md §14), whose scalar tier runs the same
+  // constexpr cores as Packet::traffic_type() and fingerprint_of(), so the
   // scratch contents are identical at every tier.
   scratch_kind_.resize(n);
   scratch_type_.resize(n);
@@ -159,9 +112,9 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
     scratch_offset_[i] = dark_space_.offset_of(batch.dst(i));
   }
 
-  // Pass 2: apply the records in order. Sweep scheduling is identical to
-  // the scalar loop — a sweep fires before applying the first record whose
-  // timestamp reaches next_sweep_ — but the `maybe_sweep` flag hoists the
+  // Pass 2: apply the records in order. A sweep fires before applying the
+  // first record whose timestamp reaches next_sweep_, so sweeps land on
+  // the same records for any chunking; the `maybe_sweep` flag hoists the
   // per-record comparison: timestamps are non-decreasing, so if the last
   // record is still before next_sweep_, no record in the batch can fire.
   constexpr std::size_t kPrefetchAhead = 8;
@@ -170,7 +123,7 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
   for (std::size_t i = 0; i < n; ++i) {
     const net::SimTime ts = batch.timestamp(i);
     if (maybe_sweep && ts >= next_sweep_) {
-      batch_sweep(ts);
+      sweep_wheel(ts);
       maybe_sweep = batch.timestamp(n - 1) >= next_sweep_;
     }
     if (scratch_kind_[i] != 2) continue;
@@ -183,20 +136,21 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
     LiveEvent* live = live_.find_hashed(key, hash);
     if (live != nullptr &&
         ts_ns - live->last_seen.since_epoch().total_nanos() > timeout_ns) {
-      // Same expired-on-touch handling as the scalar path. The wheel stamp
-      // for this key goes stale and is dropped at validation time.
+      // The previous event for this key already expired (a key can stay
+      // idle across a sweep boundary when sweeps are coarse): emit it and
+      // start a fresh one. Its wheel stamp goes stale and is dropped at
+      // validation time.
       emit(key, *live);
       live_.erase_hashed(key, hash);
       live = nullptr;
     }
     // Slide the wheel window before this record's stamp is laid down;
     // records land at the stream head, so the new bucket is the top one.
-    const std::int64_t g = ts_ns / aux_granule_ns_;
-    if (g - aux_base_granule_ >= static_cast<std::int64_t>(kAuxBuckets)) {
-      aux_rebase(g);
+    const std::int64_t g = ts_ns / granule_ns_;
+    if (g - base_granule_ >= static_cast<std::int64_t>(kBuckets)) {
+      rebase_wheel(g);
     }
-    const std::size_t new_bucket =
-        static_cast<std::size_t>(g - aux_base_granule_);
+    const std::size_t new_bucket = static_cast<std::size_t>(g - base_granule_);
     if (live == nullptr) {
       live = live_
                  .try_emplace_hashed(key, hash,
@@ -204,13 +158,13 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
                                                config_.hll_precision))
                  .first;
       live->start = ts;
-      aux_wheel_[new_bucket].emplace_back(key, hash);
+      wheel_[new_bucket].emplace_back(key, hash);
     } else {
       const std::size_t old_bucket =
-          aux_bucket_of(live->last_seen.since_epoch().total_nanos());
+          bucket_of(live->last_seen.since_epoch().total_nanos());
       if (old_bucket != new_bucket) {
         // The event migrated a granule; its old stamp goes stale in place.
-        aux_wheel_[new_bucket].emplace_back(key, hash);
+        wheel_[new_bucket].emplace_back(key, hash);
       }
     }
     live->last_seen = ts;
@@ -226,11 +180,11 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
   scanning_packets_ += n - out_of_space - non_scanning;
 }
 
-std::size_t EventAggregator::aux_bucket_of(std::int64_t last_seen_ns) const {
-  const std::int64_t g = last_seen_ns / aux_granule_ns_ - aux_base_granule_;
+std::size_t EventAggregator::bucket_of(std::int64_t last_seen_ns) const {
+  const std::int64_t g = last_seen_ns / granule_ns_ - base_granule_;
   if (g <= 0) return 0;
-  return g >= static_cast<std::int64_t>(kAuxBuckets)
-             ? kAuxBuckets - 1  // unreachable when rebased before increments
+  return g >= static_cast<std::int64_t>(kBuckets)
+             ? kBuckets - 1  // unreachable when rebased before increments
              : static_cast<std::size_t>(g);
 }
 
@@ -239,46 +193,45 @@ std::size_t EventAggregator::aux_bucket_of(std::int64_t last_seen_ns) const {
 /// freshness test has no lower bound, so folded stamps stay valid).
 /// Only runs when stream time crosses a granule boundary past the window
 /// top; vectors are swapped, not copied, so capacities are recycled.
-void EventAggregator::aux_rebase(std::int64_t top_granule) {
+void EventAggregator::rebase_wheel(std::int64_t top_granule) {
   const std::int64_t new_base =
-      top_granule - (static_cast<std::int64_t>(kAuxBuckets) - 1);
-  const std::int64_t shift = new_base - aux_base_granule_;
+      top_granule - (static_cast<std::int64_t>(kBuckets) - 1);
+  const std::int64_t shift = new_base - base_granule_;
   if (shift <= 0) return;
   // Ascending order guarantees every swap target was already vacated.
-  for (std::size_t i = 1; i < kAuxBuckets; ++i) {
-    if (aux_wheel_[i].empty()) continue;
+  for (std::size_t i = 1; i < kBuckets; ++i) {
+    if (wheel_[i].empty()) continue;
     const std::int64_t j = static_cast<std::int64_t>(i) - shift;
     if (j <= 0) {
-      aux_wheel_[0].insert(aux_wheel_[0].end(), aux_wheel_[i].begin(),
-                           aux_wheel_[i].end());
-      aux_wheel_[i].clear();
+      wheel_[0].insert(wheel_[0].end(), wheel_[i].begin(), wheel_[i].end());
+      wheel_[i].clear();
     } else {
-      std::swap(aux_wheel_[static_cast<std::size_t>(j)], aux_wheel_[i]);
-      aux_wheel_[i].clear();
+      std::swap(wheel_[static_cast<std::size_t>(j)], wheel_[i]);
+      wheel_[i].clear();
     }
   }
-  aux_base_granule_ = new_base;
+  base_granule_ = new_base;
 }
 
-void EventAggregator::rebuild_aux() {
+/// Re-stamps every live event with the window top at the stream clock
+/// (construction and restore()).
+void EventAggregator::rebuild_wheel() {
   // Granule width: the live window (timeout + one sweep interval) spread
   // over the non-saturating buckets, so steady-state events never land in
   // bucket 0 and the expiry bound has ~granule resolution.
   const std::int64_t window =
       config_.timeout.total_nanos() + config_.sweep_interval.total_nanos();
-  aux_granule_ns_ = window / static_cast<std::int64_t>(kAuxBuckets - 2) + 1;
-  aux_base_granule_ =
-      last_timestamp_.since_epoch().total_nanos() / aux_granule_ns_ -
-      (static_cast<std::int64_t>(kAuxBuckets) - 1);
-  for (auto& bucket : aux_wheel_) bucket.clear();
+  granule_ns_ = window / static_cast<std::int64_t>(kBuckets - 2) + 1;
+  base_granule_ = last_timestamp_.since_epoch().total_nanos() / granule_ns_ -
+                  (static_cast<std::int64_t>(kBuckets) - 1);
+  for (auto& bucket : wheel_) bucket.clear();
   live_.for_each([this](const EventKey& key, const LiveEvent& live) {
-    aux_wheel_[aux_bucket_of(live.last_seen.since_epoch().total_nanos())]
-        .emplace_back(key, EventKeyHash{}(key));
+    wheel_[bucket_of(live.last_seen.since_epoch().total_nanos())].emplace_back(
+        key, EventKeyHash{}(key));
   });
-  aux_valid_ = true;
 }
 
-void EventAggregator::batch_sweep(net::SimTime now) {
+void EventAggregator::sweep_wheel(net::SimTime now) {
   const std::int64_t now_ns = now.since_epoch().total_nanos();
   const std::int64_t timeout_ns = config_.timeout.total_nanos();
   const std::int64_t cutoff_ns = now_ns - timeout_ns;
@@ -291,55 +244,53 @@ void EventAggregator::batch_sweep(net::SimTime now) {
   // the event was touched into a different granule since the stamp was
   // laid down (a fresher stamp exists in a later bucket). Fresh stamps of
   // not-yet-expired events are compacted back into their bucket.
-  aux_candidates_.clear();
-  for (std::size_t i = 0; i < kAuxBuckets; ++i) {
+  candidates_.clear();
+  for (std::size_t i = 0; i < kBuckets; ++i) {
     if (i > 0 &&
-        (aux_base_granule_ + static_cast<std::int64_t>(i)) * aux_granule_ns_ >=
-            cutoff_ns) {
+        (base_granule_ + static_cast<std::int64_t>(i)) * granule_ns_ >= cutoff_ns) {
       break;
     }
-    std::vector<AuxStamp>& bucket = aux_wheel_[i];
+    std::vector<Stamp>& bucket = wheel_[i];
     if (bucket.empty()) continue;
     std::size_t kept = 0;
-    for (const AuxStamp& stamp : bucket) {
+    for (const Stamp& stamp : bucket) {
       const LiveEvent* live = live_.find_hashed(stamp.first, stamp.second);
       if (live == nullptr) continue;  // stale: event ended or was re-keyed
       const std::int64_t ls_ns = live->last_seen.since_epoch().total_nanos();
-      const std::int64_t g = ls_ns / aux_granule_ns_;
-      const bool fresh =
-          i == 0 ? g <= aux_base_granule_
-                 : g == aux_base_granule_ + static_cast<std::int64_t>(i);
+      const std::int64_t g = ls_ns / granule_ns_;
+      const bool fresh = i == 0 ? g <= base_granule_
+                                : g == base_granule_ + static_cast<std::int64_t>(i);
       if (!fresh) continue;  // stale: touched since the stamp was laid down
       if (now_ns - ls_ns > timeout_ns) {
-        aux_candidates_.push_back(stamp);
+        candidates_.push_back(stamp);
       } else {
         bucket[kept++] = stamp;
       }
     }
     bucket.resize(kept);
   }
-  // Phase 2 — emit in the scalar erase_if order without scanning the
-  // table: repeatedly the candidate at the smallest current slot index at
-  // or past the previous emission's slot (erase's backward shift refills
-  // the emptied slot, which erase_if re-tests before advancing, hence
-  // ">=" not ">"). Slot indices move under erasure, so every survivor is
-  // re-queried each round. A candidate shifted below the frontier is
-  // exactly the element the scalar scan wraps past: it is re-stamped so
-  // the *next* sweep emits it, matching the scalar path's deferral.
+  // Phase 2 — emit. The pending-event backlog is serialized in emission
+  // order (CAP1, PPL2, SSH1), so this order is frozen: repeatedly emit the
+  // candidate at the smallest current live-table slot index at or past
+  // the previous emission's slot. Slot indices move under erasure
+  // (backward-shift deletion), so every survivor is re-queried each
+  // round; the emptied slot can be refilled by a shifted candidate, hence
+  // ">=" not ">". A candidate shifted below that frontier is not emitted
+  // now: it is re-stamped, and the next sweep emits it.
   constexpr std::size_t kNoSlot =
       net::FlatMap<EventKey, LiveEvent, EventKeyHash>::npos;
   std::size_t pos = 0;
-  while (!aux_candidates_.empty()) {
-    std::size_t best = aux_candidates_.size();
+  while (!candidates_.empty()) {
+    std::size_t best = candidates_.size();
     std::size_t best_slot = kNoSlot;
-    for (std::size_t j = 0; j < aux_candidates_.size();) {
-      const std::size_t slot = live_.slot_index_hashed(
-          aux_candidates_[j].first, aux_candidates_[j].second);
+    for (std::size_t j = 0; j < candidates_.size();) {
+      const std::size_t slot =
+          live_.slot_index_hashed(candidates_[j].first, candidates_[j].second);
       if (slot == kNoSlot) {
         // Duplicate stamp (rebases can fold two stamps of one key into
         // bucket 0); its event was already emitted this round.
-        aux_candidates_[j] = aux_candidates_.back();
-        aux_candidates_.pop_back();
+        candidates_[j] = candidates_.back();
+        candidates_.pop_back();
         continue;
       }
       if (slot >= pos && slot < best_slot) {
@@ -348,17 +299,17 @@ void EventAggregator::batch_sweep(net::SimTime now) {
       }
       ++j;
     }
-    if (best == aux_candidates_.size()) {
-      for (const AuxStamp& stamp : aux_candidates_) {
+    if (best == candidates_.size()) {
+      for (const Stamp& stamp : candidates_) {
         const LiveEvent* live = live_.find_hashed(stamp.first, stamp.second);
-        aux_wheel_[aux_bucket_of(live->last_seen.since_epoch().total_nanos())]
-            .push_back(stamp);
+        wheel_[bucket_of(live->last_seen.since_epoch().total_nanos())].push_back(
+            stamp);
       }
       break;
     }
-    const AuxStamp stamp = aux_candidates_[best];
-    aux_candidates_[best] = aux_candidates_.back();
-    aux_candidates_.pop_back();
+    const Stamp stamp = candidates_[best];
+    candidates_[best] = candidates_.back();
+    candidates_.pop_back();
     emit(stamp.first, *live_.find_hashed(stamp.first, stamp.second));
     live_.erase_hashed(stamp.first, stamp.second);
     pos = best_slot;
@@ -370,9 +321,8 @@ void EventAggregator::advance_to(net::SimTime now) {
   if (saw_packet_ && now < last_timestamp_) {
     throw std::invalid_argument("EventAggregator::advance_to: time regression");
   }
-  aux_valid_ = false;
   last_timestamp_ = now;
-  sweep(now);
+  sweep_wheel(now);
 }
 
 void EventAggregator::finish() {
@@ -380,7 +330,7 @@ void EventAggregator::finish() {
     emit(key, live);
   });
   live_.clear();
-  aux_valid_ = false;
+  for (auto& bucket : wheel_) bucket.clear();
 }
 
 void EventAggregator::emit(const EventKey& key, const LiveEvent& live) {
@@ -447,7 +397,6 @@ void EventAggregator::checkpoint(CheckpointWriter& writer) const {
 
 void EventAggregator::restore(CheckpointReader& reader) {
   reader.expect_tag(kAggregatorTag, "EventAggregator");
-  aux_valid_ = false;
   const bool config_matches =
       net::Duration::nanos(reader.i64("timeout")) == config_.timeout &&
       reader.u64("exact dest limit") == config_.exact_dest_limit &&
@@ -514,19 +463,11 @@ void EventAggregator::restore(CheckpointReader& reader) {
     stats::HyperLogLog sketch(config_.hll_precision);
     sketch.set_registers(reader.bytes(sketch.registers().size(), "hll registers"));
     live.dests.restore(promoted, exact, std::move(sketch));
-    live_.try_emplace(key, std::move(live));
-  }
-}
-
-void EventAggregator::sweep(net::SimTime now) {
-  live_.erase_if([&](const EventKey& key, const LiveEvent& live) {
-    if (now - live.last_seen > config_.timeout) {
-      emit(key, live);
-      return true;
+    if (!live_.try_emplace(key, std::move(live)).second) {
+      throw std::runtime_error("checkpoint: duplicate live event key");
     }
-    return false;
-  });
-  next_sweep_ = now + config_.sweep_interval;
+  }
+  rebuild_wheel();
 }
 
 }  // namespace orion::telescope

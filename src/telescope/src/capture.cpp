@@ -1,6 +1,7 @@
 #include "orion/telescope/capture.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "orion/telescope/checkpoint.hpp"
 
@@ -44,16 +45,15 @@ TelescopeCapture::TelescopeCapture(net::PrefixSet dark_space,
       darknet_size_(dark_space.total_addresses()) {}
 
 void TelescopeCapture::observe(const pkt::Packet& packet) {
+  // Aggregator first, so a rejected packet leaves this capture untouched.
+  aggregator_.observe(packet);
   ++packets_captured_;
   sources_.insert(packet.tuple.src);
-  aggregator_.observe(packet);
 }
 
 void TelescopeCapture::observe_batch(const pkt::PacketBatch& batch) {
   // Aggregator first: it validates the whole batch before applying any
-  // record, so a throw leaves this capture untouched too. Sources are then
-  // inserted in record order — the same order the scalar loop would use —
-  // keeping the checkpoint's source enumeration byte-identical.
+  // record, so a throw leaves this capture untouched too.
   aggregator_.observe_batch(batch);
   packets_captured_ += batch.size();
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -70,8 +70,14 @@ void TelescopeCapture::checkpoint(CheckpointWriter& writer) const {
   writer.tag(kCaptureTag);
   writer.u64(darknet_size_);
   writer.u64(packets_captured_);
-  writer.u64(sources_.size());
-  for (const net::Ipv4Address src : sources_) writer.u64(src.value());
+  // Sorted: the set's iteration order depends on its insertion and rehash
+  // history, which a restore does not reproduce.
+  std::vector<std::uint32_t> sources;
+  sources.reserve(sources_.size());
+  for (const net::Ipv4Address src : sources_) sources.push_back(src.value());
+  std::sort(sources.begin(), sources.end());
+  writer.u64(sources.size());
+  for (const std::uint32_t src : sources) writer.u64(src);
   put_events(writer, collector_.events());
   aggregator_.checkpoint(writer);
 }

@@ -1,12 +1,14 @@
 // Batched-hot-path equivalence suite (DESIGN.md §11): the columnar
-// PacketBatch bridge must be lossless, and every batched engine —
-// EventAggregator::observe_batch, TelescopeCapture::observe_batch,
-// ParallelPipeline::observe_batch, the SpscRing span operations, the
-// slicing-by-8 CRC-32 and the 8-byte-fold Internet checksum — must be
-// pinned byte-identical to its scalar reference for ANY batch size
-// (including 1 and ragged tails), across day rollovers, sweep-heavy
-// expiry storms, and checkpoint/resume cuts that land mid-batch. Runs
-// under the `hotpath` ctest label and the asan-ubsan + tsan presets.
+// PacketBatch bridge must be lossless; EventAggregator::observe_batch,
+// TelescopeCapture::observe_batch and ParallelPipeline::observe_batch
+// must land in the same state as per-packet observe() for ANY chunking
+// (including size 1 and ragged tails), across day rollovers, sweep-heavy
+// expiry storms, and checkpoint/resume cuts that land mid-batch; and the
+// SpscRing span operations, the slicing-by-8 CRC-32 and the 8-byte-fold
+// Internet checksum must match their scalar references. Per-packet
+// observe() shares the aggregator's engine, so expiry itself is checked
+// by telescope_test's ExpiryReference pins and model. Runs under the
+// `hotpath` ctest label and the asan-ubsan + tsan presets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,68 +28,18 @@
 #include "orion/telescope/parallel.hpp"
 #include "orion/telescope/spsc_ring.hpp"
 
+#include "expiry_streams.hpp"
+
 namespace orion {
 namespace {
 
 // ------------------------------------------------------------ fixtures
 
-const scangen::Scenario& scenario() {
-  static const scangen::Scenario s{scangen::tiny()};
-  return s;
-}
-
-/// Multi-day scangen stream: realistic tool mix, day rollovers inside.
-std::vector<pkt::Packet> scangen_stream(std::int64_t days) {
-  scangen::PacketStreamGenerator generator(
-      scenario().population_2021().scanners, scenario().darknet(),
-      net::SimTime::epoch(), net::SimTime::epoch() + net::Duration::days(days),
-      {.seed = 17, .exact_targets = true, .stable_streams = true});
-  std::vector<pkt::Packet> packets;
-  while (auto p = generator.next()) packets.push_back(*p);
-  return packets;
-}
-
-net::PrefixSet small_dark_space() {
-  return net::PrefixSet({*net::Prefix::parse("198.18.0.0/24")});
-}
-
-/// Aggressive expiry settings so sweeps fire constantly and events churn.
-telescope::AggregatorConfig sweep_heavy_config() {
-  telescope::AggregatorConfig config;
-  config.timeout = net::Duration::minutes(10);
-  config.sweep_interval = net::Duration::minutes(1);
-  return config;
-}
-
-/// Synthetic stream built for expiry storms: waves of sources hammer the
-/// /24, then all go idle past the timeout together, so one sweep expires
-/// a whole cohort at once — the case where the batch path's wheel-ordered
-/// emission must reproduce the scalar erase_if scan order exactly.
-std::vector<pkt::Packet> expiry_storm_stream() {
-  std::vector<pkt::Packet> out;
-  std::int64_t t = 0;
-  std::mt19937 rng(7);
-  for (int wave = 0; wave < 12; ++wave) {
-    // Burst: 48 sources, a handful of packets each, seconds apart.
-    for (int step = 0; step < 240; ++step) {
-      pkt::Packet p;
-      p.timestamp = net::SimTime::epoch() + net::Duration::seconds(t++);
-      p.tuple.src = net::Ipv4Address(0xCB007100u + rng() % 48);
-      p.tuple.dst = net::Ipv4Address(0xC6120000u + rng() % 256);
-      p.tuple.src_port = static_cast<std::uint16_t>(1024 + rng() % 60000);
-      p.tuple.dst_port = static_cast<std::uint16_t>(rng() % 3 ? 23 : 2323);
-      p.tuple.proto = net::IpProto::Tcp;
-      p.tcp_flags = pkt::TcpFlags::kSyn;
-      pkt::apply_fingerprint(
-          p, static_cast<pkt::ScanTool>(rng() % 4));
-      out.push_back(p);
-    }
-    // Silence well past the timeout, so the next packet's sweep expires
-    // every event of the wave in one batch_sweep call.
-    t += 25 * 60;
-  }
-  return out;
-}
+using test_streams::expiry_storm_stream;
+using test_streams::scangen_stream;
+using test_streams::scenario;
+using test_streams::small_dark_space;
+using test_streams::sweep_heavy_config;
 
 struct CaptureState {
   std::uint32_t checkpoint_crc = 0;
@@ -98,14 +50,18 @@ struct CaptureState {
   bool operator==(const CaptureState&) const = default;
 };
 
+/// CRC-32 of the snapshot payload. A CRC over the whole OCP1 frame would
+/// pin only the payload length: the frame ends with the payload's own
+/// CRC-32, and the CRC-32 of any message followed by its CRC is constant.
 std::uint32_t checkpoint_crc(const telescope::TelescopeCapture& capture) {
   telescope::CheckpointWriter writer;
   capture.checkpoint(writer);
   std::ostringstream snapshot;
   writer.finish(snapshot);
   const std::string bytes = snapshot.str();
+  // OCP1 frame: magic(4) version(8) length(8) payload crc(4).
   return net::Crc32::of(
-      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()) + 20, bytes.size() - 24});
 }
 
 /// Full-run state: checkpoint bytes are hashed BEFORE finish() so the
@@ -443,8 +399,8 @@ TEST(BatchEquivalence, ExpiryStormSweepOrderMatchesScalar) {
 }
 
 TEST(BatchEquivalence, MixedScalarAndBatchCallsMatchScalar) {
-  // Alternating observe() and observe_batch() on one capture exercises the
-  // aux-wheel invalidate/rebuild seam both ways.
+  // Alternating observe() and observe_batch() on one capture: one-record
+  // and multi-record calls must compose.
   const auto packets = expiry_storm_stream();
   const auto dark = small_dark_space();
   const auto config = sweep_heavy_config();

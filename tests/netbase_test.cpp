@@ -389,31 +389,6 @@ TEST(FlatMap, AgreesWithUnorderedMapModel) {
   EXPECT_EQ(dumped, model);
 }
 
-TEST(FlatMap, EraseIfRemovesMatchingEntries) {
-  FlatMap<std::uint32_t, std::uint32_t> table;
-  for (std::uint32_t i = 0; i < 1000; ++i) *table.try_emplace(i, i).first = i;
-  const std::size_t removed =
-      table.erase_if([](const std::uint32_t&, const std::uint32_t& v) {
-        return v % 3 == 0;
-      });
-  // erase_if may miss an entry that wraps into an already-visited slot in
-  // one sweep; callers rely only on idempotence, so re-run to a fixpoint.
-  std::size_t total = removed;
-  while (true) {
-    const std::size_t more =
-        table.erase_if([](const std::uint32_t&, const std::uint32_t& v) {
-          return v % 3 == 0;
-        });
-    if (more == 0) break;
-    total += more;
-  }
-  EXPECT_EQ(total, 334u);
-  EXPECT_EQ(table.size(), 666u);
-  table.for_each([](const std::uint32_t&, const std::uint32_t& v) {
-    EXPECT_NE(v % 3, 0u);
-  });
-}
-
 TEST(FlatMap, ReserveKeepsContents) {
   FlatMap<std::uint32_t, std::uint32_t> table;
   for (std::uint32_t i = 0; i < 100; ++i) *table.try_emplace(i, 0).first = i;

@@ -511,6 +511,9 @@ TEST(ServeDaemon, MidSwapResponsesMatchTheirOwnGeneration) {
       request, load_snapshot(store::ArchiveDir(dir), "flows", "events")->backend());
 
   std::atomic<bool> done{false};
+  // Publishes expected[2], which the main thread writes while the
+  // hammers run.
+  std::atomic<bool> expected2_ready{false};
   std::atomic<int> checked{0};
   std::atomic<int> wrong{0};
   const std::uint16_t port = daemon.port();
@@ -526,7 +529,9 @@ TEST(ServeDaemon, MidSwapResponsesMatchTheirOwnGeneration) {
         continue;
       }
       const std::uint64_t g = response.generation;
-      if (g >= expected.size() || expected[g].empty()) {
+      if (g >= expected.size() ||
+          (g == 2 && !expected2_ready.load(std::memory_order_acquire)) ||
+          expected[g].empty()) {
         // Mid-swap sliver: generation 2 responses may arrive before the
         // main thread computed expected[2]; re-checked below via a
         // post-hoc pass. Count them as generation-2-pending.
@@ -545,6 +550,7 @@ TEST(ServeDaemon, MidSwapResponsesMatchTheirOwnGeneration) {
   publish_flows(dir, 1000);
   expected[2] = execute_query_bytes(
       request, load_snapshot(store::ArchiveDir(dir), "flows", "events")->backend());
+  expected2_ready.store(true, std::memory_order_release);
 
   // Serve generation 2 under load for a while.
   const auto deadline =

@@ -1,15 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <vector>
 
+#include "orion/netbase/crc32.hpp"
+#include "orion/packet/batch.hpp"
 #include "orion/packet/builder.hpp"
 #include "orion/scangen/event_synth.hpp"
 #include "orion/scangen/packet_gen.hpp"
 #include "orion/scangen/scenario.hpp"
 #include "orion/telescope/aggregator.hpp"
 #include "orion/telescope/capture.hpp"
+#include "orion/telescope/checkpoint.hpp"
 #include "orion/telescope/timeout.hpp"
+
+#include "expiry_streams.hpp"
 
 namespace orion::telescope {
 namespace {
@@ -331,6 +343,345 @@ TEST(SynthVsAggregatorPopulation, EventCountsAgreeOnTinyScenario) {
   EXPECT_NEAR(static_cast<double>(packet_total),
               static_cast<double>(synth_packets),
               0.30 * static_cast<double>(synth_packets) + 100);
+}
+
+// ------------------------------------------------------- expiry references
+//
+// observe() and observe_batch() share one expiry mechanism (the timing
+// wheel, DESIGN.md §11.3), so per-packet vs chunked equivalence cannot
+// catch a change to it. These references do not share its code: CRC-32
+// pins of the sink-order emission sequence and of the AGG1 bytes,
+// recorded while observe() still expired events with a full-table scan,
+// and a gap-split model of event delimitation.
+
+template <typename Component>
+std::string checkpoint_bytes(const Component& component) {
+  CheckpointWriter writer;
+  component.checkpoint(writer);
+  std::ostringstream out;
+  writer.finish(out);
+  return out.str();
+}
+
+/// CRC-32 of an OCP1 frame's payload. A CRC over the whole frame would
+/// pin only the payload length: the frame ends with the payload's own
+/// CRC-32, and the CRC-32 of any message followed by its CRC is constant.
+std::uint32_t payload_crc(const std::string& frame) {
+  // OCP1 frame: magic(4) version(8) length(8) payload crc(4).
+  return net::Crc32::of(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(frame.data()) + 20, frame.size() - 24));
+}
+
+/// A packet feed with the dark space and configuration it runs under;
+/// `day_edges` closes every UTC day with advance_to() before its first
+/// packet, as the longitudinal driver does.
+struct ExpiryFeed {
+  const char* name;
+  std::vector<pkt::Packet> packets;
+  net::PrefixSet dark;
+  AggregatorConfig config;
+  bool day_edges = false;
+
+  /// The day edge advance_to() closes before record i, if any.
+  std::optional<net::SimTime> day_edge_before(std::size_t i) const {
+    if (!day_edges || i == 0) return std::nullopt;
+    const std::int64_t day = packets[i].timestamp.day();
+    if (day == packets[i - 1].timestamp.day()) return std::nullopt;
+    return net::SimTime::at(net::Duration::days(day));
+  }
+};
+
+/// The three pinned inputs. The day-rollover feed runs a 10-minute
+/// timeout with hourly sweeps: under the tiny scenario's ~16.5-hour
+/// timeout no event is idle long enough to expire at a day edge, so the
+/// edges would pin nothing about advance_to().
+std::vector<ExpiryFeed> expiry_feeds() {
+  AggregatorConfig scenario_timeout;
+  scenario_timeout.timeout = test_streams::scenario().event_timeout();
+  AggregatorConfig hourly_sweeps;
+  hourly_sweeps.sweep_interval = net::Duration::hours(1);
+  const auto three_days = test_streams::scangen_stream(3);
+  return {{"expiry storm", test_streams::expiry_storm_stream(),
+           test_streams::small_dark_space(), test_streams::sweep_heavy_config()},
+          {"tiny 3 days", three_days, test_streams::scenario().darknet(),
+           scenario_timeout},
+          {"tiny 3 days, advance_to at day edges", three_days,
+           test_streams::scenario().darknet(), hourly_sweeps, true}};
+}
+
+/// Drives `agg` over the feed: packet by packet through observe() when
+/// `batch_size` is 0, else through observe_batch() in chunks of that many
+/// records. The pending chunk is flushed at day edges and before each
+/// record index in `cuts` (ascending), where `at_cut` then runs.
+void drive(const ExpiryFeed& feed, EventAggregator& agg, std::size_t batch_size,
+           const std::vector<std::size_t>& cuts = {},
+           const std::function<void()>& at_cut = {}) {
+  pkt::PacketBatch batch;
+  const auto flush = [&] {
+    agg.observe_batch(batch);
+    batch.clear();
+  };
+  auto cut = cuts.begin();
+  for (std::size_t i = 0; i < feed.packets.size(); ++i) {
+    if (const auto edge = feed.day_edge_before(i)) {
+      flush();
+      agg.advance_to(*edge);
+    }
+    if (cut != cuts.end() && *cut == i) {
+      flush();
+      at_cut();
+      ++cut;
+    }
+    if (batch_size == 0) {
+      agg.observe(feed.packets[i]);
+      continue;
+    }
+    batch.push_back(feed.packets[i]);
+    if (batch.size() == batch_size) flush();
+  }
+  flush();
+}
+
+struct PinnedRun {
+  std::uint32_t emitted = 0;                // sink-order event list codec
+  std::array<std::uint32_t, 3> agg1 = {};  // at 1/4, 1/2 and 3/4 of the feed
+
+  bool operator==(const PinnedRun&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PinnedRun& run) {
+  return os << std::hex << "emitted 0x" << run.emitted << " agg1 0x" << run.agg1[0]
+            << " 0x" << run.agg1[1] << " 0x" << run.agg1[2] << std::dec;
+}
+
+PinnedRun pinned_run(const ExpiryFeed& feed, std::size_t batch_size) {
+  std::vector<DarknetEvent> emitted;
+  EventAggregator agg(feed.dark, feed.config,
+                      [&emitted](const DarknetEvent& e) { emitted.push_back(e); });
+  PinnedRun run;
+  const std::size_t n = feed.packets.size();
+  std::size_t cut = 0;
+  drive(feed, agg, batch_size, {n / 4, n / 2, 3 * n / 4},
+        [&] { run.agg1[cut++] = payload_crc(checkpoint_bytes(agg)); });
+  agg.finish();
+  CheckpointWriter writer;
+  put_events(writer, emitted);
+  std::ostringstream out;
+  writer.finish(out);
+  run.emitted = payload_crc(out.str());
+  return run;
+}
+
+TEST(ExpiryReference, PinnedEmissionOrderAndAggregatorBytes) {
+  const PinnedRun pins[] = {
+      {0xcd12f2dfu, {0x154c22dau, 0x482f8de2u, 0x317348c8u}},
+      {0x88e90460u, {0x8fe993b0u, 0x593e5bdfu, 0x189d2ed2u}},
+      {0x1462cf0fu, {0x38bf9a19u, 0x72f4f959u, 0xb3dfdd23u}},
+  };
+  const auto feeds = expiry_feeds();
+  for (std::size_t f = 0; f < feeds.size(); ++f) {
+    for (const std::size_t batch_size : {0, 256}) {
+      EXPECT_EQ(pinned_run(feeds[f], batch_size), pins[f])
+          << feeds[f].name << ", batch size " << batch_size;
+    }
+  }
+}
+
+/// Independent model of event delimitation: an event is a maximal run of
+/// one key's in-space scanning packets whose consecutive gaps are all
+/// within the timeout. Returns the events in dataset order.
+std::vector<DarknetEvent> gap_split_model(const ExpiryFeed& feed,
+                                          std::array<std::uint64_t, 4>& counters) {
+  struct Run {
+    DarknetEvent event;
+    std::set<std::uint32_t> dests;
+  };
+  std::map<EventKey, Run> open;
+  std::vector<DarknetEvent> events;
+  const auto close = [&events](Run& run) {
+    run.event.unique_dests = run.dests.size();
+    events.push_back(run.event);
+  };
+  counters = {};
+  auto& [seen, scanning, out_of_space, non_scanning] = counters;
+  for (const pkt::Packet& p : feed.packets) {
+    ++seen;
+    if (!feed.dark.contains(p.tuple.dst)) {
+      ++out_of_space;
+      continue;
+    }
+    const pkt::TrafficType type = p.traffic_type();
+    if (type == pkt::TrafficType::Other) {
+      ++non_scanning;
+      continue;
+    }
+    ++scanning;
+    const EventKey key{p.tuple.src,
+                       type == pkt::TrafficType::IcmpEchoReq ? std::uint16_t{0}
+                                                             : p.tuple.dst_port,
+                       type};
+    auto it = open.find(key);
+    if (it != open.end() && p.timestamp - it->second.event.end > feed.config.timeout) {
+      close(it->second);
+      open.erase(it);
+      it = open.end();
+    }
+    if (it == open.end()) {
+      it = open.emplace(key, Run{}).first;
+      it->second.event.key = key;
+      it->second.event.start = p.timestamp;
+    }
+    Run& run = it->second;
+    run.event.end = p.timestamp;
+    ++run.event.packets;
+    ++run.event.packets_by_tool[tool_index(pkt::fingerprint_of(p))];
+    run.dests.insert(p.tuple.dst.value());
+  }
+  for (auto& [key, run] : open) close(run);
+  return EventDataset(std::move(events), feed.dark.total_addresses()).events();
+}
+
+/// Out-of-space and non-scanning copies interleaved into a feed, so the
+/// model also checks the classification counters.
+std::vector<pkt::Packet> with_noise(const std::vector<pkt::Packet>& packets) {
+  std::vector<pkt::Packet> out;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    out.push_back(packets[i]);
+    pkt::Packet noise = packets[i];
+    if (i % 7 == 0) {
+      noise.tuple.dst = ip("8.8.8.8");
+      out.push_back(noise);
+    } else if (i % 11 == 0) {
+      noise.tuple.proto = net::IpProto::Tcp;
+      noise.tcp_flags = pkt::TcpFlags::kSyn | pkt::TcpFlags::kAck;
+      out.push_back(noise);
+    }
+  }
+  return out;
+}
+
+TEST(ExpiryReference, EventsEqualTheGapSplitModel) {
+  for (ExpiryFeed& feed : expiry_feeds()) {
+    feed.packets = with_noise(feed.packets);
+    // Exact distinct-destination counts for every possible event.
+    feed.config.exact_dest_limit =
+        std::max<std::size_t>(feed.config.exact_dest_limit, feed.dark.total_addresses());
+    std::array<std::uint64_t, 4> want_counters;
+    const std::vector<DarknetEvent> want = gap_split_model(feed, want_counters);
+    ASSERT_GT(want.size(), 100u) << feed.name;
+    ASSERT_GT(want_counters[2], 0u) << feed.name;
+    ASSERT_GT(want_counters[3], 0u) << feed.name;
+    for (const std::size_t batch_size : {0, 256}) {
+      EventCollector collector;
+      EventAggregator agg(feed.dark, feed.config, collector.sink());
+      drive(feed, agg, batch_size);
+      agg.finish();
+      const std::array<std::uint64_t, 4> counters = {
+          agg.packets_seen(), agg.scanning_packets(), agg.ignored_out_of_space(),
+          agg.ignored_non_scanning()};
+      EXPECT_EQ(counters, want_counters) << feed.name << ", batch size " << batch_size;
+      EXPECT_EQ(EventDataset(collector.take(), feed.dark.total_addresses()).events(), want)
+          << feed.name << ", batch size " << batch_size;
+    }
+  }
+}
+
+TEST(ExpiryReference, NoEventIsEmittedBeforeItsTimeoutPasses) {
+  for (const ExpiryFeed& feed : expiry_feeds()) {
+    net::SimTime clock;
+    bool finishing = false;
+    std::size_t checked = 0;
+    EventAggregator agg(feed.dark, feed.config, [&](const DarknetEvent& e) {
+      if (finishing) return;
+      EXPECT_GT(clock - e.end, feed.config.timeout) << feed.name;
+      ++checked;
+    });
+    // Per-packet feeding, so every emission happens under the clock of
+    // the packet being fed or the day edge being closed.
+    for (std::size_t i = 0; i < feed.packets.size(); ++i) {
+      if (const auto edge = feed.day_edge_before(i)) {
+        clock = *edge;
+        agg.advance_to(clock);
+      }
+      clock = feed.packets[i].timestamp;
+      agg.observe(feed.packets[i]);
+    }
+    finishing = true;
+    agg.finish();
+    EXPECT_GT(checked, 100u) << feed.name;
+  }
+}
+
+// ---------------------------------------------- checkpoint determinism
+
+TEST(CaptureCheckpoint, RestoreThenCheckpointIsByteIdentical) {
+  const auto packets = test_streams::scangen_stream(3);
+  AggregatorConfig config;
+  config.timeout = test_streams::scenario().event_timeout();
+  const net::PrefixSet dark = test_streams::scenario().darknet();
+  for (const std::size_t fifth : {1, 2, 3, 4}) {
+    const std::size_t cut = fifth * packets.size() / 5;
+    TelescopeCapture uninterrupted(dark, config);
+    for (std::size_t i = 0; i < cut; ++i) uninterrupted.observe(packets[i]);
+    const std::string snapshot = checkpoint_bytes(uninterrupted);
+
+    TelescopeCapture resumed(dark, config);
+    std::istringstream in(snapshot);
+    CheckpointReader reader(in);
+    resumed.restore(reader);
+    EXPECT_EQ(payload_crc(checkpoint_bytes(resumed)), payload_crc(snapshot)) << "cut " << cut;
+
+    for (std::size_t i = cut; i < packets.size(); ++i) {
+      uninterrupted.observe(packets[i]);
+      resumed.observe(packets[i]);
+    }
+    EXPECT_EQ(payload_crc(checkpoint_bytes(resumed)),
+              payload_crc(checkpoint_bytes(uninterrupted)))
+        << "cut " << cut;
+  }
+}
+
+TEST(CaptureCheckpoint, RejectedPacketLeavesTheCheckpointUnchanged) {
+  TelescopeCapture capture(dark_space(), fast_config());
+  capture.observe(probe(net::SimTime::at(net::Duration::seconds(100)), "203.0.113.1",
+                        "198.18.0.1", 80));
+  const std::string before = checkpoint_bytes(capture);
+  EXPECT_THROW(capture.observe(probe(net::SimTime::at(net::Duration::seconds(99)),
+                                     "203.0.113.2", "198.18.0.1", 80)),
+               std::invalid_argument);
+  EXPECT_EQ(payload_crc(checkpoint_bytes(capture)), payload_crc(before));
+  EXPECT_EQ(capture.packets_captured(), 1u);
+  EXPECT_EQ(capture.unique_sources(), 1u);
+}
+
+TEST(AggregatorCheckpoint, DuplicateLiveKeyIsATypedError) {
+  EventAggregator agg(dark_space(), fast_config(), {});
+  agg.observe(probe(net::SimTime::epoch(), "203.0.113.1", "198.18.0.1", 23));
+  const std::string frame = checkpoint_bytes(agg);
+  // AGG1 payload: tag, config echo (4 fields), prefix count and the one
+  // prefix (base, length), saw-packet u8, last timestamp, next sweep, five
+  // counters, then the live-event count and the one entry, which runs to
+  // the end: key (src, port, type u8), start, last seen, packets, per-tool
+  // packets, promoted u8, one exact key and the 2^12 HLL registers.
+  constexpr std::size_t kLiveCount = 8 + 4 * 8 + 8 + 2 * 8 + 1 + 2 * 8 + 5 * 8;
+  constexpr std::size_t kEntry =
+      2 * 8 + 1 + 3 * 8 + sizeof(ToolPackets) + 1 + 2 * 8 + (std::size_t{1} << 12);
+  // OCP1 frame: magic(4) version(8) length(8) payload crc(4).
+  std::vector<std::uint8_t> payload(frame.begin() + 20, frame.end() - 4);
+  ASSERT_EQ(payload.size(), kLiveCount + 8 + kEntry);
+  ASSERT_EQ(payload[kLiveCount], 1u);
+  const std::vector<std::uint8_t> entry(payload.end() - kEntry, payload.end());
+  payload[kLiveCount] = 2;
+  payload.insert(payload.end(), entry.begin(), entry.end());
+  CheckpointWriter writer;
+  writer.bytes(payload);
+  std::ostringstream out;
+  writer.finish(out);
+
+  std::istringstream in(out.str());
+  CheckpointReader reader(in);
+  EventAggregator restored(dark_space(), fast_config(), {});
+  EXPECT_THROW(restored.restore(reader), std::runtime_error);
 }
 
 }  // namespace
