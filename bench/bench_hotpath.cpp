@@ -19,8 +19,6 @@
 // seconds per row over R reps, checksums_ok, hardware_concurrency, and
 // the detected SIMD tier. --smoke runs the equivalence checks only on one
 // day (fast, used by the ctest "hotpath" label).
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -43,26 +41,8 @@
 namespace {
 
 using namespace orion;
-
-struct Timing {
-  double best = 0;
-  double median = 0;
-};
-
-Timing time_reps(int reps, const std::function<void()>& run) {
-  std::vector<double> samples;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(std::chrono::duration<double>(t1 - t0).count());
-  }
-  std::sort(samples.begin(), samples.end());
-  const std::size_t mid = samples.size() / 2;
-  return {samples.front(), samples.size() % 2 == 1
-                               ? samples[mid]
-                               : (samples[mid - 1] + samples[mid]) / 2};
-}
+using bench::Timing;
+using bench::time_reps;
 
 std::vector<pkt::PacketBatch> chunk(const std::vector<pkt::Packet>& packets,
                                     std::size_t batch_size) {

@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -131,6 +132,21 @@ void print_header(const std::string& title, const std::string& paper_summary) {
             << title << "\n"
             << "paper: " << paper_summary << "\n"
             << "==============================================================\n\n";
+}
+
+Timing time_reps(int reps, const std::function<void()>& run) {
+  std::vector<double> samples;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    run();
+    const auto t1 = std::chrono::steady_clock::now();
+    samples.push_back(std::chrono::duration<double>(t1 - t0).count());
+  }
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  return {samples.front(), samples.size() % 2 == 1
+                               ? samples[mid]
+                               : (samples[mid - 1] + samples[mid]) / 2};
 }
 
 }  // namespace orion::bench

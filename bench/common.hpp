@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,15 @@ flowsim::FlowDataset merit_flows(const World& world, int year,
 /// Prints the bench banner: what is being reproduced and the paper's
 /// headline numbers for qualitative comparison.
 void print_header(const std::string& title, const std::string& paper_summary);
+
+/// Best and median wall-clock seconds over repeated runs.
+struct Timing {
+  double best = 0;
+  double median = 0;
+};
+
+/// Runs `run` `reps` times (reps >= 1), timing each with steady_clock.
+Timing time_reps(int reps, const std::function<void()>& run);
 
 /// Day indices of the paper's flow windows.
 inline std::int64_t flows1_start() { return net::day_index_of(2022, 1, 15); }

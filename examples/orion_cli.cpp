@@ -1,15 +1,14 @@
 // orion_cli — command-line front-end to the orionscan pipeline.
 //
-//   orion_cli simulate  --out events.ode [--scenario tiny|paper] [--year 2021|2022]
-//   orion_cli aggregate --pcap capture.pcap --darknet 198.18.0.0/22 --out events.ode
-//   orion_cli filter    --in events.ode --out clean.ode
-//   orion_cli detect    --in events.ode --lists lists.csv
+//   orion_cli simulate  --out events.ode2 [--scenario tiny|paper] [--year 2021|2022]
+//   orion_cli aggregate --pcap capture.pcap --darknet 198.18.0.0/22 --out events.ode2
+//   orion_cli filter    --in events.ode2 --out clean.ode2
+//   orion_cli detect    --in events.ode2 --lists lists.csv
 //                       [--dispersion 0.10] [--alpha2 0.028] [--alpha3 2e-4]
-//   orion_cli export    --in events.ode --csv events.csv
-//   orion_cli summary   --in events.ode
-//   orion_cli convert   --in events.ode --out events.ode2 [--format ode1|ode2]
+//   orion_cli export    --in events.ode2 --csv events.csv
+//   orion_cli summary   --in events.ode2
 //   orion_cli inspect   --in events.ode2
-//   orion_cli flow-impact --in events.ode [--flows flows.fde1]
+//   orion_cli flow-impact --in events.ode2 [--flows flows.fde1]
 //                       [--scenario tiny|paper] [--year 2021|2022]
 //                       [--days N] [--sampling-rate N]
 //   orion_cli flow-convert --in flows.{fde1,nfv5,csv} --out flows.fde1
@@ -25,11 +24,11 @@
 // synopsis, one-line description, handler. usage() and `orion_cli help`
 // are generated from it, and main() dispatches through it.
 //
-// Event datasets travel in the ODE1 binary format (telescope/store.hpp)
-// or the ODE2 columnar format (store/ode2.hpp); every --in flag sniffs
-// the magic and accepts either. Flow datasets travel in the FDE1 columnar
-// format (store/fde1.hpp) and every flow-reading path likewise sniffs
-// FDE1 vs the legacy inputs (NetFlow v5 export-packet streams, flow CSV).
+// Event datasets travel in the ODE2 columnar format (store/ode2.hpp):
+// every event-writing command writes it, and every --in flag opens it with
+// MappedEventStore. Flow datasets travel in the FDE1 columnar format
+// (store/fde1.hpp), and every flow-reading path sniffs FDE1 vs the legacy
+// inputs (NetFlow v5 export-packet streams, flow CSV).
 // Daily AH lists use the CSV format of detect/lists.hpp.
 //
 // Every per-cell impact/store answer — local (flow-impact, flow-inspect)
@@ -84,7 +83,6 @@ int cmd_filter(const Flags& flags);
 int cmd_detect(const Flags& flags);
 int cmd_export(const Flags& flags);
 int cmd_summary(const Flags& flags);
-int cmd_convert(const Flags& flags);
 int cmd_inspect(const Flags& flags);
 int cmd_diff(const Flags& flags);
 int cmd_flow_impact(const Flags& flags);
@@ -117,9 +115,7 @@ constexpr Command kCommands[] = {
     {"export", "--in FILE --csv FILE", "export an event dataset as CSV",
      cmd_export},
     {"summary", "--in FILE", "print event dataset totals", cmd_summary},
-    {"convert", "--in FILE --out FILE [--format ode1|ode2] [--block-events N]",
-     "re-encode an event dataset (ODE1 rows <-> ODE2 columns)", cmd_convert},
-    {"inspect", "--in FILE", "verify an ODE1/ODE2 archive and print metadata",
+    {"inspect", "--in FILE", "verify an ODE2 archive and print metadata",
      cmd_inspect},
     {"diff", "--old LISTS.csv --new LISTS.csv",
      "diff two daily AH lists (churn, added, removed)", cmd_diff},
@@ -185,9 +181,8 @@ std::string get_or(const std::map<std::string, std::string>& flags,
 }
 
 telescope::EventDataset load_dataset(const std::string& path) {
-  // Sniffs the magic: ODE1 row files and ODE2 columnar stores both work.
   try {
-    return store::load_events_auto(path);
+    return store::MappedEventStore(path).to_dataset();
   } catch (const std::exception& e) {
     std::cerr << "error: cannot load " << path << ": " << e.what() << "\n";
     std::exit(1);
@@ -195,12 +190,12 @@ telescope::EventDataset load_dataset(const std::string& path) {
 }
 
 void save_dataset(const telescope::EventDataset& dataset, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "error: cannot open " << path << " for writing\n";
+  try {
+    store::write_events_ode2_file(dataset, path);
+  } catch (const std::exception& e) {
+    std::cerr << "error: cannot write " << path << ": " << e.what() << "\n";
     std::exit(1);
   }
-  telescope::write_events_binary(dataset, out);
   std::cout << "wrote " << dataset.event_count() << " events to " << path << "\n";
 }
 
@@ -343,48 +338,8 @@ int cmd_diff(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_convert(const std::map<std::string, std::string>& flags) {
-  const std::string in = require(flags, "in");
-  const std::string out = require(flags, "out");
-  const std::string format = get_or(flags, "format", "ode2");
-  if (format != "ode1" && format != "ode2") {
-    usage("--format must be ode1 or ode2");
-  }
-  const telescope::EventDataset dataset = load_dataset(in);
-  if (format == "ode1") {
-    save_dataset(dataset, out);
-  } else {
-    const std::uint64_t block_events =
-        std::stoull(get_or(flags, "block-events",
-                           std::to_string(store::kOde2DefaultBlockEvents)));
-    const std::uint64_t bytes =
-        store::write_events_ode2_file(dataset, out, block_events);
-    std::cout << "wrote " << dataset.event_count() << " events ("
-              << bytes << " bytes, " << block_events
-              << " events/block) to " << out << "\n";
-  }
-  return 0;
-}
-
 int cmd_inspect(const std::map<std::string, std::string>& flags) {
   const std::string in = require(flags, "in");
-  const std::string format = store::sniff_event_format(in);
-  std::cout << "format: " << format << "\n";
-  if (format == "ODE1") {
-    std::ifstream stream(in, std::ios::binary);
-    const auto salvage = telescope::read_events_binary_salvage(stream);
-    report::Table table({"metric", "value"});
-    table.add_row({"declared events", report::fmt_count(salvage.declared_count)});
-    table.add_row({"recovered events", report::fmt_count(salvage.recovered_count)});
-    table.add_row({"complete", salvage.complete ? "yes" : "NO"});
-    if (!salvage.error.empty()) table.add_row({"error", salvage.error});
-    std::cout << table.to_ascii();
-    return salvage.complete ? 0 : 1;
-  }
-  if (format != "ODE2") {
-    std::cerr << "error: " << in << " is not an ODE1/ODE2 archive\n";
-    return 1;
-  }
   try {
     const store::MappedEventStore store(in);
     const std::size_t first_bad = store.verify_blocks();
@@ -782,7 +737,6 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
   serve::EngineBackend backend;
   backend.analyzer = &*analyzer;
   if (mapped) backend.flows = &*mapped;
-  if (flows) backend.dataset = &*flows;
   serve::QueryRequest request;
   request.kind = serve::QueryKind::FlowImpact;
   request.tenant = "cli";

@@ -265,43 +265,16 @@ class FlowImpactAnalyzer {
       index_cache_;
 };
 
-/// Darknet-side protocol mix of a set of sources on one day, from events
-/// started that day (the "D" columns of Table 3). Templated over the
-/// event source like detect_core<Source>: instantiated for
-/// telescope::EventDataset (in-memory) and store::MappedEventStore (ODE2,
-/// zero-copy day-range scan) — one signature, identical results
-/// (tests/store_test.cpp).
-template <typename EventSource>
-ProtocolMix darknet_protocol_mix(const EventSource& source, std::int64_t day,
-                                 const detect::IpSet& sources);
-
-/// Darknet-side per-port packet counts (Figure 5's x-axis).
-template <typename EventSource>
-stats::TopK<std::uint16_t> darknet_port_mix(const EventSource& source,
-                                            std::int64_t day,
-                                            const detect::IpSet& sources);
-
-extern template ProtocolMix darknet_protocol_mix<telescope::EventDataset>(
-    const telescope::EventDataset&, std::int64_t, const detect::IpSet&);
-extern template ProtocolMix darknet_protocol_mix<store::MappedEventStore>(
-    const store::MappedEventStore&, std::int64_t, const detect::IpSet&);
-extern template stats::TopK<std::uint16_t>
-darknet_port_mix<telescope::EventDataset>(const telescope::EventDataset&,
-                                          std::int64_t, const detect::IpSet&);
-extern template stats::TopK<std::uint16_t>
-darknet_port_mix<store::MappedEventStore>(const store::MappedEventStore&,
-                                          std::int64_t, const detect::IpSet&);
-
-/// Darknet-side mixes for EVERY day of the dataset window, built in one
-/// sweep. Replaces the O(days x events) pattern of calling
-/// darknet_protocol_mix / darknet_port_mix per day (Table 3, Figure 5,
-/// and any longitudinal walk): one pass fills a day-indexed array of
-/// protocol mixes and per-port counters for the given source set, and
-/// each per-day query is then O(1) / O(ports of that day).
+/// Darknet-side mixes of a source set for EVERY day of the dataset
+/// window, built in one sweep: per day, the protocol mix of the events
+/// started that day (the "D" columns of Table 3) and their per-port packet
+/// counts (Figure 5's x-axis). Each per-day query is then O(1) / O(ports
+/// of that day).
 class DailyDarknetMix {
  public:
   /// One templated sweep for both event sources (EventDataset in memory,
-  /// MappedEventStore reading ODE2 columns in place).
+  /// MappedEventStore reading ODE2 columns in place); identical results
+  /// (tests/store_test.cpp).
   template <typename EventSource>
   DailyDarknetMix(const EventSource& source, const detect::IpSet& sources);
 

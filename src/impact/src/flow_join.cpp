@@ -355,20 +355,6 @@ std::vector<RouterDayImpact> FlowImpactAnalyzer::impact_table(
 namespace detail {
 
 template <typename Fn>
-void for_each_event_on_day(const telescope::EventDataset& dataset,
-                           std::int64_t day, Fn&& fn) {
-  for (const telescope::DarknetEvent& e : dataset.events()) {
-    if (e.day() == day) fn(e);
-  }
-}
-
-template <typename Fn>
-void for_each_event_on_day(const store::MappedEventStore& store,
-                           std::int64_t day, Fn&& fn) {
-  store.for_each_event_on_day(day, std::forward<Fn>(fn));
-}
-
-template <typename Fn>
 void for_each_event(const telescope::EventDataset& dataset, Fn&& fn) {
   for (const telescope::DarknetEvent& e : dataset.events()) fn(e);
 }
@@ -379,38 +365,6 @@ void for_each_event(const store::MappedEventStore& store, Fn&& fn) {
 }
 
 }  // namespace detail
-
-template <typename EventSource>
-ProtocolMix darknet_protocol_mix(const EventSource& source, std::int64_t day,
-                                 const detect::IpSet& sources) {
-  ProtocolMix mix{};
-  detail::for_each_event_on_day(source, day, [&](const auto& e) {
-    if (!sources.contains(e.key.src)) return;
-    mix[type_index(e.key.type)] += e.packets;
-  });
-  return mix;
-}
-
-template <typename EventSource>
-stats::TopK<std::uint16_t> darknet_port_mix(const EventSource& source,
-                                            std::int64_t day,
-                                            const detect::IpSet& sources) {
-  stats::TopK<std::uint16_t> ports;
-  detail::for_each_event_on_day(source, day, [&](const auto& e) {
-    if (!sources.contains(e.key.src)) return;
-    ports.add(e.key.dst_port, e.packets);
-  });
-  return ports;
-}
-
-template ProtocolMix darknet_protocol_mix<telescope::EventDataset>(
-    const telescope::EventDataset&, std::int64_t, const detect::IpSet&);
-template ProtocolMix darknet_protocol_mix<store::MappedEventStore>(
-    const store::MappedEventStore&, std::int64_t, const detect::IpSet&);
-template stats::TopK<std::uint16_t> darknet_port_mix<telescope::EventDataset>(
-    const telescope::EventDataset&, std::int64_t, const detect::IpSet&);
-template stats::TopK<std::uint16_t> darknet_port_mix<store::MappedEventStore>(
-    const store::MappedEventStore&, std::int64_t, const detect::IpSet&);
 
 template <typename Event>
 void DailyDarknetMix::fold(const Event& e, const detect::IpSet& sources) {

@@ -11,9 +11,6 @@
 
 #include "orion/serve/protocol.hpp"
 
-namespace orion::flowsim {
-class FlowDataset;
-}
 namespace orion::impact {
 class FlowImpactAnalyzer;
 }
@@ -24,15 +21,14 @@ class MappedFlowStore;
 
 namespace orion::serve {
 
-/// What a query executes against. `analyzer` answers FlowImpact; the
-/// store pointers fill StoreInfo (whichever one is non-null). All
+/// What a query executes against. `analyzer` answers FlowImpact; `flows`
+/// fills StoreInfo, and `events` adds the event count to it. All
 /// pointers are borrowed — the backend must outlive the call, and for
 /// concurrent execution the analyzer's index cache must be pre-built
 /// (StoreSnapshot does; see store_cache.hpp).
 struct EngineBackend {
   const impact::FlowImpactAnalyzer* analyzer = nullptr;
   const store::MappedFlowStore* flows = nullptr;
-  const flowsim::FlowDataset* dataset = nullptr;
   const store::MappedEventStore* events = nullptr;
   /// Echoed into every response — the snapshot-isolation witness.
   std::uint64_t generation = 0;

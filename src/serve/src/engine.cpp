@@ -27,24 +27,15 @@ QueryResponse execute_store_info(const QueryRequest& request,
   response.kind = QueryKind::StoreInfo;
   response.generation = backend.generation;
   StoreInfoBody& b = response.info;
-  if (backend.flows != nullptr) {
-    b.sampling_rate = backend.flows->sampling_rate();
-    b.flow_count = backend.flows->flow_count();
-    b.start_day = backend.flows->start_day();
-    b.end_day = backend.flows->end_day();
-    b.segment_count = backend.flows->segments().size();
-  } else if (backend.dataset != nullptr) {
-    b.sampling_rate = backend.dataset->sampling_rate();
-    b.start_day = backend.dataset->start_day();
-    b.end_day = backend.dataset->end_day();
-    b.segment_count =
-        flowsim::kRouterCount *
-        static_cast<std::uint64_t>(backend.dataset->end_day() -
-                                   backend.dataset->start_day());
-  } else {
+  if (backend.flows == nullptr) {
     return fail(request, backend.generation, Status::BadRequest,
                 "backend has no flow store");
   }
+  b.sampling_rate = backend.flows->sampling_rate();
+  b.flow_count = backend.flows->flow_count();
+  b.start_day = backend.flows->start_day();
+  b.end_day = backend.flows->end_day();
+  b.segment_count = backend.flows->segments().size();
   if (backend.events != nullptr) {
     b.has_events = true;
     b.event_count = backend.events->event_count();

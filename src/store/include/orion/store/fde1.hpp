@@ -30,7 +30,7 @@
 // lets FlowImpactAnalyzer answer query() from the file alone. Block
 // min/max over src are the zone maps source-targeted scans prune with.
 //
-// Integrity mirrors ODE1/ODE2 salvage: CRC-32 (the PR 7 hardware path)
+// Integrity mirrors ODE2 salvage: CRC-32 (netbase/crc32.hpp's hardware path)
 // guards the header and footer, each block's CRC lives in the footer, and
 // the salvage reader recovers every complete valid block preceding the
 // first error — validating the global row order structurally when
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -92,16 +91,9 @@ struct Fde1Segment {
 /// Segments must be strictly increasing in (router, day) with every day
 /// inside [start_day, end_day), and every row must carry its segment's
 /// router, a timestamp inside its segment's day, and keep the sorted
-/// order above — std::invalid_argument otherwise. Throws
-/// std::runtime_error on stream failure.
-std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
-                               std::int64_t start_day, std::int64_t end_day,
-                               const std::vector<Fde1Segment>& segments,
-                               std::ostream& out,
-                               std::uint64_t block_flows = kFde1DefaultBlockFlows);
-
-/// Failpoint-instrumented variant through the io::File seam (EINTR
-/// retries, short-write completion, FaultFs crash-matrix visibility).
+/// order above — std::invalid_argument otherwise. Every write goes
+/// through the io::File seam (EINTR retries, short-write completion,
+/// FaultFs crash-matrix visibility); errors surface as net::io::IoError.
 std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
                                std::int64_t start_day, std::int64_t end_day,
                                const std::vector<Fde1Segment>& segments,
@@ -112,9 +104,6 @@ std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
 /// of the window, rows from flow_batch_of — the deterministic feed the
 /// impact join already builds from, so a round trip reproduces the
 /// in-memory query() path bit for bit.
-std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
-                               std::ostream& out,
-                               std::uint64_t block_flows = kFde1DefaultBlockFlows);
 std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
                                net::io::File& out,
                                std::uint64_t block_flows = kFde1DefaultBlockFlows);
@@ -152,8 +141,8 @@ Fde1SalvageResult read_flows_fde1_salvage(const std::string& path);
 
 /// Sniffs what kind of flow input a path holds: "FDE1" (magic), "NFV5"
 /// (a NetFlow v5 export-packet stream — big-endian version 5 in the first
-/// two bytes), "CSV" (printable text), or "?" — the flow-side sibling of
-/// sniff_event_format, used by every CLI flow-reading path.
+/// two bytes), "CSV" (printable text), or "?" — used by every CLI
+/// flow-reading path.
 std::string sniff_flow_format(const std::string& path);
 
 }  // namespace orion::store

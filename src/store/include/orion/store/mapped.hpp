@@ -82,7 +82,7 @@ class MappedEventStore {
   /// Strict open: maps the file and verifies magic, header CRC, geometry
   /// and footer CRC (block payloads stay lazy — verify_blocks() checks
   /// them on demand). Throws std::runtime_error with context on any
-  /// mismatch, like telescope::read_events_binary.
+  /// mismatch.
   explicit MappedEventStore(const std::string& path);
   ~MappedEventStore();
 
@@ -115,8 +115,9 @@ class MappedEventStore {
   /// Gathers one event by global row index (bounds-checked).
   telescope::DarknetEvent event(std::uint64_t row) const;
 
-  /// Full materialization — the ODE2 -> ODE1 conversion path. The result
-  /// is byte-identical to the EventDataset the archive was written from.
+  /// Full materialization, for callers that need an in-memory
+  /// EventDataset. The result equals the dataset the archive was written
+  /// from, event for event.
   telescope::EventDataset to_dataset() const;
 
   /// Calls fn(const BlockView&) for blocks whose zone map intersects

@@ -1,12 +1,10 @@
-// ODE2 — the columnar on-disk event format behind the zero-copy analysis
-// engine (DESIGN.md §10).
+// ODE2 — the on-disk darknet-event format, and the columnar layout behind
+// the zero-copy analysis engine (DESIGN.md §10).
 //
-// ODE1 (telescope/store.hpp) is row-oriented: every load deserializes the
-// full archive into std::vector<DarknetEvent> field by field through an
-// istream, and every per-day analysis then rescans all of it. ODE2 keeps
-// the same logical content but lays events out as little-endian column
-// blocks (row groups) so an analysis can mmap the archive and scan only
-// the columns — and only the days — it needs:
+// Events are laid out as little-endian column blocks (row groups), so an
+// analysis can mmap the archive and scan only the columns — and only the
+// days — it needs (store/mapped.hpp). A caller that wants the rows in
+// memory calls MappedEventStore(path).to_dataset(). The layout:
 //
 //   file   := header | block* | footer
 //   header := "ODE2" | crc32([8,40)) | darknet_size u64 | event_count u64
@@ -28,14 +26,13 @@
 // contiguous row range. Block min/max (day, src) are the zone maps that
 // let scans skip whole blocks without touching their data.
 //
-// Integrity follows ODE1's salvage philosophy: the header and footer carry
-// CRC-32s, each block's CRC lives in the footer, and the salvage reader
-// recovers every complete valid block preceding the first error — falling
-// back to header-derived geometry when truncation took the footer itself.
+// Integrity: the header and footer carry CRC-32s, each block's CRC lives
+// in the footer, and the salvage reader recovers every complete valid
+// block preceding the first error — falling back to header-derived
+// geometry when truncation took the footer itself.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "orion/netbase/io.hpp"
@@ -56,18 +53,12 @@ constexpr std::uint64_t ode2_block_bytes(std::uint64_t rows) {
   return (raw + 7) & ~std::uint64_t{7};
 }
 
-/// Writes `dataset` in ODE2 form; returns total bytes written. Throws
-/// std::runtime_error on stream failure and std::invalid_argument if the
+/// Writes `dataset` in ODE2 form; returns total bytes written. Every
+/// write goes through the io::File seam, so it is EINTR-retried,
+/// short-write-completed, and visible to the FaultFs crash matrix; errors
+/// surface as net::io::IoError. Throws std::invalid_argument if the
 /// dataset's events are not in non-decreasing start order (EventDataset
 /// guarantees the order; a hand-built vector might not).
-std::uint64_t write_events_ode2(
-    const telescope::EventDataset& dataset, std::ostream& out,
-    std::uint64_t block_events = kOde2DefaultBlockEvents);
-
-/// Failpoint-instrumented variant: writes through the io::File seam, so
-/// every write is EINTR-retried, short-write-completed, and visible to
-/// the FaultFs crash matrix. Errors surface as net::io::IoError. This is
-/// the path archive publication uses.
 std::uint64_t write_events_ode2(
     const telescope::EventDataset& dataset, net::io::File& out,
     std::uint64_t block_events = kOde2DefaultBlockEvents);
@@ -78,9 +69,8 @@ std::uint64_t write_events_ode2_file(
     const telescope::EventDataset& dataset, const std::string& path,
     std::uint64_t block_events = kOde2DefaultBlockEvents);
 
-/// Salvage-mode read mirroring telescope::read_events_binary_salvage:
-/// recovers every complete valid block preceding the first error instead
-/// of throwing the whole archive away.
+/// Salvage-mode read: recovers every complete valid block preceding the
+/// first error instead of throwing the whole archive away.
 struct Ode2SalvageResult {
   telescope::EventDataset dataset{{}, 0};
   std::uint64_t declared_count = 0;   // header's event count (0: bad header)
@@ -91,14 +81,5 @@ struct Ode2SalvageResult {
 };
 
 Ode2SalvageResult read_events_ode2_salvage(const std::string& path);
-
-/// Sniffs the 4-byte magic and loads either format into an EventDataset —
-/// the compatibility path for every ODE1 call site that now may be handed
-/// an ODE2 archive. Throws std::runtime_error on open failure or a
-/// corrupt file of either format.
-telescope::EventDataset load_events_auto(const std::string& path);
-
-/// The magic the sniffing loader saw ("ODE1", "ODE2", or "?" for neither).
-std::string sniff_event_format(const std::string& path);
 
 }  // namespace orion::store

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <ostream>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -105,15 +104,12 @@ struct FlowBlockInfo {
 
 }  // namespace
 
-/// Shared writer core over a `sink(ptr, bytes)` callable, mirroring
-/// write_events_ode2_impl: header and each block assembled in memory and
-/// emitted as one write each, footer CRC-sealed last.
-template <typename Sink>
-std::uint64_t write_flows_fde1_impl(std::uint32_t sampling_rate,
-                                    std::int64_t start_day,
-                                    std::int64_t end_day,
-                                    const std::vector<Fde1Segment>& segments,
-                                    Sink&& sink, std::uint64_t block_flows) {
+/// Header and each block are assembled in memory and emitted as one write
+/// each, footer CRC-sealed last (the same shape as write_events_ode2).
+std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
+                               std::int64_t start_day, std::int64_t end_day,
+                               const std::vector<Fde1Segment>& segments,
+                               net::io::File& out, std::uint64_t block_flows) {
   if (block_flows == 0 || block_flows > detail::kMaxBlockFlows) {
     throw std::invalid_argument("fde1 store: bad block size");
   }
@@ -135,7 +131,7 @@ std::uint64_t write_flows_fde1_impl(std::uint32_t sampling_rate,
   detail::append<std::uint64_t>(fields, footer_offset);
   detail::append<std::uint32_t>(header, net::Crc32::of({fields.data(), 32}));
   header.insert(header.end(), fields.begin(), fields.end());
-  sink(header.data(), header.size());
+  out.write(header.data(), header.size());
 
   // Column blocks over the concatenated segment rows. A small staging
   // batch regroups each block's rows (they can straddle segments) so the
@@ -199,7 +195,7 @@ std::uint64_t write_flows_fde1_impl(std::uint32_t sampling_rate,
     }
     info.crc = net::Crc32::of({buf.data(), buf.size()});
     infos.push_back(info);
-    sink(buf.data(), buf.size());
+    out.write(buf.data(), buf.size());
     offset += buf.size();
   }
 
@@ -229,40 +225,8 @@ std::uint64_t write_flows_fde1_impl(std::uint32_t sampling_rate,
   }
   detail::append<std::uint32_t>(footer,
                                 net::Crc32::of({footer.data(), footer.size()}));
-  sink(footer.data(), footer.size());
+  out.write(footer.data(), footer.size());
   return footer_offset + footer.size();
-}
-
-std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
-                               std::int64_t start_day, std::int64_t end_day,
-                               const std::vector<Fde1Segment>& segments,
-                               std::ostream& out, std::uint64_t block_flows) {
-  const std::uint64_t bytes = write_flows_fde1_impl(
-      sampling_rate, start_day, end_day, segments,
-      [&out](const std::uint8_t* p, std::size_t m) {
-        out.write(reinterpret_cast<const char*>(p),
-                  static_cast<std::streamsize>(m));
-        if (!out) {
-          throw std::runtime_error(
-              "fde1 store: stream write failure (bad/fail state)");
-        }
-      },
-      block_flows);
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("fde1 store: stream flush failure");
-  }
-  return bytes;
-}
-
-std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
-                               std::int64_t start_day, std::int64_t end_day,
-                               const std::vector<Fde1Segment>& segments,
-                               net::io::File& out, std::uint64_t block_flows) {
-  return write_flows_fde1_impl(
-      sampling_rate, start_day, end_day, segments,
-      [&out](const std::uint8_t* p, std::size_t m) { out.write(p, m); },
-      block_flows);
 }
 
 namespace {
@@ -291,13 +255,6 @@ std::vector<Fde1Segment> segments_of(const flowsim::FlowDataset& flows) {
 }
 
 }  // namespace
-
-std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
-                               std::ostream& out, std::uint64_t block_flows) {
-  return write_flows_fde1(flows.sampling_rate(), flows.start_day(),
-                          flows.end_day(), segments_of(flows), out,
-                          block_flows);
-}
 
 std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
                                net::io::File& out, std::uint64_t block_flows) {

@@ -80,7 +80,7 @@ inline telescope::DarknetEvent decode_row(const std::uint8_t* base,
   return e;
 }
 
-constexpr std::uint64_t kMaxEventCount = std::uint64_t{1} << 27;  // ~ ODE1's cap
+constexpr std::uint64_t kMaxEventCount = std::uint64_t{1} << 27;  // ~9 GB of rows
 constexpr std::uint64_t kMaxBlockEvents = std::uint64_t{1} << 24;
 
 }  // namespace orion::store::detail

@@ -1,15 +1,14 @@
 #include "orion/store/ode2.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
-#include <ostream>
 #include <stdexcept>
 #include <vector>
 
 #include "layout.hpp"
 #include "orion/netbase/crc32.hpp"
 #include "orion/store/mapped.hpp"
-#include "orion/telescope/store.hpp"
 
 namespace orion::store {
 
@@ -26,14 +25,9 @@ std::uint64_t total_block_bytes(std::uint64_t n, std::uint64_t b) {
 
 }  // namespace
 
-/// Shared writer core over a `sink(ptr, bytes)` callable; the public
-/// overloads adapt it to ostreams (with fail-state checks after every
-/// write — a dead stream must not keep silently truncating) and to the
-/// failpoint-instrumented io::File seam.
-template <typename Sink>
-std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
-                                     Sink&& sink,
-                                     std::uint64_t block_events) {
+std::uint64_t write_events_ode2(const telescope::EventDataset& dataset,
+                                net::io::File& out,
+                                std::uint64_t block_events) {
   if (block_events == 0 || block_events > detail::kMaxBlockEvents) {
     throw std::invalid_argument("ode2 store: bad block size");
   }
@@ -64,7 +58,7 @@ std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
   detail::append<std::uint64_t>(fields, footer_offset);
   detail::append<std::uint32_t>(header, net::Crc32::of({fields.data(), 32}));
   header.insert(header.end(), fields.begin(), fields.end());
-  sink(header.data(), header.size());
+  out.write(header.data(), header.size());
 
   // Column blocks, each assembled in memory for one write + one CRC.
   std::vector<BlockMeta> metas;
@@ -117,7 +111,7 @@ std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
     }
     meta.crc = net::Crc32::of({buf.data(), buf.size()});
     metas.push_back(meta);
-    sink(buf.data(), buf.size());
+    out.write(buf.data(), buf.size());
     offset += buf.size();
   }
 
@@ -153,41 +147,8 @@ std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
   const std::uint32_t footer_crc =
       net::Crc32::of({footer.data(), footer.size()});
   detail::append<std::uint32_t>(footer, footer_crc);
-  sink(footer.data(), footer.size());
+  out.write(footer.data(), footer.size());
   return footer_offset + footer.size();
-}
-
-std::uint64_t write_events_ode2(const telescope::EventDataset& dataset,
-                                std::ostream& out,
-                                std::uint64_t block_events) {
-  const std::uint64_t bytes = write_events_ode2_impl(
-      dataset,
-      [&out](const std::uint8_t* p, std::size_t m) {
-        out.write(reinterpret_cast<const char*>(p),
-                  static_cast<std::streamsize>(m));
-        // Check after every write, not just at the end: a stream that
-        // enters a fail state stays there, and writing megabytes into a
-        // dead stream is how archives used to truncate silently.
-        if (!out) {
-          throw std::runtime_error(
-              "ode2 store: stream write failure (bad/fail state)");
-        }
-      },
-      block_events);
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("ode2 store: stream flush failure");
-  }
-  return bytes;
-}
-
-std::uint64_t write_events_ode2(const telescope::EventDataset& dataset,
-                                net::io::File& out,
-                                std::uint64_t block_events) {
-  return write_events_ode2_impl(
-      dataset,
-      [&out](const std::uint8_t* p, std::size_t m) { out.write(p, m); },
-      block_events);
 }
 
 std::uint64_t write_events_ode2_file(const telescope::EventDataset& dataset,
@@ -246,8 +207,7 @@ bool parse_header(const std::vector<std::uint8_t>& bytes, Header& h,
   return true;
 }
 
-/// True when every traffic-type byte of the block is a valid enum value —
-/// the same structural validation ODE1's record reader applies.
+/// True when every traffic-type byte of the block is a valid enum value.
 bool types_valid(const std::uint8_t* base, std::uint64_t rows) {
   const detail::ColumnLayout at(rows);
   for (std::uint64_t i = 0; i < rows; ++i) {
@@ -341,33 +301,6 @@ Ode2SalvageResult read_events_ode2_salvage(const std::string& path) {
   result.recovered_count = events.size();
   result.dataset = telescope::EventDataset(std::move(events), h.darknet_size);
   return result;
-}
-
-std::string sniff_event_format(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("event store: cannot open " + path);
-  }
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (in.gcount() == 4) {
-    if (std::memcmp(magic, "ODE1", 4) == 0) return "ODE1";
-    if (std::memcmp(magic, kMagic, 4) == 0) return "ODE2";
-  }
-  return "?";
-}
-
-telescope::EventDataset load_events_auto(const std::string& path) {
-  const std::string format = sniff_event_format(path);
-  if (format == "ODE2") {
-    return MappedEventStore(path).to_dataset();
-  }
-  if (format == "ODE1") {
-    std::ifstream in(path, std::ios::binary);
-    return telescope::read_events_binary(in);
-  }
-  throw std::runtime_error("event store: " + path +
-                           " is neither an ODE1 nor an ODE2 archive");
 }
 
 }  // namespace orion::store

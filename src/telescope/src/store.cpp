@@ -1,145 +1,8 @@
 #include "orion/telescope/store.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cstring>
-#include <istream>
 #include <ostream>
-#include <stdexcept>
-#include <tuple>
 
 namespace orion::telescope {
-
-namespace {
-
-constexpr char kMagic[4] = {'O', 'D', 'E', '1'};
-
-// Record layout: src, key word, start, end, packets, unique dests, then
-// one word per tool counter — derived from the struct so a ToolPackets
-// resize cannot silently skew the byte accounting below.
-constexpr std::uint64_t kToolWords = std::tuple_size_v<ToolPackets>;
-constexpr std::uint64_t kRecordBytes = 8 * (6 + kToolWords);
-constexpr std::uint64_t kHeaderBytes = 4 + 16;
-
-// Upfront allocation trusts the header only this far; beyond it the
-// vector grows geometrically as records actually materialize, so a
-// corrupt count cannot commit gigabytes before the first read fails.
-constexpr std::uint64_t kReserveClamp = 1 << 16;
-
-void put_u64(std::ostream& out, std::uint64_t v) {
-  std::array<char, 8> bytes;
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.write(bytes.data(), 8);
-}
-
-std::uint64_t get_u64(std::istream& in, const char* what) {
-  std::array<unsigned char, 8> bytes;
-  in.read(reinterpret_cast<char*>(bytes.data()), 8);
-  if (in.gcount() != 8) {
-    throw std::runtime_error(std::string("event store: truncated ") + what);
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[i]} << (8 * i);
-  return v;
-}
-
-DarknetEvent get_record(std::istream& in) {
-  DarknetEvent e;
-  e.key.src = net::Ipv4Address(static_cast<std::uint32_t>(get_u64(in, "src")));
-  const std::uint64_t key_word = get_u64(in, "key");
-  e.key.dst_port = static_cast<std::uint16_t>(key_word >> 8);
-  const auto type_raw = static_cast<std::uint8_t>(key_word & 0xFF);
-  if (type_raw > static_cast<std::uint8_t>(pkt::TrafficType::Other)) {
-    throw std::runtime_error("event store: bad traffic type");
-  }
-  e.key.type = static_cast<pkt::TrafficType>(type_raw);
-  e.start = net::SimTime::at(
-      net::Duration::nanos(static_cast<std::int64_t>(get_u64(in, "start"))));
-  e.end = net::SimTime::at(
-      net::Duration::nanos(static_cast<std::int64_t>(get_u64(in, "end"))));
-  e.packets = get_u64(in, "packets");
-  e.unique_dests = get_u64(in, "dests");
-  for (std::uint64_t& t : e.packets_by_tool) t = get_u64(in, "tool packets");
-  return e;
-}
-
-/// Header = magic + darknet size + declared record count.
-std::pair<std::uint64_t, std::uint64_t> get_header(std::istream& in) {
-  char magic[4];
-  in.read(magic, 4);
-  if (in.gcount() != 4 || std::memcmp(magic, kMagic, 4) != 0) {
-    throw std::runtime_error("event store: bad magic (not an ODE1 file)");
-  }
-  const std::uint64_t darknet_size = get_u64(in, "darknet size");
-  const std::uint64_t count = get_u64(in, "event count");
-  // Sanity cap: ~10 GiB of records at the current record width.
-  if (count > (std::uint64_t{1} << 27)) {
-    throw std::runtime_error("event store: absurd event count");
-  }
-  return {darknet_size, count};
-}
-
-}  // namespace
-
-std::uint64_t write_events_binary(const EventDataset& dataset, std::ostream& out) {
-  out.write(kMagic, 4);
-  put_u64(out, dataset.darknet_size());
-  put_u64(out, dataset.events().size());
-  for (const DarknetEvent& e : dataset.events()) {
-    put_u64(out, e.key.src.value());
-    put_u64(out, (std::uint64_t{e.key.dst_port} << 8) |
-                     static_cast<std::uint64_t>(e.key.type));
-    put_u64(out, static_cast<std::uint64_t>(e.start.since_epoch().total_nanos()));
-    put_u64(out, static_cast<std::uint64_t>(e.end.since_epoch().total_nanos()));
-    put_u64(out, e.packets);
-    put_u64(out, e.unique_dests);
-    for (const std::uint64_t t : e.packets_by_tool) put_u64(out, t);
-  }
-  // Flush before checking: buffered ofstream failures must not be
-  // deferred to a destructor that cannot report them.
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("event store: write failure");
-  }
-  return kHeaderBytes + dataset.events().size() * kRecordBytes;
-}
-
-EventDataset read_events_binary(std::istream& in) {
-  const auto [darknet_size, count] = get_header(in);
-  std::vector<DarknetEvent> events;
-  events.reserve(static_cast<std::size_t>(std::min(count, kReserveClamp)));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    events.push_back(get_record(in));
-  }
-  return EventDataset(std::move(events), darknet_size);
-}
-
-SalvageResult read_events_binary_salvage(std::istream& in) {
-  SalvageResult result;
-  std::uint64_t darknet_size = 0;
-  try {
-    std::tie(darknet_size, result.declared_count) = get_header(in);
-  } catch (const std::runtime_error& err) {
-    result.error = err.what();
-    return result;
-  }
-  std::vector<DarknetEvent> events;
-  events.reserve(
-      static_cast<std::size_t>(std::min(result.declared_count, kReserveClamp)));
-  result.complete = true;
-  for (std::uint64_t i = 0; i < result.declared_count; ++i) {
-    try {
-      events.push_back(get_record(in));
-    } catch (const std::runtime_error& err) {
-      result.complete = false;
-      result.error = err.what();
-      break;
-    }
-  }
-  result.recovered_count = events.size();
-  result.dataset = EventDataset(std::move(events), darknet_size);
-  return result;
-}
 
 void write_events_csv(const EventDataset& dataset, std::ostream& out) {
   out << "src,dst_port,type,start_ns,end_ns,packets,unique_dests,"

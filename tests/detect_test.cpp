@@ -653,10 +653,8 @@ TEST(PortSet, HandlesExtremePortValues) {
 // order. Plus the OCP1 restore paths' handling of lying element counts.
 #include <map>
 #include <memory>
-#include <span>
 
 #include "orion/detect/shard_detector.hpp"
-#include "orion/netbase/crc32.hpp"
 #include "orion/netbase/shard.hpp"
 #include "orion/scangen/event_synth.hpp"
 #include "orion/scangen/packet_gen.hpp"
@@ -664,6 +662,8 @@ TEST(PortSet, HandlesExtremePortValues) {
 #include "orion/stats/ecdf.hpp"
 #include "orion/telescope/checkpoint.hpp"
 #include "orion/telescope/parallel.hpp"
+
+#include "crc_pins.hpp"
 
 namespace orion::detect {
 namespace {
@@ -693,19 +693,9 @@ StreamingConfig tiny_config() {
   return config;
 }
 
-std::uint32_t crc_of(const std::string& bytes) {
-  return net::Crc32::of(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
-}
-
-template <typename Component>
-std::string checkpoint_bytes(Component& component) {
-  telescope::CheckpointWriter writer;
-  component.checkpoint(writer);
-  std::ostringstream out;
-  writer.finish(out);
-  return out.str();
-}
+using test_pins::checkpoint_bytes;
+using test_pins::crc_of;
+using test_pins::payload_crc;
 
 std::string render(const std::vector<StreamingDayResult>& days) {
   std::ostringstream out;
@@ -739,8 +729,8 @@ SerialRun run_serial(const StreamingConfig& config,
   return run;
 }
 
-// Checkpoint and list bytes pinned from the implementation that kept the
-// serial and sharded day-close as two separate copies.
+// Checkpoint payload and list bytes pinned from the implementation that
+// kept the serial and sharded day-close as two separate copies.
 TEST(DayClose, PinnedCheckpointAndListBytes) {
   const auto& events = tiny_events();
   const std::size_t half = events.size() / 2;
@@ -750,14 +740,14 @@ TEST(DayClose, PinnedCheckpointAndListBytes) {
   std::vector<StreamingDayResult> days;
   std::uint32_t mid_day_crc = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i == half) mid_day_crc = crc_of(checkpoint_bytes(detector));
+    if (i == half) mid_day_crc = payload_crc(checkpoint_bytes(detector));
     for (auto& day : detector.observe(events[i])) days.push_back(std::move(day));
   }
   if (auto last = detector.finish()) days.push_back(std::move(*last));
 
-  EXPECT_EQ(mid_day_crc, 0x858002f7u);
+  EXPECT_EQ(mid_day_crc, 0x439c47d9u);
   // The final snapshot is the file `live_monitor --checkpoint F` leaves.
-  EXPECT_EQ(crc_of(checkpoint_bytes(detector)), 0x2ead39b2u);
+  EXPECT_EQ(payload_crc(checkpoint_bytes(detector)), 0x21b13670u);
   EXPECT_EQ(crc_of(render(days)), 0x4ebe963fu);
 }
 
@@ -775,7 +765,7 @@ TEST(DayClose, PinnedShardedCheckpointBytes) {
   config.detector = tiny_config();
   telescope::ParallelPipeline pipeline(tiny_scenario().darknet(), config);
   for (std::size_t i = 0; i < packets.size() / 2; ++i) pipeline.observe(packets[i]);
-  EXPECT_EQ(crc_of(checkpoint_bytes(pipeline)), 0x38cd7714u);
+  EXPECT_EQ(payload_crc(checkpoint_bytes(pipeline)), 0xa24d91abu);
 }
 
 // With a sample capacity above every sample count, bottom-k keeps every

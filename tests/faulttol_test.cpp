@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "orion/detect/streaming.hpp"
@@ -17,7 +17,6 @@
 #include "orion/telescope/capture.hpp"
 #include "orion/telescope/checkpoint.hpp"
 #include "orion/telescope/ingest.hpp"
-#include "orion/telescope/store.hpp"
 
 namespace orion {
 namespace {
@@ -63,24 +62,13 @@ std::vector<pkt::Packet> make_stream(std::size_t n) {
   return out;
 }
 
-// Canonical form of a dataset: events sorted by every field, then
-// serialized — two runs are equivalent iff these bytes are identical
-// (unordered_map iteration order must not leak into the comparison).
-std::string canonical_bytes(const telescope::EventDataset& dataset) {
-  std::vector<telescope::DarknetEvent> events = dataset.events();
-  const auto key_of = [](const telescope::DarknetEvent& e) {
-    return std::tuple(e.key.src.value(), e.key.dst_port,
-                      static_cast<int>(e.key.type),
-                      e.start.since_epoch().total_nanos(),
-                      e.end.since_epoch().total_nanos(), e.packets,
-                      e.unique_dests, e.packets_by_tool);
-  };
-  std::sort(events.begin(), events.end(),
-            [&](const auto& a, const auto& b) { return key_of(a) < key_of(b); });
-  std::stringstream out;
-  telescope::write_events_binary(
-      telescope::EventDataset(std::move(events), dataset.darknet_size()), out);
-  return out.str();
+// What two equivalent runs must agree on: the darknet size and every
+// event, field by field (DarknetEvent's operator==). EventDataset keeps
+// its events in the (start, key) total order, so emission order cannot
+// leak into the comparison.
+std::pair<std::uint64_t, std::vector<telescope::DarknetEvent>> contents(
+    const telescope::EventDataset& dataset) {
+  return {dataset.darknet_size(), dataset.events()};
 }
 
 // ------------------------------------------------------------------- CRC-32
@@ -439,11 +427,11 @@ TEST(FaultTolerance, PipelineSurvivesAllFiveFaultsFullyAccounted) {
 TEST(FaultTolerance, WindowAbsorbsBoundedReorderingExactly) {
   // Reordering alone (hold <= window, no gaps beyond window - hold):
   // the hardened pipeline must drop nothing and reproduce the clean
-  // run's dataset byte for byte.
+  // run's dataset event for event.
   const auto packets = make_stream(2000);
   telescope::TelescopeCapture clean(dark_space(), fast_config());
   for (const pkt::Packet& p : packets) clean.observe(p);
-  const std::string clean_bytes = canonical_bytes(clean.finish());
+  const auto clean_contents = contents(clean.finish());
 
   scangen::FaultConfig config;
   config.seed = 77;
@@ -460,7 +448,7 @@ TEST(FaultTolerance, WindowAbsorbsBoundedReorderingExactly) {
 
   EXPECT_EQ(ingest.health().dropped(), 0u);
   EXPECT_GT(ingest.health().reordered, 0u);
-  EXPECT_EQ(canonical_bytes(hardened.finish()), clean_bytes);
+  EXPECT_EQ(contents(hardened.finish()), clean_contents);
 }
 
 TEST(FaultTolerance, OverflowBoundHoldsUnderPressure) {
@@ -509,7 +497,7 @@ TEST(CrashResume, CaptureResumesToIdenticalDataset) {
 
   telescope::TelescopeCapture uninterrupted(dark_space(), fast_config());
   for (const pkt::Packet& p : packets) uninterrupted.observe(p);
-  const std::string want = canonical_bytes(uninterrupted.finish());
+  const auto want = contents(uninterrupted.finish());
 
   // Run to the midpoint — live events open, earlier events already
   // emitted — snapshot, then "crash" (drop the object).
@@ -533,7 +521,7 @@ TEST(CrashResume, CaptureResumesToIdenticalDataset) {
   }
   EXPECT_EQ(resumed.packets_captured(), packets.size());
   EXPECT_EQ(resumed.unique_sources(), uninterrupted.unique_sources());
-  EXPECT_EQ(canonical_bytes(resumed.finish()), want);
+  EXPECT_EQ(contents(resumed.finish()), want);
 }
 
 TEST(CrashResume, CaptureRejectsConfigMismatch) {

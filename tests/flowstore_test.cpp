@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
@@ -21,6 +20,8 @@
 #include "orion/scangen/scenario.hpp"
 #include "orion/store/fde1.hpp"
 #include "orion/store/mapped_flow.hpp"
+
+#include "crc_pins.hpp"
 
 namespace orion::store {
 namespace {
@@ -69,6 +70,10 @@ class TempFile {
   }
   ~TempFile() { std::remove(path_.c_str()); }
   const std::string& path() const { return path_; }
+  std::string contents() const {
+    std::ifstream in(path_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
 
  private:
   std::string path_;
@@ -76,9 +81,31 @@ class TempFile {
 
 std::string fde1_bytes(const flowsim::FlowDataset& flows,
                        std::uint64_t block_flows = kFde1DefaultBlockFlows) {
-  std::stringstream stream;
-  write_flows_fde1(flows, stream, block_flows);
-  return stream.str();
+  const TempFile file("", "written");
+  write_flows_fde1_file(flows, file.path(), block_flows);
+  return file.contents();
+}
+
+/// A window whose cells sampled nothing: two segments that carry only
+/// interface counters.
+std::vector<Fde1Segment> empty_cells() {
+  std::vector<Fde1Segment> segments(2);
+  segments[0].router = 0;
+  segments[0].day = 10;
+  segments[0].total_packets = 777;
+  segments[1].router = 2;
+  segments[1].day = 12;
+  segments[1].user_packets = 5;
+  return segments;
+}
+
+std::string fde1_bytes(std::uint32_t sampling_rate, std::int64_t start_day,
+                       std::int64_t end_day,
+                       const std::vector<Fde1Segment>& segments) {
+  const TempFile file("", "written");
+  write_flows_fde1_file(sampling_rate, start_day, end_day, segments,
+                        file.path());
+  return file.contents();
 }
 
 /// The expected global row stream: flow_batch_of per cell, router-major.
@@ -154,30 +181,21 @@ TEST(Fde1, RoundTripsAtAnyBlockSize) {
   }
 }
 
-TEST(Fde1, StreamAndFileWritersProduceIdenticalBytes) {
-  const flowsim::FlowDataset flows = tiny_flows();
-  const std::string via_stream = fde1_bytes(flows, 64);
-  const TempFile file("", "filewriter");
-  const std::uint64_t bytes = write_flows_fde1_file(flows, file.path(), 64);
-  EXPECT_EQ(bytes, via_stream.size());
-  std::ifstream in(file.path(), std::ios::binary);
-  const std::string via_file{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-  EXPECT_EQ(via_file, via_stream);
+// Writer bytes pinned to constants recorded while a std::ostream writer
+// still existed next to the io::File one (they wrote identical bytes).
+// Sizes plus a CRC over everything the footer CRC seals.
+TEST(Fde1Pins, WriterBytes) {
+  const std::string flows = fde1_bytes(tiny_flows(), 64);
+  EXPECT_EQ(flows.size(), 86148u);
+  EXPECT_EQ(test_pins::archive_crc(flows), 0x8d87110bu);
+  const std::string cells = fde1_bytes(50, 10, 13, empty_cells());
+  EXPECT_EQ(cells.size(), 172u);
+  EXPECT_EQ(test_pins::archive_crc(cells), 0xe459b6e4u);
 }
 
 TEST(Fde1, EmptySegmentsAndEmptyArchiveRoundTrip) {
   // A window whose cells sampled nothing still archives its counters.
-  std::vector<Fde1Segment> segments(2);
-  segments[0].router = 0;
-  segments[0].day = 10;
-  segments[0].total_packets = 777;
-  segments[1].router = 2;
-  segments[1].day = 12;
-  segments[1].user_packets = 5;
-  std::stringstream stream;
-  write_flows_fde1(50, 10, 13, segments, stream);
-  const TempFile file(stream.str());
+  const TempFile file(fde1_bytes(50, 10, 13, empty_cells()));
   const MappedFlowStore store(file.path());
   EXPECT_EQ(store.flow_count(), 0u);
   EXPECT_EQ(store.block_count(), 0u);
@@ -188,16 +206,18 @@ TEST(Fde1, EmptySegmentsAndEmptyArchiveRoundTrip) {
   EXPECT_EQ(store.segment(0, 11), nullptr);
 
   // And the fully empty window.
-  std::stringstream empty;
-  write_flows_fde1(50, 0, 0, {}, empty);
-  const TempFile empty_file(empty.str());
+  const TempFile empty_file(fde1_bytes(50, 0, 0, {}));
   const MappedFlowStore empty_store(empty_file.path());
   EXPECT_EQ(empty_store.flow_count(), 0u);
   EXPECT_TRUE(empty_store.segments().empty());
 }
 
 TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
-  std::stringstream out;
+  const TempFile file("", "rejected");
+  const auto write = [&file](const std::vector<Fde1Segment>& segments,
+                             std::uint64_t block_flows = kFde1DefaultBlockFlows) {
+    write_flows_fde1_file(10, 0, 5, segments, file.path(), block_flows);
+  };
 
   // Segments out of (router, day) order.
   std::vector<Fde1Segment> unordered(2);
@@ -205,14 +225,12 @@ TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
   unordered[0].day = 3;
   unordered[1].router = 1;
   unordered[1].day = 3;
-  EXPECT_THROW(write_flows_fde1(10, 0, 5, unordered, out),
-               std::invalid_argument);
+  EXPECT_THROW(write(unordered), std::invalid_argument);
 
   // Segment day outside the declared window.
   std::vector<Fde1Segment> outside(1);
   outside[0].day = 9;
-  EXPECT_THROW(write_flows_fde1(10, 0, 5, outside, out),
-               std::invalid_argument);
+  EXPECT_THROW(write(outside), std::invalid_argument);
 
   // Row carrying the wrong router for its segment.
   std::vector<Fde1Segment> wrong_router(1);
@@ -221,8 +239,7 @@ TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
   flowsim::FlowRecord r;
   r.router = 2;
   wrong_router[0].rows.push_back(r);
-  EXPECT_THROW(write_flows_fde1(10, 0, 5, wrong_router, out),
-               std::invalid_argument);
+  EXPECT_THROW(write(wrong_router), std::invalid_argument);
 
   // Rows out of (src, dst_port, type) order.
   std::vector<Fde1Segment> disorder(1);
@@ -234,11 +251,10 @@ TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
   b.src = ip("10.0.0.1");
   disorder[0].rows.push_back(a);
   disorder[0].rows.push_back(b);
-  EXPECT_THROW(write_flows_fde1(10, 0, 5, disorder, out),
-               std::invalid_argument);
+  EXPECT_THROW(write(disorder), std::invalid_argument);
 
   // Bad block size.
-  EXPECT_THROW(write_flows_fde1(10, 0, 5, {}, out, 0), std::invalid_argument);
+  EXPECT_THROW(write({}, 0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- sniffing

@@ -28,6 +28,7 @@
 #include "orion/telescope/parallel.hpp"
 #include "orion/telescope/spsc_ring.hpp"
 
+#include "crc_pins.hpp"
 #include "expiry_streams.hpp"
 
 namespace orion {
@@ -50,18 +51,8 @@ struct CaptureState {
   bool operator==(const CaptureState&) const = default;
 };
 
-/// CRC-32 of the snapshot payload. A CRC over the whole OCP1 frame would
-/// pin only the payload length: the frame ends with the payload's own
-/// CRC-32, and the CRC-32 of any message followed by its CRC is constant.
 std::uint32_t checkpoint_crc(const telescope::TelescopeCapture& capture) {
-  telescope::CheckpointWriter writer;
-  capture.checkpoint(writer);
-  std::ostringstream snapshot;
-  writer.finish(snapshot);
-  const std::string bytes = snapshot.str();
-  // OCP1 frame: magic(4) version(8) length(8) payload crc(4).
-  return net::Crc32::of(
-      {reinterpret_cast<const std::uint8_t*>(bytes.data()) + 20, bytes.size() - 24});
+  return test_pins::payload_crc(test_pins::checkpoint_bytes(capture));
 }
 
 /// Full-run state: checkpoint bytes are hashed BEFORE finish() so the

@@ -107,18 +107,22 @@ TEST(DarknetMixes, ProtocolAndPortFromEvents) {
   e.key.type = pkt::TrafficType::Udp;
   e.packets = 100;
   events.push_back(e);
-  e.start = net::SimTime::at(net::Duration::days(11));  // other day: excluded
+  e.start = net::SimTime::at(net::Duration::days(11));  // the next day
   e.packets = 5000;
   events.push_back(e);
   const telescope::EventDataset dataset(std::move(events), 1000);
 
   const detect::IpSet ah = {ip("203.0.113.1")};
-  const ProtocolMix mix = darknet_protocol_mix(dataset, 10, ah);
-  EXPECT_EQ(mix[0], 900u);
-  EXPECT_EQ(mix[1], 100u);
-  const auto ports = darknet_port_mix(dataset, 10, ah);
-  EXPECT_EQ(ports.count(23), 900u);
-  EXPECT_EQ(ports.count(53), 100u);
+  const DailyDarknetMix mixes(dataset, ah);
+  EXPECT_EQ(mixes.protocols(10)[0], 900u);
+  EXPECT_EQ(mixes.protocols(10)[1], 100u);
+  EXPECT_EQ(mixes.ports(10).count(23), 900u);
+  EXPECT_EQ(mixes.ports(10).count(53), 100u);
+  // Day 11's UDP packets land on day 11 only.
+  EXPECT_EQ(mixes.protocols(11)[0], 0u);
+  EXPECT_EQ(mixes.protocols(11)[1], 5000u);
+  EXPECT_EQ(mixes.ports(11).count(23), 0u);
+  EXPECT_EQ(mixes.ports(11).count(53), 5000u);
 }
 
 // ------------------------------------------------------------- stream study

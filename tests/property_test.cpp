@@ -2,10 +2,14 @@
 // agreement between independent implementations, swept over seeds.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <cstdio>
+#include <filesystem>
 #include <map>
+#include <string>
 #include <unordered_set>
 
 #include "orion/detect/streaming.hpp"
@@ -13,8 +17,9 @@
 #include "orion/scangen/event_synth.hpp"
 #include "orion/scangen/packet_gen.hpp"
 #include "orion/scangen/scenario.hpp"
+#include "orion/store/mapped.hpp"
+#include "orion/store/ode2.hpp"
 #include "orion/telescope/aggregator.hpp"
-#include "orion/telescope/store.hpp"
 
 namespace orion {
 namespace {
@@ -155,12 +160,18 @@ TEST_P(SeedSweep, EventStoreRoundTripsSynthesizedDatasets) {
           {.darknet_size = scenario.darknet().total_addresses(),
            .seed = GetParam()}),
       scenario.darknet().total_addresses());
-  std::stringstream stream;
-  telescope::write_events_binary(original, stream);
-  const telescope::EventDataset restored = telescope::read_events_binary(stream);
-  ASSERT_EQ(restored.event_count(), original.event_count());
-  EXPECT_EQ(restored.total_packets(), original.total_packets());
-  EXPECT_EQ(restored.unique_sources(), original.unique_sources());
+  // The PID keeps concurrently running test processes apart.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("orion_property_test_" + std::to_string(::getpid()) + "_" +
+        std::to_string(GetParam()) + ".ode2"))
+          .string();
+  store::write_events_ode2_file(original, path);
+  const telescope::EventDataset restored =
+      store::MappedEventStore(path).to_dataset();
+  std::remove(path.c_str());
+  EXPECT_EQ(restored.darknet_size(), original.darknet_size());
+  EXPECT_EQ(restored.events(), original.events());
 }
 
 // --- streaming vs batch daily lists -----------------------------------------------

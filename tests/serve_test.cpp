@@ -235,7 +235,6 @@ TEST(ServeEngine, FlowImpactMatchesAnalyzerQuery) {
   const impact::FlowImpactAnalyzer analyzer(&flows);
   EngineBackend backend;
   backend.analyzer = &analyzer;
-  backend.dataset = &flows;
   backend.generation = 5;
 
   const QueryRequest request = impact_request();
@@ -266,7 +265,6 @@ TEST(ServeEngine, StatusesForAbsentCellAndEmptyBackend) {
   const impact::FlowImpactAnalyzer analyzer(&flows);
   EngineBackend backend;
   backend.analyzer = &analyzer;
-  backend.dataset = &flows;
 
   QueryRequest absent = impact_request();
   absent.day = 99;  // outside the window

@@ -1,6 +1,6 @@
-// ODE2 columnar store tests: ODE1 <-> ODE2 round-trip equivalence, the
-// zero-copy query surface (day index, zone maps, parallel_scan), the
-// corrupt-input salvage corpus mirroring tests/telescope_test.cpp, and
+// ODE2 columnar store tests: round trips at any block size, writer bytes
+// pinned to constants, the zero-copy query surface (day index, zone maps,
+// parallel_scan), the strict-open and salvage corrupt-input corpus, and
 // the analysis-equivalence pins (detection and darknet mixes fed from an
 // mmap'ed archive must match the materialized-dataset paths exactly).
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,8 @@
 #include "orion/store/mapped.hpp"
 #include "orion/store/ode2.hpp"
 #include "orion/telescope/capture.hpp"
-#include "orion/telescope/store.hpp"
+
+#include "crc_pins.hpp"
 
 namespace orion::store {
 namespace {
@@ -65,6 +65,10 @@ class TempFile {
   }
   ~TempFile() { std::remove(path_.c_str()); }
   const std::string& path() const { return path_; }
+  std::string contents() const {
+    std::ifstream in(path_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
 
  private:
   std::string path_;
@@ -72,25 +76,19 @@ class TempFile {
 
 std::string ode2_bytes(const EventDataset& dataset,
                        std::uint64_t block_events = kOde2DefaultBlockEvents) {
-  std::stringstream stream;
-  write_events_ode2(dataset, stream, block_events);
-  return stream.str();
+  const TempFile file("", "written");
+  write_events_ode2_file(dataset, file.path(), block_events);
+  return file.contents();
 }
 
-std::string ode1_bytes(const EventDataset& dataset) {
-  std::stringstream stream;
-  telescope::write_events_binary(dataset, stream);
-  return stream.str();
-}
-
+/// Same darknet size and the same events; DarknetEvent's operator==
+/// compares every field the format encodes.
 void expect_identical(const EventDataset& a, const EventDataset& b) {
   EXPECT_EQ(a.darknet_size(), b.darknet_size());
   ASSERT_EQ(a.event_count(), b.event_count());
   for (std::size_t i = 0; i < a.event_count(); ++i) {
     EXPECT_EQ(a.events()[i], b.events()[i]) << "event " << i;
   }
-  // Byte-identical when re-serialized in ODE1 form: nothing was lost.
-  EXPECT_EQ(ode1_bytes(a), ode1_bytes(b));
 }
 
 // ------------------------------------------------------------- round trip
@@ -134,10 +132,12 @@ TEST(Ode2RoundTrip, EmptyDatasetRoundTrips) {
 
 TEST(Ode2RoundTrip, WriterRejectsBadBlockSize) {
   const EventDataset dataset = sample_dataset();
-  std::stringstream out;
-  EXPECT_THROW(write_events_ode2(dataset, out, 0), std::invalid_argument);
-  EXPECT_THROW(write_events_ode2(dataset, out, std::uint64_t{1} << 60),
+  const TempFile file("", "rejected");
+  EXPECT_THROW(write_events_ode2_file(dataset, file.path(), 0),
                std::invalid_argument);
+  EXPECT_THROW(
+      write_events_ode2_file(dataset, file.path(), std::uint64_t{1} << 60),
+      std::invalid_argument);
 }
 
 // ------------------------------------------------------ zero-copy queries
@@ -401,21 +401,6 @@ TEST(Ode2Salvage, TruncatedHeaderRecoversNothing) {
   }
 }
 
-// ------------------------------------------------ format sniffing / auto
-
-TEST(Ode2Auto, SniffsAndLoadsBothFormats) {
-  const EventDataset original = sample_dataset();
-  const TempFile f1(ode1_bytes(original), "ode1");
-  const TempFile f2(ode2_bytes(original), "ode2");
-  const TempFile junk("not an event archive at all", "junk");
-  EXPECT_EQ(sniff_event_format(f1.path()), "ODE1");
-  EXPECT_EQ(sniff_event_format(f2.path()), "ODE2");
-  EXPECT_EQ(sniff_event_format(junk.path()), "?");
-  expect_identical(original, load_events_auto(f1.path()));
-  expect_identical(original, load_events_auto(f2.path()));
-  EXPECT_THROW(load_events_auto(junk.path()), std::runtime_error);
-}
-
 // ------------------------------------- analysis equivalence (zero-copy)
 
 EventDataset synthesized_dataset() {
@@ -426,6 +411,22 @@ EventDataset synthesized_dataset() {
           {.darknet_size = scenario.darknet().total_addresses(),
            .seed = scenario.config().seed}),
       scenario.darknet().total_addresses());
+}
+
+// Writer bytes pinned to constants recorded while a std::ostream writer
+// still existed next to the io::File one (they wrote identical bytes).
+// Sizes plus a CRC over everything the footer CRC seals.
+TEST(Ode2Pins, WriterBytes) {
+  const EventDataset dataset = synthesized_dataset();
+  const std::string wide = ode2_bytes(dataset, 1024);
+  EXPECT_EQ(wide.size(), 187120u);
+  EXPECT_EQ(test_pins::archive_crc(wide), 0x514a0040u);
+  const std::string narrow = ode2_bytes(dataset, 16);
+  EXPECT_EQ(narrow.size(), 192952u);
+  EXPECT_EQ(test_pins::archive_crc(narrow), 0xea07a1e8u);
+  const std::string empty = ode2_bytes(EventDataset({}, 512));
+  EXPECT_EQ(empty.size(), 84u);
+  EXPECT_EQ(test_pins::archive_crc(empty), 0x99adc9f1u);
 }
 
 TEST(ZeroCopyAnalysis, DetectionMatchesDatasetPath) {
@@ -477,11 +478,6 @@ TEST(ZeroCopyAnalysis, DarknetMixesMatchDatasetPath) {
         << "day " << day;
     EXPECT_EQ(from_dataset.ports(day).counts(), from_store.ports(day).counts())
         << "day " << day;
-    // The one-shot per-day queries agree with both.
-    EXPECT_EQ(impact::darknet_protocol_mix(dataset, day, sources),
-              impact::darknet_protocol_mix(store, day, sources));
-    EXPECT_EQ(impact::darknet_port_mix(dataset, day, sources).counts(),
-              impact::darknet_port_mix(store, day, sources).counts());
   }
 }
 

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <vector>
 
-#include "orion/netbase/crc32.hpp"
 #include "orion/packet/batch.hpp"
 #include "orion/packet/builder.hpp"
 #include "orion/scangen/event_synth.hpp"
@@ -21,6 +20,7 @@
 #include "orion/telescope/checkpoint.hpp"
 #include "orion/telescope/timeout.hpp"
 
+#include "crc_pins.hpp"
 #include "expiry_streams.hpp"
 
 namespace orion::telescope {
@@ -354,23 +354,8 @@ TEST(SynthVsAggregatorPopulation, EventCountsAgreeOnTinyScenario) {
 // recorded while observe() still expired events with a full-table scan,
 // and a gap-split model of event delimitation.
 
-template <typename Component>
-std::string checkpoint_bytes(const Component& component) {
-  CheckpointWriter writer;
-  component.checkpoint(writer);
-  std::ostringstream out;
-  writer.finish(out);
-  return out.str();
-}
-
-/// CRC-32 of an OCP1 frame's payload. A CRC over the whole frame would
-/// pin only the payload length: the frame ends with the payload's own
-/// CRC-32, and the CRC-32 of any message followed by its CRC is constant.
-std::uint32_t payload_crc(const std::string& frame) {
-  // OCP1 frame: magic(4) version(8) length(8) payload crc(4).
-  return net::Crc32::of(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(frame.data()) + 20, frame.size() - 24));
-}
+using test_pins::checkpoint_bytes;
+using test_pins::payload_crc;
 
 /// A packet feed with the dark space and configuration it runs under;
 /// `day_edges` closes every UTC day with advance_to() before its first
@@ -687,7 +672,7 @@ TEST(AggregatorCheckpoint, DuplicateLiveKeyIsATypedError) {
 }  // namespace
 }  // namespace orion::telescope
 
-// NOTE: appended suite — event store (binary + CSV persistence).
+// NOTE: appended suite — event CSV export.
 #include <sstream>
 
 #include "orion/telescope/store.hpp"
@@ -695,7 +680,7 @@ TEST(AggregatorCheckpoint, DuplicateLiveKeyIsATypedError) {
 namespace orion::telescope {
 namespace {
 
-EventDataset sample_dataset() {
+TEST(EventStore, CsvHasHeaderAndAllRows) {
   std::vector<DarknetEvent> events;
   for (int i = 0; i < 100; ++i) {
     DarknetEvent e;
@@ -710,176 +695,13 @@ EventDataset sample_dataset() {
     e.packets_by_tool[telescope::tool_index(pkt::ScanTool::ZMap)] = e.packets;
     events.push_back(e);
   }
-  return EventDataset(std::move(events), 4096);
-}
-
-TEST(EventStore, BinaryRoundTrip) {
-  const EventDataset original = sample_dataset();
-  std::stringstream stream;
-  write_events_binary(original, stream);
-  const EventDataset restored = read_events_binary(stream);
-  EXPECT_EQ(restored.darknet_size(), original.darknet_size());
-  ASSERT_EQ(restored.event_count(), original.event_count());
-  EXPECT_EQ(restored.total_packets(), original.total_packets());
-  for (std::size_t i = 0; i < original.event_count(); ++i) {
-    const DarknetEvent& a = original.events()[i];
-    const DarknetEvent& b = restored.events()[i];
-    EXPECT_EQ(a.key.src, b.key.src);
-    EXPECT_EQ(a.key.dst_port, b.key.dst_port);
-    EXPECT_EQ(a.key.type, b.key.type);
-    EXPECT_EQ(a.start, b.start);
-    EXPECT_EQ(a.end, b.end);
-    EXPECT_EQ(a.packets, b.packets);
-    EXPECT_EQ(a.unique_dests, b.unique_dests);
-    EXPECT_EQ(a.packets_by_tool, b.packets_by_tool);
-  }
-}
-
-TEST(EventStore, RejectsCorruptedInput) {
-  const EventDataset original = sample_dataset();
-  std::stringstream good;
-  write_events_binary(original, good);
-  const std::string bytes = good.str();
-
-  {  // bad magic
-    std::stringstream bad("XXXX" + bytes.substr(4));
-    EXPECT_THROW(read_events_binary(bad), std::runtime_error);
-  }
-  {  // truncated mid-record
-    std::stringstream bad(bytes.substr(0, bytes.size() / 2));
-    EXPECT_THROW(read_events_binary(bad), std::runtime_error);
-  }
-  {  // empty stream
-    std::stringstream bad("");
-    EXPECT_THROW(read_events_binary(bad), std::runtime_error);
-  }
-}
-
-TEST(EventStore, CsvHasHeaderAndAllRows) {
-  const EventDataset dataset = sample_dataset();
+  const EventDataset dataset(std::move(events), 4096);
   std::stringstream out;
   write_events_csv(dataset, out);
   std::string line;
   std::size_t lines = 0;
   while (std::getline(out, line)) ++lines;
   EXPECT_EQ(lines, dataset.event_count() + 1);
-}
-
-TEST(EventStore, WriteReportsStreamFailure) {
-  // A stream that refuses everything (zero-size buffer) must surface the
-  // failure instead of returning a fabricated byte count.
-  std::stringstream out;
-  out.setstate(std::ios::badbit);
-  EXPECT_THROW(write_events_binary(sample_dataset(), out), std::runtime_error);
-}
-
-TEST(EventStore, StrictReaderDoesNotTrustHeaderCount) {
-  // Header declares the maximum-allowed record count but carries zero
-  // records: the clamped reserve means this fails fast on the first read
-  // instead of committing ~10 GiB up front.
-  std::stringstream bad;
-  bad.write("ODE1", 4);
-  for (std::uint64_t v : {std::uint64_t{4096}, std::uint64_t{1} << 27}) {
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-    bad.write(bytes, 8);
-  }
-  EXPECT_THROW(read_events_binary(bad), std::runtime_error);
-}
-
-// --------------------------- corrupt-input corpus: truncation + bit flips
-
-constexpr std::size_t kOde1HeaderBytes = 4 + 16;
-constexpr std::size_t kOde1RecordBytes = 8 * 10;
-
-std::string serialized_sample() {
-  std::stringstream stream;
-  write_events_binary(sample_dataset(), stream);
-  return stream.str();
-}
-
-TEST(EventStoreSalvage, CleanFileIsComplete) {
-  std::stringstream in(serialized_sample());
-  const SalvageResult result = read_events_binary_salvage(in);
-  EXPECT_TRUE(result.complete);
-  EXPECT_TRUE(result.error.empty());
-  EXPECT_EQ(result.declared_count, 100u);
-  EXPECT_EQ(result.recovered_count, 100u);
-  EXPECT_EQ(result.dataset.event_count(), 100u);
-  EXPECT_EQ(result.dataset.darknet_size(), 4096u);
-}
-
-TEST(EventStoreSalvage, RecoversPrefixOfTruncatedFile) {
-  const std::string bytes = serialized_sample();
-  // Sweep truncation points: mid-record, on a record boundary, one byte
-  // short of a boundary — salvage must recover exactly the complete
-  // records preceding the cut, every time.
-  for (const std::size_t keep_records : {0u, 1u, 7u, 42u, 99u}) {
-    for (const std::size_t extra :
-         {std::size_t{0}, std::size_t{1}, kOde1RecordBytes - 1}) {
-      const std::size_t cut = kOde1HeaderBytes + keep_records * kOde1RecordBytes + extra;
-      ASSERT_LT(cut, bytes.size());
-      std::stringstream in(bytes.substr(0, cut));
-      const SalvageResult result = read_events_binary_salvage(in);
-      EXPECT_FALSE(result.complete);
-      EXPECT_FALSE(result.error.empty());
-      EXPECT_EQ(result.declared_count, 100u);
-      EXPECT_EQ(result.recovered_count, keep_records) << "cut at " << cut;
-      // The strict reader throws the whole file away on the same input.
-      std::stringstream strict_in(bytes.substr(0, cut));
-      EXPECT_THROW(read_events_binary(strict_in), std::runtime_error);
-    }
-  }
-}
-
-TEST(EventStoreSalvage, RecoveredPrefixMatchesOriginalRecords) {
-  const EventDataset original = sample_dataset();
-  const std::string bytes = serialized_sample();
-  const std::size_t cut = kOde1HeaderBytes + 25 * kOde1RecordBytes + 3;
-  std::stringstream in(bytes.substr(0, cut));
-  const SalvageResult result = read_events_binary_salvage(in);
-  ASSERT_EQ(result.recovered_count, 25u);
-  for (std::size_t i = 0; i < 25; ++i) {
-    const DarknetEvent& a = original.events()[i];
-    const DarknetEvent& b = result.dataset.events()[i];
-    EXPECT_EQ(a.key.src, b.key.src);
-    EXPECT_EQ(a.packets, b.packets);
-    EXPECT_EQ(a.unique_dests, b.unique_dests);
-  }
-}
-
-TEST(EventStoreSalvage, StopsAtBitFlippedTrafficType) {
-  std::string bytes = serialized_sample();
-  // Corrupt the traffic-type byte of record 10 (low byte of its second
-  // word) to an out-of-range value: salvage keeps records 0..9.
-  const std::size_t offset = kOde1HeaderBytes + 10 * kOde1RecordBytes + 8;
-  bytes[offset] = static_cast<char>(0x7F);
-  std::stringstream in(bytes);
-  const SalvageResult result = read_events_binary_salvage(in);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.recovered_count, 10u);
-  EXPECT_NE(result.error.find("traffic type"), std::string::npos);
-}
-
-TEST(EventStoreSalvage, BadMagicRecoversNothing) {
-  std::string bytes = serialized_sample();
-  bytes[0] = 'X';
-  std::stringstream in(bytes);
-  const SalvageResult result = read_events_binary_salvage(in);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.recovered_count, 0u);
-  EXPECT_EQ(result.dataset.event_count(), 0u);
-  EXPECT_NE(result.error.find("magic"), std::string::npos);
-}
-
-TEST(EventStoreSalvage, TruncatedHeaderRecoversNothing) {
-  const std::string bytes = serialized_sample();
-  for (const std::size_t cut : {2u, 4u, 11u, 19u}) {
-    std::stringstream in(bytes.substr(0, cut));
-    const SalvageResult result = read_events_binary_salvage(in);
-    EXPECT_FALSE(result.complete);
-    EXPECT_EQ(result.recovered_count, 0u) << "cut at " << cut;
-  }
 }
 
 }  // namespace
