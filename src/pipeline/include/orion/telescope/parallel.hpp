@@ -55,13 +55,11 @@
 #include "orion/packet/batch.hpp"
 #include "orion/telescope/aggregator.hpp"
 #include "orion/telescope/capture.hpp"
+#include "orion/telescope/checkpoint.hpp"
 #include "orion/telescope/health.hpp"
 #include "orion/telescope/spsc_ring.hpp"
 
 namespace orion::telescope {
-
-class CheckpointReader;
-class CheckpointWriter;
 
 /// A shard worker died and could not be healed: supervision is disabled,
 /// or the shard's restart budget is exhausted. Carries the worker's
@@ -87,10 +85,11 @@ struct SupervisorConfig {
   /// Exponential restart backoff: base << (restart − 1), capped.
   std::chrono::microseconds backoff_base{50};
   std::chrono::microseconds backoff_cap{5000};
-  /// Test seam: invoked by the worker before applying each data batch
-  /// with (shard index, ring sequence). Throwing from it is exactly a
-  /// worker panic — this is how the crash tests kill workers at
-  /// deterministic points without corrupting real state.
+  /// Test seam: invoked by the worker before applying each data batch,
+  /// and before writing its section for a checkpoint request, with
+  /// (shard index, ring sequence). Throwing from it is exactly a worker
+  /// panic — this is how the crash tests kill workers at deterministic
+  /// points without corrupting real state.
   std::function<void(std::size_t, std::uint64_t)> fault_hook;
 };
 
@@ -165,10 +164,13 @@ class ParallelPipeline {
   const ParallelConfig& config() const { return config_; }
 
   /// Quiesces the shards (flushes pending batches, waits until every
-  /// ring drains) and snapshots the whole pipeline. The snapshot records
-  /// the shard count and echoes each shard's aggregator/detector
-  /// configuration; restore() rejects any mismatch (std::runtime_error),
-  /// since per-shard state is meaningless under a different partition.
+  /// ring drains) and snapshots the whole pipeline: the dispatcher writes
+  /// the PPL2 header, then an in-band request has every shard worker
+  /// write its own section in parallel, and the dispatcher splices the
+  /// sections in shard order. The snapshot records the shard count and
+  /// echoes each shard's aggregator/detector configuration; restore()
+  /// rejects any mismatch (std::runtime_error), since per-shard state is
+  /// meaningless under a different partition.
   void checkpoint(CheckpointWriter& writer);
   void restore(CheckpointReader& reader);
 
@@ -181,6 +183,9 @@ class ParallelPipeline {
     /// aggregators skip recomputing membership per record.
     std::vector<std::uint8_t> member;
     bool stop = false;
+    /// Checkpoint request: the worker writes the shard's section into
+    /// Shard::section. Logged for replay like any batch, never shed.
+    bool checkpoint = false;
   };
 
   struct Shard {
@@ -206,6 +211,9 @@ class ParallelPipeline {
     std::vector<DarknetEvent> events;
     std::unique_ptr<EventAggregator> aggregator;
     std::unique_ptr<detect::ShardDetectorSlice> slice;
+    /// The shard's PPL2 section, written by the worker at a checkpoint
+    /// request and spliced out by the dispatcher once quiesced.
+    CheckpointWriter section;
     pkt::PacketBatch pending;  // dispatcher-side partial batch
     /// Membership bytes parallel to `pending`, moved out with it.
     std::vector<std::uint8_t> pending_member;
@@ -219,10 +227,10 @@ class ParallelPipeline {
     /// and reads panic only after joining the thread.
     std::atomic<bool> dead{false};
     std::string panic;
-    /// Worker-side snapshot: an OCP1 frame of the shard state after the
-    /// first snapshot_batches ring batches. Built into a scratch buffer
-    /// and swapped in, so a panic mid-build cannot tear it; the
-    /// dispatcher reads the bytes only after join().
+    /// Worker-side snapshot: an in-memory OCP1 frame (SSH1 section) of
+    /// the shard state after the first snapshot_batches ring batches.
+    /// Built into a scratch buffer and swapped in, so a panic mid-build
+    /// cannot tear it; the dispatcher reads the bytes only after join().
     std::vector<std::uint8_t> snapshot;
     std::uint64_t snapshot_batches = 0;
     /// Release-published copy of snapshot_batches that the dispatcher may
@@ -254,6 +262,10 @@ class ParallelPipeline {
   void abort_workers();
   void worker_loop(Shard& shard, std::uint64_t start_batches);
   void spawn_worker(Shard& shard, std::uint64_t start_batches);
+  /// A shard's state: the body of its PPL2 section and of its SSH1
+  /// frame, written and read by these two functions only.
+  static void write_shard_state(const Shard& shard, CheckpointWriter& writer);
+  static void read_shard_state(Shard& shard, CheckpointReader& reader);
   /// Worker-side: serialize the shard state covering `batches_done` ring
   /// batches and publish it.
   void snapshot_shard(Shard& shard, std::uint64_t batches_done);

@@ -4,12 +4,10 @@
 #include <array>
 #include <limits>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "orion/netbase/shard.hpp"
-#include "orion/telescope/checkpoint.hpp"
 
 namespace orion::telescope {
 
@@ -102,19 +100,25 @@ void ParallelPipeline::worker_loop(Shard& shard, std::uint64_t start_batches) {
       for (std::size_t i = 0; i < n; ++i) {
         Batch& batch = batches[i];
         stop = stop || batch.stop;
-        if (!batch.records.empty()) {
-          if (config_.supervisor.fault_hook) {
-            config_.supervisor.fault_hook(shard.index, seq + i);
-          }
-          shard.aggregator->observe_batch(batch.records, batch.member);
-          shard.delivered += batch.records.size();
-          // Hand the drained arenas back for reuse; a full recycle ring
-          // just means the dispatcher is ahead, so they are dropped.
-          batch.records.clear();
-          batch.member.clear();
-          shard.recycle.try_push(batch);
-          batch = Batch();
+        if (batch.records.empty() && !batch.checkpoint) continue;
+        if (config_.supervisor.fault_hook) {
+          config_.supervisor.fault_hook(shard.index, seq + i);
         }
+        if (batch.checkpoint) {
+          // Written afresh: a healed worker replays the request after a
+          // death mid-write.
+          shard.section = CheckpointWriter();
+          write_shard_state(shard, shard.section);
+          continue;
+        }
+        shard.aggregator->observe_batch(batch.records, batch.member);
+        shard.delivered += batch.records.size();
+        // Hand the drained arenas back for reuse; a full recycle ring
+        // just means the dispatcher is ahead, so they are dropped.
+        batch.records.clear();
+        batch.member.clear();
+        shard.recycle.try_push(batch);
+        batch = Batch();
       }
       seq += n;
       // Release-publish completion: the dispatcher's acquire read in
@@ -137,19 +141,29 @@ void ParallelPipeline::worker_loop(Shard& shard, std::uint64_t start_batches) {
   shard.dead.store(true, std::memory_order_release);
 }
 
+void ParallelPipeline::write_shard_state(const Shard& shard,
+                                         CheckpointWriter& writer) {
+  writer.u64(shard.delivered);
+  put_events(writer, shard.events);
+  shard.aggregator->checkpoint(writer);
+  shard.slice->checkpoint(writer);
+}
+
+void ParallelPipeline::read_shard_state(Shard& shard, CheckpointReader& reader) {
+  shard.delivered = reader.u64("shard delivered");
+  shard.events = get_events(reader);
+  shard.aggregator->restore(reader);
+  shard.slice->restore(reader);
+}
+
 void ParallelPipeline::snapshot_shard(Shard& shard, std::uint64_t batches_done) {
   CheckpointWriter w;
   w.tag(kShardSnapTag);
-  w.u64(shard.delivered);
-  put_events(w, shard.events);
-  shard.aggregator->checkpoint(w);
-  shard.slice->checkpoint(w);
-  std::ostringstream out;
-  w.finish(out);
-  const std::string& bytes = out.str();
+  write_shard_state(shard, w);
   // Build-then-swap: if serialization throws (and becomes a panic) the
   // previous snapshot stays intact for the supervisor to restore from.
-  std::vector<std::uint8_t> built(bytes.begin(), bytes.end());
+  std::vector<std::uint8_t> built;
+  w.finish(built);
   shard.snapshot.swap(built);
   shard.snapshot_batches = batches_done;
   shard.snapshot_published.store(batches_done, std::memory_order_release);
@@ -167,13 +181,9 @@ void ParallelPipeline::rebuild_from_snapshot(Shard& shard) {
         raw->slice->observe(event);
       });
   if (shard.snapshot.empty()) return;  // died before the first snapshot
-  std::istringstream in(std::string(shard.snapshot.begin(), shard.snapshot.end()));
-  CheckpointReader reader(in);
+  CheckpointReader reader(shard.snapshot);
   reader.expect_tag(kShardSnapTag, "shard snapshot");
-  shard.delivered = reader.u64("shard delivered");
-  shard.events = get_events(reader);
-  shard.aggregator->restore(reader);
-  shard.slice->restore(reader);
+  read_shard_state(shard, reader);
 }
 
 void ParallelPipeline::fail_pipeline(Shard& shard) {
@@ -256,9 +266,10 @@ bool ParallelPipeline::push_batch(Shard& shard, Batch&& batch, bool log) {
     // Escalation ladder (opt-in): after escalate_after failed waits, shed
     // the batch with accounting while the budget lasts; after that, the
     // last rung is a hard stall that blocks like the default policy.
-    // Stop batches are control flow and are never shed.
+    // Stop batches and checkpoint requests are control flow and are
+    // never shed.
     if (!stalled && config_.backpressure.escalate_after != 0 && !batch.stop &&
-        ++waits >= config_.backpressure.escalate_after) {
+        !batch.checkpoint && ++waits >= config_.backpressure.escalate_after) {
       if (sheds_used_ < config_.backpressure.shed_budget) {
         ++sheds_used_;
         health_.dropped_shed += batch.records.size();
@@ -440,6 +451,8 @@ void ParallelPipeline::checkpoint(CheckpointWriter& writer) {
   flush_pending();
   quiesce();
 
+  // The header is the ledger at the cut: a worker that dies writing its
+  // section below is healed after it, like any later death.
   writer.tag(kPipelineTag);
   // Partition echo: a snapshot's per-shard state is meaningless under a
   // different shard count, so restore() verifies it. The per-shard
@@ -454,11 +467,19 @@ void ParallelPipeline::checkpoint(CheckpointWriter& writer) {
   writer.u64(health_.dropped_shed);
   writer.u64(health_.stalls);
   writer.u64(health_.worker_restarts);
-  for (const auto& shard : shards_) {
-    writer.u64(shard->delivered);
-    put_events(writer, shard->events);
-    shard->aggregator->checkpoint(writer);
-    shard->slice->checkpoint(writer);
+  // The shard sections: every worker writes its own in parallel, in band
+  // after the batches the quiesce above drained, and the dispatcher
+  // adopts them without copying once the requests are consumed.
+  for (auto& shard : shards_) {
+    Batch request;
+    request.checkpoint = true;
+    push_batch(*shard, std::move(request), /*log=*/true);
+  }
+  quiesce();
+  for (auto& shard : shards_) {
+    writer.splice(std::move(shard->section));
+    // Answered: a replay after a later death must not write it again.
+    if (!shard->replay_log.empty()) shard->replay_log.back().checkpoint = false;
   }
 }
 
@@ -496,10 +517,7 @@ void ParallelPipeline::restore(CheckpointReader& reader) {
     // Workers are parked on empty rings (nothing was ever pushed), so the
     // dispatcher may write shard state; the first pushed batch's release/
     // acquire pair publishes it to the worker.
-    shard->delivered = reader.u64("shard delivered");
-    shard->events = get_events(reader);
-    shard->aggregator->restore(reader);
-    shard->slice->restore(reader);
+    read_shard_state(*shard, reader);
     // Seed the supervision snapshot with the restored state at ring
     // sequence 0 (this incarnation's workers start there). Without it a
     // worker dying before its first periodic snapshot would make

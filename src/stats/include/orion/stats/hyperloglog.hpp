@@ -2,6 +2,7 @@
 // event aggregator uses for unique-destination counting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,7 +42,7 @@ std::uint64_t hll_hash(std::uint64_t key);
 /// The exact phase uses a flat open-addressing u64 set (zero is the empty
 /// sentinel, tracked by a side flag) rather than std::unordered_set — the
 /// per-insert node allocation dominated the aggregator's per-packet cost.
-/// Observationally this changes nothing: checkpoints sort the exact keys,
+/// Observationally this changes nothing: exact_keys() sorts the keys,
 /// estimate() is the distinct count, and HLL promotion takes a register
 /// max over the same key set in any order.
 class CardinalityEstimator {
@@ -54,8 +55,14 @@ class CardinalityEstimator {
   std::uint64_t estimate() const;
   bool is_exact() const { return !promoted_; }
 
+  /// exact_keys() sorts with std::sort below this many keys, where it is
+  /// faster than a radix pass over 2^11 buckets.
+  static constexpr std::size_t kRadixSortMin = 128;
+
   /// Checkpoint support: expose and reinstate the full estimator state.
-  /// Keys come back in unspecified order — checkpoint writers sort them.
+  /// Keys come back ascending, the canonical order checkpoints store:
+  /// an LSD radix sort over 11-bit digits, with only as many passes as
+  /// the largest key needs (two for dark-space offsets below 2^22).
   /// The restored estimator keeps this instance's limit and precision;
   /// `restore` throws std::invalid_argument on a precision mismatch.
   std::vector<std::uint64_t> exact_keys() const;

@@ -1,8 +1,10 @@
 #include "orion/stats/hyperloglog.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace orion::stats {
 
@@ -130,8 +132,29 @@ std::vector<std::uint64_t> CardinalityEstimator::exact_keys() const {
   std::vector<std::uint64_t> keys;
   keys.reserve(exact_size_);
   if (has_zero_) keys.push_back(0);
+  std::uint64_t any_bits = 0;
   for (const std::uint64_t k : slots_) {
     if (k != 0) keys.push_back(k);
+    any_bits |= k;
+  }
+  if (keys.size() < kRadixSortMin) {
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+  // LSD radix sort: each pass is a stable counting sort on the next digit.
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const int passes = (std::bit_width(any_bits) + kDigitBits - 1) / kDigitBits;
+  std::vector<std::uint64_t> sorted(keys.size());
+  std::vector<std::size_t> start(kBuckets);
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * kDigitBits;
+    std::fill(start.begin(), start.end(), 0);
+    for (const std::uint64_t k : keys) ++start[(k >> shift) & (kBuckets - 1)];
+    std::size_t next = 0;
+    for (std::size_t& s : start) next += std::exchange(s, next);
+    for (const std::uint64_t k : keys) sorted[start[(k >> shift) & (kBuckets - 1)]++] = k;
+    keys.swap(sorted);
   }
   return keys;
 }

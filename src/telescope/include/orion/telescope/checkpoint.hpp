@@ -19,8 +19,11 @@
 // configuration would silently change results, so it is an error.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -51,33 +54,83 @@ constexpr std::uint64_t checkpoint_tag(char a, char b, char c, char d) {
          std::uint64_t{static_cast<unsigned char>(d)} << 24;
 }
 
-/// Accumulates a snapshot payload in memory, then writes the framed,
-/// CRC-trailed container in one shot (a torn write can only lose the
-/// snapshot, never yield a silently-wrong one).
+/// Accumulates a snapshot payload in memory, then streams the framed,
+/// CRC-trailed container: header, payload chunks, trailer. The trailer
+/// is written last and readers check length and CRC before serving a
+/// field, so a torn write can only lose the snapshot, never yield a
+/// silently-wrong one.
+///
+/// The payload is a list of chunks. Fields are appended in place to the
+/// open chunk; a full chunk is sealed and a twice-larger one opened, so
+/// a growing payload is never copied, and splice() adopts another
+/// writer's chunks whole (the pipeline's shard workers write their
+/// sections in parallel and the dispatcher splices them in shard order).
 class CheckpointWriter {
  public:
-  void u64(std::uint64_t v);
+  void u64(std::uint64_t v) {
+    if (capacity_ - used_ < 8) open_chunk(8);
+    store_u64(open_.get() + used_, v);
+    used_ += 8;
+  }
+  /// The same bytes as u64() per value, appended in one copy.
+  void u64s(std::span<const std::uint64_t> values);
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void u8(std::uint8_t v) { payload_.push_back(v); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) {
+    if (capacity_ == used_) open_chunk(1);
+    open_[used_++] = v;
+  }
   void bytes(std::span<const std::uint8_t> data);
   void tag(std::uint64_t section_tag) { u64(section_tag); }
 
-  /// Frames and writes the container; returns total bytes written.
-  /// Throws std::runtime_error if the stream reports a write failure
-  /// (checked after an explicit flush — a buffered failure must not
-  /// surface only in the ofstream destructor, which cannot throw).
+  /// Appends `other`'s payload by adopting its chunks, without copying
+  /// them. `other` is left empty.
+  void splice(CheckpointWriter&& other);
+
+  /// Streams the container; returns total bytes written. Throws
+  /// std::runtime_error if the stream reports a write failure (checked
+  /// after an explicit flush — a buffered failure must not surface only
+  /// in the ofstream destructor, which cannot throw).
   std::uint64_t finish(std::ostream& out) const;
 
   /// Failpoint-instrumented variant through the io::File seam: one
-  /// counted write syscall for the whole frame, errors as
-  /// net::io::IoError. The archive publication path for checkpoints.
+  /// counted write syscall for the header, one per payload chunk and one
+  /// for the trailer, errors as net::io::IoError. The archive publication
+  /// path for checkpoints.
   std::uint64_t finish(net::io::File& out) const;
 
-  std::size_t payload_size() const { return payload_.size(); }
+  /// Appends the container to `out`: an in-memory frame for a
+  /// CheckpointReader over a byte span.
+  std::uint64_t finish(std::vector<std::uint8_t>& out) const;
+
+  std::size_t payload_size() const { return sealed_bytes_ + used_; }
 
  private:
-  std::vector<std::uint8_t> payload_;
+  struct Chunk {
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::size_t size = 0;
+  };
+
+  static void store_u64(std::uint8_t* p, std::uint64_t v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &v, 8);
+    } else {
+      for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  /// Seals the open chunk and opens one with room for `need` more bytes.
+  void open_chunk(std::size_t need);
+  /// Seals the open chunk (if it holds anything) onto chunks_.
+  void seal();
+  /// Calls write(span) for the header, each chunk and the trailer.
+  template <typename Write>
+  std::uint64_t stream(Write&& write) const;
+
+  std::vector<Chunk> chunks_;  // sealed, in payload order, before open_
+  std::size_t sealed_bytes_ = 0;
+  std::unique_ptr<std::uint8_t[]> open_;
+  std::size_t used_ = 0;
+  std::size_t capacity_ = 0;
 };
 
 /// Reads and validates a whole container up front (magic, version,
@@ -88,6 +141,13 @@ class CheckpointWriter {
 class CheckpointReader {
  public:
   explicit CheckpointReader(std::istream& in);
+  /// Validates the container at the front of `frame` and serves fields
+  /// from it in place: `frame` must outlive the reader.
+  explicit CheckpointReader(std::span<const std::uint8_t> frame);
+
+  // A copy's payload_ would still view the original's owned_ bytes.
+  CheckpointReader(const CheckpointReader&) = delete;
+  CheckpointReader& operator=(const CheckpointReader&) = delete;
 
   std::uint64_t u64(const char* what);
   std::int64_t i64(const char* what) {
@@ -111,8 +171,15 @@ class CheckpointReader {
 
  private:
   [[noreturn]] void fail(const std::string& why) const;
+  /// Checks the version and length fields of a 20-byte header whose
+  /// magic has been checked; returns the payload length.
+  std::uint64_t payload_length(const std::uint8_t* header) const;
+  /// Checks the frame (magic, header, length, CRC) and points payload_
+  /// at its payload.
+  void validate(std::span<const std::uint8_t> frame);
 
-  std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> owned_;  // the frame, when read from a stream
+  std::span<const std::uint8_t> payload_;
   std::size_t pos_ = 0;
 };
 

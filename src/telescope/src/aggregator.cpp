@@ -387,10 +387,9 @@ void EventAggregator::checkpoint(CheckpointWriter& writer) const {
     writer.u64(live.packets);
     for (const std::uint64_t t : live.packets_by_tool) writer.u64(t);
     writer.u8(live.dests.is_exact() ? 0 : 1);
-    std::vector<std::uint64_t> exact = live.dests.exact_keys();
-    std::sort(exact.begin(), exact.end());
+    const std::vector<std::uint64_t> exact = live.dests.exact_keys();  // ascending
     writer.u64(exact.size());
-    for (const std::uint64_t k : exact) writer.u64(k);
+    writer.u64s(exact);
     writer.bytes(live.dests.sketch().registers());
   }
 }
@@ -455,10 +454,19 @@ void EventAggregator::restore(CheckpointReader& reader) {
     if (exact_count > config_.exact_dest_limit) {
       throw std::runtime_error("checkpoint: exact key count over limit");
     }
+    if (promoted && exact_count != 0) {
+      throw std::runtime_error("checkpoint: promoted estimator lists exact keys");
+    }
+    // The writer's canonical order is strictly ascending; a repeat would
+    // otherwise restore a smaller exact set than the one checkpointed.
     std::vector<std::uint64_t> exact;
     exact.reserve(static_cast<std::size_t>(exact_count));
     for (std::uint64_t k = 0; k < exact_count; ++k) {
-      exact.push_back(reader.u64("exact key"));
+      const std::uint64_t key = reader.u64("exact key");
+      if (!exact.empty() && key <= exact.back()) {
+        throw std::runtime_error("checkpoint: exact keys not strictly ascending");
+      }
+      exact.push_back(key);
     }
     stats::HyperLogLog sketch(config_.hll_precision);
     sketch.set_registers(reader.bytes(sketch.registers().size(), "hll registers"));

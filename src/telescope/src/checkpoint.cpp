@@ -1,6 +1,6 @@
 #include "orion/telescope/checkpoint.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -14,10 +14,10 @@ namespace {
 
 constexpr char kMagic[4] = {'O', 'C', 'P', '1'};
 constexpr std::uint64_t kVersion = 1;
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+constexpr std::size_t kHeaderBytes = 4 + 8 + 8;  // magic, version, length
+constexpr std::size_t kTrailerBytes = 4;
+// The first chunk a writer opens; each later one doubles the last.
+constexpr std::size_t kFirstChunkBytes = 4096;
 
 std::uint64_t load_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
@@ -27,77 +27,141 @@ std::uint64_t load_u64(const std::uint8_t* p) {
 
 }  // namespace
 
-void CheckpointWriter::u64(std::uint64_t v) { append_u64(payload_, v); }
+void CheckpointWriter::seal() {
+  if (used_ == 0) return;
+  chunks_.push_back({std::move(open_), used_});
+  sealed_bytes_ += used_;
+  used_ = 0;
+  capacity_ = 0;
+}
 
-void CheckpointWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+void CheckpointWriter::open_chunk(std::size_t need) {
+  const std::size_t next = std::max({need, 2 * capacity_, kFirstChunkBytes});
+  seal();
+  open_ = std::make_unique_for_overwrite<std::uint8_t[]>(next);
+  capacity_ = next;
+}
+
+void CheckpointWriter::u64s(std::span<const std::uint64_t> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    bytes({reinterpret_cast<const std::uint8_t*>(values.data()), values.size_bytes()});
+  } else {
+    for (const std::uint64_t v : values) u64(v);
+  }
+}
 
 void CheckpointWriter::bytes(std::span<const std::uint8_t> data) {
-  payload_.insert(payload_.end(), data.begin(), data.end());
+  if (data.empty()) return;
+  if (capacity_ - used_ < data.size()) open_chunk(data.size());
+  std::memcpy(open_.get() + used_, data.data(), data.size());
+  used_ += data.size();
 }
 
-namespace {
-
-std::vector<std::uint8_t> frame_of(const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + 8 + 8 + payload.size() + 4);
-  for (const char c : kMagic) frame.push_back(static_cast<std::uint8_t>(c));
-  append_u64(frame, kVersion);
-  append_u64(frame, payload.size());
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = net::Crc32::of(payload);
-  for (int i = 0; i < 4; ++i) frame.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  return frame;
+void CheckpointWriter::splice(CheckpointWriter&& other) {
+  seal();
+  other.seal();
+  for (Chunk& chunk : other.chunks_) chunks_.push_back(std::move(chunk));
+  sealed_bytes_ += other.sealed_bytes_;
+  other = CheckpointWriter();
 }
 
-}  // namespace
+template <typename Write>
+std::uint64_t CheckpointWriter::stream(Write&& write) const {
+  std::uint8_t header[kHeaderBytes];
+  std::memcpy(header, kMagic, 4);
+  store_u64(header + 4, kVersion);
+  store_u64(header + 12, payload_size());
+  write(std::span<const std::uint8_t>(header));
+  net::Crc32 crc;
+  const auto put = [&](std::span<const std::uint8_t> chunk) {
+    if (chunk.empty()) return;
+    crc.update(chunk);
+    write(chunk);
+  };
+  for (const Chunk& chunk : chunks_) put({chunk.bytes.get(), chunk.size});
+  put({open_.get(), used_});
+  std::uint8_t trailer[kTrailerBytes];
+  for (std::size_t i = 0; i < kTrailerBytes; ++i) {
+    trailer[i] = static_cast<std::uint8_t>(crc.value() >> (8 * i));
+  }
+  write(std::span<const std::uint8_t>(trailer));
+  return kHeaderBytes + payload_size() + kTrailerBytes;
+}
 
 std::uint64_t CheckpointWriter::finish(std::ostream& out) const {
-  const std::vector<std::uint8_t> frame = frame_of(payload_);
-  out.write(reinterpret_cast<const char*>(frame.data()),
-            static_cast<std::streamsize>(frame.size()));
+  const std::uint64_t written = stream([&out](std::span<const std::uint8_t> piece) {
+    out.write(reinterpret_cast<const char*>(piece.data()),
+              static_cast<std::streamsize>(piece.size()));
+  });
   // Flush before checking: an ofstream buffers, and a failure that only
   // surfaces in its destructor is a snapshot silently truncated.
   out.flush();
   if (!out) {
     throw std::runtime_error("checkpoint: write failure");
   }
-  return frame.size();
+  return written;
 }
 
 std::uint64_t CheckpointWriter::finish(net::io::File& out) const {
-  const std::vector<std::uint8_t> frame = frame_of(payload_);
-  out.write(frame);
-  return frame.size();
+  return stream([&out](std::span<const std::uint8_t> piece) { out.write(piece); });
+}
+
+std::uint64_t CheckpointWriter::finish(std::vector<std::uint8_t>& out) const {
+  out.reserve(out.size() + kHeaderBytes + payload_size() + kTrailerBytes);
+  return stream([&out](std::span<const std::uint8_t> piece) {
+    out.insert(out.end(), piece.begin(), piece.end());
+  });
 }
 
 CheckpointReader::CheckpointReader(std::istream& in) {
-  char magic[4];
-  in.read(magic, 4);
-  if (in.gcount() != 4 || std::memcmp(magic, kMagic, 4) != 0) {
-    fail("bad magic (not an OCP1 checkpoint)");
+  // Reads one frame, sized by its length field once the header checks
+  // out, then validates it as an in-memory frame.
+  owned_.resize(kHeaderBytes);
+  in.read(reinterpret_cast<char*>(owned_.data()), kHeaderBytes);
+  auto got = static_cast<std::size_t>(in.gcount());
+  if (got == kHeaderBytes && std::memcmp(owned_.data(), kMagic, 4) == 0) {
+    const std::uint64_t rest = payload_length(owned_.data()) + kTrailerBytes;
+    owned_.resize(static_cast<std::size_t>(kHeaderBytes + rest));
+    in.read(reinterpret_cast<char*>(owned_.data() + kHeaderBytes),
+            static_cast<std::streamsize>(rest));
+    got += static_cast<std::size_t>(in.gcount());
   }
-  std::uint8_t header[16];
-  in.read(reinterpret_cast<char*>(header), 16);
-  if (in.gcount() != 16) fail("truncated header");
-  const std::uint64_t version = load_u64(header);
+  owned_.resize(got);
+  validate(owned_);
+}
+
+CheckpointReader::CheckpointReader(std::span<const std::uint8_t> frame) {
+  validate(frame);
+}
+
+std::uint64_t CheckpointReader::payload_length(const std::uint8_t* header) const {
+  const std::uint64_t version = load_u64(header + 4);
   if (version != kVersion) {
     fail("unsupported version " + std::to_string(version));
   }
-  const std::uint64_t length = load_u64(header + 8);
+  const std::uint64_t length = load_u64(header + 12);
   // Snapshots are bounded by live state, not by the dataset; refuse
   // anything over 1 GiB rather than trusting a corrupt length field.
   if (length > (std::uint64_t{1} << 30)) fail("absurd payload length");
-  payload_.resize(static_cast<std::size_t>(length));
-  in.read(reinterpret_cast<char*>(payload_.data()),
-          static_cast<std::streamsize>(length));
-  if (static_cast<std::uint64_t>(in.gcount()) != length) {
-    fail("truncated payload");
+  return length;
+}
+
+void CheckpointReader::validate(std::span<const std::uint8_t> frame) {
+  if (frame.size() < 4 || std::memcmp(frame.data(), kMagic, 4) != 0) {
+    fail("bad magic (not an OCP1 checkpoint)");
   }
-  std::uint8_t crc_bytes[4];
-  in.read(reinterpret_cast<char*>(crc_bytes), 4);
-  if (in.gcount() != 4) fail("truncated CRC trailer");
+  if (frame.size() < kHeaderBytes) fail("truncated header");
+  const std::uint64_t length = payload_length(frame.data());
+  if (frame.size() - kHeaderBytes < length) fail("truncated payload");
+  payload_ = frame.subspan(kHeaderBytes, static_cast<std::size_t>(length));
+  if (frame.size() - kHeaderBytes - payload_.size() < kTrailerBytes) {
+    fail("truncated CRC trailer");
+  }
+  const std::uint8_t* trailer = payload_.data() + payload_.size();
   std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) stored |= std::uint32_t{crc_bytes[i]} << (8 * i);
+  for (std::size_t i = 0; i < kTrailerBytes; ++i) {
+    stored |= std::uint32_t{trailer[i]} << (8 * i);
+  }
   if (stored != net::Crc32::of(payload_)) fail("CRC mismatch");
 }
 

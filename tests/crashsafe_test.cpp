@@ -45,6 +45,8 @@
 #include "orion/telescope/parallel.hpp"
 #include "orion/telescope/spsc_ring.hpp"
 
+#include "crc_pins.hpp"
+
 namespace orion {
 namespace {
 
@@ -708,6 +710,75 @@ TEST_F(CrashSafeTest, SupervisedRestoreHealsDeathBeforeFirstSnapshot) {
   EXPECT_EQ(result.health.ingested, packets.size());
   EXPECT_EQ(result.health.delivered, packets.size());
   EXPECT_TRUE(result.health.consistent());
+}
+
+// The checkpoint request is in band and logged like any batch: a worker
+// that dies on it is healed, replays the request and writes its section.
+TEST_F(CrashSafeTest, SupervisedCheckpointHealsDeathOnTheRequest) {
+  using test_pins::checkpoint_bytes;
+  using test_pins::payload_crc;
+  const std::vector<pkt::Packet> packets = packet_stream(4);
+  const std::size_t cut = packets.size() / 2;
+  constexpr std::size_t kShards = 4;
+
+  // Unsupervised reference: the snapshot at the cut, then the
+  // uninterrupted run to the end.
+  telescope::ParallelConfig plain = supervised_config(kShards);
+  plain.supervisor.enabled = false;
+  telescope::ParallelPipeline reference(scenario().darknet(), plain);
+  for (std::size_t i = 0; i < cut; ++i) reference.observe(packets[i]);
+  const std::string want_frame = checkpoint_bytes(reference);
+  for (std::size_t i = cut; i < packets.size(); ++i) reference.observe(packets[i]);
+  const telescope::ParallelResult want = reference.finish();
+
+  // Every worker dies on the second checkpoint's request. The first one
+  // flushed the pending batches, so the requests are all it pushes.
+  std::atomic<bool> at_request{false};
+  std::array<std::atomic<bool>, kShards> killed{};
+  telescope::ParallelConfig config = supervised_config(kShards);
+  config.supervisor.fault_hook = [&](std::size_t shard, std::uint64_t) {
+    if (at_request.load() && !killed[shard].exchange(true)) {
+      throw std::runtime_error("injected death on the checkpoint request");
+    }
+  };
+  telescope::ParallelPipeline pipeline(scenario().darknet(), config);
+  for (std::size_t i = 0; i < cut; ++i) pipeline.observe(packets[i]);
+  ASSERT_EQ(payload_crc(checkpoint_bytes(pipeline)), payload_crc(want_frame));
+  at_request.store(true);
+  const std::string frame = checkpoint_bytes(pipeline);
+  at_request.store(false);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_TRUE(killed[s].load()) << "shard " << s;
+  }
+  EXPECT_EQ(frame.size(), want_frame.size());
+  EXPECT_EQ(payload_crc(frame), payload_crc(want_frame));
+
+  const auto expect_uninterrupted = [&](const telescope::ParallelResult& got) {
+    EXPECT_EQ(got.dataset.events(), want.dataset.events());
+    ASSERT_EQ(got.days.size(), want.days.size());
+    for (std::size_t i = 0; i < want.days.size(); ++i) {
+      EXPECT_EQ(got.days[i], want.days[i]) << "day index " << i;
+    }
+    EXPECT_EQ(got.health.ingested, packets.size());
+    EXPECT_EQ(got.health.delivered, packets.size());
+    EXPECT_TRUE(got.health.consistent());
+  };
+
+  // The healed pipeline runs on to the uninterrupted result...
+  for (std::size_t i = cut; i < packets.size(); ++i) pipeline.observe(packets[i]);
+  const telescope::ParallelResult healed = pipeline.finish();
+  EXPECT_EQ(healed.health.worker_restarts, kShards);
+  expect_uninterrupted(healed);
+
+  // ...and so does a pipeline restored from its snapshot.
+  telescope::ParallelPipeline resumed(scenario().darknet(), supervised_config(kShards));
+  std::istringstream in(frame);
+  telescope::CheckpointReader reader(in);
+  resumed.restore(reader);
+  for (std::size_t i = cut; i < packets.size(); ++i) resumed.observe(packets[i]);
+  const telescope::ParallelResult restored = resumed.finish();
+  EXPECT_EQ(restored.health.worker_restarts, 0u);
+  expect_uninterrupted(restored);
 }
 
 TEST_F(CrashSafeTest, RestartBudgetExhaustionThrowsShardFailure) {

@@ -759,13 +759,17 @@ TEST(DayClose, PinnedShardedCheckpointBytes) {
   std::vector<pkt::Packet> packets;
   while (auto p = generator.next()) packets.push_back(*p);
 
-  telescope::ParallelConfig config;
-  config.shards = 3;
-  config.aggregator.timeout = tiny_scenario().event_timeout();
-  config.detector = tiny_config();
-  telescope::ParallelPipeline pipeline(tiny_scenario().darknet(), config);
-  for (std::size_t i = 0; i < packets.size() / 2; ++i) pipeline.observe(packets[i]);
-  EXPECT_EQ(payload_crc(checkpoint_bytes(pipeline)), 0xa24d91abu);
+  const std::pair<std::size_t, std::uint32_t> pins[] = {
+      {1, 0xe0a2d159u}, {2, 0x8b31e7f0u}, {3, 0xa24d91abu}, {5, 0xaf5fdb10u}};
+  for (const auto& [shards, pin] : pins) {
+    telescope::ParallelConfig config;
+    config.shards = shards;
+    config.aggregator.timeout = tiny_scenario().event_timeout();
+    config.detector = tiny_config();
+    telescope::ParallelPipeline pipeline(tiny_scenario().darknet(), config);
+    for (std::size_t i = 0; i < packets.size() / 2; ++i) pipeline.observe(packets[i]);
+    EXPECT_EQ(payload_crc(checkpoint_bytes(pipeline)), pin) << shards << " shards";
+  }
 }
 
 // With a sample capacity above every sample count, bottom-k keeps every

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <set>
@@ -162,6 +163,33 @@ TEST(CardinalityEstimator, PromotesToSketchAboveLimit) {
   for (std::uint64_t i = 0; i < 20000; ++i) est.add(i);
   EXPECT_FALSE(est.is_exact());
   EXPECT_NEAR(static_cast<double>(est.estimate()), 20000.0, 1800.0);
+}
+
+// exact_keys() is the canonical order AGG1 writes: it must equal std::sort
+// of the same set on both sides of the radix cutoff and for every digit
+// count (11-bit digits: 1, 2, 3 and 6 passes), key 0 included.
+TEST(CardinalityEstimator, ExactKeysEqualStdSortOfTheSameSet) {
+  constexpr std::size_t kCut = CardinalityEstimator::kRadixSortMin;
+  std::mt19937_64 rng(59);
+  for (const int width : {11, 22, 33, 64}) {
+    const std::uint64_t mask = width == 64 ? ~std::uint64_t{0}
+                                           : (std::uint64_t{1} << width) - 1;
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1}, kCut - 1, kCut,
+                                   kCut + 1, std::size_t{4096}, std::size_t{16384}}) {
+      if (size > mask) continue;  // 11-bit keys hold only 2048 values
+      std::set<std::uint64_t> keys;
+      if (size > 0) keys.insert(0);     // key 0 lives outside the slot table
+      if (size > 1) keys.insert(mask);  // the widest key needs every pass
+      while (keys.size() < size) keys.insert(rng() & mask);
+      std::vector<std::uint64_t> feed(keys.begin(), keys.end());
+      std::shuffle(feed.begin(), feed.end(), rng);
+      CardinalityEstimator est(16384);
+      for (const std::uint64_t k : feed) est.add(k);
+      ASSERT_TRUE(est.is_exact());
+      std::sort(feed.begin(), feed.end());
+      EXPECT_EQ(est.exact_keys(), feed) << width << "-bit keys, size " << size;
+    }
+  }
 }
 
 // ---------------------------------------------------------- CoverageBitset

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -639,34 +640,115 @@ TEST(CaptureCheckpoint, RejectedPacketLeavesTheCheckpointUnchanged) {
   EXPECT_EQ(capture.unique_sources(), 1u);
 }
 
-TEST(AggregatorCheckpoint, DuplicateLiveKeyIsATypedError) {
+// AGG1 payload pinned over a /8 dark space, whose destination offsets
+// reach 2^24 and so span three 11-bit radix digits; the /22 and /24 feeds
+// above have offsets below 2^10. At the cut three events are live: one
+// with 50 exact destinations (key 0 among them), one with about 12,000,
+// and one promoted past exact_dest_limit.
+TEST(AggregatorCheckpoint, PinnedWideDarkSpaceExactKeyBytes) {
+  const net::PrefixSet dark({*net::Prefix::parse("10.0.0.0/8")});
+  AggregatorConfig config;
+  config.timeout = net::Duration::hours(1);
+  struct Scan {
+    const char* src;
+    std::size_t packets;  // about half of them before the cut
+    std::uint16_t port;
+  };
+  const Scan scans[] = {{"203.0.113.7", 100, 23},
+                        {"203.0.113.8", 24000, 80},
+                        {"203.0.113.9", 36000, 443}};
+  const net::Duration span = net::Duration::minutes(30);
+  std::mt19937_64 rng(8);
+  std::vector<pkt::Packet> packets;
+  for (const Scan& scan : scans) {
+    pkt::ProbeBuilder builder(ip(scan.src), pkt::ScanTool::ZMap, net::Rng(9));
+    for (std::size_t i = 0; i < scan.packets; ++i) {
+      const net::SimTime t =
+          net::SimTime::epoch() + span * static_cast<std::int64_t>(i) /
+                                      static_cast<std::int64_t>(scan.packets);
+      const std::uint32_t offset =
+          i == 0 ? 0 : static_cast<std::uint32_t>(rng() & 0xFFFFFFu);
+      packets.push_back(
+          builder.tcp_syn(t, net::Ipv4Address(0x0A000000u | offset), scan.port));
+    }
+  }
+  std::stable_sort(packets.begin(), packets.end(),
+                   [](const pkt::Packet& a, const pkt::Packet& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+
+  EventAggregator agg(dark, config, {});
+  const std::size_t cut = packets.size() / 2;
+  for (std::size_t i = 0; i < cut; ++i) agg.observe(packets[i]);
+  EXPECT_EQ(agg.live_events(), 3u);
+  EXPECT_EQ(payload_crc(checkpoint_bytes(agg)), 0x5c3e3e79u);
+}
+
+// AGG1 payload of an aggregator with one live event: tag, config echo (4
+// fields), prefix count and the one prefix (base, length), saw-packet u8,
+// last timestamp, next sweep, five counters, then the live-event count and
+// the one entry, which runs to the end: key (src, port, type u8), start,
+// last seen, packets, per-tool packets, promoted u8, the exact-key count,
+// the exact keys and the 2^12 HLL registers.
+constexpr std::size_t kLiveCount = 8 + 4 * 8 + 8 + 2 * 8 + 1 + 2 * 8 + 5 * 8;
+constexpr std::size_t kPromoted =
+    kLiveCount + 8 + 2 * 8 + 1 + 3 * 8 + sizeof(ToolPackets);
+constexpr std::size_t kFirstKey = kPromoted + 1 + 8;
+constexpr std::size_t kRegisters = std::size_t{1} << 12;
+
+/// The AGG1 payload of an aggregator fed one probe to each destination.
+std::vector<std::uint8_t> one_event_payload(std::initializer_list<const char*> dsts) {
   EventAggregator agg(dark_space(), fast_config(), {});
-  agg.observe(probe(net::SimTime::epoch(), "203.0.113.1", "198.18.0.1", 23));
+  for (const char* dst : dsts) {
+    agg.observe(probe(net::SimTime::epoch(), "203.0.113.1", dst, 23));
+  }
   const std::string frame = checkpoint_bytes(agg);
-  // AGG1 payload: tag, config echo (4 fields), prefix count and the one
-  // prefix (base, length), saw-packet u8, last timestamp, next sweep, five
-  // counters, then the live-event count and the one entry, which runs to
-  // the end: key (src, port, type u8), start, last seen, packets, per-tool
-  // packets, promoted u8, one exact key and the 2^12 HLL registers.
-  constexpr std::size_t kLiveCount = 8 + 4 * 8 + 8 + 2 * 8 + 1 + 2 * 8 + 5 * 8;
-  constexpr std::size_t kEntry =
-      2 * 8 + 1 + 3 * 8 + sizeof(ToolPackets) + 1 + 2 * 8 + (std::size_t{1} << 12);
   // OCP1 frame: magic(4) version(8) length(8) payload crc(4).
-  std::vector<std::uint8_t> payload(frame.begin() + 20, frame.end() - 4);
-  ASSERT_EQ(payload.size(), kLiveCount + 8 + kEntry);
-  ASSERT_EQ(payload[kLiveCount], 1u);
-  const std::vector<std::uint8_t> entry(payload.end() - kEntry, payload.end());
-  payload[kLiveCount] = 2;
-  payload.insert(payload.end(), entry.begin(), entry.end());
+  return {frame.begin() + 20, frame.end() - 4};
+}
+
+/// Re-frames an edited AGG1 payload and restores it into a fresh aggregator.
+void restore_payload(const std::vector<std::uint8_t>& payload) {
   CheckpointWriter writer;
   writer.bytes(payload);
   std::ostringstream out;
   writer.finish(out);
-
   std::istringstream in(out.str());
   CheckpointReader reader(in);
   EventAggregator restored(dark_space(), fast_config(), {});
-  EXPECT_THROW(restored.restore(reader), std::runtime_error);
+  restored.restore(reader);
+}
+
+TEST(AggregatorCheckpoint, DuplicateLiveKeyIsATypedError) {
+  std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1"});
+  const std::size_t entry_bytes = kFirstKey + 8 + kRegisters - (kLiveCount + 8);
+  ASSERT_EQ(payload.size(), kLiveCount + 8 + entry_bytes);
+  ASSERT_EQ(payload[kLiveCount], 1u);
+  const std::vector<std::uint8_t> entry(payload.end() - static_cast<std::ptrdiff_t>(entry_bytes),
+                                        payload.end());
+  payload[kLiveCount] = 2;
+  payload.insert(payload.end(), entry.begin(), entry.end());
+  EXPECT_THROW(restore_payload(payload), std::runtime_error);
+}
+
+// The writer lists exact keys strictly ascending. A repeated key would
+// restore a smaller exact set than the one checkpointed.
+TEST(AggregatorCheckpoint, RepeatedExactKeyIsATypedError) {
+  std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1", "198.18.0.2"});
+  ASSERT_EQ(payload.size(), kFirstKey + 2 * 8 + kRegisters);
+  ASSERT_EQ(payload[kFirstKey - 8], 2u);
+  ASSERT_NO_THROW(restore_payload(payload));
+  std::copy_n(payload.begin() + kFirstKey, 8, payload.begin() + kFirstKey + 8);
+  EXPECT_THROW(restore_payload(payload), std::runtime_error);
+}
+
+// A promoted estimator holds no exact keys, so its list must be empty.
+TEST(AggregatorCheckpoint, PromotedEstimatorWithExactKeysIsATypedError) {
+  std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1"});
+  ASSERT_EQ(payload[kPromoted], 0u);
+  ASSERT_NO_THROW(restore_payload(payload));
+  payload[kPromoted] = 1;
+  EXPECT_THROW(restore_payload(payload), std::runtime_error);
 }
 
 }  // namespace
