@@ -18,7 +18,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -119,7 +118,7 @@ void BM_CheckpointRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     telescope::CheckpointWriter writer;
     capture.checkpoint(writer);
-    std::stringstream file;
+    std::vector<std::uint8_t> file;
     bytes = writer.finish(file);
     telescope::TelescopeCapture restored(dark_space(), {});
     telescope::CheckpointReader reader(file);

@@ -24,7 +24,7 @@
 #include <functional>
 #include <iostream>
 #include <random>
-#include <sstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,16 +72,15 @@ CaptureResult run_capture(
   feed(capture);
   telescope::CheckpointWriter writer;
   capture.checkpoint(writer);
-  std::ostringstream snapshot;
+  std::vector<std::uint8_t> snapshot;
   writer.finish(snapshot);
-  const std::string bytes = snapshot.str();
   CaptureResult result;
   // CRC of the payload, not the frame: the OCP1 frame ends with the
   // payload's own CRC-32, and the CRC-32 of any message followed by its
   // CRC is constant, so a whole-frame CRC would pin only the length.
   // Frame: magic(4) version(8) length(8) payload crc(4).
-  result.checkpoint_crc = net::Crc32::of(
-      {reinterpret_cast<const std::uint8_t*>(bytes.data()) + 20, bytes.size() - 24});
+  result.checkpoint_crc =
+      net::Crc32::of(std::span(snapshot).subspan(20, snapshot.size() - 24));
   result.events = capture.finish().events();
   return result;
 }

@@ -29,12 +29,12 @@
 //   $ ./live_monitor --shards 4 --checkpoint /tmp/monitor.ocp
 //   $ ./live_monitor --supervise --archive /tmp/telescope.archive
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "orion/detect/list_diff.hpp"
 #include "orion/detect/streaming.hpp"
@@ -60,6 +60,25 @@ int refuse_config_mismatch(const char* what) {
             << "rerun with the settings the checkpoint was taken under "
                "(e.g. the same --shards N), or start fresh without --resume.\n";
   return kExitConfigMismatch;
+}
+
+/// The --resume file's bytes, or nullopt (reported) if it cannot be read.
+std::optional<std::vector<std::uint8_t>> read_checkpoint(const std::string& path) {
+  try {
+    return orion::net::io::read_file(path);
+  } catch (const orion::net::io::IoError&) {
+    std::cerr << "cannot open resume checkpoint: " << path << "\n";
+    return std::nullopt;
+  }
+}
+
+/// Writes the --checkpoint file through the io::File seam, durably.
+void write_checkpoint(const orion::telescope::CheckpointWriter& writer,
+                      const std::string& path) {
+  orion::net::io::File out = orion::net::io::File::create(path);
+  writer.finish(out);
+  out.sync();
+  out.close();
 }
 
 }  // namespace
@@ -160,9 +179,10 @@ int main(int argc, char** argv) {
     }
 
     std::uint64_t skip_packets = 0;
-    const auto restore_from = [&](std::istream& in) -> std::optional<int> {
+    const auto restore_from =
+        [&](std::span<const std::uint8_t> frame) -> std::optional<int> {
       try {
-        telescope::CheckpointReader reader(in);
+        telescope::CheckpointReader reader(frame);
         pipeline.restore(reader);
       } catch (const telescope::ConfigMismatchError& err) {
         return refuse_config_mismatch(err.what());
@@ -177,19 +197,15 @@ int main(int argc, char** argv) {
       // was ever published; orphaned temporaries are invisible here.
       if (const auto live = archive->find("checkpoint")) {
         const auto bytes = net::io::read_file(archive->path_of(*live));
-        std::istringstream in(std::string(bytes.begin(), bytes.end()));
-        if (const auto exit_code = restore_from(in)) return *exit_code;
+        if (const auto exit_code = restore_from(bytes)) return *exit_code;
         skip_packets = pipeline.packets_ingested();
         std::cout << "resumed from archive generation " << live->generation
                   << " (" << skip_packets << " packets already ingested)\n";
       }
     } else if (!resume_path.empty()) {
-      std::ifstream in(resume_path, std::ios::binary);
-      if (!in) {
-        std::cerr << "cannot open resume checkpoint: " << resume_path << "\n";
-        return 1;
-      }
-      if (const auto exit_code = restore_from(in)) return *exit_code;
+      const auto bytes = read_checkpoint(resume_path);
+      if (!bytes) return 1;
+      if (const auto exit_code = restore_from(*bytes)) return *exit_code;
       skip_packets = pipeline.packets_ingested();
       std::cout << "resumed from " << resume_path << " (" << skip_packets
                 << " packets already ingested)\n";
@@ -209,8 +225,7 @@ int main(int argc, char** argv) {
       if (checkpoint_path.empty()) return;
       telescope::CheckpointWriter writer;
       pipeline.checkpoint(writer);
-      std::ofstream out(checkpoint_path, std::ios::binary | std::ios::trunc);
-      writer.finish(out);
+      write_checkpoint(writer, checkpoint_path);
       ++checkpoints_written;
     };
 
@@ -288,13 +303,10 @@ int main(int argc, char** argv) {
   // the (deterministic) feed it had already consumed.
   std::size_t skip_events = 0;
   if (!resume_path.empty()) {
-    std::ifstream in(resume_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "cannot open resume checkpoint: " << resume_path << "\n";
-      return 1;
-    }
+    const auto bytes = read_checkpoint(resume_path);
+    if (!bytes) return 1;
     try {
-      telescope::CheckpointReader reader(in);
+      telescope::CheckpointReader reader(*bytes);
       detector.restore(reader);
     } catch (const telescope::ConfigMismatchError& err) {
       return refuse_config_mismatch(err.what());
@@ -314,8 +326,7 @@ int main(int argc, char** argv) {
     if (checkpoint_path.empty()) return;
     telescope::CheckpointWriter writer;
     detector.checkpoint(writer);
-    std::ofstream out(checkpoint_path, std::ios::binary | std::ios::trunc);
-    writer.finish(out);
+    write_checkpoint(writer, checkpoint_path);
     ++checkpoints_written;
   };
 

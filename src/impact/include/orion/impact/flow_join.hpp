@@ -207,7 +207,9 @@ class FlowImpactAnalyzer {
   /// (0: hardware concurrency). Results are identical to the lazy path
   /// for every thread count: each cell's index is a pure function of its
   /// rows, and the merge into the cache happens in cell order on the
-  /// calling thread.
+  /// calling thread. If a cell's build throws, the first failing cell's
+  /// exception is rethrown on the calling thread and the cache is left
+  /// as it was.
   void prebuild_indexes(std::size_t n_threads = 0) const;
 
   /// THE query API: every Section 4 number for one (router, day, sources)

@@ -1,6 +1,7 @@
 #include "orion/impact/flow_join.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 
@@ -305,19 +306,31 @@ void FlowImpactAnalyzer::prebuild_indexes(std::size_t n_threads) const {
       built[i] = build_index(pending[i].router, pending[i].day);
     }
   } else {
+    // A build can throw (a bit-rotted block's rows out of order). Each
+    // worker stops at its first failure and hands it back here; the
+    // ranges are contiguous and in cell order, so the first one found
+    // below is the first failing cell — what the serial path throws.
+    std::vector<std::exception_ptr> failed(n_threads);
     const std::size_t per = (pending.size() + n_threads - 1) / n_threads;
     std::vector<std::thread> threads;
     threads.reserve(n_threads);
     for (std::size_t t = 0; t < n_threads; ++t) {
       const std::size_t lo = std::min(pending.size(), t * per);
       const std::size_t hi = std::min(pending.size(), lo + per);
-      threads.emplace_back([this, &pending, &built, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i) {
-          built[i] = build_index(pending[i].router, pending[i].day);
+      threads.emplace_back([this, &pending, &built, &failed, t, lo, hi] {
+        try {
+          for (std::size_t i = lo; i < hi; ++i) {
+            built[i] = build_index(pending[i].router, pending[i].day);
+          }
+        } catch (...) {
+          failed[t] = std::current_exception();
         }
       });
     }
     for (std::thread& th : threads) th.join();
+    for (const std::exception_ptr& failure : failed) {
+      if (failure) std::rethrow_exception(failure);
+    }
   }
   for (std::size_t i = 0; i < pending.size(); ++i) {
     index_cache_.emplace(pending[i], std::move(built[i]));

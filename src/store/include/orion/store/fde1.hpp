@@ -88,10 +88,11 @@ struct Fde1Segment {
 };
 
 /// Writes explicit segments in FDE1 form; returns total bytes written.
-/// Segments must be strictly increasing in (router, day) with every day
-/// inside [start_day, end_day), and every row must carry its segment's
-/// router, a timestamp inside its segment's day, and keep the sorted
-/// order above — std::invalid_argument otherwise. Every write goes
+/// The window [start_day, end_day) may span at most 2^16 days. Segments
+/// must be strictly increasing in (router, day) with every day inside
+/// the window, and every row must carry its segment's router, a
+/// timestamp inside its segment's day, and keep the sorted order above
+/// — std::invalid_argument otherwise. Every write goes
 /// through the io::File seam (EINTR retries, short-write completion,
 /// FaultFs crash-matrix visibility); errors surface as net::io::IoError.
 std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,

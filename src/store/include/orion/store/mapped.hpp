@@ -11,6 +11,7 @@
 // pipeline uses, applied to at-rest data.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "orion/store/file_bytes.hpp"
 #include "orion/store/ode2.hpp"
 #include "orion/telescope/event.hpp"
 
@@ -59,6 +61,31 @@ struct BlockMeta {
   std::uint32_t crc = 0;  // CRC-32 of the block's padded bytes
 };
 
+/// An ODE2 header whose magic, CRC, counts and geometry checked out.
+struct Ode2Header {
+  std::uint64_t darknet_size = 0;
+  std::uint64_t event_count = 0;
+  std::uint64_t block_events = kOde2DefaultBlockEvents;
+  std::uint64_t footer_offset = 0;
+
+  std::uint64_t block_count() const {
+    return event_count == 0 ? 0 : (event_count + block_events - 1) / block_events;
+  }
+  /// Rows in block `k` (every block is full but the last).
+  std::uint64_t block_rows(std::uint64_t k) const {
+    return std::min(block_events, event_count - k * block_events);
+  }
+};
+
+/// An ODE2 footer whose CRC, day window, day index and block metadata
+/// checked out against its header.
+struct Ode2Footer {
+  std::int64_t first_day = 0;
+  std::int64_t last_day = -1;
+  std::vector<std::uint64_t> day_start;  // day_count + 1 boundaries
+  std::vector<BlockMeta> blocks;
+};
+
 /// Row proxy handed to for_each_event callbacks: the DarknetEvent read
 /// interface (key/start/end/packets/unique_dests/day/dispersion) built
 /// from column loads on the stack — no heap, no tool columns touched.
@@ -79,28 +106,24 @@ struct EventRow {
 
 class MappedEventStore {
  public:
-  /// Strict open: maps the file and verifies magic, header CRC, geometry
-  /// and footer CRC (block payloads stay lazy — verify_blocks() checks
-  /// them on demand). Throws std::runtime_error with context on any
-  /// mismatch.
+  /// Strict open: maps the file and verifies magic, header CRC, geometry,
+  /// footer CRC and the footer's structure (block payloads stay lazy —
+  /// verify_blocks() checks them on demand). Throws std::runtime_error
+  /// with context on any mismatch.
   explicit MappedEventStore(const std::string& path);
-  ~MappedEventStore();
 
-  MappedEventStore(MappedEventStore&& other) noexcept;
-  MappedEventStore& operator=(MappedEventStore&& other) noexcept;
-  MappedEventStore(const MappedEventStore&) = delete;
-  MappedEventStore& operator=(const MappedEventStore&) = delete;
-
-  std::uint64_t darknet_size() const { return darknet_size_; }
-  std::size_t event_count() const { return static_cast<std::size_t>(event_count_); }
-  std::int64_t first_day() const { return first_day_; }
-  std::int64_t last_day() const { return last_day_; }
-  std::uint64_t block_events() const { return block_events_; }
-  std::size_t block_count() const { return blocks_.size(); }
-  const std::vector<BlockMeta>& blocks() const { return blocks_; }
-  std::uint64_t file_bytes() const { return size_; }
+  std::uint64_t darknet_size() const { return header_.darknet_size; }
+  std::size_t event_count() const {
+    return static_cast<std::size_t>(header_.event_count);
+  }
+  std::int64_t first_day() const { return footer_.first_day; }
+  std::int64_t last_day() const { return footer_.last_day; }
+  std::uint64_t block_events() const { return header_.block_events; }
+  std::size_t block_count() const { return footer_.blocks.size(); }
+  const std::vector<BlockMeta>& blocks() const { return footer_.blocks; }
+  std::uint64_t file_bytes() const { return file_.size(); }
   /// False when the portable read-into-buffer fallback is serving reads.
-  bool mapped() const { return mapped_; }
+  bool mapped() const { return file_.mapped(); }
 
   BlockView block(std::size_t k) const;
 
@@ -127,8 +150,8 @@ class MappedEventStore {
   void for_each_block(std::int64_t day_lo, std::int64_t day_hi,
                       std::uint32_t src_lo, std::uint32_t src_hi,
                       Fn&& fn) const {
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      const BlockMeta& meta = blocks_[k];
+    for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
+      const BlockMeta& meta = footer_.blocks[k];
       if (meta.max_day < day_lo || meta.min_day > day_hi) continue;
       if (meta.max_src < src_lo || meta.min_src > src_hi) continue;
       fn(block(k));
@@ -136,21 +159,25 @@ class MappedEventStore {
   }
 
   /// Calls fn(const EventRow&) for every event in row (= dataset) order.
+  /// A row whose start day lies outside [first_day(), last_day()] (block
+  /// payloads are not CRC-checked on this path) throws
+  /// std::runtime_error, so consumers may index per-day tables by it.
   template <typename Fn>
   void for_each_event(Fn&& fn) const {
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
+    for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
       const BlockView view = block(k);
       for (std::size_t i = 0; i < view.rows(); ++i) fn(row_of(view, i));
     }
   }
 
   /// Calls fn(const EventRow&) for every event starting on `day`, using
-  /// the day index to touch only that row range.
+  /// the day index to touch only that row range. Rows are checked
+  /// against the day window as in for_each_event().
   template <typename Fn>
   void for_each_event_on_day(std::int64_t day, Fn&& fn) const {
     const auto [begin, end] = day_range(day);
     if (begin >= end) return;
-    const std::uint64_t b = block_events_;
+    const std::uint64_t b = header_.block_events;
     for (std::uint64_t k = begin / b; k * b < end; ++k) {
       const BlockView view = block(static_cast<std::size_t>(k));
       const std::uint64_t lo = begin > k * b ? begin - k * b : 0;
@@ -171,7 +198,7 @@ class MappedEventStore {
   template <typename State, typename PerBlock, typename Merge>
   State parallel_scan(std::size_t n_threads, PerBlock per_block,
                       Merge merge) const {
-    const std::size_t nb = blocks_.size();
+    const std::size_t nb = footer_.blocks.size();
     if (n_threads == 0) {
       n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
     }
@@ -203,7 +230,7 @@ class MappedEventStore {
   }
 
  private:
-  static EventRow row_of(const BlockView& view, std::size_t i) {
+  EventRow row_of(const BlockView& view, std::size_t i) const {
     EventRow row;
     row.key.src = net::Ipv4Address(view.src[i]);
     row.key.dst_port = view.dst_port[i];
@@ -212,23 +239,16 @@ class MappedEventStore {
     row.end = net::SimTime::at(net::Duration::nanos(view.end_ns[i]));
     row.packets = view.packets[i];
     row.unique_dests = view.unique_dests[i];
+    if (row.day() < footer_.first_day || row.day() > footer_.last_day) {
+      row_outside_window(view.first_row + i);
+    }
     return row;
   }
+  [[noreturn]] static void row_outside_window(std::uint64_t row);
 
-  void close() noexcept;
-
-  const std::uint8_t* data_ = nullptr;
-  std::uint64_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<std::uint64_t> fallback_;  // owns the bytes when !mapped_
-
-  std::uint64_t darknet_size_ = 0;
-  std::uint64_t event_count_ = 0;
-  std::uint64_t block_events_ = kOde2DefaultBlockEvents;
-  std::int64_t first_day_ = 0;
-  std::int64_t last_day_ = -1;
-  std::vector<std::uint64_t> day_start_;  // day_count + 1 boundaries
-  std::vector<BlockMeta> blocks_;
+  FileBytes file_;
+  Ode2Header header_;
+  Ode2Footer footer_;
 };
 
 }  // namespace orion::store

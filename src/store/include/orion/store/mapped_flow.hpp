@@ -11,6 +11,7 @@
 // of MappedEventStore.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "orion/flowsim/flow_batch.hpp"
 #include "orion/flowsim/flows.hpp"
 #include "orion/store/fde1.hpp"
+#include "orion/store/file_bytes.hpp"
 #include "orion/store/mapped.hpp"
 
 namespace orion::store {
@@ -54,6 +56,31 @@ struct FlowBlockMeta {
   std::uint32_t crc = 0;  // CRC-32 of the block's padded bytes
 };
 
+/// An FDE1 header whose magic, CRC, counts and geometry checked out.
+struct Fde1Header {
+  std::uint32_t sampling_rate = 0;
+  std::uint64_t flow_count = 0;
+  std::uint64_t block_flows = kFde1DefaultBlockFlows;
+  std::uint64_t footer_offset = 0;
+
+  std::uint64_t block_count() const {
+    return flow_count == 0 ? 0 : (flow_count + block_flows - 1) / block_flows;
+  }
+  /// Rows in block `k` (every block is full but the last).
+  std::uint64_t block_rows(std::uint64_t k) const {
+    return std::min(block_flows, flow_count - k * block_flows);
+  }
+};
+
+/// An FDE1 footer whose CRC, day window, segment index and block metadata
+/// checked out against its header.
+struct Fde1Footer {
+  std::int64_t start_day = 0;
+  std::int64_t end_day = 0;
+  std::vector<FlowSegment> segments;  // sorted by (router, day)
+  std::vector<FlowBlockMeta> blocks;
+};
+
 class MappedFlowStore {
  public:
   /// Strict open: maps the file and verifies magic, header CRC, geometry,
@@ -61,24 +88,20 @@ class MappedFlowStore {
   /// verify_blocks() checks them on demand). Throws std::runtime_error
   /// with context on any mismatch.
   explicit MappedFlowStore(const std::string& path);
-  ~MappedFlowStore();
 
-  MappedFlowStore(MappedFlowStore&& other) noexcept;
-  MappedFlowStore& operator=(MappedFlowStore&& other) noexcept;
-  MappedFlowStore(const MappedFlowStore&) = delete;
-  MappedFlowStore& operator=(const MappedFlowStore&) = delete;
-
-  std::uint32_t sampling_rate() const { return sampling_rate_; }
-  std::size_t flow_count() const { return static_cast<std::size_t>(flow_count_); }
-  std::int64_t start_day() const { return start_day_; }
-  std::int64_t end_day() const { return end_day_; }
-  std::uint64_t block_flows() const { return block_flows_; }
-  std::size_t block_count() const { return blocks_.size(); }
-  const std::vector<FlowBlockMeta>& blocks() const { return blocks_; }
-  const std::vector<FlowSegment>& segments() const { return segments_; }
-  std::uint64_t file_bytes() const { return size_; }
+  std::uint32_t sampling_rate() const { return header_.sampling_rate; }
+  std::size_t flow_count() const {
+    return static_cast<std::size_t>(header_.flow_count);
+  }
+  std::int64_t start_day() const { return footer_.start_day; }
+  std::int64_t end_day() const { return footer_.end_day; }
+  std::uint64_t block_flows() const { return header_.block_flows; }
+  std::size_t block_count() const { return footer_.blocks.size(); }
+  const std::vector<FlowBlockMeta>& blocks() const { return footer_.blocks; }
+  const std::vector<FlowSegment>& segments() const { return footer_.segments; }
+  std::uint64_t file_bytes() const { return file_.size(); }
   /// False when the portable read-into-buffer fallback is serving reads.
-  bool mapped() const { return mapped_; }
+  bool mapped() const { return file_.mapped(); }
 
   FlowView block(std::size_t k) const;
 
@@ -111,8 +134,8 @@ class MappedFlowStore {
   template <typename Fn>
   void for_each_block(std::uint32_t src_lo, std::uint32_t src_hi,
                       Fn&& fn) const {
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      const FlowBlockMeta& meta = blocks_[k];
+    for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
+      const FlowBlockMeta& meta = footer_.blocks[k];
       if (meta.max_src < src_lo || meta.min_src > src_hi) continue;
       fn(block(k));
     }
@@ -124,7 +147,7 @@ class MappedFlowStore {
   template <typename Fn>
   void for_each_span(std::uint64_t begin, std::uint64_t end, Fn&& fn) const {
     if (begin >= end) return;
-    const std::uint64_t b = block_flows_;
+    const std::uint64_t b = header_.block_flows;
     for (std::uint64_t k = begin / b; k * b < end; ++k) {
       const FlowView view = block(static_cast<std::size_t>(k));
       const std::uint64_t lo = begin > k * b ? begin - k * b : 0;
@@ -134,20 +157,9 @@ class MappedFlowStore {
   }
 
  private:
-  void close() noexcept;
-
-  const std::uint8_t* data_ = nullptr;
-  std::uint64_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<std::uint64_t> fallback_;  // owns the bytes when !mapped_
-
-  std::uint32_t sampling_rate_ = 0;
-  std::uint64_t flow_count_ = 0;
-  std::uint64_t block_flows_ = kFde1DefaultBlockFlows;
-  std::int64_t start_day_ = 0;
-  std::int64_t end_day_ = 0;
-  std::vector<FlowSegment> segments_;  // sorted by (router, day)
-  std::vector<FlowBlockMeta> blocks_;
+  FileBytes file_;
+  Fde1Header header_;
+  Fde1Footer footer_;
 };
 
 }  // namespace orion::store

@@ -29,7 +29,8 @@
 // Integrity: the header and footer carry CRC-32s, each block's CRC lives
 // in the footer, and the salvage reader recovers every complete valid
 // block preceding the first error — falling back to header-derived
-// geometry when truncation took the footer itself.
+// geometry when the footer does not parse (truncated away, or failing
+// the same checks the strict open applies).
 #pragma once
 
 #include <cstdint>

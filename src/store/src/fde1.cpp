@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -17,13 +18,6 @@ namespace orion::store {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'D', 'E', '1'};
-
-std::uint64_t total_block_bytes(std::uint64_t n, std::uint64_t b) {
-  if (n == 0) return 0;
-  const std::uint64_t full = n / b;
-  const std::uint64_t rest = n % b;
-  return full * fde1_block_bytes(b) + (rest ? fde1_block_bytes(rest) : 0);
-}
 
 /// The global archive order every row must respect: segments strictly
 /// increase in (router, day), rows within a segment keep the
@@ -50,6 +44,10 @@ void validate_segments(std::int64_t start_day, std::int64_t end_day,
                        std::uint64_t& flow_count) {
   if (start_day > end_day) {
     throw std::invalid_argument("fde1 store: start_day > end_day");
+  }
+  if (static_cast<std::uint64_t>(end_day) - static_cast<std::uint64_t>(start_day) >
+      detail::kMaxWindowDays) {
+    throw std::invalid_argument("fde1 store: day window too wide");
   }
   if (segments.size() > detail::kMaxSegmentCount) {
     throw std::invalid_argument("fde1 store: too many segments");
@@ -118,7 +116,7 @@ std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
 
   const std::uint64_t b = block_flows;
   const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-  const std::uint64_t footer_offset = kFde1HeaderBytes + total_block_bytes(n, b);
+  const std::uint64_t footer_offset = detail::fde1_footer_offset(n, b);
 
   std::vector<std::uint8_t> header;
   header.reserve(kFde1HeaderBytes);
@@ -287,171 +285,72 @@ std::uint64_t write_flows_fde1_file(std::uint32_t sampling_rate,
   return bytes;
 }
 
-namespace {
-
-/// Parsed, CRC-verified header fields (salvage-side; returns false with
-/// `error` set instead of throwing).
-struct FlowHeader {
-  std::uint64_t sampling_rate = 0;
-  std::uint64_t flow_count = 0;
-  std::uint64_t block_flows = 0;
-  std::uint64_t footer_offset = 0;
-};
-
-bool parse_flow_header(const std::vector<std::uint8_t>& bytes, FlowHeader& h,
-                       std::string& error) {
-  if (bytes.size() < kFde1HeaderBytes) {
-    error = "fde1 store: truncated header";
-    return false;
-  }
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    error = "fde1 store: bad magic (not an FDE1 file)";
-    return false;
-  }
-  const std::uint32_t stored_crc = detail::get_u32(bytes.data() + 4);
-  if (net::Crc32::of({bytes.data() + 8, 32}) != stored_crc) {
-    error = "fde1 store: header CRC mismatch";
-    return false;
-  }
-  h.sampling_rate = detail::get_u64(bytes.data() + 8);
-  h.flow_count = detail::get_u64(bytes.data() + 16);
-  h.block_flows = detail::get_u64(bytes.data() + 24);
-  h.footer_offset = detail::get_u64(bytes.data() + 32);
-  if (h.flow_count > detail::kMaxFlowCount) {
-    error = "fde1 store: absurd flow count";
-    return false;
-  }
-  if (h.block_flows == 0 || h.block_flows > detail::kMaxBlockFlows) {
-    error = "fde1 store: absurd block size";
-    return false;
-  }
-  if (h.footer_offset !=
-      kFde1HeaderBytes + total_block_bytes(h.flow_count, h.block_flows)) {
-    error = "fde1 store: header geometry mismatch";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Fde1SalvageResult read_flows_fde1_salvage(const std::string& path) {
   Fde1SalvageResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    result.error = "fde1 store: cannot open " + path;
+  const auto fail = [&result](const std::string& what) {
+    result.error = "fde1 store: " + what;
+  };
+  std::string error;
+  const FileBytes file = FileBytes::open(path, error);
+  Fde1Header header;
+  if (!error.empty() || !detail::parse_fde1_header(file.bytes(), header, error)) {
+    fail(error);
     return result;
   }
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
+  result.sampling_rate = header.sampling_rate;
+  result.declared_count = header.flow_count;
 
-  FlowHeader h;
-  if (!parse_flow_header(bytes, h, result.error)) {
-    return result;
-  }
-  result.sampling_rate = static_cast<std::uint32_t>(h.sampling_rate);
-  result.declared_count = h.flow_count;
-  const std::uint64_t n = h.flow_count;
-  const std::uint64_t b = h.block_flows;
-  const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-
-  // Try the footer; its CRC decides whether per-block CRCs are usable and
-  // whether the segment index (row ranges + totals) can be trusted.
-  std::vector<std::uint32_t> block_crcs;
-  if (h.footer_offset + 32 <= bytes.size()) {
-    const std::uint8_t* f = bytes.data() + h.footer_offset;
-    const std::uint64_t segment_count = detail::get_u64(f + 16);
-    const std::uint64_t footer_blocks = detail::get_u64(f + 24);
-    const std::uint64_t footer_bytes =
-        32 + kFde1SegmentBytes * segment_count +
-        (kFde1BlockMetaBytes + 4) * footer_blocks + 4;
-    if (footer_blocks == block_count &&
-        segment_count <= detail::kMaxSegmentCount &&
-        h.footer_offset + footer_bytes == bytes.size()) {
-      const std::uint32_t stored =
-          detail::get_u32(bytes.data() + bytes.size() - 4);
-      if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) ==
-          stored) {
-        result.footer_intact = true;
-        result.start_day = detail::get_i64(f);
-        result.end_day = detail::get_i64(f + 8);
-        result.segments.resize(static_cast<std::size_t>(segment_count));
-        const std::uint8_t* cursor = f + 32;
-        for (std::uint64_t s = 0; s < segment_count;
-             ++s, cursor += kFde1SegmentBytes) {
-          FlowSegment& seg = result.segments[static_cast<std::size_t>(s)];
-          seg.router = static_cast<std::size_t>(detail::get_u64(cursor));
-          seg.day = detail::get_i64(cursor + 8);
-          seg.row_begin = detail::get_u64(cursor + 16);
-          seg.row_end = s + 1 < segment_count
-                            ? detail::get_u64(cursor + kFde1SegmentBytes + 16)
-                            : n;
-          seg.total_packets = detail::get_u64(cursor + 24);
-          seg.user_packets = detail::get_u64(cursor + 32);
-          seg.scanner_packets = detail::get_u64(cursor + 40);
-        }
-        cursor += kFde1BlockMetaBytes * block_count;
-        for (std::uint64_t k = 0; k < block_count; ++k, cursor += 4) {
-          block_crcs.push_back(detail::get_u32(cursor));
-        }
-      }
-    }
+  // A footer that parses makes the per-block CRCs usable and the segment
+  // index (row ranges + totals) trustworthy.
+  Fde1Footer footer;
+  result.footer_intact =
+      detail::parse_fde1_footer(file.bytes(), header, footer, error);
+  if (result.footer_intact) {
+    result.start_day = footer.start_day;
+    result.end_day = footer.end_day;
+    result.segments = std::move(footer.segments);
   }
 
   // Recover the prefix of complete, valid blocks (CRC-checked when the
   // footer survived; order-validated against the global archive order
   // when it did not — flow fields are total, so order is the structure).
-  result.complete = result.footer_intact;
-  RowOrderKey last{};
-  bool has_last = false;
+  std::optional<RowOrderKey> last;
   std::uint64_t offset = kFde1HeaderBytes;
-  for (std::uint64_t k = 0; k < block_count; ++k) {
-    const std::uint64_t rows = std::min(b, n - k * b);
-    const std::uint64_t block_bytes = fde1_block_bytes(rows);
-    if (offset + block_bytes > bytes.size()) {
-      result.complete = false;
-      result.error = "fde1 store: truncated block " + std::to_string(k);
+  for (std::uint64_t k = 0; k < header.block_count(); ++k) {
+    const std::uint64_t block_bytes = fde1_block_bytes(header.block_rows(k));
+    if (offset + block_bytes > file.size()) {
+      fail("truncated block " + std::to_string(k));
       break;
     }
-    const std::uint8_t* base = bytes.data() + offset;
+    const std::uint8_t* base = file.data() + offset;
+    const FlowView view =
+        detail::fde1_block_view(base, header.block_rows(k), result.rows.size());
     if (result.footer_intact) {
       if (net::Crc32::of({base, static_cast<std::size_t>(block_bytes)}) !=
-          block_crcs[static_cast<std::size_t>(k)]) {
-        result.complete = false;
-        result.error =
-            "fde1 store: block " + std::to_string(k) + " CRC mismatch";
+          footer.blocks[static_cast<std::size_t>(k)].crc) {
+        fail("block " + std::to_string(k) + " CRC mismatch");
         break;
       }
     } else {
       bool ordered = true;
-      RowOrderKey scan_last = last;
-      bool scan_has_last = has_last;
-      for (std::uint64_t i = 0; i < rows; ++i) {
-        const RowOrderKey key =
-            key_of(detail::decode_flow_row(base, rows, i));
-        if (scan_has_last && key < scan_last) {
-          ordered = false;
-          break;
-        }
-        scan_last = key;
-        scan_has_last = true;
+      for (std::size_t i = 0; i < view.rows() && ordered; ++i) {
+        const RowOrderKey key = key_of(view.record(i));
+        ordered = !last || *last <= key;
+        last = key;
       }
       if (!ordered) {
-        result.complete = false;
-        result.error =
-            "fde1 store: rows out of order in block " + std::to_string(k);
+        fail("rows out of order in block " + std::to_string(k));
         break;
       }
     }
-    for (std::uint64_t i = 0; i < rows; ++i) {
-      result.rows.push_back(detail::decode_flow_row(base, rows, i));
+    for (std::size_t i = 0; i < view.rows(); ++i) {
+      result.rows.push_back(view.record(i));
     }
-    last = key_of(result.rows.record_at(result.rows.size() - 1));
-    has_last = true;
     offset += block_bytes;
   }
+  result.complete = result.footer_intact && result.error.empty();
   if (!result.footer_intact && result.error.empty()) {
-    result.error = "fde1 store: footer missing or corrupt";
+    fail("footer missing or corrupt");
   }
   result.recovered_count = result.rows.size();
   return result;

@@ -1,13 +1,15 @@
-// Internal FDE1 byte-layout helpers shared by the writer (fde1.cpp) and
-// the mapped reader (mapped_flow.cpp). Not installed. The flow-side
-// sibling of layout.hpp; the little-endian zero-copy contract asserted
-// there covers these views too (both headers are store-internal).
+// Internal FDE1 byte-layout helpers shared by the writer and salvage
+// reader (fde1.cpp) and the mapped reader (mapped_flow.cpp), including the
+// one header parse and the one footer parse both readers call. Not
+// installed. The flow-side sibling of layout.hpp; the little-endian
+// zero-copy contract asserted there covers these views too (both headers
+// are store-internal).
 #pragma once
 
 #include <cstdint>
 
 #include "layout.hpp"
-#include "orion/flowsim/flow_batch.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 namespace orion::store::detail {
 
@@ -31,33 +33,37 @@ struct FlowColumnLayout {
         proto(38 * m) {}
 };
 
-/// Gathers row `i` of a block at `base` holding `m` rows into a full
-/// FlowRecord. Reads unverified bytes in salvage — every field is total
-/// (any byte pattern is a value), so no per-field validation is needed;
-/// salvage validates row ORDER instead (see fde1.cpp).
-inline flowsim::FlowRecord decode_flow_row(const std::uint8_t* base,
-                                           std::uint64_t m, std::uint64_t i) {
-  const FlowColumnLayout at(m);
-  flowsim::FlowRecord r;
-  r.ts_ns = get_i64(base + at.ts + 8 * i);
-  r.packets = get_u64(base + at.packets + 8 * i);
-  r.bytes = get_u64(base + at.bytes + 8 * i);
-  r.src = net::Ipv4Address(get_u32(base + at.src + 4 * i));
-  r.dst = net::Ipv4Address(get_u32(base + at.dst + 4 * i));
-  std::uint16_t u16;
-  std::memcpy(&u16, base + at.src_port + 2 * i, 2);
-  r.src_port = u16;
-  std::memcpy(&u16, base + at.dst_port + 2 * i, 2);
-  r.dst_port = u16;
-  std::memcpy(&u16, base + at.router + 2 * i, 2);
-  r.router = u16;
-  r.proto = base[at.proto + i];
-  return r;
-}
-
 constexpr std::uint64_t kMaxFlowCount = std::uint64_t{1} << 27;
 constexpr std::uint64_t kMaxBlockFlows = std::uint64_t{1} << 24;
 constexpr std::uint64_t kMaxSegmentCount = std::uint64_t{1} << 22;
+/// Widest [start_day, end_day) window (~179 years). Nothing in the file
+/// is sized by the window, but to_dataset() allocates a cell per
+/// (router, day) of it, so a footer may not claim an unbounded one.
+constexpr std::uint64_t kMaxWindowDays = std::uint64_t{1} << 16;
+
+/// Where the footer of `n` rows cut into blocks of `b` starts.
+inline std::uint64_t fde1_footer_offset(std::uint64_t n, std::uint64_t b) {
+  return kFde1HeaderBytes + n / b * fde1_block_bytes(b) +
+         (n % b ? fde1_block_bytes(n % b) : 0);
+}
+
+/// Checks an FDE1 file's magic, header CRC, counts and geometry into
+/// `header`. Returns false with the reason in `error` (unprefixed; the
+/// strict open throws it, salvage reports it) instead of throwing.
+bool parse_fde1_header(std::span<const std::uint8_t> file, Fde1Header& header,
+                       std::string& error);
+
+/// Checks the footer `header` locates — its extent, CRC, day window,
+/// segment index and block metadata — into `footer`; false with `error`
+/// as above. Every count is bounded before it sizes arithmetic or memory.
+bool parse_fde1_footer(std::span<const std::uint8_t> file,
+                       const Fde1Header& header, Fde1Footer& footer,
+                       std::string& error);
+
+/// The column spans of a block of `rows` rows whose first byte is `base`
+/// (8-aligned) and whose row 0 is global row `first_row`.
+FlowView fde1_block_view(const std::uint8_t* base, std::uint64_t rows,
+                         std::size_t first_row);
 
 constexpr std::int64_t kNanosPerDay = std::int64_t{86'400'000'000'000};
 

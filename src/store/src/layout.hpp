@@ -1,19 +1,22 @@
-// Internal ODE2 byte-layout helpers shared by the writer (ode2.cpp) and
-// the mapped reader (mapped.cpp). Not installed.
+// Internal ODE2 byte-layout helpers shared by the writer and salvage
+// reader (ode2.cpp) and the mapped reader (mapped.cpp), including the one
+// header parse and the one footer parse both readers call. Not installed.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
-#include "orion/telescope/event.hpp"
+#include "orion/store/mapped.hpp"
 
 namespace orion::store::detail {
 
 // The zero-copy contract: column bytes are reinterpreted as host
 // integers, so the on-disk little-endian layout must be the host layout.
-// (The portable fallback in mapped.cpp covers hosts without mmap, not
+// (The portable fallback in file_bytes.cpp covers hosts without mmap, not
 // big-endian hosts — those would need a byte-swapping decode pass.)
 static_assert(std::endian::native == std::endian::little,
               "ODE2 zero-copy reads require a little-endian host");
@@ -58,29 +61,37 @@ struct ColumnLayout {
         type(70 * m) {}
 };
 
-/// Gathers row `i` of a block at `base` holding `m` rows into a full
-/// DarknetEvent. Does NOT validate the traffic type — callers that read
-/// unverified bytes (salvage) must check it first.
-inline telescope::DarknetEvent decode_row(const std::uint8_t* base,
-                                          std::uint64_t m, std::uint64_t i) {
-  const ColumnLayout at(m);
-  telescope::DarknetEvent e;
-  e.key.src = net::Ipv4Address(get_u32(base + at.src + 4 * i));
-  std::uint16_t port;
-  std::memcpy(&port, base + at.port + 2 * i, 2);
-  e.key.dst_port = port;
-  e.key.type = static_cast<pkt::TrafficType>(base[at.type + i]);
-  e.start = net::SimTime::at(net::Duration::nanos(get_i64(base + at.start + 8 * i)));
-  e.end = net::SimTime::at(net::Duration::nanos(get_i64(base + at.end + 8 * i)));
-  e.packets = get_u64(base + at.packets + 8 * i);
-  e.unique_dests = get_u64(base + at.dests + 8 * i);
-  for (std::size_t t = 0; t < e.packets_by_tool.size(); ++t) {
-    e.packets_by_tool[t] = get_u64(base + at.tool[t] + 8 * i);
-  }
-  return e;
-}
-
 constexpr std::uint64_t kMaxEventCount = std::uint64_t{1} << 27;  // ~9 GB of rows
 constexpr std::uint64_t kMaxBlockEvents = std::uint64_t{1} << 24;
+
+/// Where the footer of `n` rows cut into blocks of `b` starts.
+inline std::uint64_t ode2_footer_offset(std::uint64_t n, std::uint64_t b) {
+  return kOde2HeaderBytes + n / b * ode2_block_bytes(b) +
+         (n % b ? ode2_block_bytes(n % b) : 0);
+}
+
+/// Sets `error` and returns false: the parse functions' failure exit.
+inline bool reject(std::string& error, const char* why) {
+  error = why;
+  return false;
+}
+
+/// Checks an ODE2 file's magic, header CRC, counts and geometry into
+/// `header`. Returns false with the reason in `error` (unprefixed; the
+/// strict open throws it, salvage reports it) instead of throwing.
+bool parse_ode2_header(std::span<const std::uint8_t> file, Ode2Header& header,
+                       std::string& error);
+
+/// Checks the footer `header` locates — its extent, CRC, day window,
+/// day index and block metadata — into `footer`; false with `error` as
+/// above. Every count is bounded before it sizes arithmetic or memory.
+bool parse_ode2_footer(std::span<const std::uint8_t> file,
+                       const Ode2Header& header, Ode2Footer& footer,
+                       std::string& error);
+
+/// The column spans of a block of `rows` rows whose first byte is `base`
+/// (8-aligned) and whose row 0 is global row `first_row`.
+BlockView ode2_block_view(const std::uint8_t* base, std::uint64_t rows,
+                          std::size_t first_row);
 
 }  // namespace orion::store::detail

@@ -2,21 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 #include "layout.hpp"
 #include "orion/netbase/crc32.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ORION_STORE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define ORION_STORE_HAVE_MMAP 0
-#endif
 
 namespace orion::store {
 
@@ -43,187 +32,104 @@ telescope::DarknetEvent BlockView::event(std::size_t i) const {
   return e;
 }
 
-MappedEventStore::MappedEventStore(const std::string& path) {
-#if ORION_STORE_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st{};
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* map = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-      if (map != MAP_FAILED) {
-        data_ = static_cast<const std::uint8_t*>(map);
-        size_ = static_cast<std::uint64_t>(st.st_size);
-        mapped_ = true;
-      }
-    }
-    ::close(fd);
+namespace detail {
+
+bool parse_ode2_header(std::span<const std::uint8_t> file, Ode2Header& h,
+                       std::string& error) {
+  if (file.size() < kOde2HeaderBytes) return reject(error, "truncated header");
+  const std::uint8_t* p = file.data();
+  if (std::memcmp(p, "ODE2", 4) != 0) {
+    return reject(error, "bad magic (not an ODE2 file)");
   }
-#endif
-  if (!mapped_) {
-    // Portable fallback: the whole file in an 8-aligned heap buffer, so
-    // the span views work identically (just without demand paging).
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) fail("cannot open " + path);
-    const std::streamoff bytes = in.tellg();
-    in.seekg(0);
-    fallback_.resize(static_cast<std::size_t>((bytes + 7) / 8), 0);
-    if (bytes > 0 &&
-        !in.read(reinterpret_cast<char*>(fallback_.data()), bytes)) {
-      fail("short read of " + path);
-    }
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-    size_ = static_cast<std::uint64_t>(bytes);
+  if (net::Crc32::of({p + 8, 32}) != get_u32(p + 4)) {
+    return reject(error, "header CRC mismatch");
   }
-
-  try {
-    if (size_ < kOde2HeaderBytes) fail("truncated header");
-    if (std::memcmp(data_, "ODE2", 4) != 0) {
-      fail("bad magic (not an ODE2 file)");
-    }
-    if (net::Crc32::of({data_ + 8, 32}) != detail::get_u32(data_ + 4)) {
-      fail("header CRC mismatch");
-    }
-    darknet_size_ = detail::get_u64(data_ + 8);
-    event_count_ = detail::get_u64(data_ + 16);
-    block_events_ = detail::get_u64(data_ + 24);
-    const std::uint64_t footer_offset = detail::get_u64(data_ + 32);
-    if (event_count_ > detail::kMaxEventCount) fail("absurd event count");
-    if (block_events_ == 0 || block_events_ > detail::kMaxBlockEvents) {
-      fail("absurd block size");
-    }
-    const std::uint64_t n = event_count_;
-    const std::uint64_t b = block_events_;
-    const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-    std::uint64_t expected = kOde2HeaderBytes;
-    for (std::uint64_t k = 0; k < block_count; ++k) {
-      expected += ode2_block_bytes(std::min(b, n - k * b));
-    }
-    if (footer_offset != expected) fail("header geometry mismatch");
-    if (footer_offset + 32 + 8 + 4 > size_) fail("truncated footer");
-
-    const std::uint8_t* f = data_ + footer_offset;
-    first_day_ = detail::get_i64(f);
-    last_day_ = detail::get_i64(f + 8);
-    const std::uint64_t day_count = detail::get_u64(f + 16);
-    const std::uint64_t footer_blocks = detail::get_u64(f + 24);
-    if (footer_blocks != block_count) fail("corrupt block count");
-    if (n == 0) {
-      if (day_count != 0) fail("corrupt day index");
-    } else if (last_day_ < first_day_ ||
-               day_count !=
-                   static_cast<std::uint64_t>(last_day_ - first_day_ + 1)) {
-      fail("corrupt day index");
-    }
-    const std::uint64_t footer_bytes =
-        32 + 8 * (day_count + 1) + (kOde2BlockMetaBytes + 4) * block_count + 4;
-    if (footer_offset + footer_bytes != size_) fail("truncated footer");
-    if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) !=
-        detail::get_u32(data_ + size_ - 4)) {
-      fail("footer CRC mismatch");
-    }
-
-    day_start_.resize(static_cast<std::size_t>(day_count + 1));
-    const std::uint8_t* cursor = f + 32;
-    for (std::uint64_t d = 0; d <= day_count; ++d, cursor += 8) {
-      day_start_[static_cast<std::size_t>(d)] = detail::get_u64(cursor);
-    }
-    if (day_start_.front() != 0 || day_start_.back() != n ||
-        !std::is_sorted(day_start_.begin(), day_start_.end())) {
-      fail("corrupt day index");
-    }
-
-    blocks_.resize(static_cast<std::size_t>(block_count));
-    std::uint64_t offset = kOde2HeaderBytes;
-    for (std::uint64_t k = 0; k < block_count; ++k, cursor += kOde2BlockMetaBytes) {
-      BlockMeta& meta = blocks_[static_cast<std::size_t>(k)];
-      meta.offset = detail::get_u64(cursor);
-      meta.min_day = detail::get_i64(cursor + 8);
-      meta.max_day = detail::get_i64(cursor + 16);
-      meta.min_src = detail::get_u32(cursor + 24);
-      meta.max_src = detail::get_u32(cursor + 28);
-      if (meta.offset != offset || meta.min_day > meta.max_day ||
-          meta.min_src > meta.max_src) {
-        fail("corrupt block metadata");
-      }
-      offset += ode2_block_bytes(std::min(b, n - k * b));
-    }
-    for (std::uint64_t k = 0; k < block_count; ++k, cursor += 4) {
-      blocks_[static_cast<std::size_t>(k)].crc = detail::get_u32(cursor);
-    }
-  } catch (...) {
-    close();
-    throw;
+  h.darknet_size = get_u64(p + 8);
+  h.event_count = get_u64(p + 16);
+  h.block_events = get_u64(p + 24);
+  h.footer_offset = get_u64(p + 32);
+  if (h.event_count > kMaxEventCount) return reject(error, "absurd event count");
+  if (h.block_events == 0 || h.block_events > kMaxBlockEvents) {
+    return reject(error, "absurd block size");
   }
+  if (h.footer_offset != ode2_footer_offset(h.event_count, h.block_events)) {
+    return reject(error, "header geometry mismatch");
+  }
+  return true;
 }
 
-MappedEventStore::~MappedEventStore() { close(); }
-
-void MappedEventStore::close() noexcept {
-#if ORION_STORE_HAVE_MMAP
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(data_), static_cast<std::size_t>(size_));
+bool parse_ode2_footer(std::span<const std::uint8_t> file, const Ode2Header& h,
+                       Ode2Footer& footer, std::string& error) {
+  const std::uint64_t n = h.event_count;
+  const std::uint64_t block_count = h.block_count();
+  if (h.footer_offset + 32 + 8 + 4 > file.size()) {
+    return reject(error, "truncated footer");
   }
-#endif
-  data_ = nullptr;
-  size_ = 0;
-  mapped_ = false;
-  fallback_.clear();
+  const std::uint8_t* f = file.data() + h.footer_offset;
+  footer.first_day = get_i64(f);
+  footer.last_day = get_i64(f + 8);
+  const std::uint64_t day_count = get_u64(f + 16);
+  if (get_u64(f + 24) != block_count) return reject(error, "corrupt block count");
+  // day_count must equal the window's width, and it is bounded before it
+  // sizes the footer below.
+  const bool day_count_ok =
+      n == 0 ? day_count == 0
+             : footer.last_day >= footer.first_day &&
+                   day_count <= kMaxEventCount &&
+                   day_count == static_cast<std::uint64_t>(footer.last_day) -
+                                    static_cast<std::uint64_t>(footer.first_day) + 1;
+  if (!day_count_ok) return reject(error, "corrupt day index");
+  const std::uint64_t footer_bytes =
+      32 + 8 * (day_count + 1) + (kOde2BlockMetaBytes + 4) * block_count + 4;
+  if (h.footer_offset + footer_bytes != file.size()) {
+    return reject(error, "truncated footer");
+  }
+  if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) !=
+      get_u32(file.data() + file.size() - 4)) {
+    return reject(error, "footer CRC mismatch");
+  }
+
+  const std::uint8_t* cursor = f + 32;
+  footer.day_start.resize(static_cast<std::size_t>(day_count + 1));
+  for (std::uint64_t& start : footer.day_start) {
+    start = get_u64(cursor);
+    cursor += 8;
+  }
+  // An empty file's window is empty too.
+  if (footer.day_start.front() != 0 || footer.day_start.back() != n ||
+      !std::is_sorted(footer.day_start.begin(), footer.day_start.end()) ||
+      (n == 0 && footer.last_day >= footer.first_day)) {
+    return reject(error, "corrupt day index");
+  }
+
+  footer.blocks.resize(static_cast<std::size_t>(block_count));
+  std::uint64_t offset = kOde2HeaderBytes;
+  for (std::uint64_t k = 0; k < block_count; ++k, cursor += kOde2BlockMetaBytes) {
+    BlockMeta& meta = footer.blocks[static_cast<std::size_t>(k)];
+    meta.offset = get_u64(cursor);
+    meta.min_day = get_i64(cursor + 8);
+    meta.max_day = get_i64(cursor + 16);
+    meta.min_src = get_u32(cursor + 24);
+    meta.max_src = get_u32(cursor + 28);
+    if (meta.offset != offset || meta.min_day > meta.max_day ||
+        meta.min_src > meta.max_src) {
+      return reject(error, "corrupt block metadata");
+    }
+    offset += ode2_block_bytes(h.block_rows(k));
+  }
+  for (BlockMeta& meta : footer.blocks) {
+    meta.crc = get_u32(cursor);
+    cursor += 4;
+  }
+  return true;
 }
 
-MappedEventStore::MappedEventStore(MappedEventStore&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)),
-      darknet_size_(other.darknet_size_),
-      event_count_(other.event_count_),
-      block_events_(other.block_events_),
-      first_day_(other.first_day_),
-      last_day_(other.last_day_),
-      day_start_(std::move(other.day_start_)),
-      blocks_(std::move(other.blocks_)) {
-  if (!mapped_ && !fallback_.empty()) {
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-  }
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-}
-
-MappedEventStore& MappedEventStore::operator=(MappedEventStore&& other) noexcept {
-  if (this == &other) return *this;
-  close();
-  data_ = other.data_;
-  size_ = other.size_;
-  mapped_ = other.mapped_;
-  fallback_ = std::move(other.fallback_);
-  darknet_size_ = other.darknet_size_;
-  event_count_ = other.event_count_;
-  block_events_ = other.block_events_;
-  first_day_ = other.first_day_;
-  last_day_ = other.last_day_;
-  day_start_ = std::move(other.day_start_);
-  blocks_ = std::move(other.blocks_);
-  if (!mapped_ && !fallback_.empty()) {
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-  }
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  return *this;
-}
-
-BlockView MappedEventStore::block(std::size_t k) const {
-  const std::uint64_t rows =
-      std::min<std::uint64_t>(block_events_,
-                              event_count_ - static_cast<std::uint64_t>(k) *
-                                                 block_events_);
-  const std::uint8_t* base = data_ + blocks_[k].offset;
-  const detail::ColumnLayout at(rows);
+BlockView ode2_block_view(const std::uint8_t* base, std::uint64_t rows,
+                          std::size_t first_row) {
+  const ColumnLayout at(rows);
   const auto m = static_cast<std::size_t>(rows);
   BlockView view;
-  view.first_row = k * static_cast<std::size_t>(block_events_);
+  view.first_row = first_row;
   view.start_ns = {reinterpret_cast<const std::int64_t*>(base + at.start), m};
   view.end_ns = {reinterpret_cast<const std::int64_t*>(base + at.end), m};
   view.packets = {reinterpret_cast<const std::uint64_t*>(base + at.packets), m};
@@ -238,42 +144,65 @@ BlockView MappedEventStore::block(std::size_t k) const {
   return view;
 }
 
+}  // namespace detail
+
+MappedEventStore::MappedEventStore(const std::string& path) {
+  std::string error;
+  file_ = FileBytes::open(path, error);
+  if (!error.empty() ||
+      !detail::parse_ode2_header(file_.bytes(), header_, error) ||
+      !detail::parse_ode2_footer(file_.bytes(), header_, footer_, error)) {
+    fail(error);
+  }
+}
+
+void MappedEventStore::row_outside_window(std::uint64_t row) {
+  fail("row " + std::to_string(row) + " starts outside the day window");
+}
+
+BlockView MappedEventStore::block(std::size_t k) const {
+  return detail::ode2_block_view(file_.data() + footer_.blocks[k].offset,
+                                 header_.block_rows(k),
+                                 k * static_cast<std::size_t>(header_.block_events));
+}
+
 std::pair<std::uint64_t, std::uint64_t> MappedEventStore::day_range(
     std::int64_t day) const {
-  if (event_count_ == 0 || day < first_day_ || day > last_day_) return {0, 0};
-  const auto index = static_cast<std::size_t>(day - first_day_);
-  return {day_start_[index], day_start_[index + 1]};
+  if (header_.event_count == 0 || day < footer_.first_day ||
+      day > footer_.last_day) {
+    return {0, 0};
+  }
+  const auto index = static_cast<std::size_t>(day - footer_.first_day);
+  return {footer_.day_start[index], footer_.day_start[index + 1]};
 }
 
 std::size_t MappedEventStore::verify_blocks() const {
-  for (std::size_t k = 0; k < blocks_.size(); ++k) {
-    const std::uint64_t rows = std::min<std::uint64_t>(
-        block_events_, event_count_ - static_cast<std::uint64_t>(k) * block_events_);
-    const std::uint64_t bytes = ode2_block_bytes(rows);
-    if (net::Crc32::of({data_ + blocks_[k].offset,
-                        static_cast<std::size_t>(bytes)}) != blocks_[k].crc) {
+  for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
+    const std::uint64_t bytes = ode2_block_bytes(header_.block_rows(k));
+    if (net::Crc32::of({file_.data() + footer_.blocks[k].offset,
+                        static_cast<std::size_t>(bytes)}) != footer_.blocks[k].crc) {
       return k;
     }
   }
-  return blocks_.size();
+  return footer_.blocks.size();
 }
 
 telescope::DarknetEvent MappedEventStore::event(std::uint64_t row) const {
-  if (row >= event_count_) fail("event index out of range");
-  const auto k = static_cast<std::size_t>(row / block_events_);
-  return block(k).event(static_cast<std::size_t>(row % block_events_));
+  if (row >= header_.event_count) fail("event index out of range");
+  const auto k = static_cast<std::size_t>(row / header_.block_events);
+  return block(k).event(static_cast<std::size_t>(row % header_.block_events));
 }
 
 telescope::EventDataset MappedEventStore::to_dataset() const {
   std::vector<telescope::DarknetEvent> events;
   events.reserve(event_count());
-  for (std::size_t k = 0; k < blocks_.size(); ++k) {
+  for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
     const BlockView view = block(k);
     for (std::size_t i = 0; i < view.rows(); ++i) {
       events.push_back(view.event(i));
     }
   }
-  return telescope::EventDataset(std::move(events), darknet_size_);
+  return telescope::EventDataset(std::move(events), header_.darknet_size);
 }
 
 }  // namespace orion::store

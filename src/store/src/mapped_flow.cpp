@@ -2,22 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <tuple>
 
 #include "flow_layout.hpp"
 #include "orion/netbase/crc32.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ORION_STORE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define ORION_STORE_HAVE_MMAP 0
-#endif
 
 namespace orion::store {
 
@@ -43,205 +32,123 @@ flowsim::FlowRecord FlowView::record(std::size_t i) const {
   return r;
 }
 
-MappedFlowStore::MappedFlowStore(const std::string& path) {
-#if ORION_STORE_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st{};
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* map = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-      if (map != MAP_FAILED) {
-        data_ = static_cast<const std::uint8_t*>(map);
-        size_ = static_cast<std::uint64_t>(st.st_size);
-        mapped_ = true;
-      }
-    }
-    ::close(fd);
+namespace detail {
+
+bool parse_fde1_header(std::span<const std::uint8_t> file, Fde1Header& h,
+                       std::string& error) {
+  if (file.size() < kFde1HeaderBytes) return reject(error, "truncated header");
+  const std::uint8_t* p = file.data();
+  if (std::memcmp(p, "FDE1", 4) != 0) {
+    return reject(error, "bad magic (not an FDE1 file)");
   }
-#endif
-  if (!mapped_) {
-    // Portable fallback: the whole file in an 8-aligned heap buffer, so
-    // the span views work identically (just without demand paging).
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) fail("cannot open " + path);
-    const std::streamoff bytes = in.tellg();
-    in.seekg(0);
-    fallback_.resize(static_cast<std::size_t>((bytes + 7) / 8), 0);
-    if (bytes > 0 &&
-        !in.read(reinterpret_cast<char*>(fallback_.data()), bytes)) {
-      fail("short read of " + path);
-    }
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-    size_ = static_cast<std::uint64_t>(bytes);
+  if (net::Crc32::of({p + 8, 32}) != get_u32(p + 4)) {
+    return reject(error, "header CRC mismatch");
   }
-
-  try {
-    if (size_ < kFde1HeaderBytes) fail("truncated header");
-    if (std::memcmp(data_, "FDE1", 4) != 0) {
-      fail("bad magic (not an FDE1 file)");
-    }
-    if (net::Crc32::of({data_ + 8, 32}) != detail::get_u32(data_ + 4)) {
-      fail("header CRC mismatch");
-    }
-    sampling_rate_ = static_cast<std::uint32_t>(detail::get_u64(data_ + 8));
-    flow_count_ = detail::get_u64(data_ + 16);
-    block_flows_ = detail::get_u64(data_ + 24);
-    const std::uint64_t footer_offset = detail::get_u64(data_ + 32);
-    if (flow_count_ > detail::kMaxFlowCount) fail("absurd flow count");
-    if (block_flows_ == 0 || block_flows_ > detail::kMaxBlockFlows) {
-      fail("absurd block size");
-    }
-    const std::uint64_t n = flow_count_;
-    const std::uint64_t b = block_flows_;
-    const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-    std::uint64_t expected = kFde1HeaderBytes;
-    for (std::uint64_t k = 0; k < block_count; ++k) {
-      expected += fde1_block_bytes(std::min(b, n - k * b));
-    }
-    if (footer_offset != expected) fail("header geometry mismatch");
-    if (footer_offset + 32 + 4 > size_) fail("truncated footer");
-
-    const std::uint8_t* f = data_ + footer_offset;
-    start_day_ = detail::get_i64(f);
-    end_day_ = detail::get_i64(f + 8);
-    const std::uint64_t segment_count = detail::get_u64(f + 16);
-    const std::uint64_t footer_blocks = detail::get_u64(f + 24);
-    if (footer_blocks != block_count) fail("corrupt block count");
-    if (start_day_ > end_day_) fail("corrupt day window");
-    if (segment_count > detail::kMaxSegmentCount) fail("absurd segment count");
-    const std::uint64_t footer_bytes =
-        32 + kFde1SegmentBytes * segment_count +
-        (kFde1BlockMetaBytes + 4) * block_count + 4;
-    if (footer_offset + footer_bytes != size_) fail("truncated footer");
-    if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) !=
-        detail::get_u32(data_ + size_ - 4)) {
-      fail("footer CRC mismatch");
-    }
-
-    segments_.resize(static_cast<std::size_t>(segment_count));
-    const std::uint8_t* cursor = f + 32;
-    for (std::uint64_t s = 0; s < segment_count;
-         ++s, cursor += kFde1SegmentBytes) {
-      FlowSegment& seg = segments_[static_cast<std::size_t>(s)];
-      seg.router = static_cast<std::size_t>(detail::get_u64(cursor));
-      seg.day = detail::get_i64(cursor + 8);
-      seg.row_begin = detail::get_u64(cursor + 16);
-      seg.row_end = s + 1 < segment_count
-                        ? detail::get_u64(cursor + kFde1SegmentBytes + 16)
-                        : n;
-      seg.total_packets = detail::get_u64(cursor + 24);
-      seg.user_packets = detail::get_u64(cursor + 32);
-      seg.scanner_packets = detail::get_u64(cursor + 40);
-      if (seg.day < start_day_ || seg.day >= end_day_) {
-        fail("corrupt segment index (day outside window)");
-      }
-      if (seg.row_begin > seg.row_end || seg.row_end > n) {
-        fail("corrupt segment index (bad row range)");
-      }
-      if (s > 0) {
-        const FlowSegment& prev = segments_[static_cast<std::size_t>(s - 1)];
-        if (std::tie(prev.router, prev.day) >= std::tie(seg.router, seg.day)) {
-          fail("corrupt segment index (unordered)");
-        }
-      }
-    }
-    if (!segments_.empty() &&
-        (segments_.front().row_begin != 0 || segments_.back().row_end != n)) {
-      fail("corrupt segment index (row coverage)");
-    }
-    if (segments_.empty() && n != 0) {
-      fail("corrupt segment index (rows without segments)");
-    }
-
-    blocks_.resize(static_cast<std::size_t>(block_count));
-    std::uint64_t offset = kFde1HeaderBytes;
-    for (std::uint64_t k = 0; k < block_count;
-         ++k, cursor += kFde1BlockMetaBytes) {
-      FlowBlockMeta& meta = blocks_[static_cast<std::size_t>(k)];
-      meta.offset = detail::get_u64(cursor);
-      meta.min_src = detail::get_u32(cursor + 8);
-      meta.max_src = detail::get_u32(cursor + 12);
-      if (meta.offset != offset || meta.min_src > meta.max_src) {
-        fail("corrupt block metadata");
-      }
-      offset += fde1_block_bytes(std::min(b, n - k * b));
-    }
-    for (std::uint64_t k = 0; k < block_count; ++k, cursor += 4) {
-      blocks_[static_cast<std::size_t>(k)].crc = detail::get_u32(cursor);
-    }
-  } catch (...) {
-    close();
-    throw;
+  h.sampling_rate = static_cast<std::uint32_t>(get_u64(p + 8));
+  h.flow_count = get_u64(p + 16);
+  h.block_flows = get_u64(p + 24);
+  h.footer_offset = get_u64(p + 32);
+  if (h.flow_count > kMaxFlowCount) return reject(error, "absurd flow count");
+  if (h.block_flows == 0 || h.block_flows > kMaxBlockFlows) {
+    return reject(error, "absurd block size");
   }
+  if (h.footer_offset != fde1_footer_offset(h.flow_count, h.block_flows)) {
+    return reject(error, "header geometry mismatch");
+  }
+  return true;
 }
 
-MappedFlowStore::~MappedFlowStore() { close(); }
-
-void MappedFlowStore::close() noexcept {
-#if ORION_STORE_HAVE_MMAP
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(data_), static_cast<std::size_t>(size_));
+bool parse_fde1_footer(std::span<const std::uint8_t> file, const Fde1Header& h,
+                       Fde1Footer& footer, std::string& error) {
+  const std::uint64_t n = h.flow_count;
+  const std::uint64_t block_count = h.block_count();
+  if (h.footer_offset + 32 + 4 > file.size()) {
+    return reject(error, "truncated footer");
   }
-#endif
-  data_ = nullptr;
-  size_ = 0;
-  mapped_ = false;
-  fallback_.clear();
+  const std::uint8_t* f = file.data() + h.footer_offset;
+  footer.start_day = get_i64(f);
+  footer.end_day = get_i64(f + 8);
+  const std::uint64_t segment_count = get_u64(f + 16);
+  if (get_u64(f + 24) != block_count) return reject(error, "corrupt block count");
+  if (footer.start_day > footer.end_day) return reject(error, "corrupt day window");
+  if (segment_count > kMaxSegmentCount) {
+    return reject(error, "absurd segment count");
+  }
+  const std::uint64_t footer_bytes = 32 + kFde1SegmentBytes * segment_count +
+                                     (kFde1BlockMetaBytes + 4) * block_count + 4;
+  if (h.footer_offset + footer_bytes != file.size()) {
+    return reject(error, "truncated footer");
+  }
+  if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) !=
+      get_u32(file.data() + file.size() - 4)) {
+    return reject(error, "footer CRC mismatch");
+  }
+
+  if (static_cast<std::uint64_t>(footer.end_day) -
+          static_cast<std::uint64_t>(footer.start_day) >
+      kMaxWindowDays) {
+    return reject(error, "corrupt day window");
+  }
+
+  const std::uint8_t* cursor = f + 32;
+  footer.segments.resize(static_cast<std::size_t>(segment_count));
+  for (std::uint64_t s = 0; s < segment_count; ++s, cursor += kFde1SegmentBytes) {
+    FlowSegment& seg = footer.segments[static_cast<std::size_t>(s)];
+    seg.router = static_cast<std::size_t>(get_u64(cursor));
+    seg.day = get_i64(cursor + 8);
+    seg.row_begin = get_u64(cursor + 16);
+    seg.row_end = s + 1 < segment_count
+                      ? get_u64(cursor + kFde1SegmentBytes + 16)
+                      : n;
+    seg.total_packets = get_u64(cursor + 24);
+    seg.user_packets = get_u64(cursor + 32);
+    seg.scanner_packets = get_u64(cursor + 40);
+    if (seg.day < footer.start_day || seg.day >= footer.end_day) {
+      return reject(error, "corrupt segment index (day outside window)");
+    }
+    if (seg.row_begin > seg.row_end || seg.row_end > n) {
+      return reject(error, "corrupt segment index (bad row range)");
+    }
+    if (s > 0) {
+      const FlowSegment& prev = footer.segments[static_cast<std::size_t>(s - 1)];
+      if (std::tie(prev.router, prev.day) >= std::tie(seg.router, seg.day)) {
+        return reject(error, "corrupt segment index (unordered)");
+      }
+    }
+  }
+  if (!footer.segments.empty() && (footer.segments.front().row_begin != 0 ||
+                                   footer.segments.back().row_end != n)) {
+    return reject(error, "corrupt segment index (row coverage)");
+  }
+  if (footer.segments.empty() && n != 0) {
+    return reject(error, "corrupt segment index (rows without segments)");
+  }
+
+  footer.blocks.resize(static_cast<std::size_t>(block_count));
+  std::uint64_t offset = kFde1HeaderBytes;
+  for (std::uint64_t k = 0; k < block_count; ++k, cursor += kFde1BlockMetaBytes) {
+    FlowBlockMeta& meta = footer.blocks[static_cast<std::size_t>(k)];
+    meta.offset = get_u64(cursor);
+    meta.min_src = get_u32(cursor + 8);
+    meta.max_src = get_u32(cursor + 12);
+    if (meta.offset != offset || meta.min_src > meta.max_src) {
+      return reject(error, "corrupt block metadata");
+    }
+    offset += fde1_block_bytes(h.block_rows(k));
+  }
+  for (FlowBlockMeta& meta : footer.blocks) {
+    meta.crc = get_u32(cursor);
+    cursor += 4;
+  }
+  return true;
 }
 
-MappedFlowStore::MappedFlowStore(MappedFlowStore&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)),
-      sampling_rate_(other.sampling_rate_),
-      flow_count_(other.flow_count_),
-      block_flows_(other.block_flows_),
-      start_day_(other.start_day_),
-      end_day_(other.end_day_),
-      segments_(std::move(other.segments_)),
-      blocks_(std::move(other.blocks_)) {
-  if (!mapped_ && !fallback_.empty()) {
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-  }
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-}
-
-MappedFlowStore& MappedFlowStore::operator=(MappedFlowStore&& other) noexcept {
-  if (this == &other) return *this;
-  close();
-  data_ = other.data_;
-  size_ = other.size_;
-  mapped_ = other.mapped_;
-  fallback_ = std::move(other.fallback_);
-  sampling_rate_ = other.sampling_rate_;
-  flow_count_ = other.flow_count_;
-  block_flows_ = other.block_flows_;
-  start_day_ = other.start_day_;
-  end_day_ = other.end_day_;
-  segments_ = std::move(other.segments_);
-  blocks_ = std::move(other.blocks_);
-  if (!mapped_ && !fallback_.empty()) {
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-  }
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  return *this;
-}
-
-FlowView MappedFlowStore::block(std::size_t k) const {
-  const std::uint64_t rows = std::min<std::uint64_t>(
-      block_flows_,
-      flow_count_ - static_cast<std::uint64_t>(k) * block_flows_);
-  const std::uint8_t* base = data_ + blocks_[k].offset;
-  const detail::FlowColumnLayout at(rows);
+FlowView fde1_block_view(const std::uint8_t* base, std::uint64_t rows,
+                         std::size_t first_row) {
+  const FlowColumnLayout at(rows);
   const auto m = static_cast<std::size_t>(rows);
   FlowView view;
-  view.first_row = k * static_cast<std::size_t>(block_flows_);
+  view.first_row = first_row;
   view.ts_ns = {reinterpret_cast<const std::int64_t*>(base + at.ts), m};
   view.packets = {reinterpret_cast<const std::uint64_t*>(base + at.packets), m};
   view.bytes = {reinterpret_cast<const std::uint64_t*>(base + at.bytes), m};
@@ -254,14 +161,32 @@ FlowView MappedFlowStore::block(std::size_t k) const {
   return view;
 }
 
+}  // namespace detail
+
+MappedFlowStore::MappedFlowStore(const std::string& path) {
+  std::string error;
+  file_ = FileBytes::open(path, error);
+  if (!error.empty() ||
+      !detail::parse_fde1_header(file_.bytes(), header_, error) ||
+      !detail::parse_fde1_footer(file_.bytes(), header_, footer_, error)) {
+    fail(error);
+  }
+}
+
+FlowView MappedFlowStore::block(std::size_t k) const {
+  return detail::fde1_block_view(file_.data() + footer_.blocks[k].offset,
+                                 header_.block_rows(k),
+                                 k * static_cast<std::size_t>(header_.block_flows));
+}
+
 const FlowSegment* MappedFlowStore::segment(std::size_t router,
                                             std::int64_t day) const {
   const auto it = std::lower_bound(
-      segments_.begin(), segments_.end(), std::make_pair(router, day),
+      footer_.segments.begin(), footer_.segments.end(), std::make_pair(router, day),
       [](const FlowSegment& seg, const std::pair<std::size_t, std::int64_t>& key) {
         return std::tie(seg.router, seg.day) < std::tie(key.first, key.second);
       });
-  if (it == segments_.end() || it->router != router || it->day != day) {
+  if (it == footer_.segments.end() || it->router != router || it->day != day) {
     return nullptr;
   }
   return &*it;
@@ -275,28 +200,25 @@ std::pair<std::uint64_t, std::uint64_t> MappedFlowStore::row_range(
 }
 
 std::size_t MappedFlowStore::verify_blocks() const {
-  for (std::size_t k = 0; k < blocks_.size(); ++k) {
-    const std::uint64_t rows = std::min<std::uint64_t>(
-        block_flows_,
-        flow_count_ - static_cast<std::uint64_t>(k) * block_flows_);
-    const std::uint64_t bytes = fde1_block_bytes(rows);
-    if (net::Crc32::of({data_ + blocks_[k].offset,
-                        static_cast<std::size_t>(bytes)}) != blocks_[k].crc) {
+  for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
+    const std::uint64_t bytes = fde1_block_bytes(header_.block_rows(k));
+    if (net::Crc32::of({file_.data() + footer_.blocks[k].offset,
+                        static_cast<std::size_t>(bytes)}) != footer_.blocks[k].crc) {
       return k;
     }
   }
-  return blocks_.size();
+  return footer_.blocks.size();
 }
 
 flowsim::FlowRecord MappedFlowStore::record(std::uint64_t row) const {
-  if (row >= flow_count_) fail("flow index out of range");
-  const auto k = static_cast<std::size_t>(row / block_flows_);
-  return block(k).record(static_cast<std::size_t>(row % block_flows_));
+  if (row >= header_.flow_count) fail("flow index out of range");
+  const auto k = static_cast<std::size_t>(row / header_.block_flows);
+  return block(k).record(static_cast<std::size_t>(row % header_.block_flows));
 }
 
 flowsim::FlowBatch MappedFlowStore::to_batch() const {
   flowsim::FlowBatch batch(flow_count());
-  for (std::size_t k = 0; k < blocks_.size(); ++k) {
+  for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
     const FlowView view = block(k);
     for (std::size_t i = 0; i < view.rows(); ++i) {
       batch.push_back(view.record(i));
@@ -307,18 +229,18 @@ flowsim::FlowBatch MappedFlowStore::to_batch() const {
 
 flowsim::FlowDataset MappedFlowStore::to_dataset() const {
   flowsim::FlowSimConfig config;
-  config.start_day = start_day_;
-  config.end_day = end_day_;
-  config.sampling_rate = sampling_rate_;
-  const auto days = static_cast<std::size_t>(end_day_ - start_day_);
+  config.start_day = footer_.start_day;
+  config.end_day = footer_.end_day;
+  config.sampling_rate = header_.sampling_rate;
+  const auto days = static_cast<std::size_t>(footer_.end_day - footer_.start_day);
   std::vector<std::vector<flowsim::RouterDay>> table(
       flowsim::kRouterCount, std::vector<flowsim::RouterDay>(days));
-  for (const FlowSegment& seg : segments_) {
+  for (const FlowSegment& seg : footer_.segments) {
     if (seg.router >= flowsim::kRouterCount) {
       fail("to_dataset: segment router outside the paper topology");
     }
     flowsim::RouterDay& rd =
-        table[seg.router][static_cast<std::size_t>(seg.day - start_day_)];
+        table[seg.router][static_cast<std::size_t>(seg.day - footer_.start_day)];
     rd.total_packets = seg.total_packets;
     rd.user_packets = seg.user_packets;
     rd.scanner_packets = seg.scanner_packets;

@@ -1,8 +1,6 @@
 #include "orion/store/ode2.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
@@ -15,13 +13,6 @@ namespace orion::store {
 namespace {
 
 constexpr char kMagic[4] = {'O', 'D', 'E', '2'};
-
-std::uint64_t total_block_bytes(std::uint64_t n, std::uint64_t b) {
-  if (n == 0) return 0;
-  const std::uint64_t full = n / b;
-  const std::uint64_t rest = n % b;
-  return full * ode2_block_bytes(b) + (rest ? ode2_block_bytes(rest) : 0);
-}
 
 }  // namespace
 
@@ -42,8 +33,7 @@ std::uint64_t write_events_ode2(const telescope::EventDataset& dataset,
 
   const std::uint64_t b = block_events;
   const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-  const std::uint64_t footer_offset =
-      kOde2HeaderBytes + total_block_bytes(n, b);
+  const std::uint64_t footer_offset = detail::ode2_footer_offset(n, b);
 
   // Header: magic, CRC over the 32 field bytes, then the fields —
   // assembled in memory and emitted as one write.
@@ -161,145 +151,61 @@ std::uint64_t write_events_ode2_file(const telescope::EventDataset& dataset,
   return bytes;
 }
 
-namespace {
-
-/// Parsed, CRC-verified header fields (salvage-side mirror of the strict
-/// reader's checks; returns false with `error` set instead of throwing).
-struct Header {
-  std::uint64_t darknet_size = 0;
-  std::uint64_t event_count = 0;
-  std::uint64_t block_events = 0;
-  std::uint64_t footer_offset = 0;
-};
-
-bool parse_header(const std::vector<std::uint8_t>& bytes, Header& h,
-                  std::string& error) {
-  if (bytes.size() < kOde2HeaderBytes) {
-    error = "ode2 store: truncated header";
-    return false;
-  }
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    error = "ode2 store: bad magic (not an ODE2 file)";
-    return false;
-  }
-  const std::uint32_t stored_crc = detail::get_u32(bytes.data() + 4);
-  if (net::Crc32::of({bytes.data() + 8, 32}) != stored_crc) {
-    error = "ode2 store: header CRC mismatch";
-    return false;
-  }
-  h.darknet_size = detail::get_u64(bytes.data() + 8);
-  h.event_count = detail::get_u64(bytes.data() + 16);
-  h.block_events = detail::get_u64(bytes.data() + 24);
-  h.footer_offset = detail::get_u64(bytes.data() + 32);
-  if (h.event_count > detail::kMaxEventCount) {
-    error = "ode2 store: absurd event count";
-    return false;
-  }
-  if (h.block_events == 0 || h.block_events > detail::kMaxBlockEvents) {
-    error = "ode2 store: absurd block size";
-    return false;
-  }
-  if (h.footer_offset !=
-      kOde2HeaderBytes + total_block_bytes(h.event_count, h.block_events)) {
-    error = "ode2 store: header geometry mismatch";
-    return false;
-  }
-  return true;
-}
-
-/// True when every traffic-type byte of the block is a valid enum value.
-bool types_valid(const std::uint8_t* base, std::uint64_t rows) {
-  const detail::ColumnLayout at(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    if (base[at.type + i] > static_cast<std::uint8_t>(pkt::TrafficType::Other)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 Ode2SalvageResult read_events_ode2_salvage(const std::string& path) {
   Ode2SalvageResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    result.error = "ode2 store: cannot open " + path;
+  const auto fail = [&result](const std::string& what) {
+    result.error = "ode2 store: " + what;
+  };
+  std::string error;
+  const FileBytes file = FileBytes::open(path, error);
+  Ode2Header header;
+  if (!error.empty() || !detail::parse_ode2_header(file.bytes(), header, error)) {
+    fail(error);
     return result;
   }
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
+  result.declared_count = header.event_count;
 
-  Header h;
-  if (!parse_header(bytes, h, result.error)) {
-    return result;
-  }
-  result.declared_count = h.event_count;
-  const std::uint64_t n = h.event_count;
-  const std::uint64_t b = h.block_events;
-  const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
+  // A footer that parses makes the per-block CRCs usable; without one the
+  // blocks are walked from the header geometry and checked structurally.
+  Ode2Footer footer;
+  result.footer_intact =
+      detail::parse_ode2_footer(file.bytes(), header, footer, error);
 
-  // Try the footer; its CRC decides whether per-block CRCs are usable.
-  std::vector<std::uint32_t> block_crcs;
-  if (h.footer_offset + 32 + 8 <= bytes.size()) {
-    const std::uint8_t* f = bytes.data() + h.footer_offset;
-    const std::uint64_t day_count = detail::get_u64(f + 16);
-    const std::uint64_t footer_blocks = detail::get_u64(f + 24);
-    const std::uint64_t footer_bytes =
-        32 + 8 * (day_count + 1) + (32 + 4) * footer_blocks + 4;
-    if (footer_blocks == block_count && day_count <= detail::kMaxEventCount &&
-        h.footer_offset + footer_bytes == bytes.size()) {
-      const std::uint32_t stored =
-          detail::get_u32(bytes.data() + bytes.size() - 4);
-      if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) ==
-          stored) {
-        result.footer_intact = true;
-        const std::uint8_t* crcs =
-            f + 32 + 8 * (day_count + 1) + 32 * footer_blocks;
-        for (std::uint64_t k = 0; k < block_count; ++k) {
-          block_crcs.push_back(detail::get_u32(crcs + 4 * k));
-        }
-      }
-    }
-  }
-
-  // Recover the prefix of complete, valid blocks (CRC-checked when the
-  // footer survived; structurally validated when it did not).
+  // Recover the prefix of complete, valid blocks.
   std::vector<telescope::DarknetEvent> events;
-  events.reserve(static_cast<std::size_t>(std::min(n, std::uint64_t{1} << 16)));
-  result.complete = result.footer_intact;
+  events.reserve(static_cast<std::size_t>(
+      std::min(header.event_count, std::uint64_t{1} << 16)));
   std::uint64_t offset = kOde2HeaderBytes;
-  for (std::uint64_t k = 0; k < block_count; ++k) {
-    const std::uint64_t rows = std::min(b, n - k * b);
-    const std::uint64_t block_bytes = ode2_block_bytes(rows);
-    if (offset + block_bytes > bytes.size()) {
-      result.complete = false;
-      result.error = "ode2 store: truncated block " + std::to_string(k);
+  for (std::uint64_t k = 0; k < header.block_count(); ++k) {
+    const std::uint64_t block_bytes = ode2_block_bytes(header.block_rows(k));
+    if (offset + block_bytes > file.size()) {
+      fail("truncated block " + std::to_string(k));
       break;
     }
-    const std::uint8_t* base = bytes.data() + offset;
+    const std::uint8_t* base = file.data() + offset;
+    const BlockView view =
+        detail::ode2_block_view(base, header.block_rows(k), events.size());
     if (result.footer_intact) {
       if (net::Crc32::of({base, static_cast<std::size_t>(block_bytes)}) !=
-          block_crcs[static_cast<std::size_t>(k)]) {
-        result.complete = false;
-        result.error = "ode2 store: block " + std::to_string(k) + " CRC mismatch";
+          footer.blocks[static_cast<std::size_t>(k)].crc) {
+        fail("block " + std::to_string(k) + " CRC mismatch");
         break;
       }
-    } else if (!types_valid(base, rows)) {
-      result.complete = false;
-      result.error = "ode2 store: bad traffic type in block " + std::to_string(k);
+    } else if (std::any_of(view.type.begin(), view.type.end(), [](std::uint8_t t) {
+                 return t > static_cast<std::uint8_t>(pkt::TrafficType::Other);
+               })) {
+      fail("bad traffic type in block " + std::to_string(k));
       break;
     }
-    for (std::uint64_t i = 0; i < rows; ++i) {
-      events.push_back(detail::decode_row(base, rows, i));
-    }
+    for (std::size_t i = 0; i < view.rows(); ++i) events.push_back(view.event(i));
     offset += block_bytes;
   }
+  result.complete = result.footer_intact && result.error.empty();
   if (!result.footer_intact && result.error.empty()) {
-    result.error = "ode2 store: footer missing or corrupt";
+    fail("footer missing or corrupt");
   }
   result.recovered_count = events.size();
-  result.dataset = telescope::EventDataset(std::move(events), h.darknet_size);
+  result.dataset = telescope::EventDataset(std::move(events), header.darknet_size);
   return result;
 }
 

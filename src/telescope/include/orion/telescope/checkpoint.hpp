@@ -22,7 +22,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -87,16 +86,10 @@ class CheckpointWriter {
   /// them. `other` is left empty.
   void splice(CheckpointWriter&& other);
 
-  /// Streams the container; returns total bytes written. Throws
-  /// std::runtime_error if the stream reports a write failure (checked
-  /// after an explicit flush — a buffered failure must not surface only
-  /// in the ofstream destructor, which cannot throw).
-  std::uint64_t finish(std::ostream& out) const;
-
-  /// Failpoint-instrumented variant through the io::File seam: one
-  /// counted write syscall for the header, one per payload chunk and one
-  /// for the trailer, errors as net::io::IoError. The archive publication
-  /// path for checkpoints.
+  /// Writes the container through the io::File seam; returns total bytes
+  /// written. One counted write syscall for the header, one per payload
+  /// chunk and one for the trailer, errors as net::io::IoError. The one
+  /// path by which a checkpoint reaches a file.
   std::uint64_t finish(net::io::File& out) const;
 
   /// Appends the container to `out`: an in-memory frame for a
@@ -140,14 +133,9 @@ class CheckpointWriter {
 /// std::runtime_error with context.
 class CheckpointReader {
  public:
-  explicit CheckpointReader(std::istream& in);
   /// Validates the container at the front of `frame` and serves fields
   /// from it in place: `frame` must outlive the reader.
   explicit CheckpointReader(std::span<const std::uint8_t> frame);
-
-  // A copy's payload_ would still view the original's owned_ bytes.
-  CheckpointReader(const CheckpointReader&) = delete;
-  CheckpointReader& operator=(const CheckpointReader&) = delete;
 
   std::uint64_t u64(const char* what);
   std::int64_t i64(const char* what) {
@@ -171,14 +159,7 @@ class CheckpointReader {
 
  private:
   [[noreturn]] void fail(const std::string& why) const;
-  /// Checks the version and length fields of a 20-byte header whose
-  /// magic has been checked; returns the payload length.
-  std::uint64_t payload_length(const std::uint8_t* header) const;
-  /// Checks the frame (magic, header, length, CRC) and points payload_
-  /// at its payload.
-  void validate(std::span<const std::uint8_t> frame);
 
-  std::vector<std::uint8_t> owned_;  // the frame, when read from a stream
   std::span<const std::uint8_t> payload_;
   std::size_t pos_ = 0;
 };

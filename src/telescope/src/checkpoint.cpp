@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "orion/netbase/crc32.hpp"
@@ -88,20 +86,6 @@ std::uint64_t CheckpointWriter::stream(Write&& write) const {
   return kHeaderBytes + payload_size() + kTrailerBytes;
 }
 
-std::uint64_t CheckpointWriter::finish(std::ostream& out) const {
-  const std::uint64_t written = stream([&out](std::span<const std::uint8_t> piece) {
-    out.write(reinterpret_cast<const char*>(piece.data()),
-              static_cast<std::streamsize>(piece.size()));
-  });
-  // Flush before checking: an ofstream buffers, and a failure that only
-  // surfaces in its destructor is a snapshot silently truncated.
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("checkpoint: write failure");
-  }
-  return written;
-}
-
 std::uint64_t CheckpointWriter::finish(net::io::File& out) const {
   return stream([&out](std::span<const std::uint8_t> piece) { out.write(piece); });
 }
@@ -113,45 +97,19 @@ std::uint64_t CheckpointWriter::finish(std::vector<std::uint8_t>& out) const {
   });
 }
 
-CheckpointReader::CheckpointReader(std::istream& in) {
-  // Reads one frame, sized by its length field once the header checks
-  // out, then validates it as an in-memory frame.
-  owned_.resize(kHeaderBytes);
-  in.read(reinterpret_cast<char*>(owned_.data()), kHeaderBytes);
-  auto got = static_cast<std::size_t>(in.gcount());
-  if (got == kHeaderBytes && std::memcmp(owned_.data(), kMagic, 4) == 0) {
-    const std::uint64_t rest = payload_length(owned_.data()) + kTrailerBytes;
-    owned_.resize(static_cast<std::size_t>(kHeaderBytes + rest));
-    in.read(reinterpret_cast<char*>(owned_.data() + kHeaderBytes),
-            static_cast<std::streamsize>(rest));
-    got += static_cast<std::size_t>(in.gcount());
-  }
-  owned_.resize(got);
-  validate(owned_);
-}
-
 CheckpointReader::CheckpointReader(std::span<const std::uint8_t> frame) {
-  validate(frame);
-}
-
-std::uint64_t CheckpointReader::payload_length(const std::uint8_t* header) const {
-  const std::uint64_t version = load_u64(header + 4);
-  if (version != kVersion) {
-    fail("unsupported version " + std::to_string(version));
-  }
-  const std::uint64_t length = load_u64(header + 12);
-  // Snapshots are bounded by live state, not by the dataset; refuse
-  // anything over 1 GiB rather than trusting a corrupt length field.
-  if (length > (std::uint64_t{1} << 30)) fail("absurd payload length");
-  return length;
-}
-
-void CheckpointReader::validate(std::span<const std::uint8_t> frame) {
   if (frame.size() < 4 || std::memcmp(frame.data(), kMagic, 4) != 0) {
     fail("bad magic (not an OCP1 checkpoint)");
   }
   if (frame.size() < kHeaderBytes) fail("truncated header");
-  const std::uint64_t length = payload_length(frame.data());
+  const std::uint64_t version = load_u64(frame.data() + 4);
+  if (version != kVersion) {
+    fail("unsupported version " + std::to_string(version));
+  }
+  const std::uint64_t length = load_u64(frame.data() + 12);
+  // Snapshots are bounded by live state, not by the dataset; refuse
+  // anything over 1 GiB rather than trusting a corrupt length field.
+  if (length > (std::uint64_t{1} << 30)) fail("absurd payload length");
   if (frame.size() - kHeaderBytes < length) fail("truncated payload");
   payload_ = frame.subspan(kHeaderBytes, static_cast<std::size_t>(length));
   if (frame.size() - kHeaderBytes - payload_.size() < kTrailerBytes) {

@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <span>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "orion/netbase/crc32.hpp"
 #include "orion/telescope/checkpoint.hpp"
@@ -23,14 +23,19 @@ inline std::uint32_t crc_of(const std::string& bytes, std::size_t begin = 0,
       bytes.size() - begin - trim));
 }
 
+/// An OCP1 frame held in a std::string, as the span CheckpointReader reads.
+inline std::span<const std::uint8_t> frame_bytes(const std::string& frame) {
+  return {reinterpret_cast<const std::uint8_t*>(frame.data()), frame.size()};
+}
+
 /// The OCP1 frame a component's checkpoint() produces.
 template <typename Component>
 std::string checkpoint_bytes(Component& component) {
   telescope::CheckpointWriter writer;
   component.checkpoint(writer);
-  std::ostringstream out;
+  std::vector<std::uint8_t> out;
   writer.finish(out);
-  return out.str();
+  return {out.begin(), out.end()};
 }
 
 /// CRC-32 of an OCP1 frame's payload. Frame: magic(4) version(8)

@@ -888,9 +888,9 @@ std::string with_payload_u64(const std::string& frame, std::size_t offset,
   }
   telescope::CheckpointWriter writer;
   writer.bytes(payload);
-  std::ostringstream out;
+  std::vector<std::uint8_t> out;
   writer.finish(out);
-  return out.str();
+  return {out.begin(), out.end()};
 }
 
 TEST(CheckpointCounts, LyingCountIsATypedError) {
@@ -901,9 +901,9 @@ TEST(CheckpointCounts, LyingCountIsATypedError) {
     // IP-set count.
     StreamingDetector fresh(tiny_config(), tiny_darknet());
     constexpr std::size_t kFirstIpSetCount = 8 + 7 * 8 + 2 * 16 + 1 + 8;
-    std::istringstream in(
-        with_payload_u64(checkpoint_bytes(fresh), kFirstIpSetCount, kLie));
-    telescope::CheckpointReader reader(in);
+    const std::string lie =
+        with_payload_u64(checkpoint_bytes(fresh), kFirstIpSetCount, kLie);
+    telescope::CheckpointReader reader(test_pins::frame_bytes(lie));
     StreamingDetector restored(tiny_config(), tiny_darknet());
     EXPECT_THROW(restored.restore(reader), std::runtime_error);
   }
@@ -920,8 +920,8 @@ TEST(CheckpointCounts, LyingCountIsATypedError) {
       telescope::ParallelPipeline idle(tiny_scenario().darknet(), config);
       frame = checkpoint_bytes(idle);
     }
-    std::istringstream in(with_payload_u64(frame, kShard0EventCount, kLie));
-    telescope::CheckpointReader reader(in);
+    const std::string lie = with_payload_u64(frame, kShard0EventCount, kLie);
+    telescope::CheckpointReader reader(test_pins::frame_bytes(lie));
     telescope::ParallelPipeline restored(tiny_scenario().darknet(), config);
     EXPECT_THROW(restored.restore(reader), std::runtime_error);
   }

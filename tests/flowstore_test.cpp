@@ -255,6 +255,14 @@ TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
 
   // Bad block size.
   EXPECT_THROW(write({}, 0), std::invalid_argument);
+
+  // A day window wider than 2^16 days, which no reader would open.
+  EXPECT_THROW(write_flows_fde1_file(10, 0, (std::int64_t{1} << 16) + 1, {},
+                                     file.path()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      write_flows_fde1_file(10, 0, std::int64_t{1} << 16, {}, file.path()));
+  EXPECT_NO_THROW(MappedFlowStore{file.path()});
 }
 
 // ------------------------------------------------------------- sniffing

@@ -1,0 +1,491 @@
+// Seeded, structure-aware fuzzing of the ODE2 and FDE1 readers (label
+// fuzz; `ctest --preset fuzz` runs it under asan-ubsan).
+//
+// Each input is a small valid archive with one mutation: bit flips,
+// a truncation, lying header or footer counts and offsets (including
+// +2^61, alone or two fields at once), or a rewritten word inside a
+// block. Most mutations then reseal the header, block and footer CRCs,
+// so they reach the checks behind the CRCs. Every input must satisfy:
+//  - the strict open succeeds or throws std::runtime_error;
+//  - salvage never throws, and its footer is intact exactly when the
+//    strict open succeeds (both call the same header and footer parse);
+//  - on an open store, verify_blocks, to_dataset, detect and
+//    DailyDarknetMix (ODE2), or prebuild_indexes(2) and one query
+//    (FDE1), finish or throw a std::exception.
+// Iteration i draws its mutation from kSeed + i, so a failing iteration
+// replays alone. Inputs that once broke a reader are kept as named
+// regression cases at the end.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <optional>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "orion/detect/detector.hpp"
+#include "orion/impact/flow_join.hpp"
+#include "orion/netbase/crc32.hpp"
+#include "orion/store/fde1.hpp"
+#include "orion/store/mapped.hpp"
+#include "orion/store/mapped_flow.hpp"
+#include "orion/store/ode2.hpp"
+
+#include "crc_pins.hpp"
+
+namespace orion::store {
+namespace {
+
+constexpr std::uint64_t kSeed = 0x0DE2FDE1;
+constexpr std::size_t kIterations = 8000;  // per format
+
+/// One temp path per test process, rewritten for every input.
+class FuzzFile {
+ public:
+  FuzzFile()
+      : path_((std::filesystem::temp_directory_path() /
+               ("orion_fuzz_test_" + std::to_string(::getpid())))
+                  .string()) {}
+  ~FuzzFile() { std::remove(path_.c_str()); }
+  const std::string& put(const std::string& bytes) const {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path_;
+  }
+  std::string contents() const {
+    std::ifstream in(path_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+
+ private:
+  std::string path_;
+};
+
+std::uint64_t load(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, 8);
+  return v;
+}
+
+void store_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, 8);
+}
+
+void store_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  std::memcpy(bytes.data() + at, &v, 4);
+}
+
+/// Where a valid base archive keeps what the mutator targets and reseals.
+struct Layout {
+  std::size_t footer = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> blocks;  // offset, bytes
+  std::size_t block_crcs = 0;  // offset of the footer's block CRC array
+  std::vector<std::size_t> fields;  // u64 counts, offsets, days and keys
+};
+
+/// The four u64 header fields both formats share: darknet size or
+/// sampling rate, row count, block size and footer offset.
+void add_header_fields(Layout& layout) {
+  for (const std::size_t at : {8, 16, 24, 32}) layout.fields.push_back(at);
+}
+
+Layout ode2_layout(const std::string& bytes) {
+  Layout layout;
+  add_header_fields(layout);
+  const std::uint64_t n = load(bytes, 16);
+  const std::uint64_t b = load(bytes, 24);
+  layout.footer = static_cast<std::size_t>(load(bytes, 32));
+  std::size_t offset = kOde2HeaderBytes;
+  for (std::uint64_t k = 0; k * b < n; ++k) {
+    const auto block =
+        static_cast<std::size_t>(ode2_block_bytes(std::min(b, n - k * b)));
+    layout.blocks.emplace_back(offset, block);
+    layout.fields.push_back(offset);  // row 0's start_ns
+    offset += block;
+  }
+  const std::size_t f = layout.footer;
+  const std::size_t days = static_cast<std::size_t>(load(bytes, f + 16));
+  for (std::size_t at = f; at < f + 32 + 8 * (days + 1); at += 8) {
+    layout.fields.push_back(at);  // window, counts, day_start
+  }
+  const std::size_t metas = f + 32 + 8 * (days + 1);
+  for (std::size_t k = 0; k < layout.blocks.size(); ++k) {
+    layout.fields.push_back(metas + kOde2BlockMetaBytes * k);      // offset
+    layout.fields.push_back(metas + kOde2BlockMetaBytes * k + 8);  // min_day
+  }
+  layout.block_crcs = metas + kOde2BlockMetaBytes * layout.blocks.size();
+  return layout;
+}
+
+Layout fde1_layout(const std::string& bytes) {
+  Layout layout;
+  add_header_fields(layout);
+  const std::uint64_t n = load(bytes, 16);
+  const std::uint64_t b = load(bytes, 24);
+  layout.footer = static_cast<std::size_t>(load(bytes, 32));
+  std::size_t offset = kFde1HeaderBytes;
+  for (std::uint64_t k = 0; k * b < n; ++k) {
+    const std::uint64_t rows = std::min(b, n - k * b);
+    const auto block = static_cast<std::size_t>(fde1_block_bytes(rows));
+    layout.blocks.emplace_back(offset, block);
+    layout.fields.push_back(offset);                                // ts
+    layout.fields.push_back(offset + static_cast<std::size_t>(24 * rows));  // src
+    offset += block;
+  }
+  const std::size_t f = layout.footer;
+  const std::size_t segments = static_cast<std::size_t>(load(bytes, f + 16));
+  for (std::size_t at = f; at < f + 32 + kFde1SegmentBytes * segments; at += 8) {
+    layout.fields.push_back(at);  // window, counts, segment entries
+  }
+  const std::size_t metas = f + 32 + kFde1SegmentBytes * segments;
+  for (std::size_t k = 0; k < layout.blocks.size(); ++k) {
+    layout.fields.push_back(metas + kFde1BlockMetaBytes * k);
+  }
+  layout.block_crcs = metas + kFde1BlockMetaBytes * layout.blocks.size();
+  return layout;
+}
+
+/// Recomputes the header CRC, each block's CRC and the footer CRC at the
+/// base layout's positions, as far as the mutated bytes still hold them.
+void reseal(std::string& bytes, const Layout& layout) {
+  if (bytes.size() < 40) return;
+  store_u32(bytes, 4, test_pins::crc_of(bytes.substr(0, 40), 8));
+  for (std::size_t k = 0; k < layout.blocks.size(); ++k) {
+    const auto [offset, size] = layout.blocks[k];
+    if (offset + size > bytes.size() || layout.block_crcs + 4 * k + 4 > bytes.size()) {
+      return;
+    }
+    store_u32(bytes, layout.block_crcs + 4 * k,
+              test_pins::crc_of(bytes.substr(offset, size)));
+  }
+  if (layout.footer + 4 <= bytes.size()) {
+    store_u32(bytes, bytes.size() - 4,
+              test_pins::crc_of(bytes, layout.footer, 4));
+  }
+}
+
+/// The mutation of iteration `i`, drawn from kSeed + i alone.
+std::string mutate(const std::string& base, const Layout& layout, std::size_t i) {
+  std::mt19937_64 rng(kSeed + i);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto lie = [&](std::uint64_t v) -> std::uint64_t {
+    switch (pick(8)) {
+      case 0: return v + 1;
+      case 1: return v - 1;
+      case 2: return v + (std::uint64_t{1} << 61);
+      case 3: return v - (std::uint64_t{1} << 61);
+      case 4: return v * 2;
+      case 5: return 0;
+      case 6: return ~std::uint64_t{0};
+      default: return rng();
+    }
+  };
+  std::string bytes = base;
+  bool sealed = pick(4) != 0;
+  switch (pick(layout.blocks.empty() ? 4 : 5)) {
+    case 0:  // bit flips anywhere
+      for (std::size_t n = 1 + pick(4); n > 0; --n) {
+        bytes[pick(bytes.size())] ^= static_cast<char>(1u << pick(8));
+      }
+      break;
+    case 1:  // truncation
+      bytes.resize(pick(bytes.size()));
+      sealed = false;
+      break;
+    case 2: {  // one lying field
+      const std::size_t at = layout.fields[pick(layout.fields.size())];
+      store_u64(bytes, at, lie(load(bytes, at)));
+      break;
+    }
+    case 3: {  // two fields moved by the same delta, so they still agree
+      const std::size_t a = layout.fields[pick(layout.fields.size())];
+      const std::size_t b = layout.fields[pick(layout.fields.size())];
+      const std::uint64_t delta = lie(0);
+      store_u64(bytes, a, load(bytes, a) + delta);
+      if (b != a) store_u64(bytes, b, load(bytes, b) + delta);
+      break;
+    }
+    default: {  // one rewritten word inside a block
+      const auto [offset, size] = layout.blocks[pick(layout.blocks.size())];
+      const std::size_t at = offset + 8 * pick(size / 8);
+      store_u64(bytes, at, lie(load(bytes, at)));
+      break;
+    }
+  }
+  if (sealed) reseal(bytes, layout);
+  return bytes;
+}
+
+/// Runs `step`; a std::exception is an accepted outcome, anything else a
+/// failure. Crashes and sanitizer reports end the test process.
+void finishes_or_throws(const std::string& what, const char* step,
+                        const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::exception&) {
+  } catch (...) {
+    ADD_FAILURE() << what << ": " << step << " threw a non-std exception";
+  }
+}
+
+/// At least a fifth of the inputs must pass the strict open, or the
+/// fuzzer only exercises the CRC and geometry checks.
+void expect_reach(const char* format, std::size_t opened, std::size_t inputs) {
+  std::printf("[fuzz] %s: %zu of %zu inputs passed the strict open\n", format,
+              opened, inputs);
+  EXPECT_GE(opened * 5, inputs) << format;
+}
+
+const detect::AggressiveScannerDetector& detector() {
+  static const detect::AggressiveScannerDetector instance(
+      {.dispersion_threshold = 0.10,
+       .packet_volume_alpha = 0.028,
+       .port_count_alpha = 2e-4});
+  return instance;
+}
+
+net::Ipv4Address source(std::uint32_t i) { return net::Ipv4Address(0xCB007100u + i); }
+
+detect::IpSet probe_sources() {
+  detect::IpSet set;
+  for (std::uint32_t i = 0; i < 37; i += 3) set.insert(source(i));
+  return set;
+}
+
+// ------------------------------------------------------------------ ODE2
+
+/// 100 events over 13 days in blocks of 16, the shape store_test uses.
+telescope::EventDataset ode2_base_dataset() {
+  std::vector<telescope::DarknetEvent> events;
+  for (int i = 0; i < 100; ++i) {
+    telescope::DarknetEvent e;
+    e.key.src = source(static_cast<std::uint32_t>(i % 37));
+    e.key.dst_port = static_cast<std::uint16_t>(i % 7 == 0 ? 0 : 6379);
+    e.key.type = i % 7 == 0 ? pkt::TrafficType::IcmpEchoReq
+                            : pkt::TrafficType::TcpSyn;
+    e.start = net::SimTime::at(net::Duration::seconds(11000 * i));
+    e.end = e.start + net::Duration::seconds(40);
+    e.packets = 10 + static_cast<std::uint64_t>(i);
+    e.unique_dests = 5 + static_cast<std::uint64_t>(i);
+    e.packets_by_tool[telescope::tool_index(pkt::ScanTool::ZMap)] = e.packets;
+    events.push_back(e);
+  }
+  return telescope::EventDataset(std::move(events), 4096);
+}
+
+std::string ode2_file(const telescope::EventDataset& dataset, const FuzzFile& file) {
+  write_events_ode2_file(dataset, file.put(""), 16);
+  return file.contents();
+}
+
+/// Checks every property on one input; true when the strict open succeeded.
+bool expect_ode2_properties(const FuzzFile& file, const std::string& bytes,
+                            const std::string& what) {
+  const std::string& path = file.put(bytes);
+  std::optional<Ode2SalvageResult> salvage;
+  try {
+    salvage = read_events_ode2_salvage(path);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": salvage threw " << e.what();
+  }
+  std::optional<MappedEventStore> store;
+  try {
+    store.emplace(path);
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": strict open threw a non-runtime_error: " << e.what();
+  }
+  if (salvage) {
+    EXPECT_EQ(salvage->footer_intact, store.has_value()) << what;
+    EXPECT_EQ(salvage->recovered_count, salvage->dataset.event_count()) << what;
+  }
+  if (!store) return false;
+  finishes_or_throws(what, "verify_blocks", [&] {
+    if (store->verify_blocks() == store->block_count() && salvage) {
+      EXPECT_TRUE(salvage->complete) << what;
+      EXPECT_EQ(salvage->recovered_count, store->event_count()) << what;
+    }
+  });
+  finishes_or_throws(what, "to_dataset", [&] { (void)store->to_dataset(); });
+  finishes_or_throws(what, "detect", [&] { (void)detector().detect(*store); });
+  finishes_or_throws(what, "DailyDarknetMix",
+                     [&] { impact::DailyDarknetMix mix(*store, probe_sources()); });
+  return true;
+}
+
+TEST(Fuzz, Ode2SeededMutations) {
+  const FuzzFile file;
+  std::size_t opened = 0;
+  for (const telescope::EventDataset& dataset :
+       {ode2_base_dataset(), telescope::EventDataset({}, 512)}) {
+    const std::string base = ode2_file(dataset, file);
+    const Layout layout = ode2_layout(base);
+    for (std::size_t i = 0; i < kIterations / 2; ++i) {
+      opened += expect_ode2_properties(
+          file, mutate(base, layout, i),
+          "ode2 base " + std::to_string(dataset.event_count()) + " iteration " +
+              std::to_string(i));
+    }
+  }
+  expect_reach("ode2", opened, kIterations);
+}
+
+// ------------------------------------------------------------------ FDE1
+
+/// Every router over 4 days, a few sampled keys per cell (some cells
+/// empty), written in blocks of 8 rows so cells straddle blocks.
+flowsim::FlowDataset fde1_base_flows() {
+  flowsim::FlowSimConfig config;
+  config.start_day = 10;
+  config.end_day = 14;
+  config.sampling_rate = 100;
+  std::vector<std::vector<flowsim::RouterDay>> days(
+      flowsim::kRouterCount, std::vector<flowsim::RouterDay>(4));
+  for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
+    for (std::size_t day = 0; day < 4; ++day) {
+      flowsim::RouterDay& rd = days[router][day];
+      rd.user_packets = 1000 * (router + 1);
+      rd.scanner_packets = 100 * (day + 1);
+      rd.total_packets = rd.user_packets + rd.scanner_packets;
+      for (std::uint32_t k = 0; k < (router + day) % 5; ++k) {
+        const flowsim::FlowKey key{source(k * 5 + static_cast<std::uint32_t>(day)),
+                                   static_cast<std::uint16_t>(22 + k),
+                                   k % 2 ? pkt::TrafficType::Udp
+                                         : pkt::TrafficType::TcpSyn};
+        rd.sampled[key] = 3 + k;
+      }
+    }
+  }
+  return flowsim::FlowDataset(std::move(config), std::move(days));
+}
+
+std::string fde1_file(const FuzzFile& file) {
+  write_flows_fde1_file(fde1_base_flows(), file.put(""), 8);
+  return file.contents();
+}
+
+/// Checks every property on one input; true when the strict open succeeded.
+bool expect_fde1_properties(const FuzzFile& file, const std::string& bytes,
+                            const std::string& what) {
+  const std::string& path = file.put(bytes);
+  std::optional<Fde1SalvageResult> salvage;
+  try {
+    salvage = read_flows_fde1_salvage(path);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": salvage threw " << e.what();
+  }
+  std::optional<MappedFlowStore> store;
+  try {
+    store.emplace(path);
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": strict open threw a non-runtime_error: " << e.what();
+  }
+  if (salvage) {
+    EXPECT_EQ(salvage->footer_intact, store.has_value()) << what;
+    EXPECT_EQ(salvage->recovered_count, salvage->rows.size()) << what;
+  }
+  if (!store) return false;
+  finishes_or_throws(what, "verify_blocks", [&] {
+    if (store->verify_blocks() == store->block_count() && salvage) {
+      EXPECT_TRUE(salvage->complete) << what;
+      EXPECT_EQ(salvage->recovered_count, store->flow_count()) << what;
+    }
+  });
+  finishes_or_throws(what, "to_dataset", [&] { (void)store->to_dataset(); });
+  const impact::FlowImpactAnalyzer analyzer(&*store);
+  finishes_or_throws(what, "prebuild_indexes", [&] { analyzer.prebuild_indexes(2); });
+  if (!store->segments().empty()) {
+    const FlowSegment& cell = store->segments().front();
+    finishes_or_throws(what, "query", [&] {
+      (void)analyzer.query(cell.router, cell.day, probe_sources());
+    });
+  }
+  return true;
+}
+
+
+TEST(Fuzz, Fde1SeededMutations) {
+  const FuzzFile file;
+  const std::string base = fde1_file(file);
+  const Layout layout = fde1_layout(base);
+  std::size_t opened = 0;
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    opened += expect_fde1_properties(file, mutate(base, layout, i),
+                                     "fde1 iteration " + std::to_string(i));
+  }
+  expect_reach("fde1", opened, kIterations);
+}
+
+// --------------------------------------------------- regression inputs
+
+// A footer's day_count and last_day raised by 2^61 under a resealed CRC:
+// 8 * (day_count + 1) wrapped to the real footer size and the strict open
+// threw std::length_error from the day-index allocation.
+TEST(FuzzRegression, Ode2FooterDayCountRaisedBy2To61) {
+  const FuzzFile file;
+  std::string bytes = ode2_file(ode2_base_dataset(), file);
+  const Layout layout = ode2_layout(bytes);
+  for (const std::size_t field : {8, 16}) {
+    const std::size_t at = layout.footer + field;
+    store_u64(bytes, at, load(bytes, at) + (std::uint64_t{1} << 61));
+  }
+  reseal(bytes, layout);
+  expect_ode2_properties(file, bytes, "day_count + 2^61");
+  EXPECT_THROW(MappedEventStore{file.put(bytes)}, std::runtime_error);
+}
+
+// Row 0's start moved 400 days past the footer's window, no reseal: the
+// strict open passed, then detect and DailyDarknetMix indexed per-day
+// tables past their end.
+TEST(FuzzRegression, Ode2RowStartOutsideTheDayWindow) {
+  const FuzzFile file;
+  std::string bytes = ode2_file(ode2_base_dataset(), file);
+  store_u64(bytes, kOde2HeaderBytes,
+            load(bytes, kOde2HeaderBytes) +
+                static_cast<std::uint64_t>(net::Duration::days(400).total_nanos()));
+  expect_ode2_properties(file, bytes, "start + 400 days");
+  const MappedEventStore store(file.put(bytes));
+  EXPECT_THROW(detector().detect(store), std::runtime_error);
+}
+
+// One src of block 0 overwritten, size kept: the rows of the first cell
+// reach the index build out of order, and the throw escaped a prebuild
+// worker thread (std::terminate).
+TEST(FuzzRegression, Fde1BitRottedSourceInBlock0) {
+  const FuzzFile file;
+  std::string bytes = fde1_file(file);
+  {
+    // The first row of the first cell with two or more rows, in block 0.
+    const MappedFlowStore clean(file.put(bytes));
+    const FlowView block0 = clean.block(0);
+    std::size_t row = 0;
+    for (const FlowSegment& seg : clean.segments()) {
+      if (seg.row_end - seg.row_begin >= 2) {
+        row = static_cast<std::size_t>(seg.row_begin);
+        break;
+      }
+    }
+    ASSERT_LT(row + 1, block0.rows());
+    const auto src = reinterpret_cast<const char*>(block0.src.data() + row) -
+                     reinterpret_cast<const char*>(block0.ts_ns.data());
+    store_u32(bytes, clean.blocks()[0].offset + static_cast<std::size_t>(src),
+              0xFFFFFFFFu);
+  }
+  expect_fde1_properties(file, bytes, "rotted src");
+  const MappedFlowStore store(file.put(bytes));
+  EXPECT_THROW(impact::FlowImpactAnalyzer(&store).prebuild_indexes(2),
+               std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace orion::store

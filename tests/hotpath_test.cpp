@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <random>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -493,7 +492,7 @@ TEST(BatchEquivalence, CheckpointResumeMidBatchMatchesUninterrupted) {
     }
     telescope::CheckpointWriter writer;
     first.checkpoint(writer);
-    std::stringstream snapshot;
+    std::vector<std::uint8_t> snapshot;
     writer.finish(snapshot);
 
     telescope::TelescopeCapture resumed(dark, config);

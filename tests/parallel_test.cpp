@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <sstream>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -157,7 +156,7 @@ TEST(ParallelPipeline, CheckpointResumeMidRunMatchesSerial) {
   const SerialResult& serial = serial_reference(packets);
   const std::size_t cut = packets.size() / 2;
 
-  std::stringstream snapshot;
+  std::vector<std::uint8_t> snapshot;
   {
     ParallelPipeline pipeline(scenario().darknet(),
                               parallel_config(4, 64, 8));
@@ -189,7 +188,7 @@ TEST(ParallelPipeline, RestoreAcceptsLegacyPpl1Checkpoint) {
   const SerialResult& serial = serial_reference(packets);
   const std::size_t cut = packets.size() / 2;
 
-  std::stringstream snapshot;
+  std::vector<std::uint8_t> snapshot;
   {
     ParallelPipeline pipeline(scenario().darknet(), parallel_config(4, 64, 8));
     for (std::size_t i = 0; i < cut; ++i) pipeline.observe(packets[i]);
@@ -200,7 +199,7 @@ TEST(ParallelPipeline, RestoreAcceptsLegacyPpl1Checkpoint) {
 
   // Rewrite the container into the exact PPL1 wire layout: the old tag
   // and no ledger u64s between `ingested` and the first shard section.
-  const std::string frame = snapshot.str();
+  const std::string frame(snapshot.begin(), snapshot.end());
   auto frame_u64 = [&](std::size_t off) {
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i) {
@@ -225,7 +224,7 @@ TEST(ParallelPipeline, RestoreAcceptsLegacyPpl1Checkpoint) {
   ASSERT_GE(payload.size(), static_cast<std::size_t>(ledger_off) + 24);
   payload.erase(payload.begin() + ledger_off,
                 payload.begin() + ledger_off + 24);
-  std::stringstream legacy;
+  std::vector<std::uint8_t> legacy;
   CheckpointWriter reframe;
   reframe.bytes(payload);
   reframe.finish(legacy);
@@ -242,7 +241,7 @@ TEST(ParallelPipeline, RestoreAcceptsLegacyPpl1Checkpoint) {
 
 TEST(ParallelPipeline, RestoreRejectsMismatchedShardCount) {
   const auto packets = packet_stream(2);
-  std::stringstream snapshot;
+  std::vector<std::uint8_t> snapshot;
   {
     ParallelPipeline pipeline(scenario().darknet(), parallel_config(4, 64, 8));
     for (const pkt::Packet& p : packets) pipeline.observe(p);
@@ -256,7 +255,7 @@ TEST(ParallelPipeline, RestoreRejectsMismatchedShardCount) {
 }
 
 TEST(ParallelPipeline, RestoreRejectsMismatchedDetectorConfig) {
-  std::stringstream snapshot;
+  std::vector<std::uint8_t> snapshot;
   {
     ParallelPipeline pipeline(scenario().darknet(), parallel_config(2, 64, 8));
     CheckpointWriter writer;

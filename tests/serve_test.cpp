@@ -336,6 +336,44 @@ TEST(ServeCache, RefreshSurvivesMissingAndCorruptArchives) {
   EXPECT_NE(cache.current(), nullptr);
 }
 
+// Bit rot in a published flows generation: one src of block 0 overwritten
+// in place, the file size kept. The strict open leaves block CRCs lazy,
+// so the rows reach the index build out of order, and the build throws
+// on a prebuild worker thread. The watcher must keep serving the old
+// generation rather than die with that exception.
+TEST(ServeCache, RefreshSurvivesABitRottedFlowBlock) {
+  const std::string dir = temp_dir("rot");
+  ASSERT_EQ(publish_flows(dir, 0), 1u);
+  StoreCache cache(dir);
+  ASSERT_TRUE(cache.refresh());
+  const std::vector<std::uint8_t> before =
+      execute_query_bytes(impact_request(), cache.current()->backend());
+
+  ASSERT_EQ(publish_flows(dir, 1000), 2u);
+  const store::ArchiveDir archive(dir);
+  const std::string path = archive.path_of(*archive.find("flows"));
+  {
+    const store::MappedFlowStore clean(path);
+    ASSERT_GE(clean.block(0).rows(), 2u);
+    // FDE1 block: ts i64[m] | packets u64[m] | bytes u64[m] | src u32[m] ...
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(store::kFde1HeaderBytes +
+                                           24 * clean.block(0).rows()));
+    const char rotted[4] = {'\xff', '\xff', '\xff', '\xff'};
+    file.write(rotted, sizeof(rotted));
+  }
+
+  EXPECT_FALSE(cache.refresh());
+  ASSERT_NE(cache.current(), nullptr);
+  EXPECT_EQ(cache.current()->generation, 1u);
+  EXPECT_EQ(execute_query_bytes(impact_request(), cache.current()->backend()),
+            before);
+
+  const store::MappedFlowStore rotted(path);
+  const impact::FlowImpactAnalyzer analyzer(&rotted);
+  EXPECT_THROW(analyzer.prebuild_indexes(4), std::invalid_argument);
+}
+
 // ------------------------------------------------------------- daemon
 
 TEST(ServeDaemon, ResponsesAreByteIdenticalToDirectExecution) {

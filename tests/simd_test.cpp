@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -453,14 +452,10 @@ TEST(SimdAggregator, CaptureInvariantAcrossTiers) {
     feed(agg);
     telescope::CheckpointWriter writer;
     agg.checkpoint(writer);
-    std::ostringstream snapshot;
+    std::vector<std::uint8_t> snapshot;
     writer.finish(snapshot);
-    const std::string bytes = snapshot.str();
     agg.finish();
-    return Result{collector.take(),
-                  net::Crc32::of({reinterpret_cast<const std::uint8_t*>(
-                                      bytes.data()),
-                                  bytes.size()})};
+    return Result{collector.take(), net::Crc32::of(snapshot)};
   };
 
   simd::set_level(simd::Level::Scalar);

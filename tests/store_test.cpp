@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -296,6 +297,29 @@ TEST(MappedStore, StrictOpenRejectsCorruption) {
   }
 }
 
+// A footer whose day_count and last_day both grew by 2^61 under a resealed
+// CRC: the day window still looks consistent and 8 * (day_count + 1)
+// wraps back to the real footer size, so an unbounded day_count reached
+// the day-index allocation.
+TEST(MappedStore, StrictOpenBoundsTheFooterDayCount) {
+  std::string bytes = ode2_bytes(sample_dataset(), 16);
+  std::uint64_t footer = 0;
+  std::memcpy(&footer, bytes.data() + 32, 8);
+  for (const std::size_t field : {8, 16}) {  // last_day, day_count
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + footer + field, 8);
+    v += std::uint64_t{1} << 61;
+    std::memcpy(bytes.data() + footer + field, &v, 8);
+  }
+  const std::uint32_t crc = test_pins::crc_of(bytes, footer, 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+  const TempFile file(bytes);
+  EXPECT_THROW(MappedEventStore{file.path()}, std::runtime_error);
+  const Ode2SalvageResult salvage = read_events_ode2_salvage(file.path());
+  EXPECT_FALSE(salvage.footer_intact);
+  EXPECT_EQ(salvage.recovered_count, 100u);
+}
+
 // --------------------------- corrupt-input corpus: truncation + bit flips
 
 TEST(Ode2Salvage, CleanFileIsComplete) {
@@ -479,6 +503,30 @@ TEST(ZeroCopyAnalysis, DarknetMixesMatchDatasetPath) {
     EXPECT_EQ(from_dataset.ports(day).counts(), from_store.ports(day).counts())
         << "day " << day;
   }
+}
+
+// Block payloads are not CRC-checked on the strict open, so a row can
+// claim a start day outside the footer's window. Consumers index per-day
+// tables by it; the store refuses to hand such a row out.
+TEST(ZeroCopyAnalysis, RowOutsideTheDayWindowIsATypedError) {
+  const EventDataset dataset = sample_dataset();
+  std::string bytes = ode2_bytes(dataset, 16);
+  // Block 0's start column comes first: row 0's start_ns, 400 days later.
+  std::int64_t start_ns = 0;
+  std::memcpy(&start_ns, bytes.data() + kOde2HeaderBytes, 8);
+  start_ns += net::Duration::days(400).total_nanos();
+  std::memcpy(bytes.data() + kOde2HeaderBytes, &start_ns, 8);
+  const TempFile file(bytes);
+  const MappedEventStore store(file.path());
+  EXPECT_EQ(store.verify_blocks(), 0u);
+
+  const detect::AggressiveScannerDetector detector(
+      {.dispersion_threshold = 0.10,
+       .packet_volume_alpha = 0.028,
+       .port_count_alpha = 2e-4});
+  EXPECT_THROW(detector.detect(store), std::runtime_error);
+  const detect::IpSet sources{dataset.events().front().key.src};
+  EXPECT_THROW(impact::DailyDarknetMix(store, sources), std::runtime_error);
 }
 
 }  // namespace

@@ -452,9 +452,9 @@ PinnedRun pinned_run(const ExpiryFeed& feed, std::size_t batch_size) {
   agg.finish();
   CheckpointWriter writer;
   put_events(writer, emitted);
-  std::ostringstream out;
+  std::vector<std::uint8_t> out;
   writer.finish(out);
-  run.emitted = payload_crc(out.str());
+  run.emitted = payload_crc({out.begin(), out.end()});
   return run;
 }
 
@@ -612,8 +612,7 @@ TEST(CaptureCheckpoint, RestoreThenCheckpointIsByteIdentical) {
     const std::string snapshot = checkpoint_bytes(uninterrupted);
 
     TelescopeCapture resumed(dark, config);
-    std::istringstream in(snapshot);
-    CheckpointReader reader(in);
+    CheckpointReader reader(test_pins::frame_bytes(snapshot));
     resumed.restore(reader);
     EXPECT_EQ(payload_crc(checkpoint_bytes(resumed)), payload_crc(snapshot)) << "cut " << cut;
 
@@ -711,10 +710,9 @@ std::vector<std::uint8_t> one_event_payload(std::initializer_list<const char*> d
 void restore_payload(const std::vector<std::uint8_t>& payload) {
   CheckpointWriter writer;
   writer.bytes(payload);
-  std::ostringstream out;
-  writer.finish(out);
-  std::istringstream in(out.str());
-  CheckpointReader reader(in);
+  std::vector<std::uint8_t> frame;
+  writer.finish(frame);
+  CheckpointReader reader(frame);
   EventAggregator restored(dark_space(), fast_config(), {});
   restored.restore(reader);
 }
