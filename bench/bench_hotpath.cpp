@@ -286,6 +286,7 @@ int main(int argc, char** argv) {
       out << "    {\"config\": \"" << runs[i].config << "\", \"tier\": \""
           << runs[i].tier << "\", \"seconds\": " << runs[i].timing.best
           << ", \"median_seconds\": " << runs[i].timing.median
+          << ", \"worst_seconds\": " << runs[i].timing.worst
           << ", \"pps\": " << runs[i].pps << ", \"speedup_vs_per_packet\": "
           << runs[i].pps / per_packet_pps << "}"
           << (i + 1 < runs.size() ? "," : "") << "\n";

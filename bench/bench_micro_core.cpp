@@ -295,17 +295,27 @@ void BM_HyperLogLogAdd(benchmark::State& state) {
 BENCHMARK(BM_HyperLogLogAdd);
 
 /// Ablation: hybrid exact->HLL estimator vs plain exact set at increasing
-/// per-event destination counts.
+/// per-event destination counts. The keys are what the aggregator feeds:
+/// dark-space offsets (a ZMap-like random sweep, with repeats) at the
+/// default 16,384-key limit, over the paper scenario's /17 (Arg 1 = 0),
+/// an ORION-sized 475,136-address dark space (Arg 1 = 1) and a /8
+/// (Arg 1 = 2), which sits on the other side of the array-to-bitmap
+/// switch rule (CardinalityEstimator::kEagerBitmapBytes).
 void BM_CardinalityEstimatorAdd(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint64_t kUniverses[] = {32768, 475136, std::uint64_t{1} << 24};
+  const std::uint64_t universe = kUniverses[state.range(1)];
+  std::vector<std::uint64_t> offsets(n);
+  net::Rng rng(7);
+  for (auto& o : offsets) o = rng.bounded(universe);
   for (auto _ : state) {
-    stats::CardinalityEstimator est(4096, 12);
-    for (std::uint64_t i = 0; i < n; ++i) est.add(i * 2654435761ull);
+    stats::CardinalityEstimator est(universe, 16384, 12);
+    for (const std::uint64_t o : offsets) est.add(o);
     benchmark::DoNotOptimize(est.estimate());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_CardinalityEstimatorAdd)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_CardinalityEstimatorAdd)->ArgsProduct({{1000, 10000, 100000}, {0, 1, 2}});
 
 void BM_ExactSetAdd(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));

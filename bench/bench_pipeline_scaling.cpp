@@ -13,10 +13,7 @@
 // repo's tracking of the ISSUE-2 acceptance numbers. Scaling is bounded
 // by the host: the JSON records hardware_concurrency so a 1-core CI box
 // reporting ~1x is distinguishable from a real regression.
-#include <algorithm>
-#include <chrono>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -35,29 +32,17 @@ using namespace orion;
 
 struct Measurement {
   std::size_t shards = 0;  // 0: serial reference path
-  double seconds = 0;
-  double pps = 0;
+  bench::Timing timing;
+  double pps = 0;  // at the best time
   /// More worker shards than hardware threads: the numbers measure
   /// context-switch overhead, not scaling.
   bool oversubscribed = false;
 };
 
-double best_seconds(int reps, const std::function<std::uint64_t()>& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t consumed = run();
-    const auto t1 = std::chrono::steady_clock::now();
-    (void)consumed;
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::int64_t days = 3;
+  std::int64_t days = 14;
   int reps = 3;
   bool run_all = false;
   std::string json_path;
@@ -116,7 +101,7 @@ int main(int argc, char** argv) {
   {
     Measurement m;
     m.shards = 0;
-    m.seconds = best_seconds(reps, [&]() {
+    m.timing = bench::time_reps(reps, [&]() {
       telescope::TelescopeCapture capture(scenario.darknet(),
                                           aggregator_config);
       for (const pkt::Packet& p : packets) capture.observe(p);
@@ -125,9 +110,8 @@ int main(int argc, char** argv) {
           detector_config, scenario.darknet().total_addresses());
       for (const auto& e : dataset.events()) (void)detector.observe(e);
       (void)detector.finish();
-      return capture.packets_captured();
     });
-    m.pps = static_cast<double>(packets.size()) / m.seconds;
+    m.pps = static_cast<double>(packets.size()) / m.timing.best;
     results.push_back(m);
   }
 
@@ -144,35 +128,35 @@ int main(int argc, char** argv) {
     Measurement m;
     m.shards = shards;
     m.oversubscribed = oversubscribed;
-    m.seconds = best_seconds(reps, [&]() {
+    m.timing = bench::time_reps(reps, [&]() {
       telescope::ParallelConfig config;
       config.shards = shards;
       config.aggregator = aggregator_config;
       config.detector = detector_config;
       telescope::ParallelPipeline pipeline(scenario.darknet(), config);
       for (const pkt::Packet& p : packets) pipeline.observe(p);
-      const telescope::ParallelResult result = pipeline.finish();
-      return result.health.delivered;
+      (void)pipeline.finish();
     });
-    m.pps = static_cast<double>(packets.size()) / m.seconds;
+    m.pps = static_cast<double>(packets.size()) / m.timing.best;
     results.push_back(m);
   }
 
   const double base_pps = results[1].pps;  // 1 shard (never skipped)
   const double serial_pps = results[0].pps;
-  report::Table table({"configuration", "seconds (best)", "packets/sec",
-                       "speedup vs 1 shard"});
+  report::Table table({"configuration", "seconds (best)", "seconds (median)",
+                       "packets/sec", "speedup vs 1 shard"});
   for (const Measurement& m : results) {
     std::string name =
         m.shards == 0 ? "serial reference"
                       : std::to_string(m.shards) + " shard" +
                             (m.shards == 1 ? "" : "s");
     if (m.oversubscribed) name += " (oversubscribed)";
-    char pps_buf[64], sec_buf[64], spd_buf[64];
-    std::snprintf(sec_buf, sizeof sec_buf, "%.3f", m.seconds);
+    char pps_buf[64], sec_buf[64], med_buf[64], spd_buf[64];
+    std::snprintf(sec_buf, sizeof sec_buf, "%.3f", m.timing.best);
+    std::snprintf(med_buf, sizeof med_buf, "%.3f", m.timing.median);
     std::snprintf(pps_buf, sizeof pps_buf, "%.0f", m.pps);
     std::snprintf(spd_buf, sizeof spd_buf, "%.2fx", m.pps / base_pps);
-    table.add_row({name, sec_buf, pps_buf, spd_buf});
+    table.add_row({name, sec_buf, med_buf, pps_buf, spd_buf});
   }
   std::cout << table.to_ascii();
   if (!skipped.empty()) {
@@ -199,7 +183,9 @@ int main(int argc, char** argv) {
       out << "    {\"config\": "
           << (m.shards == 0 ? std::string("\"serial\"")
                             : std::to_string(m.shards))
-          << ", \"seconds\": " << m.seconds << ", \"pps\": " << m.pps
+          << ", \"seconds\": " << m.timing.best
+          << ", \"median_seconds\": " << m.timing.median
+          << ", \"worst_seconds\": " << m.timing.worst << ", \"pps\": " << m.pps
           << ", \"speedup_vs_1shard\": " << m.pps / base_pps
           << ", \"speedup_vs_serial\": " << m.pps / serial_pps
           << ", \"oversubscribed\": " << (m.oversubscribed ? "true" : "false")

@@ -144,9 +144,10 @@ Timing time_reps(int reps, const std::function<void()>& run) {
   }
   std::sort(samples.begin(), samples.end());
   const std::size_t mid = samples.size() / 2;
-  return {samples.front(), samples.size() % 2 == 1
-                               ? samples[mid]
-                               : (samples[mid - 1] + samples[mid]) / 2};
+  return {samples.front(),
+          samples.size() % 2 == 1 ? samples[mid]
+                                  : (samples[mid - 1] + samples[mid]) / 2,
+          samples.back()};
 }
 
 }  // namespace orion::bench

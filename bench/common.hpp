@@ -63,10 +63,12 @@ flowsim::FlowDataset merit_flows(const World& world, int year,
 /// headline numbers for qualitative comparison.
 void print_header(const std::string& title, const std::string& paper_summary);
 
-/// Best and median wall-clock seconds over repeated runs.
+/// Best, median and worst wall-clock seconds over repeated runs (best to
+/// worst is the spread).
 struct Timing {
   double best = 0;
   double median = 0;
+  double worst = 0;
 };
 
 /// Runs `run` `reps` times (reps >= 1), timing each with steady_clock.

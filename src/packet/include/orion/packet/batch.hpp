@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "orion/netbase/aligned.hpp"
 #include "orion/packet/fingerprint.hpp"
@@ -84,22 +85,29 @@ class PacketBatch {
     wire_len_.push_back(p.wire_length);
   }
 
-  /// Copies record i of another batch onto the end of this one (used by the
-  /// dispatcher to scatter a generator batch into per-shard batches).
+  /// Copies record i of another batch onto the end of this one.
   void append_record(const PacketBatch& other, std::size_t i) {
-    ts_ns_.push_back(other.ts_ns_[i]);
-    src_.push_back(other.src_[i]);
-    dst_.push_back(other.dst_[i]);
-    src_port_.push_back(other.src_port_[i]);
-    dst_port_.push_back(other.dst_port_[i]);
-    proto_.push_back(other.proto_[i]);
-    tcp_flags_.push_back(other.tcp_flags_[i]);
-    icmp_type_.push_back(other.icmp_type_[i]);
-    ttl_.push_back(other.ttl_[i]);
-    ip_id_.push_back(other.ip_id_[i]);
-    tcp_window_.push_back(other.tcp_window_[i]);
-    tcp_seq_.push_back(other.tcp_seq_[i]);
-    wire_len_.push_back(other.wire_len_[i]);
+    append_records(other, std::span<const std::size_t>(&i, 1));
+  }
+
+  /// Gathers the records `indices` of another batch, in that order, onto
+  /// the end of this one, column by column (the dispatcher's scatter:
+  /// one call per shard instead of one append_record per record).
+  template <typename Index>
+  void append_records(const PacketBatch& other, std::span<const Index> indices) {
+    gather(ts_ns_, other.ts_ns_, indices);
+    gather(src_, other.src_, indices);
+    gather(dst_, other.dst_, indices);
+    gather(src_port_, other.src_port_, indices);
+    gather(dst_port_, other.dst_port_, indices);
+    gather(proto_, other.proto_, indices);
+    gather(tcp_flags_, other.tcp_flags_, indices);
+    gather(icmp_type_, other.icmp_type_, indices);
+    gather(ttl_, other.ttl_, indices);
+    gather(ip_id_, other.ip_id_, indices);
+    gather(tcp_window_, other.tcp_window_, indices);
+    gather(tcp_seq_, other.tcp_seq_, indices);
+    gather(wire_len_, other.wire_len_, indices);
   }
 
   /// Reassembles record i as a Packet — the exact inverse of push_back.
@@ -169,6 +177,15 @@ class PacketBatch {
   }
 
  private:
+  template <typename T, typename Index>
+  static void gather(net::aligned_vector<T>& to, const net::aligned_vector<T>& from,
+                     std::span<const Index> indices) {
+    const std::size_t at = to.size();
+    to.resize(at + indices.size());
+    T* out = to.data() + at;
+    for (std::size_t j = 0; j < indices.size(); ++j) out[j] = from[indices[j]];
+  }
+
   net::aligned_vector<std::int64_t> ts_ns_;
   net::aligned_vector<std::uint32_t> src_;
   net::aligned_vector<std::uint32_t> dst_;

@@ -148,10 +148,12 @@ class ParallelPipeline {
   /// std::invalid_argument from the dispatcher before dispatch.
   void observe(const pkt::Packet& packet);
 
-  /// Feeds a whole columnar batch: each record is scattered into its
-  /// shard's pending batch without reassembling Packet structs. Results
-  /// are identical to calling observe() per record; the whole batch is
-  /// validated for monotonicity before any record is dispatched.
+  /// Feeds a whole columnar batch: each shard gathers its records into
+  /// its pending batch column by column, without reassembling Packet
+  /// structs. Results are identical to calling observe() per record; the
+  /// whole batch is validated for monotonicity before any record is
+  /// dispatched. A batch of more than 2^32 records throws
+  /// std::length_error.
   void observe_batch(const pkt::PacketBatch& batch);
 
   /// Flushes, stops and joins the workers, then merges shard state into
@@ -217,6 +219,9 @@ class ParallelPipeline {
     pkt::PacketBatch pending;  // dispatcher-side partial batch
     /// Membership bytes parallel to `pending`, moved out with it.
     std::vector<std::uint8_t> pending_member;
+    /// observe_batch scratch: this shard's record indices in the incoming
+    /// batch, in stream order (dispatcher-owned, reused).
+    std::vector<std::uint32_t> scatter;
     std::thread worker;
 
     /// --- supervision state (all idle when supervision is disabled) ---

@@ -382,6 +382,9 @@ void ParallelPipeline::observe_batch(const pkt::PacketBatch& batch) {
   }
   const std::size_t n = batch.size();
   if (n == 0) return;
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("ParallelPipeline::observe_batch: batch over 2^32 records");
+  }
   // Whole-batch monotonicity validation before any record is dispatched
   // (the same strengthening as EventAggregator::observe_batch).
   std::int64_t prev = saw_packet_
@@ -405,11 +408,31 @@ void ParallelPipeline::observe_batch(const pkt::PacketBatch& batch) {
   member_scratch_.resize(n);
   dark_space_.contains_batch(batch.dst_col().data(), n, member_scratch_.data());
 
+  // Column-wise scatter: one pass lists each shard's record indices in
+  // stream order, then each shard gathers its records (and their
+  // membership bytes) a column at a time, cut at the batch_size
+  // boundaries the record-by-record scatter had. Each shard therefore
+  // sees the same batches; only the push order between shards changes.
+  for (auto& shard : shards_) shard->scatter.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    Shard& shard = *shards_[net::shard_of(batch.src(i), config_.shards)];
-    shard.pending.append_record(batch, i);
-    shard.pending_member.push_back(member_scratch_[i]);
-    if (shard.pending.size() >= config_.batch_size) dispatch_pending(shard);
+    shards_[net::shard_of(batch.src(i), config_.shards)]->scatter.push_back(
+        static_cast<std::uint32_t>(i));
+  }
+  for (auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    std::span<const std::uint32_t> indices = shard.scatter;
+    while (!indices.empty()) {
+      const std::span<const std::uint32_t> take = indices.first(std::min(
+          indices.size(), config_.batch_size - shard.pending.size()));
+      shard.pending.append_records(batch, take);
+      const std::size_t at = shard.pending_member.size();
+      shard.pending_member.resize(at + take.size());
+      for (std::size_t j = 0; j < take.size(); ++j) {
+        shard.pending_member[at + j] = member_scratch_[take[j]];
+      }
+      indices = indices.subspan(take.size());
+      if (shard.pending.size() >= config_.batch_size) dispatch_pending(shard);
+    }
   }
 }
 

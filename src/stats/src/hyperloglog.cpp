@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -70,92 +71,85 @@ void HyperLogLog::merge(const HyperLogLog& other) {
   }
 }
 
-CardinalityEstimator::CardinalityEstimator(std::size_t exact_limit,
+CardinalityEstimator::CardinalityEstimator(std::uint64_t universe,
+                                           std::size_t exact_limit,
                                            int hll_precision)
-    : exact_limit_(exact_limit),
+    : universe_(universe),
+      exact_limit_(exact_limit),
       hll_precision_(hll_precision),
       sketch_(hll_precision) {}
 
-void CardinalityEstimator::insert_exact(std::uint64_t key) {
-  // Grow at 3/4 load (counting only the keys stored in slots_).
-  const std::size_t stored = exact_size_ - (has_zero_ ? 1 : 0);
-  if (slots_.empty() || (stored + 1) * 4 > slots_.size() * 3) {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, 0);
-    const std::size_t mask = slots_.size() - 1;
-    for (const std::uint64_t k : old) {
-      if (k == 0) continue;
-      std::size_t i = hll_hash(k) & mask;
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = k;
+CardinalityEstimator::Chunk& CardinalityEstimator::chunk_for(std::uint32_t high) {
+  const auto it = std::lower_bound(
+      chunks_.begin(), chunks_.end(), high,
+      [](const Chunk& chunk, std::uint32_t h) { return chunk.high < h; });
+  if (it != chunks_.end() && it->high == high) return *it;
+  return *chunks_.insert(it, Chunk{high, {}, CoverageBitset(0)});
+}
+
+bool CardinalityEstimator::insert_exact(std::uint64_t key) {
+  const auto high = static_cast<std::uint32_t>(key >> kChunkBits);
+  const auto low = static_cast<std::uint16_t>(key);
+  Chunk& chunk = chunk_for(high);
+  if (chunk.bitmap.universe_size() == 0) {
+    std::vector<std::uint16_t>& array = chunk.array;
+    const auto it = std::lower_bound(array.begin(), array.end(), low);
+    if (it != array.end() && *it == low) return false;
+    // The chunk's bitmap, clipped to the universe, would take
+    // (bits + 63) / 64 words: as many bytes as half that many array keys.
+    const std::uint64_t bits = std::min<std::uint64_t>(
+        std::uint64_t{1} << kChunkBits, universe_ - (std::uint64_t{high} << kChunkBits));
+    const std::uint64_t roaring_keys = (bits + 63) / 64 * 4;
+    const std::uint64_t array_keys = universe_ / 8 <= kEagerBitmapBytes
+                                         ? std::min<std::uint64_t>(kEagerArrayKeys, roaring_keys)
+                                         : roaring_keys;
+    if (array.size() < array_keys) {
+      array.insert(it, low);
+      return true;
+    }
+    chunk.bitmap = CoverageBitset(bits);
+    for (const std::uint16_t v : array) chunk.bitmap.mark(v);
+    std::vector<std::uint16_t>().swap(array);
+  }
+  return chunk.bitmap.set(low);
+}
+
+template <typename F>
+void CardinalityEstimator::for_each_key(F&& f) const {
+  for (const Chunk& chunk : chunks_) {
+    const std::uint64_t base = std::uint64_t{chunk.high} << kChunkBits;
+    for (const std::uint16_t v : chunk.array) f(base | v);
+    const std::span<const std::uint64_t> words = chunk.bitmap.words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        f(base | (w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits))));
+      }
     }
   }
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hll_hash(key) & mask;
-  while (slots_[i] != 0) {
-    if (slots_[i] == key) return;
-    i = (i + 1) & mask;
-  }
-  slots_[i] = key;
-  ++exact_size_;
 }
 
 void CardinalityEstimator::promote() {
-  for (const std::uint64_t k : slots_) {
-    if (k != 0) sketch_.add(hll_hash(k));
-  }
-  if (has_zero_) sketch_.add(hll_hash(0));
-  slots_.clear();
-  slots_.shrink_to_fit();
-  has_zero_ = false;
+  for_each_key([this](std::uint64_t k) { sketch_.add(hll_hash(k)); });
+  std::vector<Chunk>().swap(chunks_);
   exact_size_ = 0;
   promoted_ = true;
 }
 
 void CardinalityEstimator::add(std::uint64_t key) {
+  if (key >= universe_) {
+    throw std::out_of_range("CardinalityEstimator::add: key beyond universe");
+  }
   if (promoted_) {
     sketch_.add(hll_hash(key));
     return;
   }
-  if (key == 0) {
-    if (!has_zero_) {
-      has_zero_ = true;
-      ++exact_size_;
-    }
-  } else {
-    insert_exact(key);
-  }
-  if (exact_size_ > exact_limit_) promote();
+  if (insert_exact(key) && ++exact_size_ > exact_limit_) promote();
 }
 
 std::vector<std::uint64_t> CardinalityEstimator::exact_keys() const {
   std::vector<std::uint64_t> keys;
   keys.reserve(exact_size_);
-  if (has_zero_) keys.push_back(0);
-  std::uint64_t any_bits = 0;
-  for (const std::uint64_t k : slots_) {
-    if (k != 0) keys.push_back(k);
-    any_bits |= k;
-  }
-  if (keys.size() < kRadixSortMin) {
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  }
-  // LSD radix sort: each pass is a stable counting sort on the next digit.
-  constexpr int kDigitBits = 11;
-  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-  const int passes = (std::bit_width(any_bits) + kDigitBits - 1) / kDigitBits;
-  std::vector<std::uint64_t> sorted(keys.size());
-  std::vector<std::size_t> start(kBuckets);
-  for (int pass = 0; pass < passes; ++pass) {
-    const int shift = pass * kDigitBits;
-    std::fill(start.begin(), start.end(), 0);
-    for (const std::uint64_t k : keys) ++start[(k >> shift) & (kBuckets - 1)];
-    std::size_t next = 0;
-    for (std::size_t& s : start) next += std::exchange(s, next);
-    for (const std::uint64_t k : keys) sorted[start[(k >> shift) & (kBuckets - 1)]++] = k;
-    keys.swap(sorted);
-  }
+  for_each_key([&keys](std::uint64_t k) { keys.push_back(k); });
   return keys;
 }
 
@@ -166,21 +160,26 @@ void CardinalityEstimator::restore(bool promoted,
     throw std::invalid_argument(
         "CardinalityEstimator::restore: precision mismatch");
   }
-  promoted_ = promoted;
-  slots_.clear();
-  has_zero_ = false;
-  exact_size_ = 0;
   for (const std::uint64_t k : exact) {
-    if (k == 0) {
-      if (!has_zero_) {
-        has_zero_ = true;
-        ++exact_size_;
-      }
-    } else {
-      insert_exact(k);
+    if (k >= universe_) {
+      throw std::invalid_argument(
+          "CardinalityEstimator::restore: key beyond universe");
     }
   }
+  promoted_ = promoted;
+  chunks_.clear();
+  exact_size_ = 0;
+  for (const std::uint64_t k : exact) exact_size_ += insert_exact(k) ? 1 : 0;
   sketch_ = std::move(sketch);
+}
+
+std::size_t CardinalityEstimator::exact_bytes() const {
+  std::size_t bytes = chunks_.capacity() * sizeof(Chunk);
+  for (const Chunk& chunk : chunks_) {
+    bytes += chunk.array.capacity() * sizeof(std::uint16_t) +
+             chunk.bitmap.words().size() * sizeof(std::uint64_t);
+  }
+  return bytes;
 }
 
 std::uint64_t CardinalityEstimator::estimate() const {

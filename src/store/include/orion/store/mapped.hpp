@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <string>
 #include <thread>
@@ -195,6 +196,9 @@ class MappedEventStore {
   /// function of (block_count, n_threads) and the merge is ordered, the
   /// result is identical for every thread count whenever merge is
   /// associative — the same ordered-merge argument as the PR 2 pipeline.
+  /// A throwing per_block stops its thread's range; after the join the
+  /// first failure in block order is rethrown, which is what the one-
+  /// thread path throws.
   template <typename State, typename PerBlock, typename Merge>
   State parallel_scan(std::size_t n_threads, PerBlock per_block,
                       Merge merge) const {
@@ -209,6 +213,7 @@ class MappedEventStore {
       return state;
     }
     std::vector<State> states(n_threads);
+    std::vector<std::exception_ptr> failed(n_threads);
     const std::size_t per = (nb + n_threads - 1) / n_threads;
     {
       std::vector<std::thread> threads;
@@ -216,11 +221,18 @@ class MappedEventStore {
       for (std::size_t t = 0; t < n_threads; ++t) {
         const std::size_t lo = std::min(nb, t * per);
         const std::size_t hi = std::min(nb, lo + per);
-        threads.emplace_back([this, &states, &per_block, t, lo, hi] {
-          for (std::size_t k = lo; k < hi; ++k) per_block(states[t], block(k));
+        threads.emplace_back([this, &states, &failed, &per_block, t, lo, hi] {
+          try {
+            for (std::size_t k = lo; k < hi; ++k) per_block(states[t], block(k));
+          } catch (...) {
+            failed[t] = std::current_exception();
+          }
         });
       }
       for (std::thread& th : threads) th.join();
+    }
+    for (const std::exception_ptr& failure : failed) {
+      if (failure) std::rethrow_exception(failure);
     }
     State out = std::move(states[0]);
     for (std::size_t t = 1; t < n_threads; ++t) {

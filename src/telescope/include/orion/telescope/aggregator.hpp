@@ -111,8 +111,9 @@ class EventAggregator {
     ToolPackets packets_by_tool{};
     stats::CardinalityEstimator dests;
 
-    explicit LiveEvent(std::size_t exact_limit, int hll_precision)
-        : dests(exact_limit, hll_precision) {}
+    LiveEvent(std::uint64_t darknet_size, std::size_t exact_limit,
+              int hll_precision)
+        : dests(darknet_size, exact_limit, hll_precision) {}
   };
 
   void emit(const EventKey& key, const LiveEvent& live);

@@ -154,7 +154,8 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
     if (live == nullptr) {
       live = live_
                  .try_emplace_hashed(key, hash,
-                                     LiveEvent(config_.exact_dest_limit,
+                                     LiveEvent(dark_space_.total_addresses(),
+                                               config_.exact_dest_limit,
                                                config_.hll_precision))
                  .first;
       live->start = ts;
@@ -443,7 +444,8 @@ void EventAggregator::restore(CheckpointReader& reader) {
       throw std::runtime_error("checkpoint: bad traffic type");
     }
     key.type = static_cast<pkt::TrafficType>(type);
-    LiveEvent live(config_.exact_dest_limit, config_.hll_precision);
+    LiveEvent live(dark_space_.total_addresses(), config_.exact_dest_limit,
+                   config_.hll_precision);
     live.start = net::SimTime::at(net::Duration::nanos(reader.i64("event start")));
     live.last_seen =
         net::SimTime::at(net::Duration::nanos(reader.i64("event last seen")));
@@ -459,12 +461,16 @@ void EventAggregator::restore(CheckpointReader& reader) {
     }
     // The writer's canonical order is strictly ascending; a repeat would
     // otherwise restore a smaller exact set than the one checkpointed.
+    // Keys are dark-space offsets, so none reaches the darknet size.
     std::vector<std::uint64_t> exact;
     exact.reserve(static_cast<std::size_t>(exact_count));
     for (std::uint64_t k = 0; k < exact_count; ++k) {
       const std::uint64_t key = reader.u64("exact key");
       if (!exact.empty() && key <= exact.back()) {
         throw std::runtime_error("checkpoint: exact keys not strictly ascending");
+      }
+      if (key >= dark_space_.total_addresses()) {
+        throw std::runtime_error("checkpoint: exact key outside the dark space");
       }
       exact.push_back(key);
     }

@@ -1,5 +1,6 @@
-// Seeded, structure-aware fuzzing of the ODE2 and FDE1 readers (label
-// fuzz; `ctest --preset fuzz` runs it under asan-ubsan).
+// Seeded, structure-aware fuzzing of the ODE2 and FDE1 readers and of
+// the aggregator's AGG1 checkpoint restore (label fuzz; `ctest --preset
+// fuzz` runs it under asan-ubsan).
 //
 // Each input is a small valid archive with one mutation: bit flips,
 // a truncation, lying header or footer counts and offsets (including
@@ -12,6 +13,13 @@
 //  - on an open store, verify_blocks, to_dataset, detect and
 //    DailyDarknetMix (ODE2), or prebuild_indexes(2) and one query
 //    (FDE1), finish or throw a std::exception.
+// AGG1 inputs are an aggregator checkpoint with one small, one
+// bitmap-form and one promoted live event, mutated by bit flips,
+// truncation, lying key and event counts, keys at or past the darknet
+// size, out-of-order keys, flipped promoted flags and keys moved within
+// their neighbours, three in four with the frame CRC resealed. Restore must succeed or throw
+// std::runtime_error, and after a success checkpoint -> restore ->
+// checkpoint must be byte-stable.
 // Iteration i draws its mutation from kSeed + i, so a failing iteration
 // replays alone. Inputs that once broke a reader are kept as named
 // regression cases at the end.
@@ -37,6 +45,8 @@
 #include "orion/store/mapped.hpp"
 #include "orion/store/mapped_flow.hpp"
 #include "orion/store/ode2.hpp"
+#include "orion/telescope/aggregator.hpp"
+#include "orion/telescope/checkpoint.hpp"
 
 #include "crc_pins.hpp"
 
@@ -424,6 +434,199 @@ TEST(Fuzz, Fde1SeededMutations) {
                                      "fde1 iteration " + std::to_string(i));
   }
   expect_reach("fde1", opened, kIterations);
+}
+
+// ------------------------------------------------------------------ AGG1
+
+/// A two-prefix dark space of 4,096 addresses: one chunk, whose array
+/// holds up to 64 keys before it becomes a 512-byte bitmap.
+net::PrefixSet agg1_dark_space() {
+  return net::PrefixSet({*net::Prefix::parse("10.20.0.0/21"),
+                         *net::Prefix::parse("10.30.0.0/21")});
+}
+
+telescope::AggregatorConfig agg1_config() {
+  telescope::AggregatorConfig config;
+  config.timeout = net::Duration::hours(1);
+  config.exact_dest_limit = 600;
+  config.hll_precision = 4;
+  config.live_reserve = 16;
+  return config;
+}
+
+std::vector<std::uint8_t> agg1_frame(const telescope::EventAggregator& agg) {
+  telescope::CheckpointWriter writer;
+  agg.checkpoint(writer);
+  std::vector<std::uint8_t> frame;
+  writer.finish(frame);
+  return frame;
+}
+
+/// An aggregator checkpoint with three live events: one with 3 exact
+/// destinations, one with 300 (bitmap form) and one promoted past 600.
+std::vector<std::uint8_t> agg1_base_frame() {
+  telescope::EventAggregator agg(agg1_dark_space(), agg1_config(), {});
+  const net::PrefixSet dark = agg1_dark_space();
+  std::mt19937_64 rng(17);
+  const std::pair<std::uint32_t, std::uint64_t> scans[] = {
+      {0xCB007101u, 3}, {0xCB007102u, 300}, {0xCB007103u, 700}};
+  pkt::PacketBatch batch;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    for (const auto& [src, dests] : scans) {
+      if (i >= dests) continue;
+      pkt::Packet p;
+      p.timestamp = net::SimTime::at(net::Duration::seconds(static_cast<std::int64_t>(i)));
+      p.tuple.src = net::Ipv4Address(src);
+      p.tuple.dst = dark.address_at(i * 4093 % dark.total_addresses());
+      p.tuple.dst_port = 23;
+      p.tuple.proto = net::IpProto::Tcp;
+      p.tcp_flags = 0x02;  // SYN
+      batch.push_back(p);
+    }
+  }
+  agg.observe_batch(batch);
+  return agg1_frame(agg);
+}
+
+/// Where the base AGG1 payload keeps each live event's promoted flag,
+/// exact-key count and keys (offsets into the payload).
+struct Agg1Layout {
+  std::size_t live_count = 0;
+  struct Entry {
+    std::size_t promoted, count, first_key;
+    std::uint64_t keys;
+  };
+  std::vector<Entry> entries;
+};
+
+constexpr std::size_t kFrameHead = 4 + 8 + 8;  // magic, version, length
+
+Agg1Layout agg1_layout(const std::vector<std::uint8_t>& frame) {
+  const std::string payload(frame.begin() + kFrameHead, frame.end() - 4);
+  const std::uint64_t prefixes = load(payload, 8 + 4 * 8);
+  Agg1Layout layout;
+  layout.live_count = 8 + 4 * 8 + 8 + prefixes * 16 + 1 + 2 * 8 + 5 * 8;
+  std::size_t at = layout.live_count + 8;
+  for (std::uint64_t e = load(payload, layout.live_count); e > 0; --e) {
+    at += 8 + 8 + 1 + 3 * 8 + sizeof(telescope::ToolPackets);
+    Agg1Layout::Entry entry{at, at + 1, at + 9, load(payload, at + 1)};
+    layout.entries.push_back(entry);
+    at = entry.first_key + 8 * entry.keys + (std::size_t{1} << agg1_config().hll_precision);
+  }
+  return layout;
+}
+
+/// The mutation of iteration `i` of a base AGG1 frame, drawn from kSeed + i.
+std::vector<std::uint8_t> mutate_agg1(const std::vector<std::uint8_t>& frame,
+                                      const Agg1Layout& layout, std::size_t i) {
+  std::mt19937_64 rng(kSeed + i);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::string payload(frame.begin() + kFrameHead, frame.end() - 4);
+  const std::uint64_t universe = agg1_dark_space().total_addresses();
+  const Agg1Layout::Entry& entry = layout.entries[pick(layout.entries.size())];
+  const std::size_t key_at =
+      entry.first_key + 8 * (entry.keys == 0 ? 0 : pick(entry.keys));
+  switch (pick(8)) {
+    case 0:  // bit flips anywhere
+      for (std::size_t n = 1 + pick(4); n > 0; --n) {
+        payload[pick(payload.size())] ^= static_cast<char>(1u << pick(8));
+      }
+      break;
+    case 1:  // truncation
+      payload.resize(pick(payload.size()));
+      break;
+    case 2: {  // a lying exact-key count
+      const std::uint64_t lies[] = {entry.keys + 1, entry.keys - 1, 0, 600, 601,
+                                    entry.keys + (std::uint64_t{1} << 61), rng()};
+      store_u64(payload, entry.count, lies[pick(7)]);
+      break;
+    }
+    case 3: {  // a key at or past the darknet size
+      if (entry.keys == 0) break;
+      const std::uint64_t keys[] = {universe, universe + 1, std::uint64_t{1} << 16,
+                                    std::uint64_t{1} << 32, ~std::uint64_t{0}, rng()};
+      store_u64(payload, key_at, keys[pick(6)]);
+      break;
+    }
+    case 4:  // a key out of order: the next one's value, or the previous one's
+      if (entry.keys < 2) break;
+      if (key_at + 8 < entry.first_key + 8 * entry.keys) {
+        store_u64(payload, key_at, load(payload, key_at + 8) + pick(2));
+      } else {
+        store_u64(payload, key_at, load(payload, key_at - 8) - pick(2));
+      }
+      break;
+    case 5:  // a flipped promoted flag
+      payload[entry.promoted] = static_cast<char>(pick(2) == 0 ? payload[entry.promoted] ^ 1
+                                                               : static_cast<char>(rng()));
+      break;
+    case 6: {  // a valid key set: one key moved strictly between its neighbours
+      if (entry.keys == 0) break;
+      const bool first = key_at == entry.first_key;
+      const bool last = key_at + 8 == entry.first_key + 8 * entry.keys;
+      const std::uint64_t lo = first ? 0 : load(payload, key_at - 8) + 1;
+      const std::uint64_t hi = last ? universe : load(payload, key_at + 8);
+      store_u64(payload, key_at, lo + rng() % (hi - lo));
+      break;
+    }
+    default:  // a lying live-event count
+      store_u64(payload, layout.live_count,
+                load(payload, layout.live_count) + 1 - 2 * pick(2));
+      break;
+  }
+  if (pick(4) == 0) {  // unsealed: the old CRC over the new bytes
+    std::vector<std::uint8_t> out(frame.begin(), frame.begin() + kFrameHead);
+    out.insert(out.end(), payload.begin(), payload.end());
+    out.insert(out.end(), frame.end() - 4, frame.end());
+    return out;
+  }
+  telescope::CheckpointWriter writer;
+  writer.bytes({reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size()});
+  std::vector<std::uint8_t> out;
+  writer.finish(out);
+  return out;
+}
+
+/// Restore succeeds or throws std::runtime_error; after a success,
+/// checkpoint -> restore -> checkpoint is byte-stable. True on success.
+bool expect_agg1_properties(const std::vector<std::uint8_t>& frame,
+                            const std::string& what) {
+  telescope::EventAggregator agg(agg1_dark_space(), agg1_config(), {});
+  try {
+    telescope::CheckpointReader reader(frame);
+    agg.restore(reader);
+  } catch (const std::runtime_error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": restore threw a non-runtime_error: " << e.what();
+    return false;
+  }
+  const std::vector<std::uint8_t> once = agg1_frame(agg);
+  telescope::EventAggregator again(agg1_dark_space(), agg1_config(), {});
+  telescope::CheckpointReader reader(once);
+  again.restore(reader);
+  EXPECT_EQ(agg1_frame(again), once) << what;
+  return true;
+}
+
+TEST(Fuzz, Agg1SeededMutations) {
+  const std::vector<std::uint8_t> base = agg1_base_frame();
+  const Agg1Layout layout = agg1_layout(base);
+  ASSERT_EQ(layout.entries.size(), 3u);
+  // Key order: the 3-, 300- and 700-destination scans.
+  EXPECT_EQ(layout.entries[0].keys, 3u);
+  EXPECT_EQ(layout.entries[1].keys, 300u);
+  EXPECT_EQ(layout.entries[2].keys, 0u);
+  EXPECT_EQ(base[kFrameHead + layout.entries[2].promoted], 1u);
+  ASSERT_TRUE(expect_agg1_properties(base, "agg1 base"));
+  std::size_t restored = 0;
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    restored += expect_agg1_properties(mutate_agg1(base, layout, i),
+                                       "agg1 iteration " + std::to_string(i));
+  }
+  expect_reach("agg1", restored, kIterations);
 }
 
 // --------------------------------------------------- regression inputs

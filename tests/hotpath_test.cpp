@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -149,6 +150,26 @@ TEST(PacketBatch, AppendRecordCopiesAllColumns) {
   for (const std::size_t i : order) scattered.append_record(source, i);
   for (std::size_t j = 0; j < order.size(); ++j) {
     EXPECT_TRUE(same_packet(scattered.packet_at(j), source.packet_at(order[j])));
+  }
+  // The column-wise gather, onto a non-empty batch and in ragged chunks
+  // (the dispatcher cuts a shard's indices at batch_size boundaries),
+  // must give the same records: every column, including the ones the
+  // aggregator never reads (ttl, tcp_window, wire_len).
+  pkt::PacketBatch gathered;
+  gathered.push_back(source.packet_at(5));
+  const std::vector<std::uint32_t> indices(order.begin(), order.end());
+  std::span<const std::uint32_t> rest = indices;
+  for (std::size_t chunk = 1; !rest.empty(); chunk = chunk * 2 + 1) {
+    const std::size_t take = std::min(chunk, rest.size());
+    gathered.append_records(source, rest.first(take));
+    rest = rest.subspan(take);
+  }
+  gathered.append_records(source, std::span<const std::uint32_t>());
+  ASSERT_EQ(gathered.size(), order.size() + 1);
+  EXPECT_TRUE(same_packet(gathered.packet_at(0), source.packet_at(5)));
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    EXPECT_TRUE(same_packet(gathered.packet_at(j + 1), source.packet_at(order[j])))
+        << "gathered record " << j;
   }
 }
 
@@ -584,21 +605,22 @@ TEST(ParallelPipelineBatch, ObserveBatchMatchesSerialAcrossShardCounts) {
   }
 }
 
-// ------------------------------------- flat-set cardinality estimator
+// ----------------------------------------- dense-set cardinality estimator
 
 TEST(CardinalityEstimatorFlatSet, MatchesReferenceSetAndOrderInvariant) {
   std::mt19937_64 rng(61);
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 3000; ++i) {
-    // Small key range forces duplicates; 0 exercises the sentinel slot.
+    // Small key range forces duplicates; 0 is the first offset.
     keys.push_back(rng() % 1500);
   }
   std::vector<std::uint64_t> shuffled = keys;
   std::shuffle(shuffled.begin(), shuffled.end(), rng);
 
+  constexpr std::uint64_t kUniverse = std::uint64_t{1} << 20;
   for (const std::size_t limit : {std::size_t{64}, std::size_t{4096}}) {
-    stats::CardinalityEstimator forward(limit);
-    stats::CardinalityEstimator reordered(limit);
+    stats::CardinalityEstimator forward(kUniverse, limit);
+    stats::CardinalityEstimator reordered(kUniverse, limit);
     std::vector<std::uint64_t> reference;
     for (const std::uint64_t k : keys) {
       forward.add(k);
@@ -623,7 +645,7 @@ TEST(CardinalityEstimatorFlatSet, MatchesReferenceSetAndOrderInvariant) {
     }
 
     // restore() round-trips the flat set through the checkpoint shape.
-    stats::CardinalityEstimator restored(limit);
+    stats::CardinalityEstimator restored(kUniverse, limit);
     restored.restore(!forward.is_exact(), forward.exact_keys(),
                      forward.sketch());
     EXPECT_EQ(restored.estimate(), forward.estimate());

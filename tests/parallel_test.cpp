@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <random>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -146,6 +149,47 @@ TEST(ParallelPipeline, InterleavingInvariance) {
                               parallel_config(3, batch, ring));
     for (const pkt::Packet& p : packets) pipeline.observe(p);
     expect_matches_serial(pipeline.finish(), serial);
+  }
+}
+
+// observe_batch gathers each shard's records a column at a time, but it
+// must cut them where record-by-record observe() does, so every shard
+// gets the same ring batches and sequence numbers (which the replay log
+// and the fault hook count) for any incoming batch sizes.
+TEST(ParallelPipeline, ObserveBatchCutsShardBatchesLikeObserve) {
+  const auto packets = packet_stream(2);
+  constexpr std::size_t kShards = 3;
+  using Seen = std::array<std::vector<std::uint64_t>, kShards>;
+  const auto batches_seen = [&](const std::function<void(ParallelPipeline&)>& feed) {
+    Seen seen;  // each shard's list is written by its own worker only
+    ParallelConfig config = parallel_config(kShards, 64, 8);
+    config.supervisor.fault_hook = [&seen](std::size_t shard, std::uint64_t seq) {
+      seen[shard].push_back(seq);
+    };
+    ParallelPipeline pipeline(scenario().darknet(), config);
+    feed(pipeline);
+    (void)pipeline.finish();
+    return seen;
+  };
+  const Seen reference = batches_seen([&](ParallelPipeline& pipeline) {
+    for (const pkt::Packet& p : packets) pipeline.observe(p);
+  });
+  for (const std::size_t max_chunk : {std::size_t{1}, std::size_t{100}, std::size_t{5000}}) {
+    const Seen seen = batches_seen([&](ParallelPipeline& pipeline) {
+      std::mt19937_64 rng(max_chunk);
+      pkt::PacketBatch chunk;
+      for (std::size_t i = 0; i < packets.size();) {
+        chunk.clear();
+        const std::size_t n = std::min(packets.size() - i, 1 + rng() % max_chunk);
+        for (std::size_t j = 0; j < n; ++j) chunk.push_back(packets[i + j]);
+        pipeline.observe_batch(chunk);
+        i += n;
+      }
+    });
+    for (std::size_t s = 0; s < kShards; ++s) {
+      EXPECT_FALSE(reference[s].empty());
+      EXPECT_EQ(seen[s], reference[s]) << "chunks up to " << max_chunk << ", shard " << s;
+    }
   }
 }
 

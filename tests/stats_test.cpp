@@ -4,6 +4,7 @@
 #include <cmath>
 #include <random>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include "orion/stats/bottomk.hpp"
@@ -148,8 +149,14 @@ TEST(HyperLogLog, RejectsBadPrecisionAndMismatchedMerge) {
   EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
+constexpr std::uint64_t kSlash17 = std::uint64_t{1} << 15;  // paper scenario
+// ORION-sized multi-prefix dark space: 7 whole chunks and one clipped to
+// 16,384 keys.
+constexpr std::uint64_t kOrion = 7 * 65536 + 16384;
+constexpr std::uint64_t kSlash8 = std::uint64_t{1} << 24;
+
 TEST(CardinalityEstimator, ExactBelowLimit) {
-  CardinalityEstimator est(100);
+  CardinalityEstimator est(kSlash17, 100);
   for (std::uint64_t i = 0; i < 100; ++i) {
     est.add(i);
     est.add(i);  // duplicates
@@ -159,35 +166,171 @@ TEST(CardinalityEstimator, ExactBelowLimit) {
 }
 
 TEST(CardinalityEstimator, PromotesToSketchAboveLimit) {
-  CardinalityEstimator est(100, 12);
+  CardinalityEstimator est(kSlash17, 100, 12);
   for (std::uint64_t i = 0; i < 20000; ++i) est.add(i);
   EXPECT_FALSE(est.is_exact());
   EXPECT_NEAR(static_cast<double>(est.estimate()), 20000.0, 1800.0);
 }
 
+TEST(CardinalityEstimator, KeysOutsideTheUniverseThrow) {
+  CardinalityEstimator est(64, 16);
+  EXPECT_THROW(est.add(64), std::out_of_range);
+  EXPECT_THROW(est.restore(false, {0, 64}, HyperLogLog(12)), std::invalid_argument);
+  for (std::uint64_t k = 0; k < 64; ++k) est.add(k);  // promotes at 17
+  EXPECT_FALSE(est.is_exact());
+  EXPECT_THROW(est.add(64), std::out_of_range);
+}
+
 // exact_keys() is the canonical order AGG1 writes: it must equal std::sort
-// of the same set on both sides of the radix cutoff and for every digit
-// count (11-bit digits: 1, 2, 3 and 6 passes), key 0 included.
+// of the same set for every dark-space size, from one chunk to 256, with
+// key 0 and the last offset included.
 TEST(CardinalityEstimator, ExactKeysEqualStdSortOfTheSameSet) {
-  constexpr std::size_t kCut = CardinalityEstimator::kRadixSortMin;
   std::mt19937_64 rng(59);
-  for (const int width : {11, 22, 33, 64}) {
-    const std::uint64_t mask = width == 64 ? ~std::uint64_t{0}
-                                           : (std::uint64_t{1} << width) - 1;
-    for (const std::size_t size : {std::size_t{0}, std::size_t{1}, kCut - 1, kCut,
-                                   kCut + 1, std::size_t{4096}, std::size_t{16384}}) {
-      if (size > mask) continue;  // 11-bit keys hold only 2048 values
+  for (const std::uint64_t universe : {std::uint64_t{2048}, kSlash17, kOrion,
+                                       std::uint64_t{1} << 22, kSlash8}) {
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{127},
+                                   std::size_t{128}, std::size_t{129},
+                                   std::size_t{4096}, std::size_t{16384}}) {
+      if (size > universe) continue;  // 2048 offsets hold only 2048 keys
       std::set<std::uint64_t> keys;
-      if (size > 0) keys.insert(0);     // key 0 lives outside the slot table
-      if (size > 1) keys.insert(mask);  // the widest key needs every pass
-      while (keys.size() < size) keys.insert(rng() & mask);
+      if (size > 0) keys.insert(0);
+      if (size > 1) keys.insert(universe - 1);
+      while (keys.size() < size) keys.insert(rng() % universe);
       std::vector<std::uint64_t> feed(keys.begin(), keys.end());
       std::shuffle(feed.begin(), feed.end(), rng);
-      CardinalityEstimator est(16384);
+      CardinalityEstimator est(universe, 16384);
       for (const std::uint64_t k : feed) est.add(k);
       ASSERT_TRUE(est.is_exact());
       std::sort(feed.begin(), feed.end());
-      EXPECT_EQ(est.exact_keys(), feed) << width << "-bit keys, size " << size;
+      EXPECT_EQ(est.exact_keys(), feed) << universe << " offsets, size " << size;
+    }
+  }
+}
+
+/// Keys a dark space of `universe` offsets produces, by pattern: ZMap-like
+/// uniform random, a sequential sweep, one key per chunk, and each chunk
+/// packed to its array/bitmap switch point (the most keys its array holds:
+/// half its bitmap's bytes, or at most kEagerArrayKeys where the whole
+/// universe as bitmaps fits kEagerBitmapBytes) or one key past it. Keys 0
+/// and universe - 1 are always included, and the set stops growing at
+/// `cap` keys.
+std::set<std::uint64_t> pattern_keys(std::uint64_t universe, int pattern,
+                                     std::size_t cap, std::mt19937_64& rng) {
+  std::set<std::uint64_t> keys{0, universe - 1};
+  const auto add = [&](std::uint64_t k) {
+    if (keys.size() < cap) keys.insert(k);
+  };
+  const std::uint64_t chunks = (universe + 65535) / 65536;
+  const auto chunk_bits = [universe](std::uint64_t c) {
+    return std::min<std::uint64_t>(65536, universe - c * 65536);
+  };
+  switch (pattern) {
+    case 0:
+      while (keys.size() < std::min<std::uint64_t>(cap, universe)) add(rng() % universe);
+      break;
+    case 1:
+      for (std::uint64_t k = 0; k < universe && keys.size() < cap; ++k) add(k);
+      break;
+    case 2:
+      for (std::uint64_t c = 0; c < chunks; ++c) add(c * 65536 + rng() % chunk_bits(c));
+      break;
+    default: {
+      for (std::uint64_t c = 0; c < chunks && keys.size() < cap; ++c) {
+        const std::uint64_t bits = chunk_bits(c);
+        // A bitmap of `bits` takes (bits + 63) / 64 words; the array holds
+        // 2-byte keys until it would outgrow that.
+        std::uint64_t switch_point = (bits + 63) / 64 * 4;
+        if (universe / 8 <= CardinalityEstimator::kEagerBitmapBytes) {
+          switch_point = std::min<std::uint64_t>(switch_point,
+                                                 CardinalityEstimator::kEagerArrayKeys);
+        }
+        switch_point += pattern == 4 ? 1 : 0;
+        std::set<std::uint64_t> chunk_keys;
+        for (const std::uint64_t k : keys) {
+          if (k / 65536 == c) chunk_keys.insert(k);
+        }
+        while (chunk_keys.size() < std::min(switch_point, bits)) {
+          chunk_keys.insert(c * 65536 + rng() % bits);
+        }
+        for (const std::uint64_t k : chunk_keys) add(k);
+      }
+      break;
+    }
+  }
+  return keys;
+}
+
+// The exact phase against std::set over every dark-space size and key
+// pattern: ascending keys, the count, a checkpoint-shaped restore, and
+// promotion on the key past the limit with the registers a fresh sketch
+// gets from hashing the same set.
+TEST(CardinalityEstimator, MatchesStdSetAcrossDarkSpacesAndPatterns) {
+  std::mt19937_64 rng(71);
+  for (const std::uint64_t universe : {std::uint64_t{1}, std::uint64_t{64}, kSlash17,
+                                       kOrion, kSlash8}) {
+    for (int pattern = 0; pattern < 5; ++pattern) {
+      const std::set<std::uint64_t> keys = pattern_keys(universe, pattern, 40000, rng);
+      const std::vector<std::uint64_t> sorted(keys.begin(), keys.end());
+      std::vector<std::uint64_t> feed = sorted;
+      std::shuffle(feed.begin(), feed.end(), rng);
+      const std::string where =
+          std::to_string(universe) + " offsets, pattern " + std::to_string(pattern);
+
+      CardinalityEstimator est(universe, keys.size());
+      for (const std::uint64_t k : feed) {
+        est.add(k);
+        est.add(k);  // a repeat never counts
+      }
+      ASSERT_TRUE(est.is_exact()) << where;
+      EXPECT_EQ(est.estimate(), keys.size()) << where;
+      EXPECT_EQ(est.exact_keys(), sorted) << where;
+
+      CardinalityEstimator restored(universe, keys.size());
+      restored.restore(false, est.exact_keys(), est.sketch());
+      EXPECT_EQ(restored.exact_keys(), sorted) << where;
+      EXPECT_EQ(restored.estimate(), keys.size()) << where;
+
+      // Limit one below the set: exact until the last new key, promoted by it.
+      CardinalityEstimator limited(universe, keys.size() - 1);
+      for (std::size_t i = 0; i + 1 < feed.size(); ++i) limited.add(feed[i]);
+      ASSERT_TRUE(limited.is_exact()) << where;
+      limited.add(feed.back());
+      ASSERT_FALSE(limited.is_exact()) << where;
+      EXPECT_TRUE(limited.exact_keys().empty()) << where;
+      HyperLogLog reference(12);
+      for (const std::uint64_t k : keys) reference.add(hll_hash(k));
+      EXPECT_EQ(limited.sketch().registers(), reference.registers()) << where;
+    }
+  }
+}
+
+// The stated memory bound at the default 16,384-key limit, about half of
+// the 256 KiB the open-addressing table it replaced reached: under
+// 136 KiB for dark spaces up to 2^20 offsets, under 128 KiB for a /8, and
+// on the paper scenario's /17 a 64-key array or one 4 KiB bitmap, plus
+// one 64-byte directory entry.
+TEST(CardinalityEstimator, ExactPhaseMemoryBound) {
+  constexpr std::size_t kLimit = 16384;
+  std::mt19937_64 rng(73);
+  for (const std::uint64_t universe : {std::uint64_t{1}, std::uint64_t{64}, kSlash17,
+                                       kOrion, kSlash8}) {
+    const std::size_t bound = universe == kSlash17 ? 4096 + 64
+                              : universe == kSlash8 ? 128 * 1024
+                                                    : 136 * 1024;
+    for (int pattern = 0; pattern < 5; ++pattern) {
+      std::vector<std::uint64_t> feed;
+      for (const std::uint64_t k : pattern_keys(universe, pattern, kLimit, rng)) {
+        feed.push_back(k);
+      }
+      std::shuffle(feed.begin(), feed.end(), rng);
+      CardinalityEstimator est(universe, kLimit);
+      std::size_t peak = 0;
+      for (const std::uint64_t k : feed) {
+        est.add(k);
+        peak = std::max(peak, est.exact_bytes());
+      }
+      ASSERT_TRUE(est.is_exact());
+      EXPECT_LE(peak, bound) << universe << " offsets, pattern " << pattern;
     }
   }
 }

@@ -7,10 +7,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -260,6 +262,44 @@ TEST(MappedStore, ParallelScanIdenticalForAnyThreadCount) {
     EXPECT_EQ(scan(n).per_block, reference.per_block) << n << " threads";
   }
   EXPECT_EQ(scan(0).per_block, reference.per_block);  // hardware default
+}
+
+// A throwing per_block reaches the caller as the first failure in block
+// order at every thread count, instead of ending the process.
+TEST(MappedStore, ParallelScanHandsBackTheFirstFailureInBlockOrder) {
+  const EventDataset dataset = sample_dataset();
+  const TempFile file(ode2_bytes(dataset, 4));  // 25 blocks
+  const MappedEventStore store(file.path());
+  const auto scan = [&](std::size_t n_threads, std::vector<std::uint64_t> bad) {
+    struct Count {
+      std::size_t blocks = 0;
+    };
+    return store.parallel_scan<Count>(
+        n_threads,
+        [&bad](Count& state, const BlockView& view) {
+          const std::uint64_t k = view.first_row / 4;
+          if (std::find(bad.begin(), bad.end(), k) != bad.end()) {
+            throw std::runtime_error("block " + std::to_string(k));
+          }
+          ++state.blocks;
+        },
+        [](Count& into, Count&& from) { into.blocks += from.blocks; });
+  };
+  ASSERT_EQ(store.block_count(), 25u);
+  for (const std::size_t n : {1u, 2u, 4u}) {
+    for (const std::vector<std::uint64_t>& bad :
+         {std::vector<std::uint64_t>{0}, {12}, {24}, {20, 3}, {13, 24}}) {
+      const std::string first = "block " + std::to_string(
+                                               *std::min_element(bad.begin(), bad.end()));
+      try {
+        scan(n, bad);
+        ADD_FAILURE() << n << " threads: no exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), first) << n << " threads";
+      }
+    }
+    EXPECT_EQ(scan(n, {}).blocks, 25u);
+  }
 }
 
 // ------------------------------------------------- strict-open rejection

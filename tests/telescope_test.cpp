@@ -740,6 +740,26 @@ TEST(AggregatorCheckpoint, RepeatedExactKeyIsATypedError) {
   EXPECT_THROW(restore_payload(payload), std::runtime_error);
 }
 
+// Exact keys are dark-space offsets, below the darknet size (256 for the
+// /24 here). A larger one would count a destination that cannot exist.
+TEST(AggregatorCheckpoint, ExactKeyOutsideTheDarkSpaceIsATypedError) {
+  std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1", "198.18.0.2"});
+  ASSERT_EQ(payload.size(), kFirstKey + 2 * 8 + kRegisters);
+  ASSERT_EQ(payload[kFirstKey + 8], 2u);
+  const auto set_last_key = [&payload](std::uint64_t key) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      payload[kFirstKey + 8 + b] = static_cast<std::uint8_t>(key >> (8 * b));
+    }
+  };
+  set_last_key(255);
+  ASSERT_NO_THROW(restore_payload(payload));
+  for (const std::uint64_t key : {std::uint64_t{256}, std::uint64_t{1} << 24,
+                                  ~std::uint64_t{0}}) {
+    set_last_key(key);
+    EXPECT_THROW(restore_payload(payload), std::runtime_error) << key;
+  }
+}
+
 // A promoted estimator holds no exact keys, so its list must be empty.
 TEST(AggregatorCheckpoint, PromotedEstimatorWithExactKeysIsATypedError) {
   std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1"});
