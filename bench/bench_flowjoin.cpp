@@ -16,7 +16,8 @@
 //   $ ./bench_flowjoin [--reps R] [--json PATH] [--smoke]
 //
 // --json writes BENCH_flowjoin.json recording the acceptance number
-// (>= 3x single-core join throughput) alongside equivalence_ok. --smoke
+// (>= 3x single-core join throughput) alongside equivalence_ok, with the
+// best, median and worst seconds over --reps and hardware_concurrency. --smoke
 // runs the equivalence gate only, on the tiny scenario (fast; used by
 // the ctest "flowjoin" label).
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include <iostream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -38,17 +40,6 @@
 namespace {
 
 using namespace orion;
-
-double best_seconds(int reps, const std::function<void()>& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
 
 bool same_report(const impact::RouterDayReport& a,
                  const impact::RouterDayReport& b) {
@@ -237,7 +228,7 @@ int main(int argc, char** argv) {
   for (const auto& d : definitions) sets.emplace_back(d);
 
   volatile std::uint64_t sink = 0;  // keep the joins observable
-  const double scalar_seconds = best_seconds(reps, [&] {
+  const bench::Timing scalar = bench::time_reps(reps, [&] {
     std::uint64_t acc = 0;
     for (const Cell& cell : cells) {
       acc += analyzer
@@ -247,7 +238,7 @@ int main(int argc, char** argv) {
     }
     sink = sink + acc;
   });
-  const double batched_seconds = best_seconds(reps, [&] {
+  const bench::Timing batched = bench::time_reps(reps, [&] {
     std::uint64_t acc = 0;
     for (const Cell& cell : cells) {
       acc += analyzer.query(cell.router, cell.day, sets[cell.definition])
@@ -256,18 +247,18 @@ int main(int argc, char** argv) {
     sink = sink + acc;
   });
 
-  const double scalar_rate = static_cast<double>(total_probes) / scalar_seconds;
+  const double scalar_rate = static_cast<double>(total_probes) / scalar.best;
   const double batched_rate =
-      static_cast<double>(total_probes) / batched_seconds;
-  const double speedup = scalar_seconds / batched_seconds;
+      static_cast<double>(total_probes) / batched.best;
+  const double speedup = scalar.best / batched.best;
 
   report::Table table(
       {"configuration", "seconds (best)", "source-probes/sec", "speedup"});
   char buf[3][64];
-  std::snprintf(buf[0], sizeof buf[0], "%.4f", scalar_seconds);
+  std::snprintf(buf[0], sizeof buf[0], "%.4f", scalar.best);
   std::snprintf(buf[1], sizeof buf[1], "%.0f", scalar_rate);
   table.add_row({"scalar four-pass", buf[0], buf[1], "1.00x"});
-  std::snprintf(buf[0], sizeof buf[0], "%.4f", batched_seconds);
+  std::snprintf(buf[0], sizeof buf[0], "%.4f", batched.best);
   std::snprintf(buf[1], sizeof buf[1], "%.0f", batched_rate);
   std::snprintf(buf[2], sizeof buf[2], "%.2fx", speedup);
   table.add_row({"batched query()", buf[0], buf[1], buf[2]});
@@ -284,13 +275,19 @@ int main(int argc, char** argv) {
         << "  \"cells\": " << cells.size() << ",\n"
         << "  \"source_probes\": " << total_probes << ",\n"
         << "  \"reps\": " << reps << ",\n"
+        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+        << ",\n"
         << "  \"equivalence_ok\": " << (equivalence_ok ? "true" : "false")
         << ",\n"
         << "  \"runs\": [\n"
-        << "    {\"config\": \"scalar\", \"seconds\": " << scalar_seconds
+        << "    {\"config\": \"scalar\", \"seconds\": " << scalar.best
+        << ", \"median_seconds\": " << scalar.median
+        << ", \"worst_seconds\": " << scalar.worst
         << ", \"probes_per_sec\": " << scalar_rate
         << ", \"speedup_vs_scalar\": 1.0},\n"
-        << "    {\"config\": \"batched\", \"seconds\": " << batched_seconds
+        << "    {\"config\": \"batched\", \"seconds\": " << batched.best
+        << ", \"median_seconds\": " << batched.median
+        << ", \"worst_seconds\": " << batched.worst
         << ", \"probes_per_sec\": " << batched_rate
         << ", \"speedup_vs_scalar\": " << speedup << "}\n"
         << "  ],\n"

@@ -57,17 +57,6 @@ using namespace orion;
 
 constexpr std::int64_t kNanosPerDay = 86'400'000'000'000;
 
-double best_seconds(int reps, const std::function<void()>& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 bool same_report(const impact::RouterDayReport& a,
                  const impact::RouterDayReport& b) {
   return a.impact.router == b.impact.router && a.impact.day == b.impact.day &&
@@ -235,14 +224,14 @@ int main(int argc, char** argv) {
 
   struct Run {
     std::string name;
-    double seconds = 0;
-    double fps = 0;
+    bench::Timing timing;
+    double fps = 0;  // at the best time
   };
   std::vector<Run> runs;
 
   {  // Baseline: decode the NetFlow stream, then build + join per cell.
     std::vector<impact::RouterDayReport> last;
-    const double s = best_seconds(reps, [&]() {
+    const bench::Timing t = bench::time_reps(reps, [&]() {
       std::ifstream in(nfv5_path, std::ios::binary);
       const std::vector<char> raw{std::istreambuf_iterator<char>(in),
                                   std::istreambuf_iterator<char>()};
@@ -300,7 +289,8 @@ int main(int argc, char** argv) {
       last = std::move(reports);
     });
     check("netflow_decode_query", last);
-    runs.push_back({"netflow_decode_query", s, static_cast<double>(n_flows) / s});
+    runs.push_back(
+        {"netflow_decode_query", t, static_cast<double>(n_flows) / t.best});
   }
 
   const auto query_all = [&](const impact::FlowImpactAnalyzer& analyzer) {
@@ -316,39 +306,43 @@ int main(int argc, char** argv) {
 
   {  // Cold: open + zero-copy lazy index builds, every rep.
     std::vector<impact::RouterDayReport> last;
-    const double s = best_seconds(reps, [&]() {
+    const bench::Timing t = bench::time_reps(reps, [&]() {
       const store::MappedFlowStore st(fde1_path);
       const impact::FlowImpactAnalyzer analyzer(&st);
       last = query_all(analyzer);
     });
     check("fde1_cold", last);
-    runs.push_back({"fde1_cold", s, static_cast<double>(n_flows) / s});
+    runs.push_back(
+        {"fde1_cold", t, static_cast<double>(n_flows) / t.best});
   }
   const store::MappedFlowStore st(fde1_path);
   const impact::FlowImpactAnalyzer warm_analyzer(&st);
   warm_analyzer.prebuild_indexes();
   {  // Warm: indexes already built; pure join cost.
     std::vector<impact::RouterDayReport> last;
-    const double s = best_seconds(reps, [&]() { last = query_all(warm_analyzer); });
+    const bench::Timing t =
+        bench::time_reps(reps, [&]() { last = query_all(warm_analyzer); });
     check("fde1_warm", last);
-    runs.push_back({"fde1_warm", s, static_cast<double>(n_flows) / s});
+    runs.push_back(
+        {"fde1_warm", t, static_cast<double>(n_flows) / t.best});
   }
   {  // Parallel: cold analyzer, indexes built across all cells at hw.
     std::vector<impact::RouterDayReport> last;
-    const double s = best_seconds(reps, [&]() {
+    const bench::Timing t = bench::time_reps(reps, [&]() {
       const impact::FlowImpactAnalyzer analyzer(&st);
       analyzer.prebuild_indexes(hw == 0 ? 1 : hw);
       last = query_all(analyzer);
     });
     check("fde1_parallel", last);
-    runs.push_back({"fde1_parallel", s, static_cast<double>(n_flows) / s});
+    runs.push_back(
+        {"fde1_parallel", t, static_cast<double>(n_flows) / t.best});
   }
 
   const double base_fps = runs[0].fps;
   report::Table table({"path", "seconds (best)", "flows/sec", "vs netflow"});
   for (const Run& r : runs) {
     char sec_buf[64], fps_buf[64], spd_buf[64];
-    std::snprintf(sec_buf, sizeof sec_buf, "%.4f", r.seconds);
+    std::snprintf(sec_buf, sizeof sec_buf, "%.4f", r.timing.best);
     std::snprintf(fps_buf, sizeof fps_buf, "%.0f", r.fps);
     std::snprintf(spd_buf, sizeof spd_buf, "%.2fx", r.fps / base_fps);
     table.add_row({r.name, sec_buf, fps_buf, spd_buf});
@@ -375,7 +369,9 @@ int main(int argc, char** argv) {
         << "  \"runs\": [\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {
       out << "    {\"path\": \"" << runs[i].name
-          << "\", \"seconds\": " << runs[i].seconds
+          << "\", \"seconds\": " << runs[i].timing.best
+          << ", \"median_seconds\": " << runs[i].timing.median
+          << ", \"worst_seconds\": " << runs[i].timing.worst
           << ", \"flows_per_sec\": " << runs[i].fps
           << ", \"speedup_vs_netflow\": " << runs[i].fps / base_fps << "}"
           << (i + 1 < runs.size() ? "," : "") << "\n";

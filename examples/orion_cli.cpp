@@ -44,6 +44,7 @@
 #include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -273,6 +274,12 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   config.dispersion_threshold = std::stod(get_or(flags, "dispersion", "0.10"));
   config.packet_volume_alpha = std::stod(get_or(flags, "alpha2", "0.028"));
   config.port_count_alpha = std::stod(get_or(flags, "alpha3", "2e-4"));
+  try {
+    detect::validate(config);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 
   const detect::DetectionResult result =
       detect::AggressiveScannerDetector(config).detect(dataset);

@@ -46,6 +46,7 @@ if(NOT magic STREQUAL "4f444532")  # "ODE2"
 endif()
 run(0 "wrote [0-9]+ events to clean.ode2" filter --in e.ode2 --out clean.ode2)
 run(0 "wrote [0-9]+ daily-list entries" detect --in e.ode2 --lists lists.csv)
+run(1 ".*" detect --in e.ode2 --alpha2 nan)
 run(0 "exported [0-9]+ events" export --in e.ode2 --csv e.csv)
 run(0 "unique sources" summary --in e.ode2)
 run(0 "all clean" inspect --in e.ode2)

@@ -6,7 +6,8 @@
 //   orion_serve --flows FILE.fde1 [--port N] [--workers N] ...
 //
 // Archive mode watches DIR's OMF1 manifest: each publish_many() of the
-// "events" + "flows" artifacts flips the served generation atomically;
+// "events" + "flows" artifacts flips the served generation atomically,
+// at the manifest's commit rename (inotify; the poll is the fallback);
 // in-flight queries finish on the snapshot they started on. --bootstrap
 // seeds an EMPTY archive with a simulated scenario so the two-terminal
 // quickstart (README "Serving") works out of the box — events and flows
@@ -48,7 +49,11 @@ void on_signal(int) { g_stop = 1; }
          "  --port N          listen port on 127.0.0.1 (default 7411; 0 = "
          "ephemeral)\n"
          "  --workers N       query worker threads (default 2)\n"
-         "  --refresh-ms N    manifest poll period, archive mode (default 50)\n"
+         "  --refresh-ms N    fallback manifest poll period, archive mode "
+         "(default 50;\n"
+         "                    a commit is adopted at its rename where the "
+         "directory\n"
+         "                    can be watched)\n"
          "  --rate F          per-tenant admitted queries/sec (0 = unlimited)\n"
          "  --burst F         per-tenant token-bucket capacity (default = "
          "rate)\n"

@@ -52,6 +52,11 @@ struct DetectorConfig {
                                    const DetectorConfig&) = default;
 };
 
+/// Throws std::invalid_argument unless 0 < dispersion_threshold <= 1 and
+/// both alphas lie in (0, 1); a NaN field fails. Every detector
+/// constructor (batch, streaming, shard slice) calls it.
+void validate(const DetectorConfig& config);
+
 using IpSet = std::unordered_set<net::Ipv4Address>;
 
 /// Per-definition detection output, including the per-day accounting used

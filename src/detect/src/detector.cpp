@@ -34,15 +34,20 @@ struct DatasetSource {
 double DefinitionResult::mean_daily_count() const { return mean_size(daily); }
 double DefinitionResult::mean_active_count() const { return mean_size(active); }
 
-AggressiveScannerDetector::AggressiveScannerDetector(DetectorConfig config)
-    : config_(config) {
-  if (config_.dispersion_threshold <= 0 || config_.dispersion_threshold > 1) {
+void validate(const DetectorConfig& config) {
+  // Each test is written so that NaN fails it.
+  if (!(config.dispersion_threshold > 0 && config.dispersion_threshold <= 1)) {
     throw std::invalid_argument("DetectorConfig: dispersion threshold in (0,1]");
   }
-  if (config_.packet_volume_alpha <= 0 || config_.packet_volume_alpha >= 1 ||
-      config_.port_count_alpha <= 0 || config_.port_count_alpha >= 1) {
+  const auto in_unit = [](double alpha) { return alpha > 0 && alpha < 1; };
+  if (!in_unit(config.packet_volume_alpha) || !in_unit(config.port_count_alpha)) {
     throw std::invalid_argument("DetectorConfig: alphas must be in (0,1)");
   }
+}
+
+AggressiveScannerDetector::AggressiveScannerDetector(DetectorConfig config)
+    : config_(config) {
+  validate(config_);
 }
 
 DetectionResult AggressiveScannerDetector::detect(

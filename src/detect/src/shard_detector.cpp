@@ -9,6 +9,7 @@ namespace orion::detect {
 ShardDetectorSlice::ShardDetectorSlice(StreamingConfig config,
                                        std::uint64_t darknet_size)
     : config_(config), darknet_size_(darknet_size) {
+  validate(config.base);
   if (darknet_size == 0) {
     throw std::invalid_argument("ShardDetectorSlice: zero darknet size");
   }

@@ -52,11 +52,13 @@ StreamingDayResult DayCloser::close(std::int64_t day,
   }
   result.calibrated = packet_samples.seen() >= config.warmup_samples;
   if (result.calibrated) {
-    result.packet_threshold = stats::Ecdf(packet_samples.values())
-                                  .top_alpha_threshold(config.base.packet_volume_alpha);
+    // One selection per threshold: the sample grows all window long and
+    // only one order statistic of it is read each day.
+    result.packet_threshold = stats::top_alpha_threshold(
+        packet_samples.values(), config.base.packet_volume_alpha);
     if (port_samples.seen() > 0) {
-      result.port_threshold = stats::Ecdf(port_samples.values())
-                                  .top_alpha_threshold(config.base.port_count_alpha);
+      result.port_threshold = stats::top_alpha_threshold(
+          port_samples.values(), config.base.port_count_alpha);
     }
     auto& [d1, d2, d3] = result.daily;
     for (const DayPartial* partial : partials) {
@@ -86,6 +88,7 @@ StreamingDayResult DayCloser::close(std::int64_t day,
 StreamingDetector::StreamingDetector(StreamingConfig config,
                                      std::uint64_t darknet_size)
     : darknet_size_(darknet_size), closer_(config), open_(config) {
+  validate(config.base);
   if (darknet_size == 0) {
     throw std::invalid_argument("StreamingDetector: zero darknet size");
   }

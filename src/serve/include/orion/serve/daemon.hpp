@@ -4,7 +4,8 @@
 // Thread structure:
 //   - one event-loop thread owns ALL socket I/O (accept, frame
 //     reassembly, in-order response writes) plus admission control and
-//     the manifest poll that drives generation swaps;
+//     generation swaps: an inotify watch adopts a generation at its
+//     manifest commit rename, and the manifest poll is the fallback;
 //   - a small worker pool executes queries. A worker drains the whole
 //     ready queue at once and groups it by (request_key, generation):
 //     co-arriving probes for the same cell with the same sources share
@@ -47,7 +48,9 @@ struct DaemonConfig {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see port()).
   std::uint16_t port = 0;
   std::size_t workers = 2;
-  /// Manifest poll period (archive mode).
+  /// Fallback manifest poll period (archive mode). A commit is adopted at
+  /// its rename when the directory can be watched; the poll covers file
+  /// systems without inotify and a replaced directory.
   int refresh_ms = 50;
   AdmissionConfig admission;
   /// Group identical co-arriving queries onto one computation.
@@ -74,7 +77,7 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   /// Binds, loads the initial snapshot (an empty archive is fine — the
-  /// poll loop adopts the first published generation), and spawns the
+  /// loop adopts the first published generation), and spawns the
   /// event loop + workers. Throws std::runtime_error on bind failure or
   /// an unreadable fde1_path.
   void start();

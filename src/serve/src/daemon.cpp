@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/inotify.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -26,6 +27,7 @@
 #include "orion/serve/engine.hpp"
 #include "orion/serve/protocol.hpp"
 #include "orion/serve/store_cache.hpp"
+#include "orion/store/archive.hpp"
 #include "orion/store/mapped_flow.hpp"
 
 namespace orion::serve {
@@ -84,6 +86,7 @@ struct Daemon::Impl {
   int listen_fd = -1;
   int epoll_fd = -1;
   int wake_fd = -1;
+  int watch_fd = -1;  // inotify on archive_dir; -1 leaves the poll alone
   std::uint16_t bound_port = 0;
   bool running = false;
 
@@ -107,7 +110,7 @@ struct Daemon::Impl {
 
   // Loop-thread state (no locks: only the event loop touches these).
   std::unordered_map<std::uint64_t, Conn> conns;
-  std::uint64_t next_conn_id = 2;  // 0/1 are the listen/wake epoll sentinels
+  std::uint64_t next_conn_id = 3;  // 0/1/2: listen, wake, watch sentinels
   std::unordered_map<std::string, TokenBucket> buckets;
 
   std::shared_ptr<const StoreSnapshot> current_snapshot() const {
@@ -146,6 +149,25 @@ struct Daemon::Impl {
   }
 
   // ---- event loop ---------------------------------------------------
+
+  /// Drains the archive watch; true when a manifest commit (its rename
+  /// onto MANIFEST) or a queue overflow, which may hide one, is among
+  /// the events. Data-file renames are not commits.
+  bool manifest_committed() {
+    alignas(inotify_event) char buf[4096];
+    bool committed = false;
+    for (;;) {
+      const ssize_t n = ::read(watch_fd, buf, sizeof(buf));
+      if (n <= 0) return committed;
+      for (ssize_t at = 0; at < n;) {
+        const auto* event = reinterpret_cast<const inotify_event*>(buf + at);
+        committed = committed || (event->mask & IN_Q_OVERFLOW) ||
+                    (event->len > 0 &&
+                     std::strcmp(event->name, store::kManifestName) == 0);
+        at += static_cast<ssize_t>(sizeof(inotify_event) + event->len);
+      }
+    }
+  }
 
   void update_epoll(std::uint64_t conn_id, Conn& conn, bool want_write) {
     if (conn.want_write == want_write) return;
@@ -329,6 +351,7 @@ struct Daemon::Impl {
       const int timeout = watching ? std::max(1, config.refresh_ms) : -1;
       const int n = ::epoll_wait(epoll_fd, events, 64, timeout);
       if (n < 0 && errno != EINTR) break;
+      bool committed = false;
       for (int i = 0; i < n; ++i) {
         const std::uint64_t id = events[i].data.u64;
         if (id == 0) {
@@ -338,6 +361,8 @@ struct Daemon::Impl {
           [[maybe_unused]] const ssize_t r =
               ::read(wake_fd, &counter, sizeof(counter));
           drain_completions();
+        } else if (id == 2) {
+          committed = manifest_committed() || committed;
         } else {
           if (events[i].events & (EPOLLHUP | EPOLLERR)) {
             // Still drain pending bytes first; on_readable closes on EOF.
@@ -351,10 +376,13 @@ struct Daemon::Impl {
           }
         }
       }
+      // One refresh, two triggers: a commit the watch saw, or the poll
+      // period, which covers file systems and directory replacements the
+      // watch cannot see.
       if (watching) {
         const auto now = clock::now();
-        if (now - last_poll >=
-            std::chrono::milliseconds(std::max(1, config.refresh_ms))) {
+        if (committed || now - last_poll >= std::chrono::milliseconds(
+                                                std::max(1, config.refresh_ms))) {
           last_poll = now;
           if (cache->refresh()) bump(&ServeStats::generation_swaps);
         }
@@ -485,6 +513,19 @@ void Daemon::start() {
   ::epoll_ctl(d.epoll_fd, EPOLL_CTL_ADD, d.listen_fd, &ev);
   ev.data.u64 = 1;  // wake eventfd sentinel
   ::epoll_ctl(d.epoll_fd, EPOLL_CTL_ADD, d.wake_fd, &ev);
+  if (d.cache) {
+    // Adopt a generation at its manifest rename instead of at the next
+    // poll. Without a watch (no inotify, e.g. NFS) the poll alone runs.
+    d.watch_fd = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+    ev.data.u64 = 2;  // archive watch sentinel
+    if (d.watch_fd >= 0 &&
+        (::inotify_add_watch(d.watch_fd, d.config.archive_dir.c_str(),
+                             IN_MOVED_TO) < 0 ||
+         ::epoll_ctl(d.epoll_fd, EPOLL_CTL_ADD, d.watch_fd, &ev) != 0)) {
+      ::close(d.watch_fd);
+      d.watch_fd = -1;
+    }
+  }
 
   d.stopping.store(false, std::memory_order_release);
   const std::size_t workers = std::max<std::size_t>(1, d.config.workers);
@@ -515,7 +556,8 @@ void Daemon::stop() {
   ::close(d.epoll_fd);
   ::close(d.wake_fd);
   ::close(d.listen_fd);
-  d.epoll_fd = d.wake_fd = d.listen_fd = -1;
+  if (d.watch_fd >= 0) ::close(d.watch_fd);
+  d.epoll_fd = d.wake_fd = d.listen_fd = d.watch_fd = -1;
   d.running = false;
 }
 

@@ -1,6 +1,7 @@
 // Empirical CDF and the top-α threshold rule used by AH definitions 2 & 3.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +43,17 @@ class Ecdf {
   mutable std::vector<std::uint64_t> samples_;
   mutable bool sorted_ = true;
 };
+
+/// Index of the q-quantile among `n` ascending samples (n >= 1), under
+/// the inverse-ECDF convention: ceil(q * n) - 1, clamped to [0, n).
+/// Throws std::invalid_argument unless 0 <= q <= 1 (NaN included).
+std::size_t quantile_index(double q, std::size_t n);
+
+/// Ecdf(samples).top_alpha_threshold(alpha) without the sort: the same
+/// order statistic of the same multiset, found by one std::nth_element.
+/// Throws std::logic_error when `samples` is empty.
+std::uint64_t top_alpha_threshold(std::vector<std::uint64_t> samples,
+                                  double alpha);
 
 /// Two-sample Kolmogorov–Smirnov distance sup_x |F_a(x) - F_b(x)|.
 /// Used to quantify distribution drift (e.g. the 2021 vs 2022 per-event

@@ -32,14 +32,8 @@ double Ecdf::at(std::uint64_t x) const {
 
 std::uint64_t Ecdf::quantile(double q) const {
   if (samples_.empty()) throw std::logic_error("Ecdf::quantile on empty ECDF");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("Ecdf::quantile: q out of range");
+  const std::size_t index = quantile_index(q, samples_.size());
   ensure_sorted();
-  if (q <= 0.0) return samples_.front();
-  // Smallest index i with (i + 1) / n >= q  =>  i = ceil(q * n) - 1.
-  const auto n = static_cast<double>(samples_.size());
-  auto index = static_cast<std::size_t>(std::ceil(q * n));
-  if (index > 0) --index;
-  if (index >= samples_.size()) index = samples_.size() - 1;
   return samples_[index];
 }
 
@@ -65,6 +59,27 @@ double Ecdf::mean() const {
 const std::vector<std::uint64_t>& Ecdf::sorted_samples() const {
   ensure_sorted();
   return samples_;
+}
+
+std::size_t quantile_index(double q, std::size_t n) {
+  // Written so that NaN fails it: ceil(NaN) has no size_t value.
+  if (!(q >= 0.0 && q <= 1.0)) {
+    throw std::invalid_argument("quantile: q outside [0, 1]");
+  }
+  // Smallest index i with (i + 1) / n >= q  =>  i = ceil(q * n) - 1.
+  auto index = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+  if (index > 0) --index;
+  return std::min(index, n - 1);
+}
+
+std::uint64_t top_alpha_threshold(std::vector<std::uint64_t> samples,
+                                  double alpha) {
+  if (samples.empty()) throw std::logic_error("top_alpha_threshold: no samples");
+  const auto nth =
+      samples.begin() +
+      static_cast<std::ptrdiff_t>(quantile_index(1.0 - alpha, samples.size()));
+  std::nth_element(samples.begin(), nth, samples.end());
+  return *nth;
 }
 
 double ks_distance(const Ecdf& a, const Ecdf& b) {

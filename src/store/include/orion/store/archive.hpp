@@ -42,6 +42,11 @@
 
 namespace orion::store {
 
+/// The manifest's file name in an archive directory. Step 4's rename onto
+/// it is the commit point, so a watcher that sees a file of this name
+/// moved into the directory has seen a new generation go live.
+inline constexpr char kManifestName[] = "MANIFEST";
+
 /// One live artifact in the manifest.
 struct ManifestEntry {
   std::string name;     // logical name, e.g. "events" or "pipeline.ocp"

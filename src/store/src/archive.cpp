@@ -16,7 +16,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kManifestMagic[4] = {'O', 'M', 'F', '1'};
-constexpr const char* kManifestName = "MANIFEST";
 
 std::string gen_file_name(const std::string& name, std::uint64_t gen) {
   return name + ".g" + std::to_string(gen);
@@ -37,13 +36,11 @@ bool split_gen_file(const std::string& file, std::string& base) {
   return !base.empty();
 }
 
-void validate_name(const std::string& name) {
+bool valid_name(const std::string& name) {
   std::string base;
-  if (name.empty() || name.find('/') != std::string::npos ||
-      name.find(".tmp.") != std::string::npos || name == kManifestName ||
-      split_gen_file(name, base)) {
-    throw ArchiveError("bad artifact name '" + name + "'");
-  }
+  return !name.empty() && name.find('/') == std::string::npos &&
+         name.find(".tmp.") == std::string::npos && name != kManifestName &&
+         !split_gen_file(name, base);
 }
 
 void append_string(std::vector<std::uint8_t>& out, const std::string& s) {
@@ -110,6 +107,14 @@ bool parse_manifest(const std::vector<std::uint8_t>& bytes,
     if (!r.str(e.name) || !r.str(e.file) || !r.u64(e.generation) ||
         !r.u64(e.bytes) || !r.u32(e.crc)) {
       error = "manifest corrupt entry " + std::to_string(i);
+      return false;
+    }
+    // Every path the archive opens, renames or deletes is built from an
+    // entry, so an entry must name the file publish would have written
+    // for it — nothing outside the directory, nothing from the future.
+    if (!valid_name(e.name) || e.generation > generation ||
+        e.file != gen_file_name(e.name, e.generation)) {
+      error = "manifest entry " + std::to_string(i) + " names a bad file";
       return false;
     }
     entries.push_back(std::move(e));
@@ -206,7 +211,9 @@ std::vector<ManifestEntry> ArchiveDir::publish_many(
     const std::vector<std::pair<std::string, Writer>>& items) {
   if (items.empty()) throw ArchiveError("publish of empty batch");
   for (std::size_t i = 0; i < items.size(); ++i) {
-    validate_name(items[i].first);
+    if (!valid_name(items[i].first)) {
+      throw ArchiveError("bad artifact name '" + items[i].first + "'");
+    }
     for (std::size_t j = i + 1; j < items.size(); ++j) {
       if (items[i].first == items[j].first) {
         throw ArchiveError("duplicate artifact name '" + items[i].first +

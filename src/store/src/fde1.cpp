@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <tuple>
@@ -131,65 +132,49 @@ std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
   header.insert(header.end(), fields.begin(), fields.end());
   out.write(header.data(), header.size());
 
-  // Column blocks over the concatenated segment rows. A small staging
-  // batch regroups each block's rows (they can straddle segments) so the
-  // column runs serialize contiguously.
+  // Column blocks over the concatenated segment rows. Each block is sized
+  // once (pad included); its rows can straddle segments, so each
+  // segment's run of them is copied column by column straight into place.
   std::vector<FlowBlockInfo> infos;
   infos.reserve(static_cast<std::size_t>(block_count));
-  flowsim::FlowBatch staging(static_cast<std::size_t>(std::min(b, n)));
   std::vector<std::uint8_t> buf;
   std::size_t seg = 0;       // segment the next row comes from
   std::size_t seg_row = 0;   // row within that segment
   std::uint64_t offset = kFde1HeaderBytes;
   for (std::uint64_t k = 0; k < block_count; ++k) {
     const std::uint64_t rows = std::min(b, n - k * b);
-    staging.clear();
-    while (staging.size() < rows) {
+    buf.assign(static_cast<std::size_t>(fde1_block_bytes(rows)), 0);
+    const detail::FlowColumnLayout col(rows);
+    FlowBlockInfo info;
+    info.offset = offset;
+    info.min_src = std::numeric_limits<std::uint32_t>::max();
+    for (std::uint64_t row = 0; row < rows;) {
       while (seg_row >= segments[seg].rows.size()) {
         ++seg;
         seg_row = 0;
       }
-      staging.append_record(segments[seg].rows, seg_row++);
-    }
-
-    buf.clear();
-    buf.reserve(static_cast<std::size_t>(fde1_block_bytes(rows)));
-    const auto m = static_cast<std::size_t>(rows);
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::int64_t>(buf, staging.ts_ns_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint64_t>(buf, staging.packets_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint64_t>(buf, staging.bytes_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint32_t>(buf, staging.src_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint32_t>(buf, staging.dst_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint16_t>(buf, staging.src_port_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint16_t>(buf, staging.dst_port_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint16_t>(buf, staging.router_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint8_t>(buf, staging.proto_col()[i]);
-    }
-    buf.resize(static_cast<std::size_t>(fde1_block_bytes(rows)), 0);  // pad
-
-    FlowBlockInfo info;
-    info.offset = offset;
-    info.min_src = info.max_src = staging.src_col()[0];
-    for (std::size_t i = 1; i < m; ++i) {
-      info.min_src = std::min(info.min_src, staging.src_col()[i]);
-      info.max_src = std::max(info.max_src, staging.src_col()[i]);
+      const flowsim::FlowBatch& from = segments[seg].rows;
+      const std::size_t take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(rows - row, from.size() - seg_row));
+      const auto copy = [&](std::uint64_t column, const auto& values) {
+        std::memcpy(buf.data() + column + row * sizeof(values[0]),
+                    values.data() + seg_row, take * sizeof(values[0]));
+      };
+      copy(col.ts, from.ts_ns_col());
+      copy(col.packets, from.packets_col());
+      copy(col.bytes, from.bytes_col());
+      copy(col.src, from.src_col());
+      copy(col.dst, from.dst_col());
+      copy(col.src_port, from.src_port_col());
+      copy(col.dst_port, from.dst_port_col());
+      copy(col.router, from.router_col());
+      copy(col.proto, from.proto_col());
+      const auto* first = from.src_col().data() + seg_row;
+      const auto [lo, hi] = std::minmax_element(first, first + take);
+      info.min_src = std::min(info.min_src, *lo);
+      info.max_src = std::max(info.max_src, *hi);
+      row += take;
+      seg_row += take;
     }
     info.crc = net::Crc32::of({buf.data(), buf.size()});
     infos.push_back(info);

@@ -46,6 +46,13 @@ void append(std::vector<std::uint8_t>& out, T v) {
   std::memcpy(out.data() + at, &v, sizeof(T));
 }
 
+/// Stores `v` as row `row` of the column of `T`s that starts at byte
+/// `column` of `block`: the in-place form of append's native-endian copy.
+template <typename T>
+void put(std::uint8_t* block, std::uint64_t column, std::uint64_t row, T v) {
+  std::memcpy(block + column + row * sizeof(T), &v, sizeof(T));
+}
+
 /// Byte offsets of each column inside a block of `m` rows.
 struct ColumnLayout {
   std::uint64_t start, end, packets, dests, tool[4], src, port, type;

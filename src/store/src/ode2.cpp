@@ -50,54 +50,39 @@ std::uint64_t write_events_ode2(const telescope::EventDataset& dataset,
   header.insert(header.end(), fields.begin(), fields.end());
   out.write(header.data(), header.size());
 
-  // Column blocks, each assembled in memory for one write + one CRC.
+  // Column blocks, each sized once (pad included) and filled in place for
+  // one write + one CRC.
   std::vector<BlockMeta> metas;
   metas.reserve(static_cast<std::size_t>(block_count));
   std::vector<std::uint8_t> buf;
   std::uint64_t offset = kOde2HeaderBytes;
   for (std::uint64_t k = 0; k < block_count; ++k) {
     const std::uint64_t lo = k * b;
-    const std::uint64_t hi = std::min(n, lo + b);
-    buf.clear();
-    buf.reserve(static_cast<std::size_t>(ode2_block_bytes(hi - lo)));
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::int64_t>(buf, events[i].start.since_epoch().total_nanos());
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::int64_t>(buf, events[i].end.since_epoch().total_nanos());
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint64_t>(buf, events[i].packets);
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint64_t>(buf, events[i].unique_dests);
-    }
-    for (std::size_t t = 0; t < std::tuple_size_v<telescope::ToolPackets>; ++t) {
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        detail::append<std::uint64_t>(buf, events[i].packets_by_tool[t]);
-      }
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint32_t>(buf, events[i].key.src.value());
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint16_t>(buf, events[i].key.dst_port);
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint8_t>(buf,
-                                   static_cast<std::uint8_t>(events[i].key.type));
-    }
-    buf.resize(static_cast<std::size_t>(ode2_block_bytes(hi - lo)), 0);  // pad
-
+    const std::uint64_t m = std::min(n, lo + b) - lo;
+    buf.assign(static_cast<std::size_t>(ode2_block_bytes(m)), 0);
+    std::uint8_t* block = buf.data();
+    const detail::ColumnLayout col(m);
     BlockMeta meta;
     meta.offset = offset;
     meta.min_day = meta.max_day = events[lo].day();
     meta.min_src = meta.max_src = events[lo].key.src.value();
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      meta.min_day = std::min(meta.min_day, events[i].day());
-      meta.max_day = std::max(meta.max_day, events[i].day());
-      meta.min_src = std::min(meta.min_src, events[i].key.src.value());
-      meta.max_src = std::max(meta.max_src, events[i].key.src.value());
+    for (std::uint64_t i = 0; i < m; ++i) {
+      const telescope::DarknetEvent& e = events[lo + i];
+      detail::put<std::int64_t>(block, col.start, i, e.start.since_epoch().total_nanos());
+      detail::put<std::int64_t>(block, col.end, i, e.end.since_epoch().total_nanos());
+      detail::put<std::uint64_t>(block, col.packets, i, e.packets);
+      detail::put<std::uint64_t>(block, col.dests, i, e.unique_dests);
+      for (std::size_t t = 0; t < std::tuple_size_v<telescope::ToolPackets>; ++t) {
+        detail::put<std::uint64_t>(block, col.tool[t], i, e.packets_by_tool[t]);
+      }
+      detail::put<std::uint32_t>(block, col.src, i, e.key.src.value());
+      detail::put<std::uint16_t>(block, col.port, i, e.key.dst_port);
+      detail::put<std::uint8_t>(block, col.type, i,
+                                static_cast<std::uint8_t>(e.key.type));
+      meta.min_day = std::min(meta.min_day, e.day());
+      meta.max_day = std::max(meta.max_day, e.day());
+      meta.min_src = std::min(meta.min_src, e.key.src.value());
+      meta.max_src = std::max(meta.max_src, e.key.src.value());
     }
     meta.crc = net::Crc32::of({buf.data(), buf.size()});
     metas.push_back(meta);

@@ -24,12 +24,15 @@ EventDataset::EventDataset(std::vector<DarknetEvent> events,
               if (a.start != b.start) return a.start < b.start;
               return a.key < b.key;
             });
-  std::unordered_set<net::Ipv4Address> sources;
+  std::vector<std::uint32_t> sources;
+  sources.reserve(events_.size());
   for (const DarknetEvent& e : events_) {
     total_packets_ += e.packets;
-    sources.insert(e.key.src);
+    sources.push_back(e.key.src.value());
   }
-  unique_sources_ = sources.size();
+  std::sort(sources.begin(), sources.end());
+  unique_sources_ = static_cast<std::size_t>(
+      std::unique(sources.begin(), sources.end()) - sources.begin());
   if (!events_.empty()) {
     first_day_ = events_.front().day();
     last_day_ = 0;

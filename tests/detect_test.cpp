@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -8,6 +9,8 @@
 #include "orion/detect/detector.hpp"
 #include "orion/detect/lists.hpp"
 #include "orion/detect/port_set.hpp"
+#include "orion/detect/shard_detector.hpp"
+#include "orion/detect/streaming.hpp"
 #include "orion/netbase/rng.hpp"
 
 namespace orion::detect {
@@ -207,6 +210,23 @@ TEST(Detector, ConfigValidation) {
   config = {};
   config.port_count_alpha = 0.0;
   EXPECT_THROW(AggressiveScannerDetector{config}, std::invalid_argument);
+
+  // NaN fails every range test, in every detector: the batch one, the
+  // streaming one and a shard's slice.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto set : {&DetectorConfig::dispersion_threshold,
+                         &DetectorConfig::packet_volume_alpha,
+                         &DetectorConfig::port_count_alpha}) {
+    StreamingConfig streaming;
+    streaming.base.*set = nan;
+    EXPECT_THROW(AggressiveScannerDetector{streaming.base}, std::invalid_argument);
+    EXPECT_THROW(StreamingDetector(streaming, kDarknetSize), std::invalid_argument);
+    EXPECT_THROW(ShardDetectorSlice(streaming, kDarknetSize), std::invalid_argument);
+  }
+  StreamingConfig streaming;
+  streaming.base.packet_volume_alpha = 1.0;
+  EXPECT_THROW(StreamingDetector(streaming, kDarknetSize), std::invalid_argument);
+  EXPECT_THROW(ShardDetectorSlice(streaming, kDarknetSize), std::invalid_argument);
 }
 
 // -------------------------------------------------------------------- lists

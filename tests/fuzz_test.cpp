@@ -1,6 +1,6 @@
-// Seeded, structure-aware fuzzing of the ODE2 and FDE1 readers and of
-// the aggregator's AGG1 checkpoint restore (label fuzz; `ctest --preset
-// fuzz` runs it under asan-ubsan).
+// Seeded, structure-aware fuzzing of the ODE2 and FDE1 readers, of the
+// aggregator's AGG1 checkpoint restore and of the OMF1 archive manifest
+// load (label fuzz; `ctest --preset fuzz` runs it under asan-ubsan).
 //
 // Each input is a small valid archive with one mutation: bit flips,
 // a truncation, lying header or footer counts and offsets (including
@@ -20,6 +20,14 @@
 // their neighbours, three in four with the frame CRC resealed. Restore must succeed or throw
 // std::runtime_error, and after a success checkpoint -> restore ->
 // checkpoint must be byte-stable.
+// OMF1 inputs are an archive manifest with three entries from two
+// publishes, mutated by bit flips, truncation, lying entry counts and
+// string lengths, lying generations and sizes, entry files that contain
+// '/' or '..', and entry generations above the manifest's; most reseal the
+// CRC. The strict ArchiveDir open must load or throw ArchiveError, and a
+// loaded entry must name a file inside the directory; a serve::StoreCache
+// must keep its generation unless the manifest loads, and then adopt
+// exactly the manifest's generation; recover_archive must not throw.
 // Iteration i draws its mutation from kSeed + i, so a failing iteration
 // replays alone. Inputs that once broke a reader are kept as named
 // regression cases at the end.
@@ -33,6 +41,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
@@ -41,6 +50,8 @@
 #include "orion/detect/detector.hpp"
 #include "orion/impact/flow_join.hpp"
 #include "orion/netbase/crc32.hpp"
+#include "orion/serve/store_cache.hpp"
+#include "orion/store/archive.hpp"
 #include "orion/store/fde1.hpp"
 #include "orion/store/mapped.hpp"
 #include "orion/store/mapped_flow.hpp"
@@ -629,6 +640,189 @@ TEST(Fuzz, Agg1SeededMutations) {
   expect_reach("agg1", restored, kIterations);
 }
 
+// ------------------------------------------------------------------ OMF1
+
+/// An OMF1 manifest held in a string, with where the mutator aims.
+struct Omf1 {
+  std::string bytes;
+  std::vector<std::size_t> counts;   // the entry count, every string length
+  std::vector<std::size_t> numbers;  // the generations and entry sizes
+};
+
+void reseal_omf1(std::string& bytes) {
+  if (bytes.size() >= 8) store_u32(bytes, 4, test_pins::crc_of(bytes, 8));
+}
+
+/// The manifest ArchiveDir writes for `entries` at `generation`.
+Omf1 omf1(std::uint64_t generation, const std::vector<ManifestEntry>& entries) {
+  Omf1 out;
+  std::string& b = out.bytes;
+  b = std::string("OMF1") + std::string(4, '\0');
+  const auto u64 = [&b](std::uint64_t v) {
+    b.append(8, '\0');
+    store_u64(b, b.size() - 8, v);
+  };
+  const auto str = [&](const std::string& s) {
+    out.counts.push_back(b.size());
+    u64(s.size());
+    b += s;
+  };
+  out.numbers.push_back(b.size());
+  u64(generation);
+  out.counts.push_back(b.size());
+  u64(entries.size());
+  for (const ManifestEntry& e : entries) {
+    str(e.name);
+    str(e.file);
+    out.numbers.push_back(b.size());
+    u64(e.generation);
+    out.numbers.push_back(b.size());
+    u64(e.bytes);
+    b.append(4, '\0');
+    store_u32(b, b.size() - 4, e.crc);
+  }
+  reseal_omf1(b);
+  return out;
+}
+
+/// The mutation of iteration `i` of the base manifest, drawn from kSeed + i.
+std::string mutate_omf1(std::uint64_t generation,
+                        const std::vector<ManifestEntry>& entries, std::size_t i) {
+  std::mt19937_64 rng(kSeed + i);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::vector<ManifestEntry> edited = entries;
+  ManifestEntry& entry = edited[pick(edited.size())];
+  const Omf1 base = omf1(generation, entries);
+  std::string bytes = base.bytes;
+  bool sealed = pick(4) != 0;
+  switch (pick(6)) {
+    case 0:  // bit flips anywhere
+      for (std::size_t n = 1 + pick(4); n > 0; --n) {
+        bytes[pick(bytes.size())] ^= static_cast<char>(1u << pick(8));
+      }
+      break;
+    case 1:  // truncation
+      bytes.resize(pick(bytes.size()));
+      sealed = false;
+      break;
+    case 2: {  // a lying entry count or string length
+      const std::size_t at = base.counts[pick(base.counts.size())];
+      const std::uint64_t v = load(bytes, at);
+      const std::uint64_t lies[] = {v + 1, v - 1, 0, v + (std::uint64_t{1} << 61),
+                                    std::uint64_t{1} << 16, rng()};
+      store_u64(bytes, at, lies[pick(6)]);
+      break;
+    }
+    case 3: {  // a lying generation or size
+      const std::size_t at = base.numbers[pick(base.numbers.size())];
+      const std::uint64_t v = load(bytes, at);
+      const std::uint64_t lies[] = {v + 1, v - 1, 0, ~std::uint64_t{0}, rng()};
+      store_u64(bytes, at, lies[pick(5)]);
+      break;
+    }
+    case 4: {  // an entry file that leaves the directory or names another
+      const std::string files[] = {"../omf1_victim", "../" + entry.file,
+                                   "sub/" + entry.file, "..", ".", "/",
+                                   entry.file + "/..", entry.name + ".g0",
+                                   edited[pick(edited.size())].file};
+      entry.file = files[pick(std::size(files))];
+      bytes = omf1(generation, edited).bytes;
+      break;
+    }
+    default:  // an entry from a generation the manifest has not reached
+      entry.generation = generation + 1 + pick(3);
+      if (pick(2) == 0) entry.file = entry.name + ".g" + std::to_string(entry.generation);
+      bytes = omf1(generation, edited).bytes;
+      break;
+  }
+  if (sealed) reseal_omf1(bytes);
+  return bytes;
+}
+
+TEST(Fuzz, Omf1SeededMutations) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("orion_fuzz_omf1_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::uint64_t generation = 0;
+  std::vector<ManifestEntry> entries;
+  std::map<std::string, std::string> files;  // the base archive, manifest included
+  {
+    const flowsim::FlowDataset flows = fde1_base_flows();
+    const telescope::EventDataset events = ode2_base_dataset();
+    ArchiveDir archive(dir);
+    archive.publish_many({{"flows", flows_fde1_writer(flows, 8)},
+                          {"events", events_ode2_writer(events, 16)}});
+    archive.publish_many(
+        {{"flows", flows_fde1_writer(flows, 5)},
+         {"notes", [](net::io::File& f) { f.write("three entries", 13); }}});
+    generation = archive.generation();
+    entries = archive.entries();
+    for (const auto& it : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(it.path(), std::ios::binary);
+      files[it.path().filename().string()].assign(
+          std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+  }
+  ASSERT_EQ(generation, 2u);
+  ASSERT_EQ(entries.size(), 3u);
+  ASSERT_EQ(files.size(), 4u);  // flows.g2, events.g1, notes.g2, MANIFEST
+  ASSERT_EQ(omf1(generation, entries).bytes, files[kManifestName]);
+
+  const auto reset = [&](const std::string& manifest) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    for (const auto& [name, bytes] : files) {
+      std::ofstream(dir + "/" + name, std::ios::binary)
+          << (name == kManifestName ? manifest : bytes);
+    }
+  };
+  reset(files[kManifestName]);
+  serve::StoreCache cache(dir, "flows", "events");
+  ASSERT_TRUE(cache.refresh());
+
+  std::size_t loaded = 0;
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    const std::string what = "omf1 iteration " + std::to_string(i);
+    reset(mutate_omf1(generation, entries, i));
+    std::optional<std::uint64_t> opened;
+    try {
+      const ArchiveDir archive(dir);
+      opened = archive.generation();
+      for (const ManifestEntry& e : archive.entries()) {
+        EXPECT_TRUE(e.file.find('/') == std::string::npos && e.file != "." &&
+                    e.file != "..")
+            << what << ": entry file '" << e.file << "'";
+      }
+      ++loaded;
+    } catch (const ArchiveError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": strict open threw a non-ArchiveError: " << e.what();
+    }
+    const bool swapped = cache.refresh();
+    if (swapped) {
+      EXPECT_TRUE(opened && *opened != generation) << what;
+      EXPECT_EQ(cache.current()->generation, opened.value_or(0)) << what;
+      reset(files[kManifestName]);
+      ASSERT_TRUE(cache.refresh()) << what;
+    } else {
+      EXPECT_EQ(cache.current()->generation, generation) << what;
+    }
+    try {
+      recover_archive(dir);
+    } catch (...) {
+      ADD_FAILURE() << what << ": recover_archive threw";
+    }
+  }
+  std::printf("[fuzz] omf1: %zu of %zu manifests passed the strict open\n",
+              loaded, kIterations);
+  EXPECT_GT(loaded, 0u);
+  std::filesystem::remove_all(dir);
+}
+
 // --------------------------------------------------- regression inputs
 
 // A footer's day_count and last_day raised by 2^61 under a resealed CRC:
@@ -688,6 +882,43 @@ TEST(FuzzRegression, Fde1BitRottedSourceInBlock0) {
   const MappedFlowStore store(file.put(bytes));
   EXPECT_THROW(impact::FlowImpactAnalyzer(&store).prebuild_indexes(2),
                std::invalid_argument);
+}
+
+// Entries naming a generation the manifest has not reached, a name
+// publish refuses, or "../victim", under a valid CRC: each loaded, and the
+// last let the next publish's GC unlink a file outside the archive.
+TEST(FuzzRegression, Omf1EntryOutsideTheArchiveIsCorruptAndItsFileSurvives) {
+  const std::string root =
+      (std::filesystem::temp_directory_path() /
+       ("orion_fuzz_omf1_escape_" + std::to_string(::getpid())))
+          .string();
+  const std::string dir = root + "/archive";
+  std::filesystem::remove_all(root);
+  const auto blob = [](net::io::File& f) { f.write("blob", 4); };
+  ArchiveDir(dir).publish("a", blob);
+  std::ofstream(root + "/victim") << "not the archive's";
+  const ManifestEntry good = ArchiveDir(dir).entries().front();
+
+  ManifestEntry future = good;
+  future.generation = 2;
+  future.file = "a.g2";
+  ManifestEntry unnamed = good;
+  unnamed.name = "../a";
+  unnamed.file = "../a.g1";
+  ManifestEntry escaped = good;
+  escaped.file = "../victim";
+  for (const ManifestEntry& bad : {future, unnamed, escaped}) {
+    std::ofstream(dir + "/" + kManifestName, std::ios::binary | std::ios::trunc)
+        << omf1(1, {bad}).bytes;
+    EXPECT_THROW(ArchiveDir{dir}, ArchiveError) << bad.file;
+  }
+
+  EXPECT_FALSE(recover_archive(dir).manifest_valid);
+  ArchiveDir archive(dir);
+  archive.publish("a", blob);
+  EXPECT_TRUE(std::filesystem::exists(root + "/victim"));
+  EXPECT_TRUE(archive.verify("a"));
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -607,6 +607,55 @@ TEST(ServeDaemon, MidSwapResponsesMatchTheirOwnGeneration) {
   daemon.stop();
 }
 
+/// Polls `daemon.generation()` until it reaches `target` or `limit` passes.
+bool adopts_within(const Daemon& daemon, std::uint64_t target,
+                   std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (daemon.generation() < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// The watch adopts a commit at its manifest rename: with a poll period of a
+// minute, only the push can make generation 2 visible inside 2 s.
+TEST(ServeDaemon, AdoptsACommitWithoutWaitingForThePoll) {
+  const std::string dir = temp_dir("pushed");
+  publish_flows(dir, 0);
+  DaemonConfig config;
+  config.archive_dir = dir;
+  config.refresh_ms = 60'000;
+  Daemon daemon(config);
+  daemon.start();
+  ASSERT_EQ(daemon.generation(), 1u);
+  EXPECT_EQ(publish_flows(dir, 1000), 2u);
+  EXPECT_TRUE(adopts_within(daemon, 2, std::chrono::seconds(2)));
+  daemon.stop();  // joins the loop, which counts the swap after adopting it
+  EXPECT_EQ(daemon.stats().generation_swaps, 1u);
+}
+
+// A directory renamed aside takes the watch with it; the poll is the
+// fallback that still finds the generation published at the old path.
+TEST(ServeDaemon, PollStillAdoptsAfterTheArchiveDirectoryIsReplaced) {
+  const std::string dir = temp_dir("replaced");
+  const std::string aside = temp_dir("replaced_aside");
+  publish_flows(dir, 0);
+  DaemonConfig config;
+  config.archive_dir = dir;
+  config.refresh_ms = 20;
+  Daemon daemon(config);
+  daemon.start();
+  ASSERT_EQ(daemon.generation(), 1u);
+  fs::rename(dir, aside);
+  fs::create_directories(dir);
+  publish_flows(dir, 1000);
+  EXPECT_EQ(publish_flows(dir, 2000), 2u);
+  EXPECT_TRUE(adopts_within(daemon, 2, std::chrono::seconds(1)));
+  daemon.stop();
+  fs::remove_all(aside);
+}
+
 // stop() right after start() catches workers between their predicate check
 // and their wait. A stop flag set without the task mutex can be missed
 // there, and join() then hangs; the watchdog turns a hang (no finished

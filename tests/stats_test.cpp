@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
@@ -72,6 +73,36 @@ TEST(Ecdf, EmptyAndBadInputsThrow) {
   ecdf.add(1);
   EXPECT_THROW(ecdf.quantile(-0.1), std::invalid_argument);
   EXPECT_THROW(ecdf.quantile(1.1), std::invalid_argument);
+  EXPECT_THROW(ecdf.quantile(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
+// The day close's selection form of the threshold is the sorted ECDF's
+// value, for the sample shapes and sizes a window produces (up to the
+// ~36k-value cumulative sample) and at the detectors' alphas.
+TEST(Ecdf, SelectionThresholdMatchesTheSortedEcdf) {
+  std::mt19937_64 rng(1801);
+  for (const std::size_t n : {1, 2, 1000, 36000}) {
+    std::vector<std::uint64_t> equal(n, 7), few(n), heavy(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      few[i] = rng() % 3;
+      heavy[i] = 1 + (rng() >> (rng() % 64));  // log-uniform magnitudes
+    }
+    for (const auto* samples : {&equal, &few, &heavy}) {
+      for (const double alpha : {1e-4, 2e-4, 0.028, 0.5}) {
+        EXPECT_EQ(top_alpha_threshold(*samples, alpha),
+                  Ecdf(*samples).top_alpha_threshold(alpha))
+            << "n " << n << " alpha " << alpha;
+      }
+    }
+  }
+  // ceil(q * n) = n: the maximum, not one past it.
+  EXPECT_EQ(quantile_index(1.0 - 1e-4, 1000), 999u);
+  EXPECT_EQ(top_alpha_threshold({3, 9, 1}, 1e-4), 9u);
+  EXPECT_EQ(quantile_index(0.0, 5), 0u);
+  EXPECT_THROW(top_alpha_threshold({}, 0.5), std::logic_error);
+  EXPECT_THROW(top_alpha_threshold({1, 2}, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 class EcdfQuantileProperty : public testing::TestWithParam<double> {};
