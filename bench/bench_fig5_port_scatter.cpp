@@ -7,6 +7,8 @@
 
 #include "common.hpp"
 #include "orion/impact/flow_join.hpp"
+#include "orion/store/fde1.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 namespace {
 
@@ -43,7 +45,8 @@ int main() {
 
   const std::int64_t day = bench::flows2_day();
   const auto flows = bench::merit_flows(world, 2022, day, day + 1);
-  const impact::FlowImpactAnalyzer analyzer(&flows);
+  const store::MappedFlowStore image(store::fde1_image(flows));
+  const impact::FlowImpactAnalyzer analyzer(&image);
   const detect::DetectionResult& detection = world.detection(2022);
   const auto index = static_cast<std::size_t>(day - detection.first_day);
 

@@ -8,10 +8,12 @@
 // simulated NetFlow. Per-(router,day) indexes are built (and cached)
 // outside the timed region, so both paths time pure join work.
 //
-// Before any timing, an equivalence gate asserts the batched join is
-// byte-identical to the scalar reference for every cell AND for indexes
-// rebuilt from FlowBatch spans at several chunkings (sizes 1, 64, 1024
-// and a ragged random mix); a mismatch fails the run.
+// Both paths join over the flows' in-memory FDE1 image. Before any
+// timing, an equivalence gate asserts both are byte-identical to the
+// scalar reference join over an index built from the dataset's own rows,
+// for every cell AND for indexes rebuilt from FlowBatch spans at several
+// chunkings (sizes 1, 64, 1024 and a ragged random mix); a mismatch fails
+// the run.
 //
 //   $ ./bench_flowjoin [--reps R] [--json PATH] [--smoke]
 //
@@ -33,9 +35,10 @@
 #include <vector>
 
 #include "common.hpp"
-#include "orion/flowsim/netflow_bridge.hpp"
 #include "orion/impact/flow_join.hpp"
 #include "orion/scangen/scenario.hpp"
+#include "orion/store/fde1.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 namespace {
 
@@ -77,20 +80,23 @@ struct Cell {
   std::size_t definition = 0;
 };
 
-/// The equivalence gate: batched query() vs the scalar reference on every
-/// cell, plus chunking invariance of the index build on the first cell of
-/// each router.
+/// The equivalence gate: batched query() over the FDE1 image vs the
+/// scalar reference join over the dataset's own rows on every cell, plus
+/// chunking invariance of the index build on the first cell of each
+/// router.
 bool equivalence_gate(const flowsim::FlowDataset& flows,
                       const impact::FlowImpactAnalyzer& analyzer,
                       const std::vector<detect::IpSet>& definitions,
                       const std::vector<Cell>& cells) {
   bool ok = true;
   for (const Cell& cell : cells) {
+    const auto reference = bench::reference_report(
+        flows, cell.router, cell.day, definitions[cell.definition]);
     const auto batched =
         analyzer.query(cell.router, cell.day, definitions[cell.definition]);
     const auto scalar = analyzer.query_scalar(cell.router, cell.day,
                                               definitions[cell.definition]);
-    if (!same_report(batched, scalar)) {
+    if (!same_report(batched, reference) || !same_report(scalar, reference)) {
       std::cout << "equivalence MISMATCH at router " << cell.router << " day "
                 << cell.day << " definition " << cell.definition << "\n";
       ok = false;
@@ -111,11 +117,9 @@ bool equivalence_gate(const flowsim::FlowDataset& flows,
   for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
     const std::int64_t day = flows.start_day();
     const flowsim::RouterDay& rd = flows.at(router, day);
-    const flowsim::FlowBatch batch = flowsim::flow_batch_of(
-        rd, static_cast<std::uint16_t>(router), day);
     const auto ref = analyzer.query(router, day, definitions[0]);
     for (const auto& sizes : chunkings) {
-      const impact::FlowSourceIndex index = chunked_index(batch, sizes);
+      const impact::FlowSourceIndex index = chunked_index(rd.rows, sizes);
       const auto report =
           impact::join_flow_index(index, sources, flows.sampling_rate(),
                                   rd.total_packets, router, day);
@@ -180,7 +184,8 @@ int main(int argc, char** argv) {
         cells.push_back({router, day, 0});
       }
     }
-    const impact::FlowImpactAnalyzer analyzer(&flows);
+    const store::MappedFlowStore image(store::fde1_image(flows));
+    const impact::FlowImpactAnalyzer analyzer(&image);
     const bool ok = equivalence_gate(flows, analyzer, definitions, cells);
     std::cout << (ok ? "SMOKE OK\n" : "SMOKE FAILED\n");
     return ok ? 0 : 1;
@@ -205,7 +210,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const impact::FlowImpactAnalyzer analyzer(&flows);
+  const store::MappedFlowStore image(store::fde1_image(flows));
+  const impact::FlowImpactAnalyzer analyzer(&image);
   // Warm the per-(router, day) index cache so both paths time pure joins.
   for (const Cell& cell : cells) {
     analyzer.query(cell.router, cell.day, impact::SourceSet());

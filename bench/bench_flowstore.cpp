@@ -17,9 +17,10 @@
 //                          router-day cells at hardware_concurrency
 //
 // Always-on equivalence gate: every path's RouterDayReport for every
-// cell must equal the in-memory FlowImpactAnalyzer reference field for
-// field (impact, protocol mix, bounded port histogram incl. spill,
-// visibility) — the bench aborts on any mismatch. Acceptance: fde1_cold
+// cell — and the untimed in-memory FDE1 image's — must equal the scalar
+// reference join over each cell's own rows field for field (impact,
+// protocol mix, bounded port histogram incl. spill, visibility) — the
+// bench aborts on any mismatch. Acceptance: fde1_cold
 // >= 5x the flows/sec of the NetFlow-decode path.
 //
 //   $ ./bench_flowstore [--days N] [--reps R] [--json PATH] [--smoke]
@@ -45,7 +46,6 @@
 
 #include "common.hpp"
 #include "orion/flowsim/netflow5.hpp"
-#include "orion/flowsim/netflow_bridge.hpp"
 #include "orion/impact/flow_join.hpp"
 #include "orion/scangen/scenario.hpp"
 #include "orion/store/fde1.hpp"
@@ -76,38 +76,34 @@ std::uint64_t write_netflow_v5_file(const flowsim::FlowDataset& flows,
                                     const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   std::uint64_t bytes = 0;
-  for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
-    for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
-      const flowsim::FlowBatch rows = flowsim::flow_batch_of(
-          flows.at(router, day), static_cast<std::uint16_t>(router), day);
-      flowsim::NetflowV5Header header;
-      header.unix_secs = static_cast<std::uint32_t>(day * 86'400);
-      header.engine_id = static_cast<std::uint8_t>(router);
-      header.sampling_interval =
-          static_cast<std::uint16_t>(flows.sampling_rate() & 0x3FFF);
-      std::vector<flowsim::NetflowV5Record> chunk;
-      for (std::size_t i = 0; i < rows.size();
-           i += flowsim::kNetflowV5MaxRecords) {
-        const std::size_t hi =
-            std::min(rows.size(), i + flowsim::kNetflowV5MaxRecords);
-        chunk.clear();
-        for (std::size_t k = i; k < hi; ++k) {
-          const flowsim::FlowRecord r = rows.record_at(k);
-          flowsim::NetflowV5Record rec;
-          rec.src = r.src;
-          rec.dst = r.dst;
-          rec.packets = static_cast<std::uint32_t>(r.packets);
-          rec.octets = static_cast<std::uint32_t>(r.bytes);
-          rec.src_port = r.src_port;
-          rec.dst_port = r.dst_port;
-          rec.protocol = r.proto;
-          chunk.push_back(rec);
-        }
-        const auto packet = flowsim::encode_netflow_v5(header, chunk);
-        out.write(reinterpret_cast<const char*>(packet.data()),
-                  static_cast<std::streamsize>(packet.size()));
-        bytes += packet.size();
+  for (const flowsim::RouterDay& cell : flows.cells()) {
+    const flowsim::FlowBatch& rows = cell.rows;
+    flowsim::NetflowV5Header header;
+    header.unix_secs = static_cast<std::uint32_t>(cell.day * 86'400);
+    header.engine_id = static_cast<std::uint8_t>(cell.router);
+    header.sampling_interval =
+        static_cast<std::uint16_t>(flows.sampling_rate() & 0x3FFF);
+    std::vector<flowsim::NetflowV5Record> chunk;
+    for (std::size_t i = 0; i < rows.size(); i += flowsim::kNetflowV5MaxRecords) {
+      const std::size_t hi =
+          std::min(rows.size(), i + flowsim::kNetflowV5MaxRecords);
+      chunk.clear();
+      for (std::size_t k = i; k < hi; ++k) {
+        const flowsim::FlowRecord r = rows.record_at(k);
+        flowsim::NetflowV5Record rec;
+        rec.src = r.src;
+        rec.dst = r.dst;
+        rec.packets = static_cast<std::uint32_t>(r.packets);
+        rec.octets = static_cast<std::uint32_t>(r.bytes);
+        rec.src_port = r.src_port;
+        rec.dst_port = r.dst_port;
+        rec.protocol = r.proto;
+        chunk.push_back(rec);
       }
+      const auto packet = flowsim::encode_netflow_v5(header, chunk);
+      out.write(reinterpret_cast<const char*>(packet.data()),
+                static_cast<std::streamsize>(packet.size()));
+      bytes += packet.size();
     }
   }
   return bytes;
@@ -183,15 +179,12 @@ int main(int argc, char** argv) {
             << nfv5_bytes << " bytes, FDE1 " << fde1_bytes
             << " bytes; hardware_concurrency = " << hw << "\n\n";
 
-  // Reference reports from the in-memory analyzer (untimed).
+  // Reference reports (untimed): the scalar join over an index built
+  // straight from each cell's rows, independent of any FDE1 bytes.
   std::vector<impact::RouterDayReport> reference;
-  {
-    const impact::FlowImpactAnalyzer memory(&flows);
-    for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
-      for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
-        reference.push_back(memory.query(router, day, sources));
-      }
-    }
+  for (const flowsim::RouterDay& cell : flows.cells()) {
+    reference.push_back(
+        bench::reference_report(flows, cell.router, cell.day, ah));
   }
   // Ground-truth interface totals, keyed for the decode path (a real
   // deployment reads these from the SNMP side, not from the flow feed).
@@ -314,6 +307,10 @@ int main(int argc, char** argv) {
     check("fde1_cold", last);
     runs.push_back(
         {"fde1_cold", t, static_cast<double>(n_flows) / t.best});
+  }
+  {  // The dataset's in-memory FDE1 image answers like the file (untimed).
+    const store::MappedFlowStore image(store::fde1_image(flows));
+    check("fde1_memory", query_all(impact::FlowImpactAnalyzer(&image)));
   }
   const store::MappedFlowStore st(fde1_path);
   const impact::FlowImpactAnalyzer warm_analyzer(&st);

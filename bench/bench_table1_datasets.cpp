@@ -42,7 +42,9 @@ int main() {
       for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
         const flowsim::RouterDay& rd = flows.at(router, day);
         stats.packets += rd.total_packets;
-        for (const auto& [key, count] : rd.sampled) sources.insert(key.src);
+        for (const std::uint32_t src : rd.rows.src_col()) {
+          sources.insert(net::Ipv4Address(src));
+        }
       }
     }
     stats.sources = sources.size();

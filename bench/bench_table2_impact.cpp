@@ -4,6 +4,8 @@
 
 #include "common.hpp"
 #include "orion/impact/flow_join.hpp"
+#include "orion/store/fde1.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 int main() {
   using namespace orion;
@@ -30,7 +32,8 @@ int main() {
   std::size_t day_count = 0;
 
   const auto add_days = [&](const flowsim::FlowDataset& flows) {
-    const impact::FlowImpactAnalyzer analyzer(&flows);
+    const store::MappedFlowStore image(store::fde1_image(flows));
+    const impact::FlowImpactAnalyzer analyzer(&image);
     for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
       std::vector<std::string> row{net::day_label(day) + " (" +
                                    to_string(net::weekday_of(day)) + ")"};

@@ -6,6 +6,8 @@
 
 #include "common.hpp"
 #include "orion/impact/flow_join.hpp"
+#include "orion/store/fde1.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 int main() {
   using namespace orion;
@@ -18,7 +20,8 @@ int main() {
 
   const std::int64_t day = bench::flows2_day();
   const auto flows = bench::merit_flows(world, 2022, day, day + 1);
-  const impact::FlowImpactAnalyzer analyzer(&flows);
+  const store::MappedFlowStore image(store::fde1_image(flows));
+  const impact::FlowImpactAnalyzer analyzer(&image);
 
   const auto percentages = [](const impact::ProtocolMix& mix) {
     const double total = static_cast<double>(mix[0] + mix[1] + mix[2]);

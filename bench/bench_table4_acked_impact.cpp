@@ -5,6 +5,8 @@
 
 #include "common.hpp"
 #include "orion/impact/flow_join.hpp"
+#include "orion/store/fde1.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 int main() {
   using namespace orion;
@@ -17,7 +19,8 @@ int main() {
 
   const std::int64_t day = bench::flows2_day();
   const auto flows = bench::merit_flows(world, 2022, day, day + 1);
-  const impact::FlowImpactAnalyzer analyzer(&flows);
+  const store::MappedFlowStore image(store::fde1_image(flows));
+  const impact::FlowImpactAnalyzer analyzer(&image);
 
   report::Table table({"", "Router-1", "Router-2", "Router-3"});
   std::array<double, 3> d1_pct{};

@@ -5,6 +5,8 @@
 
 #include "common.hpp"
 #include "orion/impact/flow_join.hpp"
+#include "orion/store/fde1.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 int main() {
   using namespace orion;
@@ -28,7 +30,8 @@ int main() {
   double r1_d1_sum = 0, r3_d1_sum = 0;
   std::size_t day_count = 0;
   const auto add_days = [&](const flowsim::FlowDataset& flows) {
-    const impact::FlowImpactAnalyzer analyzer(&flows);
+    const store::MappedFlowStore image(store::fde1_image(flows));
+    const impact::FlowImpactAnalyzer analyzer(&image);
     for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
       const auto index = static_cast<std::size_t>(day - detection.first_day);
       std::vector<std::string> row{net::day_label(day)};

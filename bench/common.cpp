@@ -127,6 +127,17 @@ flowsim::FlowDataset merit_flows(const World& world, int year,
                         flowsim::PeeringPolicy::merit_like(), config);
 }
 
+impact::RouterDayReport reference_report(const flowsim::FlowDataset& flows,
+                                         std::size_t router, std::int64_t day,
+                                         const detect::IpSet& sources) {
+  const flowsim::RouterDay& cell = flows.at(router, day);
+  impact::FlowSourceIndex index;
+  index.append(cell.rows);
+  index.finalize();
+  return impact::join_flow_index_scalar(index, sources, flows.sampling_rate(),
+                                        cell.total_packets, router, day);
+}
+
 void print_header(const std::string& title, const std::string& paper_summary) {
   std::cout << "==============================================================\n"
             << title << "\n"

@@ -12,6 +12,7 @@
 #include "orion/detect/detector.hpp"
 #include "orion/flowsim/flows.hpp"
 #include "orion/flowsim/routing.hpp"
+#include "orion/impact/flow_join.hpp"
 #include "orion/intel/acked.hpp"
 #include "orion/intel/greynoise.hpp"
 #include "orion/report/table.hpp"
@@ -58,6 +59,12 @@ flowsim::UserTrafficConfig cu_user_config();
 /// footprint and peering policy.
 flowsim::FlowDataset merit_flows(const World& world, int year,
                                  std::int64_t start_day, std::int64_t end_day);
+
+/// The reference report of one cell: the scalar join over an index built
+/// straight from the dataset's rows, independent of any FDE1 bytes.
+impact::RouterDayReport reference_report(const flowsim::FlowDataset& flows,
+                                         std::size_t router, std::int64_t day,
+                                         const detect::IpSet& sources);
 
 /// Prints the bench banner: what is being reproduced and the paper's
 /// headline numbers for qualitative comparison.

@@ -10,6 +10,8 @@
 #include "orion/report/table.hpp"
 #include "orion/scangen/event_synth.hpp"
 #include "orion/scangen/scenario.hpp"
+#include "orion/store/fde1.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 int main() {
   using namespace orion;
@@ -44,9 +46,10 @@ int main() {
       generate_flows(scenario.population_2021(), scenario.registry(),
                      flowsim::PeeringPolicy::merit_like(), config);
 
-  // Join: AH packets vs all packets, per router per day. One pre-hashed
-  // SourceSet serves every query() cell.
-  const impact::FlowImpactAnalyzer analyzer(&flows);
+  // Join: AH packets vs all packets, per router per day, over the flows'
+  // in-memory FDE1 image. One pre-hashed SourceSet serves every cell.
+  const store::MappedFlowStore image(store::fde1_image(flows));
+  const impact::FlowImpactAnalyzer analyzer(&image);
   const impact::SourceSet ah_set(ah);
   report::Table table({"date", "router-1", "router-2", "router-3"});
   for (std::int64_t day = config.start_day; day < config.end_day; ++day) {

@@ -36,8 +36,8 @@
 // serve::QueryRequest executed by serve::execute_query, so the CLI and
 // the daemon can never drift apart.
 #include <algorithm>
+#include <charconv>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -438,7 +438,8 @@ std::vector<flowsim::FlowRecord> read_netflow_v5_flows(
 
 /// Parses the flow CSV form:
 ///   router,ts_ns,src,dst,src_port,dst_port,proto,packets,bytes
-/// (header line optional; blank lines skipped).
+/// (header line optional; blank lines skipped). A malformed row is an
+/// error naming its line, never a wrapped or partial value.
 std::vector<flowsim::FlowRecord> read_csv_flows(const std::string& path) {
   std::ifstream in(path);
   std::vector<flowsim::FlowRecord> records;
@@ -446,45 +447,58 @@ std::vector<flowsim::FlowRecord> read_csv_flows(const std::string& path) {
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     if (line_no == 1 && line.rfind("router", 0) == 0) continue;  // header
+    const auto bad = [&](const std::string& what) {
+      std::cerr << "error: " << path << ":" << line_no << ": " << what << "\n";
+      std::exit(1);
+    };
     std::stringstream row(line);
     std::string field;
     std::vector<std::string> fields;
     while (std::getline(row, field, ',')) fields.push_back(field);
-    if (fields.size() != 9) {
-      std::cerr << "error: " << path << ":" << line_no
-                << ": expected 9 comma-separated fields\n";
-      std::exit(1);
-    }
+    if (fields.size() != 9) bad("expected 9 comma-separated fields");
     const auto src = net::Ipv4Address::parse(fields[2]);
     const auto dst = net::Ipv4Address::parse(fields[3]);
-    if (!src || !dst) {
-      std::cerr << "error: " << path << ":" << line_no << ": bad address\n";
-      std::exit(1);
-    }
+    if (!src || !dst) bad("bad address");
     flowsim::FlowRecord flow;
-    flow.router = static_cast<std::uint16_t>(std::stoul(fields[0]));
-    flow.ts_ns = std::stoll(fields[1]);
     flow.src = *src;
     flow.dst = *dst;
-    flow.src_port = static_cast<std::uint16_t>(std::stoul(fields[4]));
-    flow.dst_port = static_cast<std::uint16_t>(std::stoul(fields[5]));
-    flow.proto = static_cast<std::uint8_t>(std::stoul(fields[6]));
-    flow.packets = std::stoull(fields[7]);
-    flow.bytes = std::stoull(fields[8]);
+    // The whole field, digits only ('-' only for ts_ns), in range.
+    const auto parse = [&](std::size_t column, const char* name, auto& out) {
+      const std::string& text = fields[column];
+      const char* end = text.data() + text.size();
+      const auto [stop, ec] = std::from_chars(text.data(), end, out);
+      if (ec != std::errc{} || stop != end) bad(std::string("bad ") + name);
+    };
+    parse(0, "router", flow.router);
+    parse(1, "ts_ns", flow.ts_ns);
+    parse(4, "src_port", flow.src_port);
+    parse(5, "dst_port", flow.dst_port);
+    parse(6, "proto", flow.proto);
+    parse(7, "packets", flow.packets);
+    parse(8, "bytes", flow.bytes);
     records.push_back(flow);
   }
   return records;
 }
 
-/// Groups loose flow records into the sorted per-(router, day) segments
-/// FDE1 requires. External data has no SNMP side, so each segment's
-/// total_packets is the sampled-count-scaled estimate (user/scanner
-/// splits stay zero).
-std::vector<store::Fde1Segment> segments_from_records(
-    std::vector<flowsim::FlowRecord> records, std::uint32_t sampling_rate,
-    std::int64_t& start_day, std::int64_t& end_day) {
+/// A flow input in FDE1's form: its (router, day) cells and their window.
+struct LiftedFlows {
+  std::uint32_t sampling_rate = 0;
+  std::int64_t start_day = 0;
+  std::int64_t end_day = 0;
+  std::vector<flowsim::RouterDay> cells;
+};
+
+/// Groups loose flow records into the sorted per-(router, day) cells FDE1
+/// requires, every record kept as its own row (split NetFlow records are
+/// not merged). External data has no SNMP side, so each cell's
+/// total_packets is the sampled-count-scaled estimate at `scale_rate`
+/// (user/scanner splits stay zero).
+void group_records(std::vector<flowsim::FlowRecord> records,
+                   std::uint32_t scale_rate, LiftedFlows& lifted) {
   std::sort(records.begin(), records.end(),
             [](const flowsim::FlowRecord& a, const flowsim::FlowRecord& b) {
               return std::tuple(a.router, a.ts_ns / kNanosPerDayCli, a.src,
@@ -492,80 +506,56 @@ std::vector<store::Fde1Segment> segments_from_records(
                      std::tuple(b.router, b.ts_ns / kNanosPerDayCli, b.src,
                                 b.dst_port, flowsim::traffic_type_of(b.proto));
             });
-  std::vector<store::Fde1Segment> segments;
-  start_day = 0;
-  end_day = 0;
+  std::vector<flowsim::RouterDay>& cells = lifted.cells;
   for (const flowsim::FlowRecord& r : records) {
     const std::int64_t day = r.ts_ns / kNanosPerDayCli;
-    if (segments.empty() || segments.back().router != r.router ||
-        segments.back().day != day) {
-      store::Fde1Segment seg;
-      seg.router = r.router;
-      seg.day = day;
-      segments.push_back(std::move(seg));
+    if (cells.empty() || cells.back().router != r.router ||
+        cells.back().day != day) {
+      cells.emplace_back();
+      cells.back().router = r.router;
+      cells.back().day = day;
     }
-    store::Fde1Segment& seg = segments.back();
-    seg.rows.push_back(r);
-    seg.total_packets += r.packets * sampling_rate;
+    cells.back().rows.push_back(r);
+    cells.back().total_packets += r.packets * scale_rate;
   }
-  if (!segments.empty()) {
-    start_day = segments.front().day;
-    end_day = segments.front().day + 1;
-    for (const store::Fde1Segment& seg : segments) {
-      start_day = std::min(start_day, seg.day);
-      end_day = std::max(end_day, seg.day + 1);
-    }
+  const auto [first, last] = std::minmax_element(
+      cells.begin(), cells.end(),
+      [](const auto& a, const auto& b) { return a.day < b.day; });
+  if (first != cells.end()) {
+    lifted.start_day = first->day;
+    lifted.end_day = last->day + 1;
   }
-  return segments;
 }
 
-/// Lifts any sniffable flow input into an FDE1 file at `out`. Returns the
-/// bytes written. For an FDE1 input this is a re-block (segments and
-/// totals preserved exactly); legacy inputs are grouped and sorted.
-std::uint64_t convert_flows_to_fde1(const std::string& in,
-                                    const std::string& out,
-                                    std::uint64_t block_flows,
-                                    std::uint32_t sampling_rate,
-                                    std::uint16_t router) {
+/// Lifts any sniffable flow input into FDE1 cells. An FDE1 input is
+/// copied cell by cell (segments and totals exactly, ready to re-block);
+/// legacy inputs are grouped and sorted.
+LiftedFlows lift_flows(const std::string& in, std::uint32_t sampling_rate,
+                       std::uint16_t router) {
   const std::string format = store::sniff_flow_format(in);
-  std::vector<store::Fde1Segment> segments;
-  std::int64_t start_day = 0;
-  std::int64_t end_day = 0;
+  LiftedFlows lifted;
+  lifted.sampling_rate = sampling_rate;
   if (format == "FDE1") {
     const store::MappedFlowStore mapped(in);
-    sampling_rate = mapped.sampling_rate();
-    start_day = mapped.start_day();
-    end_day = mapped.end_day();
-    segments.reserve(mapped.segments().size());
+    lifted.sampling_rate = mapped.sampling_rate();
+    lifted.start_day = mapped.start_day();
+    lifted.end_day = mapped.end_day();
+    lifted.cells.reserve(mapped.segments().size());
     for (const store::FlowSegment& seg : mapped.segments()) {
-      store::Fde1Segment copy;
-      copy.router = static_cast<std::uint16_t>(seg.router);
-      copy.day = seg.day;
-      copy.total_packets = seg.total_packets;
-      copy.user_packets = seg.user_packets;
-      copy.scanner_packets = seg.scanner_packets;
-      mapped.for_each_span(
-          seg.row_begin, seg.row_end,
-          [&copy](const store::FlowView& view, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              copy.rows.push_back(view.record(i));
-            }
-          });
-      segments.push_back(std::move(copy));
+      lifted.cells.push_back(mapped.cell(seg));
     }
   } else if (format == "NFV5") {
-    segments = segments_from_records(
-        read_netflow_v5_flows(in, router, &sampling_rate), sampling_rate,
-        start_day, end_day);
+    // Totals scale at the --sampling-rate given; the archive header
+    // records the stream's own sampling interval when it declares one.
+    group_records(read_netflow_v5_flows(in, router, &lifted.sampling_rate),
+                  sampling_rate, lifted);
   } else if (format == "CSV") {
-    segments = segments_from_records(read_csv_flows(in), sampling_rate,
-                                     start_day, end_day);
+    group_records(read_csv_flows(in), sampling_rate, lifted);
   } else {
     std::cerr << "error: " << in << " is not an FDE1/NFV5/CSV flow input\n";
     std::exit(1);
   }
-  return store::write_flows_fde1_file(sampling_rate, start_day, end_day,
-                                      segments, out, block_flows);
+  return lifted;
 }
 
 int cmd_flow_convert(const std::map<std::string, std::string>& flags) {
@@ -577,8 +567,10 @@ int cmd_flow_convert(const std::map<std::string, std::string>& flags) {
       std::stoul(get_or(flags, "sampling-rate", "100")));
   const auto router =
       static_cast<std::uint16_t>(std::stoul(get_or(flags, "router", "0")));
-  const std::uint64_t bytes =
-      convert_flows_to_fde1(in, out, block_flows, sampling_rate, router);
+  const LiftedFlows lifted = lift_flows(in, sampling_rate, router);
+  const std::uint64_t bytes = store::write_flows_fde1_file(
+      lifted.sampling_rate, lifted.start_day, lifted.end_day, lifted.cells, out,
+      block_flows);
   const store::MappedFlowStore mapped(out);
   std::cout << "wrote " << mapped.flow_count() << " flows in "
             << mapped.segments().size() << " (router, day) segments ("
@@ -682,42 +674,26 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
       result.of(detect::Definition::AddressDispersion).ips;
   std::cout << ah.size() << " definition-1 AH sources detected\n";
 
-  // The flow side: either an at-rest archive (--flows, sniffed FDE1 vs
-  // legacy NetFlow v5 / CSV) queried zero-copy through MappedFlowStore,
-  // or simulated sampled NetFlow at the ISP border over the event window.
+  // The flow side, always FDE1 queried zero-copy through MappedFlowStore:
+  // an at-rest archive (--flows, sniffed FDE1 vs legacy NetFlow v5 / CSV,
+  // which lift to an in-memory image), or the in-memory image of
+  // simulated sampled NetFlow at the ISP border over the event window.
   const std::int64_t days = std::stoll(get_or(flags, "days", "7"));
-  std::optional<flowsim::FlowDataset> flows;
+  const auto sampling_rate = static_cast<std::uint32_t>(
+      std::stoul(get_or(flags, "sampling-rate", "100")));
   std::optional<store::MappedFlowStore> mapped;
-  std::optional<impact::FlowImpactAnalyzer> analyzer;
-  std::int64_t start_day = 0;
-  std::int64_t end_day = 0;
-  std::string temp_fde1;
   const auto flows_path = flags.find("flows");
   if (flows_path != flags.end()) {
-    std::string path = flows_path->second;
+    const std::string& path = flows_path->second;
     const std::string format = store::sniff_flow_format(path);
-    if (format != "FDE1") {
-      // Legacy input: lift to a temporary FDE1 archive, then query it the
-      // same zero-copy way.
-      temp_fde1 = (std::filesystem::temp_directory_path() /
-                   "orion_cli_flow_impact.fde1")
-                      .string();
-      convert_flows_to_fde1(
-          path, temp_fde1, store::kFde1DefaultBlockFlows,
-          static_cast<std::uint32_t>(
-              std::stoul(get_or(flags, "sampling-rate", "100"))),
-          0);
-      std::cout << "lifted " << format << " input to a temporary FDE1 archive\n";
-      path = temp_fde1;
+    if (format == "FDE1") {
+      mapped.emplace(path);
+    } else {
+      const LiftedFlows lifted = lift_flows(path, sampling_rate, 0);
+      mapped.emplace(store::fde1_image(lifted.sampling_rate, lifted.start_day,
+                                       lifted.end_day, lifted.cells));
+      std::cout << "lifted " << format << " input to an in-memory FDE1 image\n";
     }
-    mapped.emplace(path);
-    analyzer.emplace(&*mapped);
-    // Indexes for every (router, day) cell build in parallel, straight
-    // from the mapped column spans.
-    analyzer->prebuild_indexes();
-    start_day = mapped->start_day();
-    end_day = std::min(mapped->end_day(), start_day + days);
-    if (end_day <= start_day) end_day = start_day + 1;
   } else {
     flowsim::FlowSimConfig config;
     config.isp_space = scenario.merit();
@@ -726,24 +702,28 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
     if (config.end_day <= config.start_day) {
       config.end_day = config.start_day + 1;
     }
-    config.sampling_rate = static_cast<std::uint32_t>(
-        std::stoul(get_or(flags, "sampling-rate", "100")));
+    config.sampling_rate = sampling_rate;
     config.user.base_pps = 4000;
     config.user.cache_fraction = 0.55;
-    flows.emplace(generate_flows(population, scenario.registry(),
-                                 flowsim::PeeringPolicy::merit_like(), config));
-    analyzer.emplace(&*flows);
-    start_day = config.start_day;
-    end_day = config.end_day;
+    mapped.emplace(store::fde1_image(
+        generate_flows(population, scenario.registry(),
+                       flowsim::PeeringPolicy::merit_like(), std::move(config))));
   }
+  const std::int64_t start_day = mapped->start_day();
+  std::int64_t end_day = std::min(mapped->end_day(), start_day + days);
+  if (end_day <= start_day) end_day = start_day + 1;
+  const impact::FlowImpactAnalyzer analyzer(&*mapped);
+  // Indexes for every (router, day) cell build in parallel, straight from
+  // the column spans.
+  analyzer.prebuild_indexes();
 
   // The Table 2 rows: one typed FlowImpact query per (router, day) cell,
   // executed by the same serve::execute_query the daemon runs — the CLI
   // is just a local client of the unified query API. Cells an external
   // archive never exported answer Status::NotFound and print as "-".
   serve::EngineBackend backend;
-  backend.analyzer = &*analyzer;
-  if (mapped) backend.flows = &*mapped;
+  backend.analyzer = &analyzer;
+  backend.flows = &*mapped;
   serve::QueryRequest request;
   request.kind = serve::QueryKind::FlowImpact;
   request.tenant = "cli";
@@ -777,7 +757,6 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
     table.add_row(row);
   }
   std::cout << table.to_ascii();
-  if (!temp_fde1.empty()) std::remove(temp_fde1.c_str());
   return 0;
 }
 

@@ -125,6 +125,28 @@ class FlowBatch {
     router_.push_back(other.router_[i]);
   }
 
+  /// Appends rows [lo, hi) of any column set that has this batch's nine
+  /// columns as same-named span members (store::FlowView over a mapped
+  /// FDE1 block): a column-wise copy, no row reassembly.
+  template <typename Columns>
+  void append_columns(const Columns& from, std::size_t lo, std::size_t hi) {
+    const auto append = [lo, hi](auto& column, const auto& source) {
+      column.insert(column.end(), source.begin() + lo, source.begin() + hi);
+    };
+    append(ts_ns_, from.ts_ns);
+    append(src_, from.src);
+    append(dst_, from.dst);
+    append(src_port_, from.src_port);
+    append(dst_port_, from.dst_port);
+    append(proto_, from.proto);
+    append(packets_, from.packets);
+    append(bytes_, from.bytes);
+    append(router_, from.router);
+  }
+
+  /// Row-for-row, field-for-field equality.
+  friend bool operator==(const FlowBatch&, const FlowBatch&) = default;
+
   /// Reassembles row i as a FlowRecord — the exact inverse of push_back.
   FlowRecord record_at(std::size_t i) const {
     FlowRecord r;

@@ -1,14 +1,16 @@
 // Sampled-NetFlow simulation at the ISP border: turns the scanner
 // population's analytic arrivals plus the user-traffic model into
-// per-router per-day flow tables, the substrate for Tables 2, 4 and 8.
+// per-router per-day flow rows, the substrate for Tables 2, 4 and 8.
+// Each cell is generated in the form FDE1 stores (DESIGN.md §12.1).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "orion/asdb/registry.hpp"
+#include "orion/flowsim/flow_batch.hpp"
 #include "orion/flowsim/routing.hpp"
 #include "orion/flowsim/sampler.hpp"
 #include "orion/flowsim/user_traffic.hpp"
@@ -42,48 +44,48 @@ struct FlowKey {
   friend constexpr auto operator<=>(const FlowKey&, const FlowKey&) = default;
 };
 
-struct FlowKeyHash {
-  std::size_t operator()(const FlowKey& k) const noexcept {
-    std::uint64_t h = (std::uint64_t{k.src.value()} << 24) |
-                      (std::uint64_t{k.dst_port} << 8) |
-                      static_cast<std::uint64_t>(k.type);
-    h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCDull;
-    return static_cast<std::size_t>(h ^ (h >> 33));
-  }
-};
+/// A SAMPLED packet count for one flow key (multiply by the sampling rate
+/// for the standard NetFlow volume estimate).
+using KeyedCount = std::pair<FlowKey, std::uint64_t>;
 
-/// One router-day of flow data.
+/// Seals one (router, day) cell's sampled counts — any order, repeated
+/// keys allowed — into its canonical rows: sorted by (src, dst_port,
+/// type), one row per key with the counts summed, each stamped with the
+/// day start, `router` and 40 bytes per SYN-sized packet (dst and
+/// src_port zero). generate_flows, the NetFlow collector fold and FDE1
+/// all hold flows in exactly this form.
+FlowBatch canonical_rows(std::vector<KeyedCount> counts, std::uint16_t router,
+                         std::int64_t day);
+
+/// One (router, day) cell of flow data — what one FDE1 segment stores.
 struct RouterDay {
+  std::uint16_t router = 0;
+  std::int64_t day = 0;
   /// Ground-truth totals (what SNMP interface counters would report).
   std::uint64_t total_packets = 0;
   std::uint64_t user_packets = 0;
   std::uint64_t scanner_packets = 0;
-  /// SAMPLED packet counts per flow key (multiply by the sampling rate for
-  /// the standard NetFlow volume estimate).
-  std::unordered_map<FlowKey, std::uint64_t, FlowKeyHash> sampled;
-
-  /// NetFlow estimate of packets from one source (sampled count * rate).
-  std::uint64_t estimated_src_packets(net::Ipv4Address src,
-                                      std::uint32_t rate) const;
+  /// The sampled flows, in canonical_rows form.
+  FlowBatch rows;
 };
 
 class FlowDataset {
  public:
-  FlowDataset(FlowSimConfig config, std::vector<std::vector<RouterDay>> days);
+  /// `cells` holds every (router, day) cell of the config's window,
+  /// router-major — FDE1's segment order (std::invalid_argument
+  /// otherwise).
+  FlowDataset(FlowSimConfig config, std::vector<RouterDay> cells);
 
   const RouterDay& at(std::size_t router, std::int64_t day) const;
+  const std::vector<RouterDay>& cells() const { return cells_; }
   std::int64_t start_day() const { return config_.start_day; }
   std::int64_t end_day() const { return config_.end_day; }
   std::uint32_t sampling_rate() const { return config_.sampling_rate; }
   const FlowSimConfig& config() const { return config_; }
 
-  /// Distinct sources with at least one sampled flow at a router-day.
-  std::size_t sampled_sources(std::size_t router, std::int64_t day) const;
-
  private:
   FlowSimConfig config_;
-  // days_[router][day - start_day]
-  std::vector<std::vector<RouterDay>> days_;
+  std::vector<RouterDay> cells_;
 };
 
 /// Runs the border simulation for a scanner population over the window.

@@ -1,8 +1,9 @@
-// Bridges the simulated flow tables and the NetFlow v5 wire format:
-// export a RouterDay as a stream of v5 export packets (what the simulated
-// router would actually emit toward a collector) and rebuild a RouterDay
-// from received packets (what a collector ingests). A RouterDay surviving
-// the round trip proves the whole collection path speaks real NetFlow.
+// Bridges the simulated flow cells and the NetFlow v5 wire format:
+// export a RouterDay's rows as a stream of v5 export packets (what the
+// simulated router would actually emit toward a collector) and fold
+// received packets back into canonical rows (what a collector ingests).
+// Rows surviving the round trip prove the whole collection path speaks
+// real NetFlow.
 #pragma once
 
 #include <cstdint>
@@ -14,38 +15,25 @@
 
 namespace orion::flowsim {
 
-/// Serializes a router-day's sampled flow table as NetFlow v5 export
-/// packets (30 records each, sequence numbers chained).
+/// Serializes a router-day's rows, in their canonical order, as NetFlow
+/// v5 export packets (30 records each, sequence numbers chained; flows
+/// over 2^32 - 1 packets split across adjacent records).
 std::vector<std::vector<std::uint8_t>> export_router_day(
     const RouterDay& day, std::uint32_t sampling_rate, std::uint8_t engine_id);
 
-/// Collector side: rebuilds the sampled flow table from export packets.
-/// Packets failing to decode are counted in `rejected` and skipped.
-RouterDay ingest_router_day(
-    const std::vector<std::vector<std::uint8_t>>& packets,
-    std::size_t& rejected);
-
 /// Collector side, batched: decodes every export packet straight into one
-/// columnar FlowBatch arena (rows appear in wire order; export_router_day
-/// emits them sorted by (src, dst_port, type), with oversized flows split
-/// across adjacent rows). Packets failing to decode are counted in
+/// columnar FlowBatch arena (rows appear in wire order, split oversized
+/// flows as adjacent rows). Packets failing to decode are counted in
 /// `rejected` and contribute no rows.
 FlowBatch ingest_flow_batch(const std::vector<std::vector<std::uint8_t>>& packets,
                             std::size_t& rejected, std::uint16_t router = 0,
                             std::int64_t ts_ns = 0);
 
-/// Folds batch rows back into a RouterDay flow table (duplicate keys —
-/// e.g. split oversized flows — merge by summing). For any packet set,
-/// router_day_from_batch(ingest_flow_batch(p)) has the same sampled table
-/// as ingest_router_day(p) (tests/flowjoin_test.cpp).
-RouterDay router_day_from_batch(const FlowBatch& batch);
-
-/// Deterministic columnar view of a simulated router-day: the sampled
-/// flow table regrouped as ONE sorted FlowBatch — rows ordered by
-/// (src, dst_port, type), timestamped at the day start, 40 bytes per
-/// SYN-sized packet. This is the span feed for the batched impact join
-/// (FlowSourceIndex builds from chunks of it in any slicing).
-FlowBatch flow_batch_of(const RouterDay& day, std::uint16_t router,
-                        std::int64_t day_index);
+/// Collector side, folded: the canonical_rows of decoded rows, so split
+/// oversized flows merge back into one row. For a cell's export stream,
+/// fold_flow_batch(ingest_flow_batch(export_router_day(cell)), router,
+/// day) gives back cell.rows (tests/flowjoin_test.cpp).
+FlowBatch fold_flow_batch(const FlowBatch& decoded, std::uint16_t router,
+                          std::int64_t day);
 
 }  // namespace orion::flowsim

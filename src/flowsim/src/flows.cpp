@@ -3,42 +3,62 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "orion/scangen/arrivals.hpp"
 
 namespace orion::flowsim {
 
-std::uint64_t RouterDay::estimated_src_packets(net::Ipv4Address src,
-                                               std::uint32_t rate) const {
-  // Flow tables are keyed by (src, port, type); a per-source estimate sums
-  // the source's keys. Callers doing bulk joins should iterate `sampled`
-  // directly; this accessor exists for point queries in tests.
-  std::uint64_t sampled_total = 0;
-  for (const auto& [key, count] : sampled) {
-    if (key.src == src) sampled_total += count;
+FlowBatch canonical_rows(std::vector<KeyedCount> counts, std::uint16_t router,
+                         std::int64_t day) {
+  std::sort(counts.begin(), counts.end(),
+            [](const KeyedCount& a, const KeyedCount& b) {
+              return a.first < b.first;
+            });
+  std::size_t keys = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    keys += i == 0 || counts[i].first != counts[i - 1].first;
   }
-  return sampled_total * rate;
+  FlowBatch rows(keys);
+  FlowRecord row;
+  row.ts_ns = day * std::int64_t{86'400} * std::int64_t{1'000'000'000};
+  row.router = router;
+  for (std::size_t i = 0; i < counts.size();) {
+    const FlowKey key = counts[i].first;
+    row.packets = 0;
+    for (; i < counts.size() && counts[i].first == key; ++i) {
+      row.packets += counts[i].second;
+    }
+    row.src = key.src;
+    row.dst_port = key.dst_port;
+    row.proto = protocol_number_of(key.type);
+    row.bytes = row.packets * 40;  // SYN-sized, matching the exporter
+    rows.push_back(row);
+  }
+  return rows;
 }
 
-FlowDataset::FlowDataset(FlowSimConfig config,
-                         std::vector<std::vector<RouterDay>> days)
-    : config_(std::move(config)), days_(std::move(days)) {}
+FlowDataset::FlowDataset(FlowSimConfig config, std::vector<RouterDay> cells)
+    : config_(std::move(config)), cells_(std::move(cells)) {
+  const auto days = static_cast<std::size_t>(
+      std::max<std::int64_t>(0, config_.end_day - config_.start_day));
+  bool tiled = cells_.size() == kRouterCount * days;
+  for (std::size_t i = 0; tiled && i < cells_.size(); ++i) {
+    tiled = cells_[i].router == i / days &&
+            cells_[i].day == config_.start_day + static_cast<std::int64_t>(i % days);
+  }
+  if (!tiled) {
+    throw std::invalid_argument(
+        "FlowDataset: cells are not the window's (router, day) grid");
+  }
+}
 
 const RouterDay& FlowDataset::at(std::size_t router, std::int64_t day) const {
-  if (router >= days_.size() || day < config_.start_day ||
+  if (router >= kRouterCount || day < config_.start_day ||
       day >= config_.end_day) {
     throw std::out_of_range("FlowDataset::at: no such router-day");
   }
-  return days_[router][static_cast<std::size_t>(day - config_.start_day)];
-}
-
-std::size_t FlowDataset::sampled_sources(std::size_t router,
-                                         std::int64_t day) const {
-  const RouterDay& rd = at(router, day);
-  std::unordered_set<net::Ipv4Address> sources;
-  for (const auto& [key, count] : rd.sampled) sources.insert(key.src);
-  return sources.size();
+  const auto days = static_cast<std::size_t>(config_.end_day - config_.start_day);
+  return cells_[router * days + static_cast<std::size_t>(day - config_.start_day)];
 }
 
 namespace {
@@ -86,8 +106,10 @@ FlowDataset generate_flows(const scangen::Population& population,
   }
   const auto day_count =
       static_cast<std::size_t>(config.end_day - config.start_day);
-  std::vector<std::vector<RouterDay>> days(kRouterCount,
-                                           std::vector<RouterDay>(day_count));
+  std::vector<RouterDay> cells(kRouterCount * day_count);
+  // Each cell's sampled counts in arrival order (keys repeat across
+  // sessions and ports); sealed into canonical rows once at the end.
+  std::vector<std::vector<KeyedCount>> pending(cells.size());
 
   const std::uint64_t space_size = config.isp_space.total_addresses();
   net::Rng base(config.seed);
@@ -147,15 +169,17 @@ FlowDataset generate_flows(const scangen::Population& population,
                   policy.split(scanner.source, count, region, rng);
               for (std::size_t router = 0; router < kRouterCount; ++router) {
                 if (per_router[router] == 0) continue;
-                RouterDay& rd =
-                    days[router][static_cast<std::size_t>(day - config.start_day)];
-                rd.scanner_packets += per_router[router];
-                rd.total_packets += per_router[router];
+                const std::size_t cell =
+                    router * day_count +
+                    static_cast<std::size_t>(day - config.start_day);
+                cells[cell].scanner_packets += per_router[router];
+                cells[cell].total_packets += per_router[router];
                 const std::uint64_t sampled =
                     sampler.sample_batch(per_router[router], rng);
                 if (sampled > 0) {
-                  rd.sampled[{scanner.source, plan.port.port, plan.port.type}] +=
-                      sampled;
+                  pending[cell].push_back(
+                      {{scanner.source, plan.port.port, plan.port.type},
+                       sampled});
                 }
               }
             });
@@ -163,7 +187,7 @@ FlowDataset generate_flows(const scangen::Population& population,
     }
   }
 
-  // User traffic denominator.
+  // User traffic denominator, and each cell sealed in FDE1's form.
   const UserTrafficModel user(config.user);
   for (std::size_t router = 0; router < kRouterCount; ++router) {
     for (std::size_t i = 0; i < day_count; ++i) {
@@ -171,12 +195,17 @@ FlowDataset generate_flows(const scangen::Population& population,
       const auto user_packets = static_cast<std::uint64_t>(
           static_cast<double>(user.packets_on_day(day)) *
           config.user_router_share[router]);
-      days[router][i].user_packets = user_packets;
-      days[router][i].total_packets += user_packets;
+      RouterDay& rd = cells[router * day_count + i];
+      rd.router = static_cast<std::uint16_t>(router);
+      rd.day = day;
+      rd.user_packets = user_packets;
+      rd.total_packets += user_packets;
+      rd.rows = canonical_rows(std::move(pending[router * day_count + i]),
+                               rd.router, day);
     }
   }
 
-  return FlowDataset(std::move(config), std::move(days));
+  return FlowDataset(std::move(config), std::move(cells));
 }
 
 }  // namespace orion::flowsim

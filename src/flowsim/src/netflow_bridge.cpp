@@ -6,14 +6,6 @@ namespace orion::flowsim {
 
 std::vector<std::vector<std::uint8_t>> export_router_day(
     const RouterDay& day, std::uint32_t sampling_rate, std::uint8_t engine_id) {
-  // Deterministic record order (flow tables hash-order otherwise).
-  std::vector<std::pair<FlowKey, std::uint64_t>> flows(day.sampled.begin(),
-                                                       day.sampled.end());
-  std::sort(flows.begin(), flows.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.first.src, a.first.dst_port, a.first.type) <
-           std::tie(b.first.src, b.first.dst_port, b.first.type);
-  });
-
   std::vector<std::vector<std::uint8_t>> packets;
   std::vector<NetflowV5Record> batch;
   NetflowV5Header header;
@@ -29,13 +21,14 @@ std::vector<std::vector<std::uint8_t>> export_router_day(
     batch.clear();
   };
 
-  for (const auto& [key, sampled_packets] : flows) {
+  const FlowBatch& rows = day.rows;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     NetflowV5Record record;
-    record.src = key.src;
-    record.dst_port = key.dst_port;
-    record.protocol = protocol_number_of(key.type);
+    record.src = rows.src(i);
+    record.dst_port = rows.dst_port(i);
+    record.protocol = rows.proto(i);
     // v5 counters are 32-bit; split oversized flows across records.
-    std::uint64_t remaining = sampled_packets;
+    std::uint64_t remaining = rows.packets(i);
     while (remaining > 0) {
       const std::uint32_t chunk = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(remaining, 0xFFFFFFFFull));
@@ -50,25 +43,6 @@ std::vector<std::vector<std::uint8_t>> export_router_day(
   return packets;
 }
 
-RouterDay ingest_router_day(
-    const std::vector<std::vector<std::uint8_t>>& packets,
-    std::size_t& rejected) {
-  RouterDay day;
-  rejected = 0;
-  for (const auto& wire : packets) {
-    const auto decoded = decode_netflow_v5(wire);
-    if (!decoded) {
-      ++rejected;
-      continue;
-    }
-    for (const NetflowV5Record& record : decoded->records) {
-      day.sampled[{record.src, record.dst_port, traffic_type_of(record.protocol)}] +=
-          record.packets;
-    }
-  }
-  return day;
-}
-
 FlowBatch ingest_flow_batch(const std::vector<std::vector<std::uint8_t>>& packets,
                             std::size_t& rejected, std::uint16_t router,
                             std::int64_t ts_ns) {
@@ -80,43 +54,16 @@ FlowBatch ingest_flow_batch(const std::vector<std::vector<std::uint8_t>>& packet
   return batch;
 }
 
-RouterDay router_day_from_batch(const FlowBatch& batch) {
-  RouterDay day;
-  day.sampled.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    day.sampled[{batch.src(i), batch.dst_port(i), batch.traffic_type(i)}] +=
-        batch.packets(i);
+FlowBatch fold_flow_batch(const FlowBatch& decoded, std::uint16_t router,
+                          std::int64_t day) {
+  std::vector<KeyedCount> counts;
+  counts.reserve(decoded.size());
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    counts.push_back({{decoded.src(i), decoded.dst_port(i),
+                       decoded.traffic_type(i)},
+                      decoded.packets(i)});
   }
-  return day;
-}
-
-FlowBatch flow_batch_of(const RouterDay& day, std::uint16_t router,
-                        std::int64_t day_index) {
-  // Same deterministic (src, dst_port, type) order the exporter uses, so
-  // the columnar view, the wire round trip and the join index all agree
-  // on row order.
-  std::vector<std::pair<FlowKey, std::uint64_t>> flows(day.sampled.begin(),
-                                                       day.sampled.end());
-  std::sort(flows.begin(), flows.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.first.src, a.first.dst_port, a.first.type) <
-           std::tie(b.first.src, b.first.dst_port, b.first.type);
-  });
-
-  FlowBatch batch(flows.size());
-  const std::int64_t ts_ns =
-      day_index * std::int64_t{86'400} * std::int64_t{1'000'000'000};
-  for (const auto& [key, sampled_packets] : flows) {
-    FlowRecord r;
-    r.ts_ns = ts_ns;
-    r.src = key.src;
-    r.dst_port = key.dst_port;
-    r.proto = protocol_number_of(key.type);
-    r.packets = sampled_packets;
-    r.bytes = sampled_packets * 40;  // SYN-sized, matching the exporter
-    r.router = router;
-    batch.push_back(r);
-  }
-  return batch;
+  return canonical_rows(std::move(counts), router, day);
 }
 
 }  // namespace orion::flowsim

@@ -1,8 +1,8 @@
 // Network-impact analysis: joining AH lists against border flow data
 // (Section 4 — Tables 2, 3, 4, 8 and Figure 5).
 //
-// The join is columnar end to end (DESIGN.md §12): router-day flow tables
-// arrive as sorted flowsim::FlowBatch spans, FlowSourceIndex regroups
+// The join is columnar end to end (DESIGN.md §12): router-day flow rows
+// arrive as sorted FDE1 column spans, FlowSourceIndex regroups
 // them by source into flat columns, and one query() probe — sorted,
 // pre-hashed sources with prefetch-ahead, mirroring
 // telescope::EventAggregator::observe_batch — fills every per-table
@@ -113,7 +113,7 @@ class SourceSet {
 /// rows. A flat hash table maps source -> group so a probe is one
 /// prefetchable lookup instead of a binary search. append() accepts the
 /// batch in any chunking — rows must keep the (src, dst_port, type) order
-/// flow_batch_of/export_router_day emit (std::invalid_argument otherwise),
+/// of flowsim::canonical_rows (std::invalid_argument otherwise),
 /// and consecutive duplicate keys (NetFlow's split oversized flows) merge
 /// by summing. finalize() seals the offsets and builds the group table.
 ///
@@ -184,12 +184,12 @@ RouterDayReport join_flow_index_scalar(const FlowSourceIndex& index,
                                        std::uint64_t total_packets,
                                        std::size_t router, std::int64_t day);
 
-/// Joins AH source sets against border flow data from either backing
-/// source: the in-memory simulation output (FlowDataset) or an at-rest
-/// FDE1 archive (store::MappedFlowStore), where indexes build zero-copy
-/// from the mapped column spans — no FlowRecord is ever materialized.
-/// query() returns byte-identical RouterDayReports for a dataset and the
-/// FDE1 archive written from it, at any block size (tests/flowstore).
+/// Joins AH source sets against border flow data held as FDE1 — an
+/// archive file, or a simulated dataset's in-memory image
+/// (store::fde1_image) — where indexes build zero-copy from the column
+/// spans: no FlowRecord is ever materialized. Every impact number in the
+/// tree (paper benches, orion_cli, the daemon) comes through this one
+/// path, so memory ≡ mmap holds by construction.
 ///
 /// Queries share a lazily built per-(router, day) FlowSourceIndex, so
 /// repeated queries against the same router-day (every table walks all
@@ -200,7 +200,6 @@ RouterDayReport join_flow_index_scalar(const FlowSourceIndex& index,
 /// and merges in deterministic cell order, after which queries only read.
 class FlowImpactAnalyzer {
  public:
-  explicit FlowImpactAnalyzer(const flowsim::FlowDataset* flows);
   explicit FlowImpactAnalyzer(const store::MappedFlowStore* store);
 
   /// Builds every (router, day) index not yet cached, `n_threads`-wide
@@ -224,7 +223,8 @@ class FlowImpactAnalyzer {
   RouterDayReport query_scalar(std::size_t router, std::int64_t day,
                                const detect::IpSet& sources) const;
 
-  /// All router-days in the dataset window for one source set.
+  /// Every (router, day) cell of the archive, in segment order, for one
+  /// source set.
   std::vector<RouterDayImpact> impact_table(const detect::IpSet& sources) const;
 
  private:
@@ -248,20 +248,14 @@ class FlowImpactAnalyzer {
   };
 
   const FlowSourceIndex& index_of(std::size_t router, std::int64_t day) const;
-  /// Builds one cell's index from whichever source backs the analyzer
-  /// (pure; safe to call concurrently for distinct cells).
+  /// Builds one cell's index from its column spans (pure; safe to call
+  /// concurrently for distinct cells).
   FlowSourceIndex build_index(std::size_t router, std::int64_t day) const;
-  /// The archive segment for a cell; throws std::out_of_range like
-  /// FlowDataset::at when the archive has no such cell.
+  /// The archive segment for a cell; throws std::out_of_range when the
+  /// archive has no such cell.
   const store::FlowSegment& segment_of(std::size_t router,
                                        std::int64_t day) const;
-  std::uint32_t sampling_rate() const;
-  std::uint64_t total_packets_of(std::size_t router, std::int64_t day) const;
-  /// Every (router, day) cell of the backing source, in deterministic
-  /// router-major order.
-  std::vector<RouterDayKey> cells() const;
 
-  const flowsim::FlowDataset* flows_ = nullptr;
   const store::MappedFlowStore* store_ = nullptr;
   mutable std::unordered_map<RouterDayKey, FlowSourceIndex, RouterDayKeyHash>
       index_cache_;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "orion/flowsim/netflow_bridge.hpp"
 #include "orion/store/mapped.hpp"
 #include "orion/store/mapped_flow.hpp"
 
@@ -206,9 +205,6 @@ RouterDayReport join_flow_index_scalar(const FlowSourceIndex& index,
   return report;
 }
 
-FlowImpactAnalyzer::FlowImpactAnalyzer(const flowsim::FlowDataset* flows)
-    : flows_(flows) {}
-
 FlowImpactAnalyzer::FlowImpactAnalyzer(const store::MappedFlowStore* store)
     : store_(store) {}
 
@@ -221,39 +217,20 @@ const store::FlowSegment& FlowImpactAnalyzer::segment_of(
   return *seg;
 }
 
-std::uint32_t FlowImpactAnalyzer::sampling_rate() const {
-  return flows_ != nullptr ? flows_->sampling_rate() : store_->sampling_rate();
-}
-
-std::uint64_t FlowImpactAnalyzer::total_packets_of(std::size_t router,
-                                                   std::int64_t day) const {
-  return flows_ != nullptr ? flows_->at(router, day).total_packets
-                           : segment_of(router, day).total_packets;
-}
-
 FlowSourceIndex FlowImpactAnalyzer::build_index(std::size_t router,
                                                 std::int64_t day) const {
+  // Zero-copy: the index consumes the column spans of the cell's row
+  // range directly — no FlowRecord, no staging batch. Rows arrive in the
+  // (src, dst_port, type) order the FDE1 writer enforces.
   FlowSourceIndex index;
-  if (flows_ != nullptr) {
-    // at() range-validates (throws std::out_of_range) up front.
-    const flowsim::RouterDay& rd = flows_->at(router, day);
-    index.append(
-        flowsim::flow_batch_of(rd, static_cast<std::uint16_t>(router), day));
-  } else {
-    // Zero-copy: the index consumes the mapped column spans of the cell's
-    // row range directly — no FlowRecord, no staging batch. Rows arrive
-    // in the same (src, dst_port, type) order flow_batch_of emits (the
-    // FDE1 write contract), so the index is bit-identical to the
-    // in-memory build.
-    const store::FlowSegment& seg = segment_of(router, day);
-    store_->for_each_span(
-        seg.row_begin, seg.row_end,
-        [&index](const store::FlowView& view, std::size_t lo, std::size_t hi) {
-          index.append_span(view.src.data() + lo, view.dst_port.data() + lo,
-                            view.proto.data() + lo, view.packets.data() + lo,
-                            hi - lo);
-        });
-  }
+  const store::FlowSegment& seg = segment_of(router, day);
+  store_->for_each_span(
+      seg.row_begin, seg.row_end,
+      [&index](const store::FlowView& view, std::size_t lo, std::size_t hi) {
+        index.append_span(view.src.data() + lo, view.dst_port.data() + lo,
+                          view.proto.data() + lo, view.packets.data() + lo,
+                          hi - lo);
+      });
   index.finalize();
   return index;
 }
@@ -267,27 +244,10 @@ const FlowSourceIndex& FlowImpactAnalyzer::index_of(std::size_t router,
   return index_cache_.emplace(key, std::move(index)).first->second;
 }
 
-std::vector<FlowImpactAnalyzer::RouterDayKey> FlowImpactAnalyzer::cells()
-    const {
-  std::vector<RouterDayKey> out;
-  if (flows_ != nullptr) {
-    for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
-      for (std::int64_t day = flows_->start_day(); day < flows_->end_day();
-           ++day) {
-        out.push_back(RouterDayKey{router, day});
-      }
-    }
-  } else {
-    for (const store::FlowSegment& seg : store_->segments()) {
-      out.push_back(RouterDayKey{seg.router, seg.day});
-    }
-  }
-  return out;
-}
-
 void FlowImpactAnalyzer::prebuild_indexes(std::size_t n_threads) const {
   std::vector<RouterDayKey> pending;
-  for (const RouterDayKey& key : cells()) {
+  for (const store::FlowSegment& seg : store_->segments()) {
+    const RouterDayKey key{seg.router, seg.day};
     if (index_cache_.find(key) == index_cache_.end()) pending.push_back(key);
   }
   if (pending.empty()) return;
@@ -339,8 +299,9 @@ void FlowImpactAnalyzer::prebuild_indexes(std::size_t n_threads) const {
 
 RouterDayReport FlowImpactAnalyzer::query(std::size_t router, std::int64_t day,
                                           const SourceSet& sources) const {
-  return join_flow_index(index_of(router, day), sources, sampling_rate(),
-                         total_packets_of(router, day), router, day);
+  return join_flow_index(index_of(router, day), sources,
+                         store_->sampling_rate(),
+                         segment_of(router, day).total_packets, router, day);
 }
 
 RouterDayReport FlowImpactAnalyzer::query(std::size_t router, std::int64_t day,
@@ -351,16 +312,17 @@ RouterDayReport FlowImpactAnalyzer::query(std::size_t router, std::int64_t day,
 RouterDayReport FlowImpactAnalyzer::query_scalar(
     std::size_t router, std::int64_t day, const detect::IpSet& sources) const {
   return join_flow_index_scalar(index_of(router, day), sources,
-                                sampling_rate(), total_packets_of(router, day),
-                                router, day);
+                                store_->sampling_rate(),
+                                segment_of(router, day).total_packets, router,
+                                day);
 }
 
 std::vector<RouterDayImpact> FlowImpactAnalyzer::impact_table(
     const detect::IpSet& sources) const {
   const SourceSet set(sources);  // hash once, reuse across every cell
   std::vector<RouterDayImpact> out;
-  for (const RouterDayKey& cell : cells()) {
-    out.push_back(query(cell.router, cell.day, set).impact);
+  for (const store::FlowSegment& seg : store_->segments()) {
+    out.push_back(query(seg.router, seg.day, set).impact);
   }
   return out;
 }

@@ -1,9 +1,7 @@
 // FDE1 — the columnar on-disk flow archive (DESIGN.md §15).
 //
-// PR 5's flow path keeps every router-day as an in-memory FlowBatch built
-// from the simulator's hash maps; a multi-month archive has no at-rest
-// form at all. FDE1 gives flows the ODE2 treatment: the whole window is
-// one file of little-endian column blocks in a global
+// FDE1 gives flows the ODE2 treatment: the whole window is one file of
+// little-endian column blocks in a global
 // (router, day, src, dst_port, type) order, with a per-(router,day)
 // segment index in the footer so a query touches exactly one row range:
 //
@@ -45,6 +43,7 @@
 #include "orion/flowsim/flow_batch.hpp"
 #include "orion/flowsim/flows.hpp"
 #include "orion/netbase/io.hpp"
+#include "orion/store/file_bytes.hpp"
 
 namespace orion::store {
 
@@ -74,40 +73,37 @@ struct FlowSegment {
   std::uint64_t scanner_packets = 0;
 };
 
-/// Writer input for one (router, day) cell: totals plus the sampled rows,
-/// which must already be in the (src, dst_port, traffic type) order
-/// flow_batch_of emits. Empty cells (rows.empty()) are legal — a router
-/// that sampled nothing that day still has interface counters.
-struct Fde1Segment {
-  std::uint16_t router = 0;
-  std::int64_t day = 0;
-  std::uint64_t total_packets = 0;
-  std::uint64_t user_packets = 0;
-  std::uint64_t scanner_packets = 0;
-  flowsim::FlowBatch rows;
-};
-
-/// Writes explicit segments in FDE1 form; returns total bytes written.
-/// The window [start_day, end_day) may span at most 2^16 days. Segments
-/// must be strictly increasing in (router, day) with every day inside
-/// the window, and every row must carry its segment's router, a
-/// timestamp inside its segment's day, and keep the sorted order above
-/// — std::invalid_argument otherwise. Every write goes
-/// through the io::File seam (EINTR retries, short-write completion,
-/// FaultFs crash-matrix visibility); errors surface as net::io::IoError.
+/// Writes one segment per cell, rows as given; returns total bytes
+/// written. The window [start_day, end_day) may span at most 2^16 days.
+/// Cells must be strictly increasing in (router, day) with every day
+/// inside the window (an empty cell — a router that sampled nothing that
+/// day — still has interface counters), and every row must carry its
+/// cell's router, a timestamp inside its cell's day, and keep the
+/// (src, dst_port, traffic type) order — std::invalid_argument otherwise.
+/// Every write goes through the io::File seam (EINTR retries, short-write
+/// completion, FaultFs crash-matrix visibility); errors surface as
+/// net::io::IoError.
 std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
                                std::int64_t start_day, std::int64_t end_day,
-                               const std::vector<Fde1Segment>& segments,
+                               const std::vector<flowsim::RouterDay>& cells,
                                net::io::File& out,
                                std::uint64_t block_flows = kFde1DefaultBlockFlows);
 
-/// Archives a whole simulated dataset: one segment per (router, day) cell
-/// of the window, rows from flow_batch_of — the deterministic feed the
-/// impact join already builds from, so a round trip reproduces the
-/// in-memory query() path bit for bit.
+/// Archives a whole simulated dataset: its cells, one segment each, as
+/// they are (they are already in FDE1's order and form).
 std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
                                net::io::File& out,
                                std::uint64_t block_flows = kFde1DefaultBlockFlows);
+
+/// The bytes the writers above emit, built in memory instead and owned by
+/// a heap-mode FileBytes — what MappedFlowStore(FileBytes) opens. Same
+/// validation and exceptions as write_flows_fde1.
+FileBytes fde1_image(std::uint32_t sampling_rate, std::int64_t start_day,
+                     std::int64_t end_day,
+                     const std::vector<flowsim::RouterDay>& cells,
+                     std::uint64_t block_flows = kFde1DefaultBlockFlows);
+FileBytes fde1_image(const flowsim::FlowDataset& flows,
+                     std::uint64_t block_flows = kFde1DefaultBlockFlows);
 
 /// Convenience: write straight to a file path (truncating, io::File seam,
 /// NOT atomic — use ArchiveDir publication for crash safety).
@@ -117,7 +113,7 @@ std::uint64_t write_flows_fde1_file(const flowsim::FlowDataset& flows,
 std::uint64_t write_flows_fde1_file(std::uint32_t sampling_rate,
                                     std::int64_t start_day,
                                     std::int64_t end_day,
-                                    const std::vector<Fde1Segment>& segments,
+                                    const std::vector<flowsim::RouterDay>& cells,
                                     const std::string& path,
                                     std::uint64_t block_flows = kFde1DefaultBlockFlows);
 

@@ -1,8 +1,9 @@
-// FileBytes — the read-only bytes of one archive file, and their owner.
+// FileBytes — the read-only bytes of one archive, and their owner.
 //
-// The file is mmapped where the platform allows, else read whole into an
+// A file is mmapped where the platform allows, else read whole into an
 // 8-aligned heap buffer, so typed column spans over the bytes work either
-// way (the ODE2/FDE1 alignment invariant, store/ode2.hpp). Both mapped
+// way (the ODE2/FDE1 alignment invariant, store/ode2.hpp); an archive
+// image built in memory takes the heap form directly (adopt). Both mapped
 // stores and both salvage readers get their bytes here. Moves are the
 // defaulted ones: the mapping is released by its one owner.
 #pragma once
@@ -30,6 +31,11 @@ class FileBytes {
   /// Maps or reads `path`. On failure returns an empty owner and sets
   /// `error` to "cannot open <path>" or "short read of <path>".
   static FileBytes open(const std::string& path, std::string& error);
+
+  /// Takes over `size` bytes built in memory (store::fde1_image), held
+  /// in `words` zero-padded to a whole word: the heap form with no file
+  /// behind it. std::invalid_argument when `words` is too short.
+  static FileBytes adopt(std::vector<std::uint64_t> words, std::uint64_t size);
 
   const std::uint8_t* data() const {
     return map_ ? map_.get() : reinterpret_cast<const std::uint8_t*>(heap_.data());

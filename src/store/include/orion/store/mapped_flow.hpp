@@ -1,7 +1,8 @@
 // MappedFlowStore — the zero-copy query engine over FDE1 flow archives.
 //
 // Opens an FDE1 file via mmap (read-into-buffer fallback when mapping is
-// unavailable) and exposes the column blocks as typed spans. The footer's
+// unavailable), or an FDE1 image built in memory (fde1_image), and
+// exposes the column blocks as typed spans. The footer's
 // per-(router, day) segment index answers row_range() with one binary
 // search, so an impact query touches exactly the rows of its cell — no
 // FlowRecord is ever materialized on that path: FlowSourceIndex builds
@@ -88,6 +89,9 @@ class MappedFlowStore {
   /// verify_blocks() checks them on demand). Throws std::runtime_error
   /// with context on any mismatch.
   explicit MappedFlowStore(const std::string& path);
+  /// The same strict open over bytes already in memory — fde1_image()'s
+  /// heap-mode image of a FlowDataset or of lifted cells.
+  explicit MappedFlowStore(FileBytes image);
 
   std::uint32_t sampling_rate() const { return header_.sampling_rate; }
   std::size_t flow_count() const {
@@ -123,10 +127,15 @@ class MappedFlowStore {
   /// Full materialization of every row, archive order.
   flowsim::FlowBatch to_batch() const;
 
-  /// Rebuilds an in-memory FlowDataset (sampled maps + totals) — the
-  /// FDE1 -> flowsim bridge, byte-identical query() inputs to the dataset
-  /// the archive was written from. Requires the paper's router topology
-  /// (every segment router < flowsim::kRouterCount).
+  /// One segment as a flowsim::RouterDay: its totals and a column-wise
+  /// copy of its rows. Any router number; the u64 segment router is
+  /// narrowed to the rows' u16 router column.
+  flowsim::RouterDay cell(const FlowSegment& seg) const;
+
+  /// Rebuilds the FlowDataset the archive holds: cell() of every segment,
+  /// and empty cells for any (router, day) of the window the archive
+  /// lacks. Requires the paper's router topology (every segment router <
+  /// flowsim::kRouterCount; std::runtime_error otherwise).
   flowsim::FlowDataset to_dataset() const;
 
   /// Calls fn(const FlowView&) for blocks whose src zone map intersects

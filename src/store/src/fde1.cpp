@@ -5,13 +5,12 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "flow_layout.hpp"
-#include "orion/flowsim/netflow_bridge.hpp"
-#include "orion/flowsim/routing.hpp"
 #include "orion/netbase/crc32.hpp"
 
 namespace orion::store {
@@ -22,7 +21,7 @@ constexpr char kMagic[4] = {'F', 'D', 'E', '1'};
 
 /// The global archive order every row must respect: segments strictly
 /// increase in (router, day), rows within a segment keep the
-/// (src, dst_port, traffic type) order flow_batch_of emits. This is both
+/// (src, dst_port, traffic type) order of flowsim::canonical_rows. This is both
 /// the write-side contract and the structure footerless salvage verifies.
 struct RowOrderKey {
   std::uint16_t router = 0;
@@ -41,7 +40,7 @@ RowOrderKey key_of(const flowsim::FlowRecord& r) {
 }
 
 void validate_segments(std::int64_t start_day, std::int64_t end_day,
-                       const std::vector<Fde1Segment>& segments,
+                       const std::vector<flowsim::RouterDay>& segments,
                        std::uint64_t& flow_count) {
   if (start_day > end_day) {
     throw std::invalid_argument("fde1 store: start_day > end_day");
@@ -55,38 +54,31 @@ void validate_segments(std::int64_t start_day, std::int64_t end_day,
   }
   flow_count = 0;
   for (std::size_t s = 0; s < segments.size(); ++s) {
-    const Fde1Segment& seg = segments[s];
+    const flowsim::RouterDay& seg = segments[s];
     if (seg.day < start_day || seg.day >= end_day) {
       throw std::invalid_argument("fde1 store: segment day outside window");
     }
     if (s > 0) {
-      const Fde1Segment& prev = segments[s - 1];
+      const flowsim::RouterDay& prev = segments[s - 1];
       if (std::tie(prev.router, prev.day) >= std::tie(seg.router, seg.day)) {
         throw std::invalid_argument(
             "fde1 store: segments not in (router, day) order");
       }
     }
-    const flowsim::FlowBatch& rows = seg.rows;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows.router(i) != seg.router ||
-          detail::flow_day_of(rows.ts_ns(i)) != seg.day) {
+    std::optional<RowOrderKey> last;
+    for (std::size_t i = 0; i < seg.rows.size(); ++i) {
+      const RowOrderKey key = key_of(seg.rows.record_at(i));
+      if (key.router != seg.router || key.day != seg.day) {
         throw std::invalid_argument(
             "fde1 store: row outside its segment's (router, day)");
       }
-      if (i > 0) {
-        const auto prev = std::make_tuple(
-            rows.src(i - 1).value(), rows.dst_port(i - 1),
-            static_cast<std::uint8_t>(rows.traffic_type(i - 1)));
-        const auto cur = std::make_tuple(
-            rows.src(i).value(), rows.dst_port(i),
-            static_cast<std::uint8_t>(rows.traffic_type(i)));
-        if (cur < prev) {
-          throw std::invalid_argument(
-              "fde1 store: rows out of (src, dst_port, type) order");
-        }
+      if (last && key < *last) {
+        throw std::invalid_argument(
+            "fde1 store: rows out of (src, dst_port, type) order");
       }
+      last = key;
     }
-    flow_count += rows.size();
+    flow_count += seg.rows.size();
     if (flow_count > detail::kMaxFlowCount) {
       throw std::invalid_argument("fde1 store: too many flows");
     }
@@ -101,14 +93,15 @@ struct FlowBlockInfo {
   std::uint32_t crc = 0;
 };
 
-}  // namespace
-
-/// Header and each block are assembled in memory and emitted as one write
-/// each, footer CRC-sealed last (the same shape as write_events_ode2).
-std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
-                               std::int64_t start_day, std::int64_t end_day,
-                               const std::vector<Fde1Segment>& segments,
-                               net::io::File& out, std::uint64_t block_flows) {
+/// Header and each block are assembled in memory and handed to `emit`
+/// (a std::span<const std::uint8_t> sink) as one piece each, footer
+/// CRC-sealed last (the same shape as write_events_ode2); returns the
+/// bytes emitted.
+template <typename Emit>
+std::uint64_t emit_fde1(std::uint32_t sampling_rate, std::int64_t start_day,
+                        std::int64_t end_day,
+                        const std::vector<flowsim::RouterDay>& segments,
+                        std::uint64_t block_flows, Emit&& emit) {
   if (block_flows == 0 || block_flows > detail::kMaxBlockFlows) {
     throw std::invalid_argument("fde1 store: bad block size");
   }
@@ -130,7 +123,7 @@ std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
   detail::append<std::uint64_t>(fields, footer_offset);
   detail::append<std::uint32_t>(header, net::Crc32::of({fields.data(), 32}));
   header.insert(header.end(), fields.begin(), fields.end());
-  out.write(header.data(), header.size());
+  emit(std::span<const std::uint8_t>(header));
 
   // Column blocks over the concatenated segment rows. Each block is sized
   // once (pad included); its rows can straddle segments, so each
@@ -178,7 +171,7 @@ std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
     }
     info.crc = net::Crc32::of({buf.data(), buf.size()});
     infos.push_back(info);
-    out.write(buf.data(), buf.size());
+    emit(std::span<const std::uint8_t>(buf));
     offset += buf.size();
   }
 
@@ -189,7 +182,7 @@ std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
   detail::append<std::uint64_t>(footer, segments.size());
   detail::append<std::uint64_t>(footer, block_count);
   std::uint64_t row_begin = 0;
-  for (const Fde1Segment& s : segments) {
+  for (const flowsim::RouterDay& s : segments) {
     detail::append<std::uint64_t>(footer, s.router);
     detail::append<std::int64_t>(footer, s.day);
     detail::append<std::uint64_t>(footer, row_begin);
@@ -208,63 +201,67 @@ std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
   }
   detail::append<std::uint32_t>(footer,
                                 net::Crc32::of({footer.data(), footer.size()}));
-  out.write(footer.data(), footer.size());
+  emit(std::span<const std::uint8_t>(footer));
   return footer_offset + footer.size();
-}
-
-namespace {
-
-/// One segment per (router, day) cell of the simulated window, rows from
-/// the same flow_batch_of feed the in-memory index builds from.
-std::vector<Fde1Segment> segments_of(const flowsim::FlowDataset& flows) {
-  std::vector<Fde1Segment> segments;
-  segments.reserve(flowsim::kRouterCount *
-                   static_cast<std::size_t>(flows.end_day() - flows.start_day()));
-  for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
-    for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
-      const flowsim::RouterDay& rd = flows.at(router, day);
-      Fde1Segment seg;
-      seg.router = static_cast<std::uint16_t>(router);
-      seg.day = day;
-      seg.total_packets = rd.total_packets;
-      seg.user_packets = rd.user_packets;
-      seg.scanner_packets = rd.scanner_packets;
-      seg.rows =
-          flowsim::flow_batch_of(rd, static_cast<std::uint16_t>(router), day);
-      segments.push_back(std::move(seg));
-    }
-  }
-  return segments;
 }
 
 }  // namespace
 
+std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
+                               std::int64_t start_day, std::int64_t end_day,
+                               const std::vector<flowsim::RouterDay>& cells,
+                               net::io::File& out, std::uint64_t block_flows) {
+  return emit_fde1(sampling_rate, start_day, end_day, cells, block_flows,
+                   [&out](std::span<const std::uint8_t> bytes) {
+                     out.write(bytes);
+                   });
+}
+
 std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
                                net::io::File& out, std::uint64_t block_flows) {
   return write_flows_fde1(flows.sampling_rate(), flows.start_day(),
-                          flows.end_day(), segments_of(flows), out,
-                          block_flows);
+                          flows.end_day(), flows.cells(), out, block_flows);
+}
+
+FileBytes fde1_image(std::uint32_t sampling_rate, std::int64_t start_day,
+                     std::int64_t end_day,
+                     const std::vector<flowsim::RouterDay>& cells,
+                     std::uint64_t block_flows) {
+  std::vector<std::uint64_t> words;  // FileBytes' 8-aligned heap form
+  const std::uint64_t size = emit_fde1(
+      sampling_rate, start_day, end_day, cells, block_flows,
+      [&words, at = std::size_t{0}](std::span<const std::uint8_t> bytes) mutable {
+        words.resize((at + bytes.size() + 7) / 8);
+        std::memcpy(reinterpret_cast<std::uint8_t*>(words.data()) + at,
+                    bytes.data(), bytes.size());
+        at += bytes.size();
+      });
+  return FileBytes::adopt(std::move(words), size);
+}
+
+FileBytes fde1_image(const flowsim::FlowDataset& flows,
+                     std::uint64_t block_flows) {
+  return fde1_image(flows.sampling_rate(), flows.start_day(), flows.end_day(),
+                    flows.cells(), block_flows);
 }
 
 std::uint64_t write_flows_fde1_file(const flowsim::FlowDataset& flows,
                                     const std::string& path,
                                     std::uint64_t block_flows) {
-  net::io::File out = net::io::File::create(path);
-  const std::uint64_t bytes = write_flows_fde1(flows, out, block_flows);
-  out.sync();
-  out.close();
-  return bytes;
+  return write_flows_fde1_file(flows.sampling_rate(), flows.start_day(),
+                               flows.end_day(), flows.cells(), path,
+                               block_flows);
 }
 
 std::uint64_t write_flows_fde1_file(std::uint32_t sampling_rate,
                                     std::int64_t start_day,
                                     std::int64_t end_day,
-                                    const std::vector<Fde1Segment>& segments,
+                                    const std::vector<flowsim::RouterDay>& cells,
                                     const std::string& path,
                                     std::uint64_t block_flows) {
   net::io::File out = net::io::File::create(path);
   const std::uint64_t bytes = write_flows_fde1(
-      sampling_rate, start_day, end_day, segments, out, block_flows);
+      sampling_rate, start_day, end_day, cells, out, block_flows);
   out.sync();
   out.close();
   return bytes;
@@ -328,9 +325,7 @@ Fde1SalvageResult read_flows_fde1_salvage(const std::string& path) {
         break;
       }
     }
-    for (std::size_t i = 0; i < view.rows(); ++i) {
-      result.rows.push_back(view.record(i));
-    }
+    result.rows.append_columns(view, 0, view.rows());
     offset += block_bytes;
   }
   result.complete = result.footer_intact && result.error.empty();

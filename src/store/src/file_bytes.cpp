@@ -1,6 +1,7 @@
 #include "orion/store/file_bytes.hpp"
 
 #include <fstream>
+#include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ORION_STORE_HAVE_MMAP 1
@@ -54,6 +55,17 @@ FileBytes FileBytes::open(const std::string& path, std::string& error) {
     return FileBytes();
   }
   file.size_ = static_cast<std::uint64_t>(bytes);
+  return file;
+}
+
+FileBytes FileBytes::adopt(std::vector<std::uint64_t> words,
+                           std::uint64_t size) {
+  if (size > words.size() * 8) {
+    throw std::invalid_argument("FileBytes::adopt: size exceeds the words");
+  }
+  FileBytes file;
+  file.heap_ = std::move(words);
+  file.size_ = size;
   return file;
 }
 

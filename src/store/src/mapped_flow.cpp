@@ -16,6 +16,13 @@ namespace {
   throw std::runtime_error("fde1 store: " + what);
 }
 
+FileBytes open_or_fail(const std::string& path) {
+  std::string error;
+  FileBytes file = FileBytes::open(path, error);
+  if (!error.empty()) fail(error);
+  return file;
+}
+
 }  // namespace
 
 flowsim::FlowRecord FlowView::record(std::size_t i) const {
@@ -163,11 +170,12 @@ FlowView fde1_block_view(const std::uint8_t* base, std::uint64_t rows,
 
 }  // namespace detail
 
-MappedFlowStore::MappedFlowStore(const std::string& path) {
+MappedFlowStore::MappedFlowStore(const std::string& path)
+    : MappedFlowStore(open_or_fail(path)) {}
+
+MappedFlowStore::MappedFlowStore(FileBytes image) : file_(std::move(image)) {
   std::string error;
-  file_ = FileBytes::open(path, error);
-  if (!error.empty() ||
-      !detail::parse_fde1_header(file_.bytes(), header_, error) ||
+  if (!detail::parse_fde1_header(file_.bytes(), header_, error) ||
       !detail::parse_fde1_footer(file_.bytes(), header_, footer_, error)) {
     fail(error);
   }
@@ -218,13 +226,26 @@ flowsim::FlowRecord MappedFlowStore::record(std::uint64_t row) const {
 
 flowsim::FlowBatch MappedFlowStore::to_batch() const {
   flowsim::FlowBatch batch(flow_count());
-  for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
-    const FlowView view = block(k);
-    for (std::size_t i = 0; i < view.rows(); ++i) {
-      batch.push_back(view.record(i));
-    }
-  }
+  for_each_span(0, header_.flow_count,
+                [&batch](const FlowView& view, std::size_t lo, std::size_t hi) {
+                  batch.append_columns(view, lo, hi);
+                });
   return batch;
+}
+
+flowsim::RouterDay MappedFlowStore::cell(const FlowSegment& seg) const {
+  flowsim::RouterDay rd;
+  rd.router = static_cast<std::uint16_t>(seg.router);
+  rd.day = seg.day;
+  rd.total_packets = seg.total_packets;
+  rd.user_packets = seg.user_packets;
+  rd.scanner_packets = seg.scanner_packets;
+  rd.rows.reserve(static_cast<std::size_t>(seg.row_end - seg.row_begin));
+  for_each_span(seg.row_begin, seg.row_end,
+                [&rd](const FlowView& view, std::size_t lo, std::size_t hi) {
+                  rd.rows.append_columns(view, lo, hi);
+                });
+  return rd;
 }
 
 flowsim::FlowDataset MappedFlowStore::to_dataset() const {
@@ -233,29 +254,19 @@ flowsim::FlowDataset MappedFlowStore::to_dataset() const {
   config.end_day = footer_.end_day;
   config.sampling_rate = header_.sampling_rate;
   const auto days = static_cast<std::size_t>(footer_.end_day - footer_.start_day);
-  std::vector<std::vector<flowsim::RouterDay>> table(
-      flowsim::kRouterCount, std::vector<flowsim::RouterDay>(days));
+  std::vector<flowsim::RouterDay> cells(flowsim::kRouterCount * days);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i].router = static_cast<std::uint16_t>(i / days);
+    cells[i].day = footer_.start_day + static_cast<std::int64_t>(i % days);
+  }
   for (const FlowSegment& seg : footer_.segments) {
     if (seg.router >= flowsim::kRouterCount) {
       fail("to_dataset: segment router outside the paper topology");
     }
-    flowsim::RouterDay& rd =
-        table[seg.router][static_cast<std::size_t>(seg.day - footer_.start_day)];
-    rd.total_packets = seg.total_packets;
-    rd.user_packets = seg.user_packets;
-    rd.scanner_packets = seg.scanner_packets;
-    for_each_span(seg.row_begin, seg.row_end,
-                  [&rd](const FlowView& view, std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      flowsim::FlowKey key;
-                      key.src = net::Ipv4Address(view.src[i]);
-                      key.dst_port = view.dst_port[i];
-                      key.type = flowsim::traffic_type_of(view.proto[i]);
-                      rd.sampled[key] += view.packets[i];
-                    }
-                  });
+    cells[seg.router * days +
+          static_cast<std::size_t>(seg.day - footer_.start_day)] = cell(seg);
   }
-  return flowsim::FlowDataset(std::move(config), std::move(table));
+  return flowsim::FlowDataset(std::move(config), std::move(cells));
 }
 
 }  // namespace orion::store

@@ -17,6 +17,8 @@
 #include "orion/impact/flow_join.hpp"
 #include "orion/scangen/scenario.hpp"
 
+#include "flow_fixtures.hpp"
+
 // The equivalence half of this suite pins query() against the scalar
 // reference join (query_scalar) on every router-day — the one test that
 // keeps the batched probe honest now that the legacy one-table-per-call
@@ -27,9 +29,8 @@ namespace {
 
 net::Ipv4Address ip(const char* text) { return *net::Ipv4Address::parse(text); }
 
-/// A simulated multi-day flow dataset over the tiny scenario — hash-map
-/// iteration order, binomial sampling, oversized flows and empty
-/// router-days all occur naturally.
+/// A simulated multi-day flow dataset over the tiny scenario — binomial
+/// sampling, oversized flows and empty router-days all occur naturally.
 flowsim::FlowDataset tiny_flows() {
   const scangen::Scenario scenario{scangen::tiny()};
   flowsim::FlowSimConfig config;
@@ -118,14 +119,17 @@ TEST(FlowBatch, ProtocolNumberRoundTrip) {
 
 flowsim::RouterDay hand_router_day() {
   flowsim::RouterDay rd;
+  rd.router = 1;
+  rd.day = 42;
   rd.total_packets = 1'000'000;
-  rd.sampled[{ip("203.0.113.1"), 23, pkt::TrafficType::TcpSyn}] = 300;
-  rd.sampled[{ip("203.0.113.1"), 53, pkt::TrafficType::Udp}] = 100;
-  rd.sampled[{ip("203.0.113.2"), 80, pkt::TrafficType::TcpSyn}] = 50;
-  rd.sampled[{ip("203.0.113.9"), 443, pkt::TrafficType::IcmpEchoReq}] = 7;
-  // Oversized flow: forces the exporter to split across v5 records.
-  rd.sampled[{ip("203.0.113.5"), 123, pkt::TrafficType::Udp}] =
-      (std::uint64_t{1} << 32) + 5;
+  test_flows::set_rows(
+      rd, {{{ip("203.0.113.1"), 23, pkt::TrafficType::TcpSyn}, 300},
+           {{ip("203.0.113.1"), 53, pkt::TrafficType::Udp}, 100},
+           {{ip("203.0.113.2"), 80, pkt::TrafficType::TcpSyn}, 50},
+           {{ip("203.0.113.9"), 443, pkt::TrafficType::IcmpEchoReq}, 7},
+           // Oversized flow: forces the exporter to split across v5 records.
+           {{ip("203.0.113.5"), 123, pkt::TrafficType::Udp},
+            (std::uint64_t{1} << 32) + 5}});
   return rd;
 }
 
@@ -176,25 +180,18 @@ TEST(NetflowBatch, IngestBatchRoundTripsRouterDayTable) {
   const flowsim::RouterDay original = hand_router_day();
   const auto packets = flowsim::export_router_day(original, 100, 1);
 
-  std::size_t rejected_scalar = 0;
-  const flowsim::RouterDay scalar =
-      flowsim::ingest_router_day(packets, rejected_scalar);
-
-  std::size_t rejected_batch = 0;
-  const flowsim::FlowBatch batch =
-      flowsim::ingest_flow_batch(packets, rejected_batch);
-  const flowsim::RouterDay folded = flowsim::router_day_from_batch(batch);
-
-  EXPECT_EQ(rejected_scalar, 0u);
-  EXPECT_EQ(rejected_batch, 0u);
-  EXPECT_EQ(folded.sampled, scalar.sampled);
-  EXPECT_EQ(folded.sampled, original.sampled);
+  std::size_t rejected = 0;
+  const flowsim::FlowBatch batch = flowsim::ingest_flow_batch(packets, rejected);
+  EXPECT_EQ(rejected, 0u);
+  ASSERT_GT(batch.size(), original.rows.size());  // the split happened
+  EXPECT_TRUE(flowsim::fold_flow_batch(batch, original.router, original.day) ==
+              original.rows);
 }
 
-TEST(NetflowBatch, FlowBatchOfIsSortedAndComplete) {
+TEST(NetflowBatch, CanonicalRowsAreSortedAndComplete) {
   const flowsim::RouterDay rd = hand_router_day();
-  const flowsim::FlowBatch batch = flowsim::flow_batch_of(rd, 1, 42);
-  ASSERT_EQ(batch.size(), rd.sampled.size());
+  const flowsim::FlowBatch& batch = rd.rows;
+  ASSERT_EQ(batch.size(), 5u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch.router(i), 1u);
     EXPECT_EQ(batch.ts_ns(i), 42 * std::int64_t{86'400} * 1'000'000'000);
@@ -206,7 +203,8 @@ TEST(NetflowBatch, FlowBatchOfIsSortedAndComplete) {
       EXPECT_LT(prev, cur);
     }
   }
-  EXPECT_EQ(flowsim::router_day_from_batch(batch).sampled, rd.sampled);
+  // Already canonical: folding the rows again changes nothing.
+  EXPECT_TRUE(flowsim::fold_flow_batch(batch, 1, 42) == batch);
 }
 
 // -------------------------------------------------------- FlowSourceIndex
@@ -236,7 +234,7 @@ TEST(FlowSourceIndex, ChunkingInvariance) {
   const detect::IpSet ips = tiny_sources();
   const SourceSet sources(ips);
   const flowsim::RouterDay& rd = flows.at(0, 3);
-  const flowsim::FlowBatch batch = flowsim::flow_batch_of(rd, 0, 3);
+  const flowsim::FlowBatch& batch = rd.rows;
   ASSERT_GT(batch.size(), 8u);
 
   FlowSourceIndex whole;
@@ -287,13 +285,13 @@ TEST(FlowSourceIndex, DuplicateKeysMergeLikeSplitV5Records) {
   const flowsim::FlowBatch wire_batch =
       flowsim::ingest_flow_batch(packets, rejected);
   ASSERT_EQ(rejected, 0u);
-  ASSERT_GT(wire_batch.size(), rd.sampled.size());  // the split happened
+  ASSERT_GT(wire_batch.size(), rd.rows.size());  // the split happened
 
   FlowSourceIndex from_wire;
   from_wire.append(wire_batch);
   from_wire.finalize();
   FlowSourceIndex from_table;
-  from_table.append(flowsim::flow_batch_of(rd, 0, 0));
+  from_table.append(rd.rows);
   from_table.finalize();
 
   const SourceSet sources(detect::IpSet{ip("203.0.113.5")});
@@ -307,7 +305,8 @@ TEST(FlowSourceIndex, DuplicateKeysMergeLikeSplitV5Records) {
 TEST(FlowJoin, BatchedMatchesScalarOnEveryRouterDay) {
   const auto flows = tiny_flows();
   const detect::IpSet ips = tiny_sources();
-  FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer image(flows);
+  const FlowImpactAnalyzer& analyzer = image.analyzer;
   for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
     for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
       expect_same_report(analyzer.query(router, day, ips),
@@ -322,12 +321,11 @@ TEST(FlowJoin, EmptyRouterDayAndEmptySources) {
   config.isp_space = net::PrefixSet({*net::Prefix::parse("20.0.0.0/16")});
   config.start_day = 0;
   config.end_day = 1;
-  std::vector<std::vector<flowsim::RouterDay>> days(flowsim::kRouterCount);
-  for (auto& router : days) router.resize(1);
-  days[0][0].total_packets = 500;
-  const flowsim::FlowDataset flows(std::move(config), std::move(days));
-
-  FlowImpactAnalyzer analyzer(&flows);
+  std::vector<flowsim::RouterDay> cells = test_flows::grid(0, 1);
+  cells[0].total_packets = 500;
+  const test_flows::ImageAnalyzer image(
+      flowsim::FlowDataset(std::move(config), std::move(cells)));
+  const FlowImpactAnalyzer& analyzer = image.analyzer;
   const detect::IpSet some = {ip("203.0.113.1")};
   expect_same_report(analyzer.query(0, 0, some), analyzer.query_scalar(0, 0, some));
   const RouterDayReport empty_day = analyzer.query(0, 0, some);
@@ -336,8 +334,8 @@ TEST(FlowJoin, EmptyRouterDayAndEmptySources) {
   EXPECT_DOUBLE_EQ(empty_day.visibility_percent(), 0.0);
 
   // Empty source set against a populated day.
-  const auto tiny = tiny_flows();
-  FlowImpactAnalyzer tiny_analyzer(&tiny);
+  const test_flows::ImageAnalyzer tiny(tiny_flows());
+  const FlowImpactAnalyzer& tiny_analyzer = tiny.analyzer;
   const detect::IpSet none;
   expect_same_report(tiny_analyzer.query(0, 2, none),
                      tiny_analyzer.query_scalar(0, 2, none));
@@ -359,7 +357,8 @@ TEST(FlowJoin, SourceSetCollapsesDuplicates) {
 
 TEST(FlowJoin, AdversarialRouterDayKeysNeverAliasTheCache) {
   const auto flows = tiny_flows();
-  FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer image(flows);
+  const FlowImpactAnalyzer& analyzer = image.analyzer;
   const detect::IpSet ips = tiny_sources();
 
   // Warm the cache for every valid router-day.

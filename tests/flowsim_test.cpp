@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <unordered_set>
 
 #include "orion/flowsim/flows.hpp"
@@ -229,7 +230,7 @@ TEST_F(FlowsTest, SampledEstimatesTrackGroundTruth) {
     for (std::int64_t day = 2; day < 5; ++day) {
       const RouterDay& rd = flows.at(router, day);
       truth += rd.scanner_packets;
-      for (const auto& [key, sampled] : rd.sampled) {
+      for (const std::uint64_t sampled : rd.rows.packets_col()) {
         estimate += sampled * flows.sampling_rate();
       }
     }
@@ -249,9 +250,10 @@ TEST_F(FlowsTest, FlowKeysBelongToPopulation) {
   }
   for (std::size_t router = 0; router < kRouterCount; ++router) {
     for (std::int64_t day = 2; day < 5; ++day) {
-      for (const auto& [key, sampled] : flows.at(router, day).sampled) {
-        EXPECT_TRUE(sources.contains(key.src)) << key.src.to_string();
-        EXPECT_GT(sampled, 0u);
+      const FlowBatch& rows = flows.at(router, day).rows;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_TRUE(sources.contains(rows.src(i))) << rows.src(i).to_string();
+        EXPECT_GT(rows.packets(i), 0u);
       }
     }
   }
@@ -263,6 +265,105 @@ TEST_F(FlowsTest, EmptyWindowThrows) {
   EXPECT_THROW(generate_flows(scenario().population_2021(), scenario().registry(),
                               PeeringPolicy::merit_like(), c),
                std::invalid_argument);
+}
+
+/// Every cell of `flows` holds its (router, day) and rows in canonical
+/// form: strictly increasing (src, dst_port, type), stamped with the day
+/// start, the cell's router and 40 bytes per packet.
+void expect_canonical(const FlowDataset& flows) {
+  const auto days = static_cast<std::size_t>(flows.end_day() - flows.start_day());
+  ASSERT_EQ(flows.cells().size(), kRouterCount * days);
+  std::size_t rows = 0;
+  for (std::size_t c = 0; c < flows.cells().size(); ++c) {
+    const RouterDay& cell = flows.cells()[c];
+    EXPECT_EQ(cell.router, c / days);
+    EXPECT_EQ(cell.day, flows.start_day() + static_cast<std::int64_t>(c % days));
+    EXPECT_EQ(&flows.at(cell.router, cell.day), &cell);
+    const FlowBatch& r = cell.rows;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      EXPECT_EQ(r.ts_ns(i), cell.day * std::int64_t{86'400'000'000'000});
+      EXPECT_EQ(r.router(i), cell.router);
+      EXPECT_EQ(r.bytes(i), 40 * r.packets(i));
+      EXPECT_GT(r.packets(i), 0u);
+      EXPECT_EQ(r.dst(i), net::Ipv4Address());
+      EXPECT_EQ(r.src_port(i), 0u);
+      if (i > 0) {
+        EXPECT_LT(std::tuple(r.src(i - 1), r.dst_port(i - 1), r.traffic_type(i - 1)),
+                  std::tuple(r.src(i), r.dst_port(i), r.traffic_type(i)))
+            << "cell " << c << " row " << i;
+      }
+    }
+    rows += r.size();
+  }
+  EXPECT_GT(rows, 0u);
+}
+
+TEST_F(FlowsTest, CellsAreCanonical) {
+  expect_canonical(generate_flows(scenario().population_2021(),
+                                  scenario().registry(),
+                                  PeeringPolicy::merit_like(), config()));
+  FlowSimConfig deterministic = config();
+  deterministic.sampling_mode = SamplingMode::Deterministic;
+  deterministic.sampling_rate = 10;
+  expect_canonical(generate_flows(scenario().population_2021(),
+                                  scenario().registry(),
+                                  PeeringPolicy::merit_like(), deterministic));
+}
+
+TEST(CanonicalRows, SortsMergesAndStamps) {
+  const net::Ipv4Address a(0x0A000001u);
+  const net::Ipv4Address b(0x0A000002u);
+  const FlowBatch rows = canonical_rows(
+      {{{b, 80, pkt::TrafficType::TcpSyn}, 4},
+       {{a, 53, pkt::TrafficType::Udp}, 2},
+       {{b, 80, pkt::TrafficType::TcpSyn}, 5},
+       {{a, 53, pkt::TrafficType::TcpSyn}, 1},
+       {{a, 53, pkt::TrafficType::Udp}, 3}},
+      2, 7);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows.src(0), a);
+  EXPECT_EQ(rows.proto(0), 6);
+  EXPECT_EQ(rows.packets(0), 1u);
+  EXPECT_EQ(rows.src(1), a);
+  EXPECT_EQ(rows.proto(1), 17);
+  EXPECT_EQ(rows.packets(1), 5u);
+  EXPECT_EQ(rows.bytes(1), 200u);
+  EXPECT_EQ(rows.src(2), b);
+  EXPECT_EQ(rows.packets(2), 9u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows.router(i), 2u);
+    EXPECT_EQ(rows.ts_ns(i), 7 * std::int64_t{86'400'000'000'000});
+  }
+  EXPECT_TRUE(canonical_rows({}, 0, 0).empty());
+}
+
+TEST(FlowDataset, CellsMustTileTheWindow) {
+  FlowSimConfig c;
+  c.start_day = 4;
+  c.end_day = 6;
+  const auto tiled = [] {
+    std::vector<RouterDay> cells;
+    for (std::uint16_t router = 0; router < kRouterCount; ++router) {
+      for (std::int64_t day = 4; day < 6; ++day) {
+        RouterDay cell;
+        cell.router = router;
+        cell.day = day;
+        cells.push_back(std::move(cell));
+      }
+    }
+    return cells;
+  };
+  const FlowDataset ok(c, tiled());
+  EXPECT_EQ(&ok.at(1, 5), &ok.cells()[3]);
+  EXPECT_THROW(ok.at(kRouterCount, 4), std::out_of_range);
+  EXPECT_THROW(ok.at(0, 6), std::out_of_range);
+
+  std::vector<RouterDay> short_grid = tiled();
+  short_grid.pop_back();
+  EXPECT_THROW(FlowDataset(c, std::move(short_grid)), std::invalid_argument);
+  std::vector<RouterDay> swapped = tiled();
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_THROW(FlowDataset(c, std::move(swapped)), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- stream
@@ -393,38 +494,46 @@ TEST(NetflowV5, EmptyExportIsValid) {
 namespace orion::flowsim {
 namespace {
 
+/// A cell whose rows are the canonical form of `counts`.
+RouterDay cell_of(std::vector<KeyedCount> counts, std::uint16_t router,
+                  std::int64_t day) {
+  RouterDay cell;
+  cell.router = router;
+  cell.day = day;
+  cell.rows = canonical_rows(std::move(counts), router, day);
+  return cell;
+}
+
 TEST(NetflowBridge, RouterDayRoundTrips) {
-  RouterDay day;
+  std::vector<KeyedCount> counts;
   net::Rng rng(8);
   for (int i = 0; i < 500; ++i) {
     const FlowKey key{net::Ipv4Address(0x0B000000u + static_cast<std::uint32_t>(i)),
                       static_cast<std::uint16_t>(1 + rng.bounded(65000)),
                       static_cast<pkt::TrafficType>(rng.bounded(3))};
-    day.sampled[key] += 1 + rng.bounded(100000);
+    counts.push_back({key, 1 + rng.bounded(100000)});
   }
+  const RouterDay day = cell_of(std::move(counts), 2, 9);
 
   const auto packets = export_router_day(day, 100, 3);
   // 500 flows at 30 records per export packet.
   EXPECT_EQ(packets.size(), (500 + 29) / 30);
 
   std::size_t rejected = 0;
-  const RouterDay rebuilt = ingest_router_day(packets, rejected);
+  const FlowBatch decoded = ingest_flow_batch(packets, rejected);
   EXPECT_EQ(rejected, 0u);
-  ASSERT_EQ(rebuilt.sampled.size(), day.sampled.size());
-  for (const auto& [key, count] : day.sampled) {
-    const auto it = rebuilt.sampled.find(key);
-    ASSERT_NE(it, rebuilt.sampled.end());
-    EXPECT_EQ(it->second, count);
-  }
+  ASSERT_EQ(decoded.size(), 500u);
+  EXPECT_TRUE(fold_flow_batch(decoded, day.router, day.day) == day.rows);
 }
 
 TEST(NetflowBridge, SequenceNumbersChain) {
-  RouterDay day;
+  std::vector<KeyedCount> counts;
   for (int i = 0; i < 70; ++i) {
-    day.sampled[{net::Ipv4Address(static_cast<std::uint32_t>(i)),
-                 80, pkt::TrafficType::TcpSyn}] = 1;
+    counts.push_back({{net::Ipv4Address(static_cast<std::uint32_t>(i)), 80,
+                       pkt::TrafficType::TcpSyn},
+                      1});
   }
-  const auto packets = export_router_day(day, 1000, 1);
+  const auto packets = export_router_day(cell_of(std::move(counts), 0, 0), 1000, 1);
   ASSERT_EQ(packets.size(), 3u);
   std::uint32_t expected_sequence = 0;
   for (const auto& wire : packets) {
@@ -438,14 +547,14 @@ TEST(NetflowBridge, SequenceNumbersChain) {
 }
 
 TEST(NetflowBridge, CorruptPacketsAreCountedNotFatal) {
-  RouterDay day;
-  day.sampled[{net::Ipv4Address(1), 80, pkt::TrafficType::TcpSyn}] = 5;
+  const RouterDay day =
+      cell_of({{{net::Ipv4Address(1), 80, pkt::TrafficType::TcpSyn}, 5}}, 0, 0);
   auto packets = export_router_day(day, 100, 1);
   packets.push_back({0xDE, 0xAD});  // garbage
   std::size_t rejected = 0;
-  const RouterDay rebuilt = ingest_router_day(packets, rejected);
+  const FlowBatch decoded = ingest_flow_batch(packets, rejected);
   EXPECT_EQ(rejected, 1u);
-  EXPECT_EQ(rebuilt.sampled.size(), 1u);
+  EXPECT_TRUE(fold_flow_batch(decoded, 0, 0) == day.rows);
 }
 
 }  // namespace

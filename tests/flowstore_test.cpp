@@ -1,12 +1,14 @@
 // FDE1 columnar flow archive (DESIGN.md §15): byte-identical round trips
 // at any block size, CRC/salvage behavior mirroring ODE2's corpus, and
 // the zero-copy query() contract — FlowImpactAnalyzer over a mapped FDE1
-// archive must return byte-identical RouterDayReports to the in-memory
-// path, for every cell, at any block size and prebuild thread count.
+// file and over the same dataset's in-memory FDE1 image must both return
+// the RouterDayReports of the scalar reference join over the dataset's
+// own rows, for every cell, at any block size and prebuild thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -22,6 +24,7 @@
 #include "orion/store/mapped_flow.hpp"
 
 #include "crc_pins.hpp"
+#include "flow_fixtures.hpp"
 
 namespace orion::store {
 namespace {
@@ -88,8 +91,8 @@ std::string fde1_bytes(const flowsim::FlowDataset& flows,
 
 /// A window whose cells sampled nothing: two segments that carry only
 /// interface counters.
-std::vector<Fde1Segment> empty_cells() {
-  std::vector<Fde1Segment> segments(2);
+std::vector<flowsim::RouterDay> empty_cells() {
+  std::vector<flowsim::RouterDay> segments(2);
   segments[0].router = 0;
   segments[0].day = 10;
   segments[0].total_packets = 777;
@@ -101,23 +104,19 @@ std::vector<Fde1Segment> empty_cells() {
 
 std::string fde1_bytes(std::uint32_t sampling_rate, std::int64_t start_day,
                        std::int64_t end_day,
-                       const std::vector<Fde1Segment>& segments) {
+                       const std::vector<flowsim::RouterDay>& segments) {
   const TempFile file("", "written");
   write_flows_fde1_file(sampling_rate, start_day, end_day, segments,
                         file.path());
   return file.contents();
 }
 
-/// The expected global row stream: flow_batch_of per cell, router-major.
+/// The expected global row stream: each cell's rows, router-major.
 flowsim::FlowBatch expected_rows(const flowsim::FlowDataset& flows) {
   flowsim::FlowBatch all;
-  for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
-    for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
-      const flowsim::FlowBatch cell = flowsim::flow_batch_of(
-          flows.at(router, day), static_cast<std::uint16_t>(router), day);
-      for (std::size_t i = 0; i < cell.size(); ++i) {
-        all.append_record(cell, i);
-      }
+  for (const flowsim::RouterDay& cell : flows.cells()) {
+    for (std::size_t i = 0; i < cell.rows.size(); ++i) {
+      all.append_record(cell.rows, i);
     }
   }
   return all;
@@ -171,7 +170,7 @@ TEST(Fde1, RoundTripsAtAnyBlockSize) {
     for (const FlowSegment& seg : store.segments()) {
       const flowsim::RouterDay& rd = flows.at(seg.router, seg.day);
       EXPECT_EQ(seg.row_begin, cursor);
-      EXPECT_EQ(seg.row_end - seg.row_begin, rd.sampled.size());
+      EXPECT_EQ(seg.row_end - seg.row_begin, rd.rows.size());
       EXPECT_EQ(seg.total_packets, rd.total_packets);
       EXPECT_EQ(seg.user_packets, rd.user_packets);
       EXPECT_EQ(seg.scanner_packets, rd.scanner_packets);
@@ -214,13 +213,13 @@ TEST(Fde1, EmptySegmentsAndEmptyArchiveRoundTrip) {
 
 TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
   const TempFile file("", "rejected");
-  const auto write = [&file](const std::vector<Fde1Segment>& segments,
+  const auto write = [&file](const std::vector<flowsim::RouterDay>& segments,
                              std::uint64_t block_flows = kFde1DefaultBlockFlows) {
     write_flows_fde1_file(10, 0, 5, segments, file.path(), block_flows);
   };
 
   // Segments out of (router, day) order.
-  std::vector<Fde1Segment> unordered(2);
+  std::vector<flowsim::RouterDay> unordered(2);
   unordered[0].router = 1;
   unordered[0].day = 3;
   unordered[1].router = 1;
@@ -228,12 +227,12 @@ TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
   EXPECT_THROW(write(unordered), std::invalid_argument);
 
   // Segment day outside the declared window.
-  std::vector<Fde1Segment> outside(1);
+  std::vector<flowsim::RouterDay> outside(1);
   outside[0].day = 9;
   EXPECT_THROW(write(outside), std::invalid_argument);
 
   // Row carrying the wrong router for its segment.
-  std::vector<Fde1Segment> wrong_router(1);
+  std::vector<flowsim::RouterDay> wrong_router(1);
   wrong_router[0].router = 1;
   wrong_router[0].day = 0;
   flowsim::FlowRecord r;
@@ -242,7 +241,7 @@ TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
   EXPECT_THROW(write(wrong_router), std::invalid_argument);
 
   // Rows out of (src, dst_port, type) order.
-  std::vector<Fde1Segment> disorder(1);
+  std::vector<flowsim::RouterDay> disorder(1);
   disorder[0].router = 0;
   disorder[0].day = 0;
   flowsim::FlowRecord a;
@@ -468,7 +467,9 @@ TEST(FlowImpactAnalyzer, Fde1QueryIsByteIdenticalToMemoryAtAnyBlockSize) {
   const flowsim::FlowDataset flows = tiny_flows();
   const detect::IpSet ips = tiny_sources();
   const impact::SourceSet sources(ips);
-  const impact::FlowImpactAnalyzer memory(&flows);
+  const MappedFlowStore image(fde1_image(flows));
+  const impact::FlowImpactAnalyzer memory(&image);
+  EXPECT_FALSE(image.mapped());
 
   for (const std::uint64_t block_flows :
        {std::uint64_t{1}, std::uint64_t{64}, std::uint64_t{1024}}) {
@@ -479,25 +480,43 @@ TEST(FlowImpactAnalyzer, Fde1QueryIsByteIdenticalToMemoryAtAnyBlockSize) {
     for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
       for (std::int64_t day = flows.start_day(); day < flows.end_day();
            ++day) {
+        const impact::RouterDayReport ref =
+            test_flows::reference_report(flows, router, day, ips);
         const impact::RouterDayReport a = memory.query(router, day, sources);
         const impact::RouterDayReport b = cold.query(router, day, sources);
-        expect_same_report(a, b);
-        expect_same_report(b, cold.query_scalar(router, day, ips));
+        expect_same_report(a, ref);
+        expect_same_report(b, ref);
+        expect_same_report(cold.query_scalar(router, day, ips), ref);
       }
     }
     // Out-of-range cells throw exactly like FlowDataset::at.
-    EXPECT_THROW(cold.query(flowsim::kRouterCount, flows.start_day(), sources),
+    for (const impact::FlowImpactAnalyzer* analyzer : {&memory, &cold}) {
+      EXPECT_THROW(
+          analyzer->query(flowsim::kRouterCount, flows.start_day(), sources),
+          std::out_of_range);
+      EXPECT_THROW(analyzer->query(0, flows.end_day(), sources),
+                   std::out_of_range);
+    }
+    EXPECT_THROW(flows.at(flowsim::kRouterCount, flows.start_day()),
                  std::out_of_range);
-    EXPECT_THROW(cold.query(0, flows.end_day(), sources), std::out_of_range);
 
-    // impact_table walks the same cells in the same order.
+    // impact_table walks every cell in router-major order on both.
     const auto mem_table = memory.impact_table(ips);
     const auto cold_table = cold.impact_table(ips);
-    ASSERT_EQ(mem_table.size(), cold_table.size());
+    ASSERT_EQ(mem_table.size(), flows.cells().size());
+    ASSERT_EQ(cold_table.size(), flows.cells().size());
     for (std::size_t i = 0; i < mem_table.size(); ++i) {
-      EXPECT_EQ(mem_table[i].matched_packets, cold_table[i].matched_packets);
-      EXPECT_EQ(mem_table[i].total_packets, cold_table[i].total_packets);
-      EXPECT_EQ(mem_table[i].matched_sources, cold_table[i].matched_sources);
+      const flowsim::RouterDay& cell = flows.cells()[i];
+      const impact::RouterDayImpact ref =
+          test_flows::reference_report(flows, cell.router, cell.day, ips)
+              .impact;
+      for (const impact::RouterDayImpact& got : {mem_table[i], cold_table[i]}) {
+        EXPECT_EQ(got.router, cell.router);
+        EXPECT_EQ(got.day, cell.day);
+        EXPECT_EQ(got.matched_packets, ref.matched_packets);
+        EXPECT_EQ(got.total_packets, ref.total_packets);
+        EXPECT_EQ(got.matched_sources, ref.matched_sources);
+      }
     }
   }
 }
@@ -524,8 +543,9 @@ TEST(FlowImpactAnalyzer, ParallelPrebuildIsInvariantAcrossThreadCounts) {
     }
   }
 
-  // The in-memory analyzer accepts prebuild too.
-  const impact::FlowImpactAnalyzer memory(&flows);
+  // The in-memory image prebuilds the same way.
+  const MappedFlowStore image(fde1_image(flows));
+  const impact::FlowImpactAnalyzer memory(&image);
   memory.prebuild_indexes(4);
   expect_same_report(memory.query(0, flows.start_day(), sources),
                      lazy.query(0, flows.start_day(), sources));
@@ -540,14 +560,84 @@ TEST(MappedFlowStore, ToDatasetReproducesQueries) {
 
   const flowsim::FlowDataset round = store.to_dataset();
   EXPECT_EQ(round.sampling_rate(), flows.sampling_rate());
-  const impact::FlowImpactAnalyzer a(&flows);
-  const impact::FlowImpactAnalyzer b(&round);
+  ASSERT_EQ(round.cells().size(), flows.cells().size());
+  for (std::size_t c = 0; c < flows.cells().size(); ++c) {
+    const flowsim::RouterDay& a = flows.cells()[c];
+    const flowsim::RouterDay& b = round.cells()[c];
+    EXPECT_EQ(b.router, a.router);
+    EXPECT_EQ(b.day, a.day);
+    EXPECT_EQ(b.total_packets, a.total_packets);
+    EXPECT_EQ(b.user_packets, a.user_packets);
+    EXPECT_EQ(b.scanner_packets, a.scanner_packets);
+    EXPECT_TRUE(b.rows == a.rows) << "cell " << c;
+  }
+  const impact::FlowImpactAnalyzer a(&store);
+  const MappedFlowStore round_image(fde1_image(round));
+  const impact::FlowImpactAnalyzer b(&round_image);
   for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
     for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
       expect_same_report(a.query(router, day, sources),
                          b.query(router, day, sources));
     }
   }
+}
+
+TEST(MappedFlowStore, ToDatasetFillsAbsentCellsAndChecksTheTopology) {
+  const TempFile file(fde1_bytes(50, 10, 13, empty_cells()));
+  const flowsim::FlowDataset round = MappedFlowStore(file.path()).to_dataset();
+  ASSERT_EQ(round.cells().size(), flowsim::kRouterCount * 3);
+  EXPECT_EQ(round.at(0, 10).total_packets, 777u);
+  EXPECT_EQ(round.at(2, 12).user_packets, 5u);
+  EXPECT_EQ(round.at(1, 11).total_packets, 0u);
+  EXPECT_TRUE(round.at(1, 11).rows.empty());
+
+  // cell() takes any router; to_dataset() only the paper's three.
+  std::vector<flowsim::RouterDay> far(1);
+  far[0].router = 7;
+  far[0].day = 10;
+  far[0].total_packets = 9;
+  const TempFile far_file(fde1_bytes(50, 10, 11, far));
+  const MappedFlowStore far_store(far_file.path());
+  EXPECT_EQ(far_store.cell(far_store.segments()[0]).router, 7u);
+  EXPECT_EQ(far_store.cell(far_store.segments()[0]).total_packets, 9u);
+  EXPECT_THROW(far_store.to_dataset(), std::runtime_error);
+}
+
+TEST(Fde1, InMemoryImageIsTheFileBytes) {
+  const flowsim::FlowDataset flows = tiny_flows();
+  for (const std::uint64_t block_flows :
+       {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{64},
+        std::uint64_t{1024}, std::uint64_t{1} << 20}) {
+    const FileBytes image = fde1_image(flows, block_flows);
+    const std::string file = fde1_bytes(flows, block_flows);
+    ASSERT_EQ(image.size(), file.size());
+    EXPECT_EQ(std::memcmp(image.data(), file.data(), file.size()), 0)
+        << block_flows << " flows/block";
+  }
+  const FileBytes cells = fde1_image(50, 10, 13, empty_cells());
+  const std::string cells_file = fde1_bytes(50, 10, 13, empty_cells());
+  ASSERT_EQ(cells.size(), cells_file.size());
+  EXPECT_EQ(std::memcmp(cells.data(), cells_file.data(), cells_file.size()), 0);
+
+  // The in-memory open runs the same strict checks as the file open.
+  const std::string clean = fde1_bytes(flows, 32);
+  const auto image_of = [](const std::string& bytes) {
+    std::vector<std::uint64_t> words((bytes.size() + 7) / 8, 0);
+    std::memcpy(words.data(), bytes.data(), bytes.size());
+    return FileBytes::adopt(std::move(words), bytes.size());
+  };
+  EXPECT_NO_THROW(MappedFlowStore{image_of(clean)});
+  std::string flipped = clean;
+  flipped[17] = static_cast<char>(flipped[17] ^ 0x40);
+  EXPECT_THROW(MappedFlowStore{image_of(flipped)}, std::runtime_error);
+  EXPECT_THROW(MappedFlowStore{image_of(clean.substr(0, clean.size() / 2))},
+               std::runtime_error);
+  EXPECT_THROW(FileBytes::adopt(std::vector<std::uint64_t>(1), 9),
+               std::invalid_argument);
+  // And the in-memory writer validates like the file writer.
+  std::vector<flowsim::RouterDay> outside(1);
+  outside[0].day = 9;
+  EXPECT_THROW(fde1_image(10, 0, 5, outside), std::invalid_argument);
 }
 
 TEST(MappedFlowStore, RecordAccessorMatchesBatchAndBoundsChecks) {

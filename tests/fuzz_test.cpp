@@ -1,6 +1,7 @@
 // Seeded, structure-aware fuzzing of the ODE2 and FDE1 readers, of the
-// aggregator's AGG1 checkpoint restore and of the OMF1 archive manifest
-// load (label fuzz; `ctest --preset fuzz` runs it under asan-ubsan).
+// NetFlow v5 decoders, of the aggregator's AGG1 checkpoint restore and of
+// the OMF1 archive manifest load (label fuzz; `ctest --preset fuzz` runs
+// it under asan-ubsan).
 //
 // Each input is a small valid archive with one mutation: bit flips,
 // a truncation, lying header or footer counts and offsets (including
@@ -13,6 +14,14 @@
 //  - on an open store, verify_blocks, to_dataset, detect and
 //    DailyDarknetMix (ODE2), or prebuild_indexes(2) and one query
 //    (FDE1), finish or throw a std::exception.
+// NetFlow v5 inputs are a tiny-scenario cell's export stream (full
+// 30-record packets and a split oversized flow) with one packet mutated
+// by bit flips, a truncation, a lying record count (0, 31, 0xFFFF, ±1)
+// or version, or a prefix of it spliced onto another packet.
+// decode_netflow_v5 and decode_netflow_v5_into must accept exactly the
+// same packets with the same rows field for field, a rejected _into
+// must append nothing, and ingest_flow_batch must count exactly the
+// packets decode_netflow_v5 rejects.
 // AGG1 inputs are an aggregator checkpoint with one small, one
 // bitmap-form and one promoted live event, mutated by bit flips,
 // truncation, lying key and event counts, keys at or past the darknet
@@ -48,8 +57,11 @@
 #include <vector>
 
 #include "orion/detect/detector.hpp"
+#include "orion/flowsim/netflow5.hpp"
+#include "orion/flowsim/netflow_bridge.hpp"
 #include "orion/impact/flow_join.hpp"
 #include "orion/netbase/crc32.hpp"
+#include "orion/scangen/scenario.hpp"
 #include "orion/serve/store_cache.hpp"
 #include "orion/store/archive.hpp"
 #include "orion/store/fde1.hpp"
@@ -60,6 +72,7 @@
 #include "orion/telescope/checkpoint.hpp"
 
 #include "crc_pins.hpp"
+#include "flow_fixtures.hpp"
 
 namespace orion::store {
 namespace {
@@ -369,24 +382,25 @@ flowsim::FlowDataset fde1_base_flows() {
   config.start_day = 10;
   config.end_day = 14;
   config.sampling_rate = 100;
-  std::vector<std::vector<flowsim::RouterDay>> days(
-      flowsim::kRouterCount, std::vector<flowsim::RouterDay>(4));
+  std::vector<flowsim::RouterDay> cells = test_flows::grid(10, 14);
   for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
     for (std::size_t day = 0; day < 4; ++day) {
-      flowsim::RouterDay& rd = days[router][day];
+      flowsim::RouterDay& rd = cells[router * 4 + day];
       rd.user_packets = 1000 * (router + 1);
       rd.scanner_packets = 100 * (day + 1);
       rd.total_packets = rd.user_packets + rd.scanner_packets;
+      std::vector<flowsim::KeyedCount> counts;
       for (std::uint32_t k = 0; k < (router + day) % 5; ++k) {
         const flowsim::FlowKey key{source(k * 5 + static_cast<std::uint32_t>(day)),
                                    static_cast<std::uint16_t>(22 + k),
                                    k % 2 ? pkt::TrafficType::Udp
                                          : pkt::TrafficType::TcpSyn};
-        rd.sampled[key] = 3 + k;
+        counts.push_back({key, 3 + k});
       }
+      test_flows::set_rows(rd, std::move(counts));
     }
   }
-  return flowsim::FlowDataset(std::move(config), std::move(days));
+  return flowsim::FlowDataset(std::move(config), std::move(cells));
 }
 
 std::string fde1_file(const FuzzFile& file) {
@@ -445,6 +459,167 @@ TEST(Fuzz, Fde1SeededMutations) {
                                      "fde1 iteration " + std::to_string(i));
   }
   expect_reach("fde1", opened, kIterations);
+}
+
+// ------------------------------------------------------------ NetFlow v5
+
+/// A tiny-scenario cell plus one flow too big for v5's 32-bit counters,
+/// so its export stream holds full 30-record packets and a split flow.
+flowsim::RouterDay nfv5_base_cell() {
+  const scangen::Scenario scenario{scangen::tiny()};
+  flowsim::FlowSimConfig config;
+  config.isp_space = scenario.merit();
+  config.start_day = 2;
+  config.end_day = 3;
+  config.seed = 77;
+  const flowsim::FlowDataset flows =
+      generate_flows(scenario.population_2021(), scenario.registry(),
+                     flowsim::PeeringPolicy::merit_like(), config);
+  flowsim::RouterDay cell = flows.at(0, 2);
+  std::vector<flowsim::KeyedCount> counts;
+  for (std::size_t i = 0; i < cell.rows.size(); ++i) {
+    counts.push_back({{cell.rows.src(i), cell.rows.dst_port(i),
+                       cell.rows.traffic_type(i)},
+                      cell.rows.packets(i)});
+  }
+  counts.push_back({{source(1), 123, pkt::TrafficType::Udp},
+                    (std::uint64_t{1} << 33) + 7});
+  test_flows::set_rows(cell, std::move(counts));
+  return cell;
+}
+
+using Nfv5Stream = std::vector<std::vector<std::uint8_t>>;
+
+void put_be16(std::vector<std::uint8_t>& packet, std::size_t at,
+              std::uint16_t v) {
+  if (packet.size() < at + 2) return;
+  packet[at] = static_cast<std::uint8_t>(v >> 8);
+  packet[at + 1] = static_cast<std::uint8_t>(v);
+}
+
+/// The mutation of iteration `i` of a base export stream, drawn from
+/// kSeed + i: one packet takes bit flips, a truncation, a lying record
+/// count or version, or becomes a prefix of itself spliced onto another
+/// packet. Returns the index of the mutated packet.
+std::size_t mutate_nfv5(Nfv5Stream& stream, std::size_t i) {
+  std::mt19937_64 rng(kSeed + i);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::size_t at = pick(stream.size());
+  std::vector<std::uint8_t>& packet = stream[at];
+  const std::uint16_t count = static_cast<std::uint16_t>(
+      (packet[2] << 8) | packet[3]);
+  switch (pick(5)) {
+    case 0:  // bit flips
+      for (std::size_t flips = 1 + pick(3); flips > 0; --flips) {
+        packet[pick(packet.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+      }
+      break;
+    case 1:  // truncation at any byte
+      packet.resize(pick(packet.size()));
+      break;
+    case 2: {  // a lying record count
+      const std::uint16_t lies[] = {0, 31, 0xFFFF,
+                                    static_cast<std::uint16_t>(count + 1),
+                                    static_cast<std::uint16_t>(count - 1)};
+      put_be16(packet, 2, lies[pick(5)]);
+      break;
+    }
+    case 3: {  // a lying version
+      const std::uint16_t lies[] = {0, 1, 4, 6, 9, 0x0500, 0xFFFF};
+      put_be16(packet, 0, lies[pick(7)]);
+      break;
+    }
+    default: {  // a prefix of this packet spliced onto another
+      const std::vector<std::uint8_t>& other = stream[pick(stream.size())];
+      std::vector<std::uint8_t> spliced(packet.begin(),
+                                        packet.begin() + static_cast<std::ptrdiff_t>(
+                                                             pick(packet.size() + 1)));
+      const std::size_t from = rng() % 2 ? 0 : std::min(spliced.size(), other.size());
+      spliced.insert(spliced.end(), other.begin() + static_cast<std::ptrdiff_t>(from),
+                     other.end());
+      packet = std::move(spliced);
+      break;
+    }
+  }
+  return at;
+}
+
+/// Checks every property on one mutated stream; true when its mutated
+/// packet still decodes.
+bool expect_nfv5_properties(const Nfv5Stream& stream, std::size_t mutated,
+                            const std::string& what) {
+  std::size_t scalar_rejects = 0;
+  std::size_t accepted_rows = 0;
+  for (const std::vector<std::uint8_t>& wire : stream) {
+    const auto scalar = flowsim::decode_netflow_v5(wire);
+    flowsim::FlowBatch batch;
+    flowsim::FlowRecord sentinel;
+    sentinel.packets = 99;
+    batch.push_back(sentinel);  // _into appends after what is there
+    const auto header = flowsim::decode_netflow_v5_into(wire, batch, 2, 555);
+    EXPECT_EQ(scalar.has_value(), header.has_value()) << what;
+    if (!scalar || !header) {
+      EXPECT_EQ(batch.size(), 1u) << what;
+      scalar_rejects += !scalar;
+      continue;
+    }
+    EXPECT_EQ(header->flow_sequence, scalar->header.flow_sequence) << what;
+    EXPECT_EQ(header->sampling_interval, scalar->header.sampling_interval) << what;
+    EXPECT_EQ(header->unix_secs, scalar->header.unix_secs) << what;
+    if (batch.size() != 1 + scalar->records.size()) {
+      ADD_FAILURE() << what << ": _into appended " << batch.size() - 1
+                    << " rows for " << scalar->records.size() << " records";
+      continue;
+    }
+    EXPECT_EQ(batch.record_at(0), sentinel) << what;
+    for (std::size_t r = 0; r < scalar->records.size(); ++r) {
+      const flowsim::NetflowV5Record& rec = scalar->records[r];
+      flowsim::FlowRecord expected;
+      expected.ts_ns = 555;
+      expected.src = rec.src;
+      expected.dst = rec.dst;
+      expected.src_port = rec.src_port;
+      expected.dst_port = rec.dst_port;
+      expected.proto = rec.protocol;
+      expected.packets = rec.packets;
+      expected.bytes = rec.octets;
+      expected.router = 2;
+      EXPECT_EQ(batch.record_at(1 + r), expected) << what << " record " << r;
+    }
+    accepted_rows += scalar->records.size();
+  }
+  std::size_t rejected = 0;
+  const flowsim::FlowBatch all = flowsim::ingest_flow_batch(stream, rejected);
+  EXPECT_EQ(rejected, scalar_rejects) << what;
+  EXPECT_EQ(all.size(), accepted_rows) << what;
+  return flowsim::decode_netflow_v5(stream[mutated]).has_value();
+}
+
+TEST(Fuzz, Netflow5SeededMutations) {
+  const flowsim::RouterDay cell = nfv5_base_cell();
+  const Nfv5Stream base = flowsim::export_router_day(cell, 100, 3);
+  ASSERT_GE(base.size(), 2u);
+  ASSERT_EQ(flowsim::decode_netflow_v5(base.front())->records.size(),
+            flowsim::kNetflowV5MaxRecords);
+  std::size_t rejected = 0;
+  const flowsim::FlowBatch decoded = flowsim::ingest_flow_batch(base, rejected);
+  ASSERT_EQ(rejected, 0u);
+  ASSERT_GT(decoded.size(), cell.rows.size());  // the oversized flow split
+  ASSERT_TRUE(flowsim::fold_flow_batch(decoded, cell.router, cell.day) == cell.rows);
+
+  std::size_t decodes = 0;
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    Nfv5Stream stream = base;
+    const std::size_t mutated = mutate_nfv5(stream, i);
+    decodes += expect_nfv5_properties(stream, mutated,
+                                      "nfv5 iteration " + std::to_string(i));
+  }
+  std::printf("[fuzz] nfv5: %zu of %zu mutated packets decoded\n", decodes,
+              kIterations);
+  EXPECT_GT(decodes, 0u);
+  EXPECT_LT(decodes, kIterations);
 }
 
 // ------------------------------------------------------------------ AGG1

@@ -6,6 +6,8 @@
 #include "orion/impact/stream_join.hpp"
 #include "orion/scangen/scenario.hpp"
 
+#include "flow_fixtures.hpp"
+
 // Every per-cell number comes from query(): since the serve redesign the
 // one-probe API is the analyzer's only per-cell surface (the wrappers are
 // gone; tests/flowjoin_test.cpp pins query() against the scalar join).
@@ -23,27 +25,26 @@ flowsim::FlowDataset hand_dataset() {
   config.end_day = 11;
   config.sampling_rate = 100;
 
-  std::vector<std::vector<flowsim::RouterDay>> days(flowsim::kRouterCount);
-  for (auto& router : days) router.resize(1);
-
-  flowsim::RouterDay& rd = days[0][0];
+  std::vector<flowsim::RouterDay> cells = test_flows::grid(10, 11);
+  flowsim::RouterDay& rd = cells[0];
   rd.user_packets = 900000;
   rd.scanner_packets = 100000;
   rd.total_packets = 1000000;
-  // AH source: 400 sampled packets over two flows -> estimate 40,000.
-  rd.sampled[{ip("203.0.113.1"), 23, pkt::TrafficType::TcpSyn}] = 300;
-  rd.sampled[{ip("203.0.113.1"), 53, pkt::TrafficType::Udp}] = 100;
-  // Non-AH source.
-  rd.sampled[{ip("203.0.113.2"), 80, pkt::TrafficType::TcpSyn}] = 50;
+  test_flows::set_rows(
+      rd, {// AH source: 400 sampled packets over two flows -> estimate 40,000.
+           {{ip("203.0.113.1"), 23, pkt::TrafficType::TcpSyn}, 300},
+           {{ip("203.0.113.1"), 53, pkt::TrafficType::Udp}, 100},
+           // Non-AH source.
+           {{ip("203.0.113.2"), 80, pkt::TrafficType::TcpSyn}, 50}});
 
-  days[1][0].user_packets = days[1][0].total_packets = 500000;
-  days[2][0].user_packets = days[2][0].total_packets = 500000;
-  return flowsim::FlowDataset(std::move(config), std::move(days));
+  cells[1].user_packets = cells[1].total_packets = 500000;
+  cells[2].user_packets = cells[2].total_packets = 500000;
+  return flowsim::FlowDataset(std::move(config), std::move(cells));
 }
 
 TEST(FlowImpact, PercentagesFromSampledEstimates) {
-  const auto flows = hand_dataset();
-  FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer hand(hand_dataset());
+  const FlowImpactAnalyzer& analyzer = hand.analyzer;
   const detect::IpSet ah = {ip("203.0.113.1")};
 
   const RouterDayImpact impact = analyzer.query(0, 10, ah).impact;
@@ -58,15 +59,15 @@ TEST(FlowImpact, PercentagesFromSampledEstimates) {
 }
 
 TEST(FlowImpact, ImpactTableCoversAllRouterDays) {
-  const auto flows = hand_dataset();
-  FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer hand(hand_dataset());
+  const FlowImpactAnalyzer& analyzer = hand.analyzer;
   const auto table = analyzer.impact_table({ip("203.0.113.1")});
   EXPECT_EQ(table.size(), flowsim::kRouterCount * 1);
 }
 
 TEST(FlowImpact, VisibilityPercent) {
-  const auto flows = hand_dataset();
-  FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer hand(hand_dataset());
+  const FlowImpactAnalyzer& analyzer = hand.analyzer;
   const detect::IpSet ah = {ip("203.0.113.1"), ip("203.0.113.9")};
   EXPECT_DOUBLE_EQ(analyzer.query(0, 10, ah).visibility_percent(), 50.0);
   EXPECT_DOUBLE_EQ(analyzer.query(1, 10, ah).visibility_percent(), 0.0);
@@ -75,8 +76,8 @@ TEST(FlowImpact, VisibilityPercent) {
 }
 
 TEST(FlowImpact, ProtocolMixScalesSampledCounts) {
-  const auto flows = hand_dataset();
-  FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer hand(hand_dataset());
+  const FlowImpactAnalyzer& analyzer = hand.analyzer;
   const ProtocolMix mix = analyzer.query(0, 10, {ip("203.0.113.1")}).protocols;
   EXPECT_EQ(mix[0], 30000u);  // TCP-SYN
   EXPECT_EQ(mix[1], 10000u);  // UDP
@@ -84,8 +85,8 @@ TEST(FlowImpact, ProtocolMixScalesSampledCounts) {
 }
 
 TEST(FlowImpact, PortMix) {
-  const auto flows = hand_dataset();
-  FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer hand(hand_dataset());
+  const FlowImpactAnalyzer& analyzer = hand.analyzer;
   const auto ports = analyzer.query(0, 10, {ip("203.0.113.1")}).ports;
   EXPECT_EQ(ports.count(23), 30000u);
   EXPECT_EQ(ports.count(53), 10000u);

@@ -136,9 +136,9 @@ TEST_P(SeedSweep, FlowTotalsConserveSessionArrivals) {
     for (std::int64_t day = 1; day < 6; ++day) {
       const auto& rd = flows.at(router, day);
       truth += rd.scanner_packets;
-      for (const auto& [key, count] : rd.sampled) {
-        EXPECT_EQ(key.src, scanner.source);
-        sampled += count;
+      for (std::size_t i = 0; i < rd.rows.size(); ++i) {
+        EXPECT_EQ(rd.rows.src(i), scanner.source);
+        sampled += rd.rows.packets(i);
       }
     }
   }

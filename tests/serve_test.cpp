@@ -41,6 +41,8 @@
 #include "orion/store/archive.hpp"
 #include "orion/store/mapped_flow.hpp"
 
+#include "flow_fixtures.hpp"
+
 namespace orion::serve {
 namespace {
 
@@ -67,22 +69,21 @@ flowsim::FlowDataset make_flows(std::uint64_t salt) {
   config.end_day = 11;
   config.sampling_rate = 100;
 
-  std::vector<std::vector<flowsim::RouterDay>> days(flowsim::kRouterCount);
-  for (auto& router : days) router.resize(1);
-
-  flowsim::RouterDay& rd = days[0][0];
+  std::vector<flowsim::RouterDay> cells = test_flows::grid(10, 11);
+  flowsim::RouterDay& rd = cells[0];
   rd.user_packets = 900000 + salt;
   rd.scanner_packets = 100000;
   rd.total_packets = rd.user_packets + rd.scanner_packets;
-  rd.sampled[{ip("203.0.113.1"), 23, pkt::TrafficType::TcpSyn}] = 300 + salt;
-  rd.sampled[{ip("203.0.113.1"), 53, pkt::TrafficType::Udp}] = 100;
-  rd.sampled[{ip("203.0.113.2"), 80, pkt::TrafficType::TcpSyn}] = 50;
-  rd.sampled[{ip("203.0.113.7"), 443, pkt::TrafficType::IcmpEchoReq}] =
-      10 + salt;
+  test_flows::set_rows(
+      rd, {{{ip("203.0.113.1"), 23, pkt::TrafficType::TcpSyn}, 300 + salt},
+           {{ip("203.0.113.1"), 53, pkt::TrafficType::Udp}, 100},
+           {{ip("203.0.113.2"), 80, pkt::TrafficType::TcpSyn}, 50},
+           {{ip("203.0.113.7"), 443, pkt::TrafficType::IcmpEchoReq},
+            10 + salt}});
 
-  days[1][0].user_packets = days[1][0].total_packets = 500000;
-  days[2][0].user_packets = days[2][0].total_packets = 500000;
-  return flowsim::FlowDataset(std::move(config), std::move(days));
+  cells[1].user_packets = cells[1].total_packets = 500000;
+  cells[2].user_packets = cells[2].total_packets = 500000;
+  return flowsim::FlowDataset(std::move(config), std::move(cells));
 }
 
 /// Publishes `salt`'s dataset as the next "flows" generation of `dir`
@@ -231,8 +232,8 @@ TEST(ServeProtocol, RequestKeyIsCanonical) {
 // ------------------------------------------------------------- engine
 
 TEST(ServeEngine, FlowImpactMatchesAnalyzerQuery) {
-  const flowsim::FlowDataset flows = make_flows(0);
-  const impact::FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer image(make_flows(0));
+  const impact::FlowImpactAnalyzer& analyzer = image.analyzer;
   EngineBackend backend;
   backend.analyzer = &analyzer;
   backend.generation = 5;
@@ -261,8 +262,8 @@ TEST(ServeEngine, FlowImpactMatchesAnalyzerQuery) {
 }
 
 TEST(ServeEngine, StatusesForAbsentCellAndEmptyBackend) {
-  const flowsim::FlowDataset flows = make_flows(0);
-  const impact::FlowImpactAnalyzer analyzer(&flows);
+  const test_flows::ImageAnalyzer image(make_flows(0));
+  const impact::FlowImpactAnalyzer& analyzer = image.analyzer;
   EngineBackend backend;
   backend.analyzer = &analyzer;
 
