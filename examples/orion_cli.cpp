@@ -181,13 +181,20 @@ std::string get_or(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
-telescope::EventDataset load_dataset(const std::string& path) {
+/// Runs read() on the event archive at `path`: opening it, or scanning it
+/// in place. A failure exits 1 naming the file.
+template <typename Read>
+auto loading(const std::string& path, Read&& read) {
   try {
-    return store::MappedEventStore(path).to_dataset();
+    return read();
   } catch (const std::exception& e) {
     std::cerr << "error: cannot load " << path << ": " << e.what() << "\n";
     std::exit(1);
   }
+}
+
+telescope::EventDataset load_dataset(const std::string& path) {
+  return loading(path, [&] { return store::MappedEventStore(path).to_dataset(); });
 }
 
 void save_dataset(const telescope::EventDataset& dataset, const std::string& path) {
@@ -269,7 +276,8 @@ int cmd_filter(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_detect(const std::map<std::string, std::string>& flags) {
-  const telescope::EventDataset dataset = load_dataset(require(flags, "in"));
+  const std::string in = require(flags, "in");
+  const auto events = loading(in, [&] { return store::MappedEventStore(in); });
   detect::DetectorConfig config;
   config.dispersion_threshold = std::stod(get_or(flags, "dispersion", "0.10"));
   config.packet_volume_alpha = std::stod(get_or(flags, "alpha2", "0.028"));
@@ -281,8 +289,8 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
     return 1;
   }
 
-  const detect::DetectionResult result =
-      detect::AggressiveScannerDetector(config).detect(dataset);
+  const detect::DetectionResult result = loading(
+      in, [&] { return detect::AggressiveScannerDetector(config).detect(events); });
 
   report::Table table({"definition", "AH IPs", "threshold", "qualifying events"});
   for (const detect::Definition d : detect::kAllDefinitions) {
@@ -495,10 +503,11 @@ struct LiftedFlows {
 /// Groups loose flow records into the sorted per-(router, day) cells FDE1
 /// requires, every record kept as its own row (split NetFlow records are
 /// not merged). External data has no SNMP side, so each cell's
-/// total_packets is the sampled-count-scaled estimate at `scale_rate`
-/// (user/scanner splits stay zero).
+/// total_packets is the sampled-count-scaled estimate at the rate the
+/// archive header records, lifted.sampling_rate (user/scanner splits stay
+/// zero), the same rate the analyzer scales matched packets by.
 void group_records(std::vector<flowsim::FlowRecord> records,
-                   std::uint32_t scale_rate, LiftedFlows& lifted) {
+                   LiftedFlows& lifted) {
   std::sort(records.begin(), records.end(),
             [](const flowsim::FlowRecord& a, const flowsim::FlowRecord& b) {
               return std::tuple(a.router, a.ts_ns / kNanosPerDayCli, a.src,
@@ -516,7 +525,7 @@ void group_records(std::vector<flowsim::FlowRecord> records,
       cells.back().day = day;
     }
     cells.back().rows.push_back(r);
-    cells.back().total_packets += r.packets * scale_rate;
+    cells.back().total_packets += r.packets * lifted.sampling_rate;
   }
   const auto [first, last] = std::minmax_element(
       cells.begin(), cells.end(),
@@ -545,12 +554,11 @@ LiftedFlows lift_flows(const std::string& in, std::uint32_t sampling_rate,
       lifted.cells.push_back(mapped.cell(seg));
     }
   } else if (format == "NFV5") {
-    // Totals scale at the --sampling-rate given; the archive header
-    // records the stream's own sampling interval when it declares one.
-    group_records(read_netflow_v5_flows(in, router, &lifted.sampling_rate),
-                  sampling_rate, lifted);
+    // The stream's sampling interval, when it declares one, replaces
+    // --sampling-rate before group_records scales any total by it.
+    group_records(read_netflow_v5_flows(in, router, &lifted.sampling_rate), lifted);
   } else if (format == "CSV") {
-    group_records(read_csv_flows(in), sampling_rate, lifted);
+    group_records(read_csv_flows(in), lifted);
   } else {
     std::cerr << "error: " << in << " is not an FDE1/NFV5/CSV flow input\n";
     std::exit(1);
@@ -647,8 +655,9 @@ int cmd_flow_inspect(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
-  const telescope::EventDataset dataset = load_dataset(require(flags, "in"));
-  if (dataset.event_count() == 0) {
+  const std::string in = require(flags, "in");
+  const auto events = loading(in, [&] { return store::MappedEventStore(in); });
+  if (events.event_count() == 0) {
     std::cerr << "error: empty event dataset\n";
     return 1;
   }
@@ -668,8 +677,8 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
   detect::DetectorConfig detector;
   detector.dispersion_threshold =
       std::stod(get_or(flags, "dispersion", "0.10"));
-  const detect::DetectionResult result =
-      detect::AggressiveScannerDetector(detector).detect(dataset);
+  const detect::DetectionResult result = loading(
+      in, [&] { return detect::AggressiveScannerDetector(detector).detect(events); });
   const detect::IpSet& ah =
       result.of(detect::Definition::AddressDispersion).ips;
   std::cout << ah.size() << " definition-1 AH sources detected\n";
@@ -697,8 +706,8 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
   } else {
     flowsim::FlowSimConfig config;
     config.isp_space = scenario.merit();
-    config.start_day = dataset.first_day();
-    config.end_day = std::min(dataset.last_day() + 1, config.start_day + days);
+    config.start_day = events.first_day();
+    config.end_day = std::min(events.last_day() + 1, config.start_day + days);
     if (config.end_day <= config.start_day) {
       config.end_day = config.start_day + 1;
     }

@@ -2,7 +2,8 @@
 # the tiny scenario and checks each exit code and a line of its output,
 # including `inspect` on a copy with one block byte flipped and on a copy
 # truncated to half its size; then flow CSV convert, inspect and refused
-# rows, and `flow-impact` over a CSV lifted in memory (TMPDIR untouched).
+# rows, and `flow-impact` over a CSV and a NetFlow v5 stream lifted in
+# memory (TMPDIR untouched).
 #
 #   cmake -DCLI=path/to/orion_cli -DWORK=work-dir -P orion_cli_smoke.cmake
 #
@@ -110,6 +111,19 @@ run(0 "definition-1 AH" flow-impact --in e.ode2 --flows flows.fde1)
 if(NOT lifted STREQUAL last_out)
   message(FATAL_ERROR "flow-impact over flows.csv differs from flows.fde1:\n${lifted}\n${last_out}")
 endif()
+# A 72-byte NetFlow v5 packet declaring sampling interval 1000, whose one
+# record (5 packets to 23/TCP) comes from 11.8.3.139, a definition-1 AH:
+# matched packets and the cell total both scale at the stream's interval.
+set(v5_header "\\000\\005\\000\\001\\000\\000\\000\\000\\137\\356\\146\\000"
+              "\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\003\\350")
+set(v5_record "\\013\\010\\003\\213\\000\\000\\000\\000\\000\\000\\000\\000"
+              "\\000\\000\\000\\000\\000\\000\\000\\005\\000\\000\\000\\310"
+              "\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\027"
+              "\\000\\002\\006\\000\\000\\000\\000\\000\\000\\000\\000\\000")
+string(CONCAT v5_packet ${v5_header} ${v5_record})
+shell("printf '${v5_packet}' > i1000.nfv5")
+run(0 "\\(100\\.00%\\)" flow-impact --in e.ode2 --flows i1000.nfv5)
+
 file(GLOB left ${WORK}/tmp/*)
 if(left)
   message(FATAL_ERROR "orion_cli left files in TMPDIR: ${left}")

@@ -1,11 +1,11 @@
 // FDE1 — the columnar on-disk flow archive (DESIGN.md §15).
 //
-// FDE1 gives flows the ODE2 treatment: the whole window is one file of
-// little-endian column blocks in a global
-// (router, day, src, dst_port, type) order, with a per-(router,day)
-// segment index in the footer so a query touches exactly one row range:
+// FDE1 is the column frame ODE2 uses (DESIGN.md §10.1) with its own
+// schema: the whole window is one file of little-endian column blocks in
+// a global (router, day, src, dst_port, type) order, with a
+// per-(router,day) segment index in the footer so a query touches exactly
+// one row range:
 //
-//   file    := header | block* | footer
 //   header  := "FDE1" | crc32([8,40)) | sampling_rate u64 | flow_count u64
 //              | block_flows u64 | footer_offset u64           (40 bytes)
 //   block   := ts i64[m] | packets u64[m] | bytes u64[m] | src u32[m]
@@ -19,8 +19,7 @@
 //              | user_packets u64 | scanner_packets u64        (48 bytes)
 //   meta    := offset u64 | min_src u32 | max_src u32          (16 bytes)
 //
-// Alignment follows ODE2: a 40-byte header plus 8-padded blocks with
-// widest columns first keeps every column 8-aligned, so the mapped bytes
+// Widest columns first keep every column 8-aligned, so the mapped bytes
 // are exposed as typed spans directly (MappedFlowStore). Segments are
 // strictly increasing in (router, day) and carry the row range implicitly
 // (row_end = next segment's row_begin, or flow_count for the last), plus
@@ -28,12 +27,10 @@
 // lets FlowImpactAnalyzer answer query() from the file alone. Block
 // min/max over src are the zone maps source-targeted scans prune with.
 //
-// Integrity mirrors ODE2 salvage: CRC-32 (netbase/crc32.hpp's hardware path)
-// guards the header and footer, each block's CRC lives in the footer, and
-// the salvage reader recovers every complete valid block preceding the
-// first error — validating the global row order structurally when
-// truncation took the footer (every flow field is total, so order is the
-// only structure unverified bytes have).
+// Integrity is the frame's (DESIGN.md §10.2): when truncation took the
+// footer, the salvage reader validates the global row order structurally
+// (every flow field is total, so order is the only structure unverified
+// bytes have).
 #pragma once
 
 #include <cstdint>
@@ -117,21 +114,17 @@ std::uint64_t write_flows_fde1_file(std::uint32_t sampling_rate,
                                     const std::string& path,
                                     std::uint64_t block_flows = kFde1DefaultBlockFlows);
 
-/// Salvage-mode read mirroring read_events_ode2_salvage: recovers every
-/// complete valid block preceding the first error instead of throwing the
-/// whole archive away. Segment metadata (and with it the per-(router,day)
-/// totals) survives only when the footer's CRC does.
-struct Fde1SalvageResult {
+/// Salvage-mode read, the same walk as read_events_ode2_salvage: recovers
+/// every complete valid block preceding the first error into `rows`
+/// instead of throwing the whole archive away. Segment metadata (and with
+/// it the per-(router,day) totals) survives only when the footer's CRC
+/// does.
+struct Fde1SalvageResult : SalvageStatus {
   flowsim::FlowBatch rows;             // recovered rows, archive order
   std::vector<FlowSegment> segments;   // footer-intact only
   std::uint32_t sampling_rate = 0;
   std::int64_t start_day = 0;
   std::int64_t end_day = 0;            // valid when footer_intact
-  std::uint64_t declared_count = 0;    // header's flow count (0: bad header)
-  std::uint64_t recovered_count = 0;   // rows recovered into `rows`
-  bool footer_intact = false;          // footer parsed and CRC-verified
-  bool complete = false;               // whole file verified clean
-  std::string error;                   // first error when !complete
 };
 
 Fde1SalvageResult read_flows_fde1_salvage(const std::string& path);

@@ -1,4 +1,6 @@
-// FileBytes — the read-only bytes of one archive, and their owner.
+// FileBytes — the read-only bytes of one archive, and their owner, plus
+// the parts of the ODE2/FDE1 frame (DESIGN.md §10.1) both stores and both
+// salvage readers hold: the checked header and the salvage status.
 //
 // A file is mmapped where the platform allows, else read whole into an
 // 8-aligned heap buffer, so typed column spans over the bytes work either
@@ -8,6 +10,7 @@
 // defaulted ones: the mapping is released by its one owner.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -22,7 +25,45 @@ struct Unmap {
   std::size_t bytes = 0;
   void operator()(const std::uint8_t* map) const noexcept;
 };
+
+/// A column archive's header (ODE2 or FDE1) whose magic, CRC, counts and
+/// geometry checked out.
+struct FrameHeader {
+  std::uint64_t param = 0;  // ODE2: darknet size; FDE1: sampling rate
+  std::uint64_t row_count = 0;
+  std::uint64_t block_size = 0;  // rows per full block
+  std::uint64_t footer_offset = 0;
+
+  std::uint64_t block_count() const {
+    return row_count == 0 ? 0 : (row_count + block_size - 1) / block_size;
+  }
+  /// Rows in block `k` (every block is full but the last).
+  std::uint64_t block_rows(std::uint64_t k) const {
+    return std::min(block_size, row_count - k * block_size);
+  }
+  /// Calls fn(k, lo, hi) for each block k that holds rows of the global
+  /// range [begin, end): its rows [lo, hi).
+  template <typename Fn>
+  void for_each_slice(std::uint64_t begin, std::uint64_t end, Fn&& fn) const {
+    if (begin >= end) return;
+    for (std::uint64_t k = begin / block_size; k * block_size < end; ++k) {
+      const std::uint64_t first = k * block_size;
+      fn(static_cast<std::size_t>(k), begin > first ? begin - first : 0,
+         std::min(block_rows(k), end - first));
+    }
+  }
+};
 }  // namespace detail
+
+/// What a salvage read reports beside the rows it recovered
+/// (read_events_ode2_salvage, read_flows_fde1_salvage).
+struct SalvageStatus {
+  std::uint64_t declared_count = 0;   // header's row count (0: bad header)
+  std::uint64_t recovered_count = 0;  // rows recovered
+  bool footer_intact = false;         // footer parsed and CRC-verified
+  bool complete = false;              // whole file verified clean
+  std::string error;                  // first error when !complete
+};
 
 class FileBytes {
  public:

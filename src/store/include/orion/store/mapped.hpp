@@ -62,22 +62,6 @@ struct BlockMeta {
   std::uint32_t crc = 0;  // CRC-32 of the block's padded bytes
 };
 
-/// An ODE2 header whose magic, CRC, counts and geometry checked out.
-struct Ode2Header {
-  std::uint64_t darknet_size = 0;
-  std::uint64_t event_count = 0;
-  std::uint64_t block_events = kOde2DefaultBlockEvents;
-  std::uint64_t footer_offset = 0;
-
-  std::uint64_t block_count() const {
-    return event_count == 0 ? 0 : (event_count + block_events - 1) / block_events;
-  }
-  /// Rows in block `k` (every block is full but the last).
-  std::uint64_t block_rows(std::uint64_t k) const {
-    return std::min(block_events, event_count - k * block_events);
-  }
-};
-
 /// An ODE2 footer whose CRC, day window, day index and block metadata
 /// checked out against its header.
 struct Ode2Footer {
@@ -113,13 +97,13 @@ class MappedEventStore {
   /// with context on any mismatch.
   explicit MappedEventStore(const std::string& path);
 
-  std::uint64_t darknet_size() const { return header_.darknet_size; }
+  std::uint64_t darknet_size() const { return header_.param; }
   std::size_t event_count() const {
-    return static_cast<std::size_t>(header_.event_count);
+    return static_cast<std::size_t>(header_.row_count);
   }
   std::int64_t first_day() const { return footer_.first_day; }
   std::int64_t last_day() const { return footer_.last_day; }
-  std::uint64_t block_events() const { return header_.block_events; }
+  std::uint64_t block_events() const { return header_.block_size; }
   std::size_t block_count() const { return footer_.blocks.size(); }
   const std::vector<BlockMeta>& blocks() const { return footer_.blocks; }
   std::uint64_t file_bytes() const { return file_.size(); }
@@ -177,16 +161,13 @@ class MappedEventStore {
   template <typename Fn>
   void for_each_event_on_day(std::int64_t day, Fn&& fn) const {
     const auto [begin, end] = day_range(day);
-    if (begin >= end) return;
-    const std::uint64_t b = header_.block_events;
-    for (std::uint64_t k = begin / b; k * b < end; ++k) {
-      const BlockView view = block(static_cast<std::size_t>(k));
-      const std::uint64_t lo = begin > k * b ? begin - k * b : 0;
-      const std::uint64_t hi = std::min<std::uint64_t>(view.rows(), end - k * b);
+    header_.for_each_slice(begin, end, [&](std::size_t k, std::uint64_t lo,
+                                           std::uint64_t hi) {
+      const BlockView view = block(k);
       for (std::uint64_t i = lo; i < hi; ++i) {
         fn(row_of(view, static_cast<std::size_t>(i)));
       }
-    }
+    });
   }
 
   /// Chunked parallel scan: blocks are split into contiguous ranges, one
@@ -242,6 +223,9 @@ class MappedEventStore {
   }
 
  private:
+  /// The strict open over bytes already owned (the path constructor's).
+  explicit MappedEventStore(FileBytes file);
+
   EventRow row_of(const BlockView& view, std::size_t i) const {
     EventRow row;
     row.key.src = net::Ipv4Address(view.src[i]);
@@ -259,7 +243,7 @@ class MappedEventStore {
   [[noreturn]] static void row_outside_window(std::uint64_t row);
 
   FileBytes file_;
-  Ode2Header header_;
+  detail::FrameHeader header_;
   Ode2Footer footer_;
 };
 

@@ -12,7 +12,6 @@
 // of MappedEventStore.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -57,22 +56,6 @@ struct FlowBlockMeta {
   std::uint32_t crc = 0;  // CRC-32 of the block's padded bytes
 };
 
-/// An FDE1 header whose magic, CRC, counts and geometry checked out.
-struct Fde1Header {
-  std::uint32_t sampling_rate = 0;
-  std::uint64_t flow_count = 0;
-  std::uint64_t block_flows = kFde1DefaultBlockFlows;
-  std::uint64_t footer_offset = 0;
-
-  std::uint64_t block_count() const {
-    return flow_count == 0 ? 0 : (flow_count + block_flows - 1) / block_flows;
-  }
-  /// Rows in block `k` (every block is full but the last).
-  std::uint64_t block_rows(std::uint64_t k) const {
-    return std::min(block_flows, flow_count - k * block_flows);
-  }
-};
-
 /// An FDE1 footer whose CRC, day window, segment index and block metadata
 /// checked out against its header.
 struct Fde1Footer {
@@ -93,13 +76,15 @@ class MappedFlowStore {
   /// heap-mode image of a FlowDataset or of lifted cells.
   explicit MappedFlowStore(FileBytes image);
 
-  std::uint32_t sampling_rate() const { return header_.sampling_rate; }
+  std::uint32_t sampling_rate() const {
+    return static_cast<std::uint32_t>(header_.param);
+  }
   std::size_t flow_count() const {
-    return static_cast<std::size_t>(header_.flow_count);
+    return static_cast<std::size_t>(header_.row_count);
   }
   std::int64_t start_day() const { return footer_.start_day; }
   std::int64_t end_day() const { return footer_.end_day; }
-  std::uint64_t block_flows() const { return header_.block_flows; }
+  std::uint64_t block_flows() const { return header_.block_size; }
   std::size_t block_count() const { return footer_.blocks.size(); }
   const std::vector<FlowBlockMeta>& blocks() const { return footer_.blocks; }
   const std::vector<FlowSegment>& segments() const { return footer_.segments; }
@@ -124,19 +109,10 @@ class MappedFlowStore {
   /// Gathers one flow by global row index (bounds-checked).
   flowsim::FlowRecord record(std::uint64_t row) const;
 
-  /// Full materialization of every row, archive order.
-  flowsim::FlowBatch to_batch() const;
-
   /// One segment as a flowsim::RouterDay: its totals and a column-wise
   /// copy of its rows. Any router number; the u64 segment router is
   /// narrowed to the rows' u16 router column.
   flowsim::RouterDay cell(const FlowSegment& seg) const;
-
-  /// Rebuilds the FlowDataset the archive holds: cell() of every segment,
-  /// and empty cells for any (router, day) of the window the archive
-  /// lacks. Requires the paper's router topology (every segment router <
-  /// flowsim::kRouterCount; std::runtime_error otherwise).
-  flowsim::FlowDataset to_dataset() const;
 
   /// Calls fn(const FlowView&) for blocks whose src zone map intersects
   /// [src_lo, src_hi]; pass the full range to visit everything.
@@ -155,19 +131,15 @@ class MappedFlowStore {
   /// block. The zero-copy feed for per-segment consumers.
   template <typename Fn>
   void for_each_span(std::uint64_t begin, std::uint64_t end, Fn&& fn) const {
-    if (begin >= end) return;
-    const std::uint64_t b = header_.block_flows;
-    for (std::uint64_t k = begin / b; k * b < end; ++k) {
-      const FlowView view = block(static_cast<std::size_t>(k));
-      const std::uint64_t lo = begin > k * b ? begin - k * b : 0;
-      const std::uint64_t hi = std::min<std::uint64_t>(view.rows(), end - k * b);
-      fn(view, static_cast<std::size_t>(lo), static_cast<std::size_t>(hi));
-    }
+    header_.for_each_slice(begin, end, [&](std::size_t k, std::uint64_t lo,
+                                           std::uint64_t hi) {
+      fn(block(k), static_cast<std::size_t>(lo), static_cast<std::size_t>(hi));
+    });
   }
 
  private:
   FileBytes file_;
-  Fde1Header header_;
+  detail::FrameHeader header_;
   Fde1Footer footer_;
 };
 

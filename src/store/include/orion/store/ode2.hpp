@@ -4,9 +4,11 @@
 // Events are laid out as little-endian column blocks (row groups), so an
 // analysis can mmap the archive and scan only the columns — and only the
 // days — it needs (store/mapped.hpp). A caller that wants the rows in
-// memory calls MappedEventStore(path).to_dataset(). The layout:
+// memory calls MappedEventStore(path).to_dataset(). ODE2 is the column
+// frame it shares with FDE1 (DESIGN.md §10.1: a 40-byte CRC'd header,
+// 8-padded blocks, a CRC-sealed footer of index, block metadata and
+// block CRCs) with its own schema:
 //
-//   file   := header | block* | footer
 //   header := "ODE2" | crc32([8,40)) | darknet_size u64 | event_count u64
 //             | block_events u64 | footer_offset u64          (40 bytes)
 //   block  := start i64[m] | end i64[m] | packets u64[m] | dests u64[m]
@@ -18,25 +20,19 @@
 //   meta   := offset u64 | min_day i64 | max_day i64 | min_src u32
 //             | max_src u32                                   (32 bytes)
 //
-// Alignment invariant: the header is 40 bytes and every block is padded to
-// a multiple of 8, so each block (and therefore each 8-byte column, which
-// comes first) starts 8-aligned — the mapped bytes can be exposed as
-// typed spans directly. day_start relies on the EventDataset total order
-// (start, key): start days are non-decreasing, so each day is one
-// contiguous row range. Block min/max (day, src) are the zone maps that
-// let scans skip whole blocks without touching their data.
-//
-// Integrity: the header and footer carry CRC-32s, each block's CRC lives
-// in the footer, and the salvage reader recovers every complete valid
-// block preceding the first error — falling back to header-derived
-// geometry when the footer does not parse (truncated away, or failing
-// the same checks the strict open applies).
+// day_start relies on the EventDataset total order (start, key): start
+// days are non-decreasing, so each day is one contiguous row range.
+// Block min/max (day, src) are the zone maps that let scans skip whole
+// blocks without touching their data. Footerless salvage checks each
+// block's traffic-type bytes; the rest of the integrity contract is the
+// frame's (DESIGN.md §10.2).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "orion/netbase/io.hpp"
+#include "orion/store/file_bytes.hpp"
 #include "orion/telescope/capture.hpp"
 
 namespace orion::store {
@@ -71,14 +67,9 @@ std::uint64_t write_events_ode2_file(
     std::uint64_t block_events = kOde2DefaultBlockEvents);
 
 /// Salvage-mode read: recovers every complete valid block preceding the
-/// first error instead of throwing the whole archive away.
-struct Ode2SalvageResult {
+/// first error into `dataset` instead of throwing the whole archive away.
+struct Ode2SalvageResult : SalvageStatus {
   telescope::EventDataset dataset{{}, 0};
-  std::uint64_t declared_count = 0;   // header's event count (0: bad header)
-  std::uint64_t recovered_count = 0;  // rows recovered into `dataset`
-  bool footer_intact = false;         // footer parsed and CRC-verified
-  bool complete = false;              // whole file verified clean
-  std::string error;                  // first error when !complete
 };
 
 Ode2SalvageResult read_events_ode2_salvage(const std::string& path);

@@ -1,7 +1,9 @@
 #include "orion/store/file_bytes.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ORION_STORE_HAVE_MMAP 1
@@ -40,9 +42,14 @@ FileBytes FileBytes::open(const std::string& path, std::string& error) {
   if (file.mapped()) return file;
 #endif
   // Portable fallback: the whole file in an 8-aligned heap buffer, so
-  // the span views work identically (just without demand paging).
+  // the span views work identically (just without demand paging). Only a
+  // regular file holds an archive: a directory opens for reading too, and
+  // its end offset can be a bogus 2^63 - 1 that would size the buffer.
+  std::error_code ec;
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const std::streamoff bytes = in ? std::streamoff(in.tellg()) : -1;
+  const std::streamoff bytes = in && std::filesystem::is_regular_file(path, ec)
+                                   ? std::streamoff(in.tellg())
+                                   : -1;
   if (bytes < 0) {
     error = "cannot open " + path;
     return file;

@@ -1,17 +1,21 @@
-// Internal FDE1 byte-layout helpers shared by the writer and salvage
-// reader (fde1.cpp) and the mapped reader (mapped_flow.cpp), including the
-// one header parse and the one footer parse both readers call. Not
-// installed. The flow-side sibling of layout.hpp; the little-endian
-// zero-copy contract asserted there covers these views too (both headers
-// are store-internal).
+// FDE1's own side of the frame (frame.hpp), shared by the writer and
+// salvage reader (fde1.cpp) and the mapped reader (mapped_flow.cpp): its
+// schema, its column layout, its segment-index bounds and its footer
+// parse. Not installed.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string>
 
-#include "layout.hpp"
+#include "frame.hpp"
 #include "orion/store/mapped_flow.hpp"
 
 namespace orion::store::detail {
+
+static_assert(kFde1HeaderBytes == kHeaderBytes);
+inline constexpr Schema kFde1{{'F', 'D', 'E', '1'}, &fde1_block_bytes,
+                              kFde1BlockMetaBytes, "flow", "fde1 store"};
 
 /// Byte offsets of each flow column inside a block of `m` rows. Widest
 /// columns first so every 8-byte column starts 8-aligned; the u32/u16/u8
@@ -33,31 +37,19 @@ struct FlowColumnLayout {
         proto(38 * m) {}
 };
 
-constexpr std::uint64_t kMaxFlowCount = std::uint64_t{1} << 27;
-constexpr std::uint64_t kMaxBlockFlows = std::uint64_t{1} << 24;
 constexpr std::uint64_t kMaxSegmentCount = std::uint64_t{1} << 22;
 /// Widest [start_day, end_day) window (~179 years). Nothing in the file
-/// is sized by the window, but to_dataset() allocates a cell per
-/// (router, day) of it, so a footer may not claim an unbounded one.
+/// is sized by the window, but a consumer may walk it day by day or size
+/// a per-day table by it, so a footer may not claim an unbounded one (the
+/// writer refuses the same windows).
 constexpr std::uint64_t kMaxWindowDays = std::uint64_t{1} << 16;
 
-/// Where the footer of `n` rows cut into blocks of `b` starts.
-inline std::uint64_t fde1_footer_offset(std::uint64_t n, std::uint64_t b) {
-  return kFde1HeaderBytes + n / b * fde1_block_bytes(b) +
-         (n % b ? fde1_block_bytes(n % b) : 0);
-}
-
-/// Checks an FDE1 file's magic, header CRC, counts and geometry into
-/// `header`. Returns false with the reason in `error` (unprefixed; the
-/// strict open throws it, salvage reports it) instead of throwing.
-bool parse_fde1_header(std::span<const std::uint8_t> file, Fde1Header& header,
-                       std::string& error);
-
 /// Checks the footer `header` locates — its extent, CRC, day window,
-/// segment index and block metadata — into `footer`; false with `error`
-/// as above. Every count is bounded before it sizes arithmetic or memory.
+/// segment index and block metadata — into `footer`; false with the
+/// reason in `error`, as parse_header. Every count is bounded before it
+/// sizes arithmetic or memory.
 bool parse_fde1_footer(std::span<const std::uint8_t> file,
-                       const Fde1Header& header, Fde1Footer& footer,
+                       const FrameHeader& header, Fde1Footer& footer,
                        std::string& error);
 
 /// The column spans of a block of `rows` rows whose first byte is `base`

@@ -37,6 +37,7 @@
 #include "orion/scangen/packet_gen.hpp"
 #include "orion/scangen/scenario.hpp"
 #include "orion/store/archive.hpp"
+#include "orion/store/fde1.hpp"
 #include "orion/store/mapped.hpp"
 #include "orion/store/ode2.hpp"
 #include "orion/telescope/capture.hpp"
@@ -285,6 +286,37 @@ std::size_t count_files(const std::string& dir, const std::string& infix) {
     if (it.path().filename().string().find(infix) != std::string::npos) ++n;
   }
   return n;
+}
+
+// The column writers' I/O sequence on multi-block archives: create, one
+// write for the header, one per block and one for the footer, then fsync
+// and close. The crash matrix is sized from these counted calls, so they
+// are pinned: 40 events in blocks of 16 (3 blocks), 40 flows in two cells
+// in blocks of 8 (5 blocks).
+TEST_F(Archive, ColumnWritersMakeOneWritePerFramePiece) {
+  const std::string dir = temp_dir("calls");
+  fs::create_directories(dir);
+  FaultFs::instance().reset();
+  store::write_events_ode2_file(make_dataset(1), dir + "/events.ode2", 16);
+  EXPECT_EQ(FaultFs::instance().calls(), 1u + 1 + 3 + 1 + 2);
+
+  std::vector<flowsim::RouterDay> cells(2);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    cells[c].router = static_cast<std::uint16_t>(2 * c);
+    cells[c].day = 5;
+    cells[c].total_packets = 1000;
+    std::vector<flowsim::KeyedCount> counts;
+    for (std::uint32_t i = 0; i < 20; ++i) {
+      counts.push_back({{net::Ipv4Address(0x0A000000u + i), 23,
+                         pkt::TrafficType::TcpSyn},
+                        1 + i});
+    }
+    cells[c].rows =
+        flowsim::canonical_rows(std::move(counts), cells[c].router, cells[c].day);
+  }
+  FaultFs::instance().reset();
+  store::write_flows_fde1_file(100, 5, 6, cells, dir + "/flows.fde1", 8);
+  EXPECT_EQ(FaultFs::instance().calls(), 1u + 1 + 5 + 1 + 2);
 }
 
 TEST_F(Archive, PublishResolveVerifyRoundTrip) {

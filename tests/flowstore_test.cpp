@@ -111,6 +111,16 @@ std::string fde1_bytes(std::uint32_t sampling_rate, std::int64_t start_day,
   return file.contents();
 }
 
+/// Every row of the archive in order, gathered through for_each_span.
+flowsim::FlowBatch all_rows(const MappedFlowStore& store) {
+  flowsim::FlowBatch all(store.flow_count());
+  store.for_each_span(0, store.flow_count(),
+                      [&all](const FlowView& view, std::size_t lo, std::size_t hi) {
+                        all.append_columns(view, lo, hi);
+                      });
+  return all;
+}
+
 /// The expected global row stream: each cell's rows, router-major.
 flowsim::FlowBatch expected_rows(const flowsim::FlowDataset& flows) {
   flowsim::FlowBatch all;
@@ -155,14 +165,15 @@ TEST(Fde1, RoundTripsAtAnyBlockSize) {
     EXPECT_EQ(store.block_flows(), block_flows);
     EXPECT_EQ(store.verify_blocks(), store.block_count());
 
-    const flowsim::FlowBatch all = store.to_batch();
+    const flowsim::FlowBatch all = all_rows(store);
     ASSERT_EQ(all.size(), expected.size());
     for (std::size_t i = 0; i < all.size(); ++i) {
       EXPECT_EQ(all.record_at(i), expected.record_at(i)) << "row " << i;
     }
 
     // Segment index: one cell per (router, day), row ranges that tile
-    // [0, flow_count), totals matching the simulator's ground truth.
+    // [0, flow_count), totals matching the simulator's ground truth, and
+    // each cell's rows read back whole.
     const auto window =
         static_cast<std::size_t>(flows.end_day() - flows.start_day());
     ASSERT_EQ(store.segments().size(), flowsim::kRouterCount * window);
@@ -174,6 +185,8 @@ TEST(Fde1, RoundTripsAtAnyBlockSize) {
       EXPECT_EQ(seg.total_packets, rd.total_packets);
       EXPECT_EQ(seg.user_packets, rd.user_packets);
       EXPECT_EQ(seg.scanner_packets, rd.scanner_packets);
+      EXPECT_TRUE(store.cell(seg).rows == rd.rows)
+          << "cell " << seg.router << "/" << seg.day;
       cursor = seg.row_end;
     }
     EXPECT_EQ(cursor, store.flow_count());
@@ -551,19 +564,19 @@ TEST(FlowImpactAnalyzer, ParallelPrebuildIsInvariantAcrossThreadCounts) {
                      lazy.query(0, flows.start_day(), sources));
 }
 
-TEST(MappedFlowStore, ToDatasetReproducesQueries) {
+TEST(MappedFlowStore, CellsReproduceQueries) {
   const flowsim::FlowDataset flows = tiny_flows();
   const detect::IpSet ips = tiny_sources();
   const impact::SourceSet sources(ips);
   const TempFile file(fde1_bytes(flows));
   const MappedFlowStore store(file.path());
 
-  const flowsim::FlowDataset round = store.to_dataset();
-  EXPECT_EQ(round.sampling_rate(), flows.sampling_rate());
-  ASSERT_EQ(round.cells().size(), flows.cells().size());
+  std::vector<flowsim::RouterDay> cells;
+  for (const FlowSegment& seg : store.segments()) cells.push_back(store.cell(seg));
+  ASSERT_EQ(cells.size(), flows.cells().size());
   for (std::size_t c = 0; c < flows.cells().size(); ++c) {
     const flowsim::RouterDay& a = flows.cells()[c];
-    const flowsim::RouterDay& b = round.cells()[c];
+    const flowsim::RouterDay& b = cells[c];
     EXPECT_EQ(b.router, a.router);
     EXPECT_EQ(b.day, a.day);
     EXPECT_EQ(b.total_packets, a.total_packets);
@@ -572,7 +585,9 @@ TEST(MappedFlowStore, ToDatasetReproducesQueries) {
     EXPECT_TRUE(b.rows == a.rows) << "cell " << c;
   }
   const impact::FlowImpactAnalyzer a(&store);
-  const MappedFlowStore round_image(fde1_image(round));
+  const MappedFlowStore round_image(fde1_image(
+      store.sampling_rate(), store.start_day(), store.end_day(), cells));
+  EXPECT_EQ(round_image.sampling_rate(), flows.sampling_rate());
   const impact::FlowImpactAnalyzer b(&round_image);
   for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
     for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
@@ -582,16 +597,17 @@ TEST(MappedFlowStore, ToDatasetReproducesQueries) {
   }
 }
 
-TEST(MappedFlowStore, ToDatasetFillsAbsentCellsAndChecksTheTopology) {
+TEST(MappedFlowStore, CellsKeepTheirCountersAndAnyRouter) {
   const TempFile file(fde1_bytes(50, 10, 13, empty_cells()));
-  const flowsim::FlowDataset round = MappedFlowStore(file.path()).to_dataset();
-  ASSERT_EQ(round.cells().size(), flowsim::kRouterCount * 3);
-  EXPECT_EQ(round.at(0, 10).total_packets, 777u);
-  EXPECT_EQ(round.at(2, 12).user_packets, 5u);
-  EXPECT_EQ(round.at(1, 11).total_packets, 0u);
-  EXPECT_TRUE(round.at(1, 11).rows.empty());
+  const MappedFlowStore store(file.path());
+  ASSERT_NE(store.segment(0, 10), nullptr);
+  ASSERT_NE(store.segment(2, 12), nullptr);
+  EXPECT_EQ(store.cell(*store.segment(0, 10)).total_packets, 777u);
+  EXPECT_EQ(store.cell(*store.segment(2, 12)).user_packets, 5u);
+  EXPECT_TRUE(store.cell(*store.segment(2, 12)).rows.empty());
+  EXPECT_EQ(store.segment(1, 11), nullptr);  // a cell the archive lacks
 
-  // cell() takes any router; to_dataset() only the paper's three.
+  // cell() takes any router.
   std::vector<flowsim::RouterDay> far(1);
   far[0].router = 7;
   far[0].day = 10;
@@ -600,7 +616,6 @@ TEST(MappedFlowStore, ToDatasetFillsAbsentCellsAndChecksTheTopology) {
   const MappedFlowStore far_store(far_file.path());
   EXPECT_EQ(far_store.cell(far_store.segments()[0]).router, 7u);
   EXPECT_EQ(far_store.cell(far_store.segments()[0]).total_packets, 9u);
-  EXPECT_THROW(far_store.to_dataset(), std::runtime_error);
 }
 
 TEST(Fde1, InMemoryImageIsTheFileBytes) {
@@ -644,7 +659,7 @@ TEST(MappedFlowStore, RecordAccessorMatchesBatchAndBoundsChecks) {
   const flowsim::FlowDataset flows = tiny_flows();
   const TempFile file(fde1_bytes(flows, 8));
   const MappedFlowStore store(file.path());
-  const flowsim::FlowBatch all = store.to_batch();
+  const flowsim::FlowBatch all = all_rows(store);
   for (std::uint64_t row = 0; row < store.flow_count();
        row += 1 + store.flow_count() / 17) {
     EXPECT_EQ(store.record(row), all.record_at(static_cast<std::size_t>(row)));

@@ -12,8 +12,14 @@
 //  - salvage never throws, and its footer is intact exactly when the
 //    strict open succeeds (both call the same header and footer parse);
 //  - on an open store, verify_blocks, to_dataset, detect and
-//    DailyDarknetMix (ODE2), or prebuild_indexes(2) and one query
-//    (FDE1), finish or throw a std::exception.
+//    DailyDarknetMix (ODE2), or cell() of every segment,
+//    prebuild_indexes(2) and one query (FDE1), finish or throw a
+//    std::exception.
+// Splice inputs join a prefix of one valid archive to the suffix of
+// another at block or footer boundaries (ODE2 with ODE2, FDE1 with FDE1,
+// or crossed with the magic rewritten) and must meet the same properties:
+// the two formats share one frame parse, which must still apply each
+// format's own limits.
 // NetFlow v5 inputs are a tiny-scenario cell's export stream (full
 // 30-record packets and a split oversized flow) with one packet mutated
 // by bit flips, a truncation, a lying record count (0, 31, 0xFFFF, ±1)
@@ -436,7 +442,9 @@ bool expect_fde1_properties(const FuzzFile& file, const std::string& bytes,
       EXPECT_EQ(salvage->recovered_count, store->flow_count()) << what;
     }
   });
-  finishes_or_throws(what, "to_dataset", [&] { (void)store->to_dataset(); });
+  finishes_or_throws(what, "cells", [&] {
+    for (const FlowSegment& seg : store->segments()) (void)store->cell(seg);
+  });
   const impact::FlowImpactAnalyzer analyzer(&*store);
   finishes_or_throws(what, "prebuild_indexes", [&] { analyzer.prebuild_indexes(2); });
   if (!store->segments().empty()) {
@@ -459,6 +467,163 @@ TEST(Fuzz, Fde1SeededMutations) {
                                      "fde1 iteration " + std::to_string(i));
   }
   expect_reach("fde1", opened, kIterations);
+}
+
+// -------------------------------------------------------------- splices
+
+/// 60 events over 20 days from day 40, other sources and ports than
+/// ode2_base_dataset: a second valid ODE2 body to splice with.
+telescope::EventDataset ode2_other_dataset() {
+  std::vector<telescope::DarknetEvent> events;
+  for (int i = 0; i < 60; ++i) {
+    telescope::DarknetEvent e;
+    e.key.src = source(static_cast<std::uint32_t>(100 + i % 11));
+    e.key.dst_port = static_cast<std::uint16_t>(23 + i % 3);
+    e.key.type = pkt::TrafficType::TcpSyn;
+    e.start = net::SimTime::at(net::Duration::days(40) +
+                               net::Duration::seconds(29000 * i));
+    e.end = e.start + net::Duration::seconds(5);
+    e.packets = 3 + static_cast<std::uint64_t>(i);
+    e.unique_dests = 2;
+    events.push_back(e);
+  }
+  return telescope::EventDataset(std::move(events), 65536);
+}
+
+/// Routers 0 and 2 over 3 days from day 30 with other keys than
+/// fde1_base_flows: a second valid FDE1 body to splice with.
+flowsim::FlowDataset fde1_other_flows() {
+  flowsim::FlowSimConfig config;
+  config.start_day = 30;
+  config.end_day = 33;
+  config.sampling_rate = 1000;
+  std::vector<flowsim::RouterDay> cells = test_flows::grid(30, 33);
+  for (flowsim::RouterDay& rd : cells) {
+    if (rd.router == 1) continue;
+    rd.total_packets = 5000 + static_cast<std::uint64_t>(rd.day);
+    std::vector<flowsim::KeyedCount> counts;
+    for (std::uint32_t k = 0; k < 6; ++k) {
+      counts.push_back({{source(200 + 3 * k), static_cast<std::uint16_t>(80 + k),
+                         pkt::TrafficType::TcpSyn},
+                        1 + k});
+    }
+    test_flows::set_rows(rd, std::move(counts));
+  }
+  return flowsim::FlowDataset(std::move(config), std::move(cells));
+}
+
+/// A valid archive and the block and footer boundaries a splice cuts at.
+struct SpliceSource {
+  std::string bytes;
+  bool ode2 = false;
+  std::vector<std::size_t> cuts;
+};
+
+SpliceSource splice_source(std::string bytes, bool ode2) {
+  const Layout layout = ode2 ? ode2_layout(bytes) : fde1_layout(bytes);
+  SpliceSource source{std::move(bytes), ode2, {0, kOde2HeaderBytes}};
+  for (const auto& [offset, size] : layout.blocks) source.cuts.push_back(offset + size);
+  source.cuts.push_back(layout.footer);
+  source.cuts.push_back(layout.block_crcs);
+  source.cuts.push_back(source.bytes.size());
+  return source;
+}
+
+/// Reseals a spliced frame as far as its own header describes it: each
+/// block CRC in the footer's array, the footer CRC, the header CRC.
+void reseal_splice(std::string& bytes, bool ode2) {
+  if (bytes.size() < 40) return;
+  const std::uint64_t n = load(bytes, 16);
+  const std::uint64_t b = load(bytes, 24);
+  const std::uint64_t footer = load(bytes, 32);
+  if (footer >= 40 && footer <= bytes.size() && bytes.size() - footer >= 36) {
+    const std::uint64_t blocks = b == 0 ? 0 : n / b + (n % b != 0);
+    if (n <= (1u << 20) && 4 * blocks + 36 <= bytes.size() - footer) {
+      const std::size_t crcs = bytes.size() - 4 - 4 * static_cast<std::size_t>(blocks);
+      std::size_t offset = kOde2HeaderBytes;
+      for (std::uint64_t k = 0; k < blocks; ++k) {
+        const std::uint64_t rows = std::min(b, n - k * b);
+        const auto size = static_cast<std::size_t>(ode2 ? ode2_block_bytes(rows)
+                                                        : fde1_block_bytes(rows));
+        if (offset + size > footer) break;
+        store_u32(bytes, crcs + 4 * static_cast<std::size_t>(k),
+                  test_pins::crc_of(bytes.substr(offset, size)));
+        offset += size;
+      }
+    }
+    store_u32(bytes, bytes.size() - 4,
+              test_pins::crc_of(bytes, static_cast<std::size_t>(footer), 4));
+  }
+  store_u32(bytes, 4, test_pins::crc_of(bytes.substr(0, 40), 8));
+}
+
+// Splices of two valid frames: a prefix of one archive up to a block or
+// footer boundary joined to the suffix of another from such a boundary
+// — two ODE2 archives, two FDE1 archives, or one of each with the magic
+// rewritten to either format. Half the headers are refitted to the tail's
+// geometry, and three in four inputs are resealed as far as the spliced
+// header describes the file. Every input must meet the same
+// properties as the seeded mutations, read as the format its magic names.
+TEST(Fuzz, ArchiveFrameSplices) {
+  const FuzzFile file;
+  const auto ode2_bytes = [&file](const telescope::EventDataset& events,
+                                  std::uint64_t block_events) {
+    write_events_ode2_file(events, file.put(""), block_events);
+    return splice_source(file.contents(), true);
+  };
+  const auto fde1_bytes = [&file](const flowsim::FlowDataset& flows,
+                                  std::uint64_t block_flows) {
+    write_flows_fde1_file(flows, file.put(""), block_flows);
+    return splice_source(file.contents(), false);
+  };
+  const std::vector<SpliceSource> ode2 = {
+      ode2_bytes(ode2_base_dataset(), 16), ode2_bytes(ode2_other_dataset(), 16),
+      ode2_bytes(ode2_other_dataset(), 7)};
+  const std::vector<SpliceSource> fde1 = {
+      fde1_bytes(fde1_base_flows(), 8), fde1_bytes(fde1_other_flows(), 8),
+      fde1_bytes(fde1_other_flows(), 5)};
+
+  constexpr std::size_t kSplices = 2000;
+  std::size_t opened = 0;
+  for (std::size_t i = 0; i < kSplices; ++i) {
+    std::mt19937_64 rng(kSeed + i);
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    const std::vector<SpliceSource>& first = i % 3 == 1 ? fde1 : ode2;
+    const std::vector<SpliceSource>& second = i % 3 == 0 ? ode2 : fde1;
+    const std::size_t a = pick(first.size());
+    std::size_t b = pick(second.size());
+    if (&first == &second && b == a) b = (b + 1) % second.size();
+    const SpliceSource& head = first[a];
+    const SpliceSource& tail = second[b];
+    // Half the cuts are the same boundary of both sources (the k-th block
+    // end), where two frames of one block size line up.
+    const std::size_t j = pick(head.cuts.size());
+    const std::size_t head_cut = head.cuts[j];
+    const std::size_t tail_cut = pick(2) == 0
+                                     ? tail.cuts[std::min(j, tail.cuts.size() - 1)]
+                                     : tail.cuts[pick(tail.cuts.size())];
+    std::string bytes = head.bytes.substr(0, head_cut) + tail.bytes.substr(tail_cut);
+    if (head_cut >= 40 && pick(2) == 0) {
+      // Half keep the head's header; the rest take the tail's row count
+      // and block size, with its footer offset moved by the splice.
+      store_u64(bytes, 16, load(tail.bytes, 16));
+      store_u64(bytes, 24, load(tail.bytes, 24));
+      store_u64(bytes, 32, load(tail.bytes, 32) + head_cut - tail_cut);
+    }
+    bool as_ode2 = head.ode2;
+    if (head.ode2 != tail.ode2) {
+      as_ode2 = pick(2) == 0;
+      if (bytes.size() >= 4) bytes.replace(0, 4, as_ode2 ? "ODE2" : "FDE1");
+    }
+    if (pick(4) != 0) reseal_splice(bytes, as_ode2);
+    const std::string what = "splice " + std::to_string(i);
+    opened += as_ode2 ? expect_ode2_properties(file, bytes, what)
+                      : expect_fde1_properties(file, bytes, what);
+  }
+  std::printf("[fuzz] splice: %zu of %zu opened\n", opened, kSplices);
+  EXPECT_GT(opened, 0u);
 }
 
 // ------------------------------------------------------------ NetFlow v5

@@ -465,6 +465,17 @@ TEST(Ode2Salvage, TruncatedHeaderRecoversNothing) {
   }
 }
 
+// A directory opens for reading and can report a 2^63 - 1 end offset,
+// which must not size a buffer: both readers refuse it as unopenable.
+TEST(Ode2Salvage, DirectoryIsNotAnArchive) {
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  EXPECT_THROW(MappedEventStore{dir}, std::runtime_error);
+  const Ode2SalvageResult result = read_events_ode2_salvage(dir);
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.recovered_count, 0u);
+  EXPECT_EQ(result.error, "ode2 store: cannot open " + dir);
+}
+
 // ------------------------------------- analysis equivalence (zero-copy)
 
 EventDataset synthesized_dataset() {
