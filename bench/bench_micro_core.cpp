@@ -21,7 +21,7 @@
 #include "orion/scangen/scenario.hpp"
 #include "orion/scangen/target_sampler.hpp"
 #include "orion/stats/ecdf.hpp"
-#include "orion/stats/hyperloglog.hpp"
+#include "orion/stats/cardinality.hpp"
 #include "orion/telescope/aggregator.hpp"
 
 namespace {
@@ -282,25 +282,15 @@ void BM_FlatMapProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatMapProbe)->Arg(0)->Arg(1);
 
-// --- cardinality sketches ----------------------------------------------------
+// --- destination sets ----------------------------------------------------
 
-void BM_HyperLogLogAdd(benchmark::State& state) {
-  stats::HyperLogLog hll(12);
-  std::uint64_t key = 0;
-  for (auto _ : state) {
-    hll.add(stats::hll_hash(++key));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HyperLogLogAdd);
-
-/// Ablation: hybrid exact->HLL estimator vs plain exact set at increasing
+/// Ablation: the exact destination set vs a plain hash set at increasing
 /// per-event destination counts. The keys are what the aggregator feeds:
-/// dark-space offsets (a ZMap-like random sweep, with repeats) at the
-/// default 16,384-key limit, over the paper scenario's /17 (Arg 1 = 0),
-/// an ORION-sized 475,136-address dark space (Arg 1 = 1) and a /8
-/// (Arg 1 = 2), which sits on the other side of the array-to-bitmap
-/// switch rule (CardinalityEstimator::kEagerBitmapBytes).
+/// dark-space offsets (a ZMap-like random sweep, with repeats) over the
+/// paper scenario's /17 (Arg 1 = 0), an ORION-sized 475,136-address dark
+/// space (Arg 1 = 1) and a /8 (Arg 1 = 2), which sits on the other side
+/// of the array-to-bitmap switch rule
+/// (CardinalityEstimator::kEagerBitmapBytes).
 void BM_CardinalityEstimatorAdd(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::uint64_t kUniverses[] = {32768, 475136, std::uint64_t{1} << 24};
@@ -309,9 +299,9 @@ void BM_CardinalityEstimatorAdd(benchmark::State& state) {
   net::Rng rng(7);
   for (auto& o : offsets) o = rng.bounded(universe);
   for (auto _ : state) {
-    stats::CardinalityEstimator est(universe, 16384, 12);
+    stats::CardinalityEstimator est(universe);
     for (const std::uint64_t o : offsets) est.add(o);
-    benchmark::DoNotOptimize(est.estimate());
+    benchmark::DoNotOptimize(est.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }

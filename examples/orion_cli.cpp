@@ -197,6 +197,20 @@ telescope::EventDataset load_dataset(const std::string& path) {
   return loading(path, [&] { return store::MappedEventStore(path).to_dataset(); });
 }
 
+/// Opens the event archive at `path` for a scan in place, CRC-checking
+/// every block first: the scans read rows without a check of their own.
+/// A failure exits 1 naming the file.
+store::MappedEventStore open_verified(const std::string& path) {
+  return loading(path, [&] {
+    store::MappedEventStore events(path);
+    const std::size_t bad = events.verify_blocks();
+    if (bad != events.block_count()) {
+      throw std::runtime_error("ode2 store: block " + std::to_string(bad) + " CRC mismatch");
+    }
+    return events;
+  });
+}
+
 void save_dataset(const telescope::EventDataset& dataset, const std::string& path) {
   try {
     store::write_events_ode2_file(dataset, path);
@@ -277,7 +291,7 @@ int cmd_filter(const std::map<std::string, std::string>& flags) {
 
 int cmd_detect(const std::map<std::string, std::string>& flags) {
   const std::string in = require(flags, "in");
-  const auto events = loading(in, [&] { return store::MappedEventStore(in); });
+  const auto events = open_verified(in);
   detect::DetectorConfig config;
   config.dispersion_threshold = std::stod(get_or(flags, "dispersion", "0.10"));
   config.packet_volume_alpha = std::stod(get_or(flags, "alpha2", "0.028"));
@@ -656,7 +670,7 @@ int cmd_flow_inspect(const std::map<std::string, std::string>& flags) {
 
 int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
   const std::string in = require(flags, "in");
-  const auto events = loading(in, [&] { return store::MappedEventStore(in); });
+  const auto events = open_verified(in);
   if (events.event_count() == 0) {
     std::cerr << "error: empty event dataset\n";
     return 1;

@@ -1,7 +1,7 @@
 # orion_cli_smoke — drives orion_cli's event-file commands end to end on
 # the tiny scenario and checks each exit code and a line of its output,
-# including `inspect` on a copy with one block byte flipped and on a copy
-# truncated to half its size; then flow CSV convert, inspect and refused
+# including `inspect` on a copy with one block byte flipped (which every
+# other reading command refuses) and on a copy truncated to half its size; then flow CSV convert, inspect and refused
 # rows, and `flow-impact` over a CSV and a NetFlow v5 stream lifted in
 # memory (TMPDIR untouched).
 #
@@ -76,6 +76,14 @@ else()
 endif()
 shell("cp e.ode2 flipped.ode2 && printf '\\${flipped}' | dd of=flipped.ode2 bs=1 seek=${offset} conv=notrunc 2>/dev/null")
 run(1 "FIRST BAD: block 0" inspect --in flipped.ode2)
+# Every other reader refuses the damaged copy too: the commands that
+# materialize it and the ones that scan it in place.
+set(bad_block "flipped.ode2: ode2 store: block 0 CRC mismatch")
+run_err(1 "${bad_block}" filter --in flipped.ode2 --out flipped_clean.ode2)
+run_err(1 "${bad_block}" summary --in flipped.ode2)
+run_err(1 "${bad_block}" export --in flipped.ode2 --csv flipped.csv)
+run_err(1 "${bad_block}" detect --in flipped.ode2)
+run_err(1 "${bad_block}" flow-impact --in flipped.ode2 --days 2)
 
 # Half the file: the strict open fails and salvage reports what it kept.
 file(SIZE ${WORK}/e.ode2 size)

@@ -125,7 +125,9 @@ class MappedEventStore {
 
   /// Full materialization, for callers that need an in-memory
   /// EventDataset. The result equals the dataset the archive was written
-  /// from, event for event.
+  /// from, event for event. Every block is CRC-checked, and a mismatch
+  /// ("block k CRC mismatch") or a row starting outside the day window
+  /// throws std::runtime_error.
   telescope::EventDataset to_dataset() const;
 
   /// Calls fn(const BlockView&) for blocks whose zone map intersects
@@ -235,10 +237,13 @@ class MappedEventStore {
     row.end = net::SimTime::at(net::Duration::nanos(view.end_ns[i]));
     row.packets = view.packets[i];
     row.unique_dests = view.unique_dests[i];
-    if (row.day() < footer_.first_day || row.day() > footer_.last_day) {
-      row_outside_window(view.first_row + i);
-    }
+    check_window(row.day(), view.first_row + i);
     return row;
+  }
+  /// Throws unless `day`, the start day of global row `row`, lies in
+  /// [first_day(), last_day()].
+  void check_window(std::int64_t day, std::uint64_t row) const {
+    if (day < footer_.first_day || day > footer_.last_day) row_outside_window(row);
   }
   [[noreturn]] static void row_outside_window(std::uint64_t row);
 

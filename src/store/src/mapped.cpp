@@ -135,9 +135,14 @@ telescope::EventDataset MappedEventStore::to_dataset() const {
   std::vector<telescope::DarknetEvent> events;
   events.reserve(event_count());
   for (std::size_t k = 0; k < footer_.blocks.size(); ++k) {
+    if (!detail::block_crc_ok(detail::kOde2, file_.data() + footer_.blocks[k].offset,
+                              header_.block_rows(k), footer_.blocks[k].crc)) {
+      detail::fail(detail::kOde2, "block " + std::to_string(k) + " CRC mismatch");
+    }
     const BlockView view = block(k);
     for (std::size_t i = 0; i < view.rows(); ++i) {
       events.push_back(view.event(i));
+      check_window(events.back().day(), view.first_row + i);
     }
   }
   return telescope::EventDataset(std::move(events), header_.param);

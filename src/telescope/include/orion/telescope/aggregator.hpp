@@ -9,7 +9,7 @@
 #include "orion/netbase/flat_map.hpp"
 #include "orion/netbase/prefix.hpp"
 #include "orion/packet/batch.hpp"
-#include "orion/stats/hyperloglog.hpp"
+#include "orion/stats/cardinality.hpp"
 #include "orion/telescope/event.hpp"
 
 namespace orion::telescope {
@@ -21,12 +21,6 @@ struct AggregatorConfig {
   /// Inactivity period after which an event is considered ended (see
   /// timeout.hpp for the derivation used by the scenarios).
   net::Duration timeout = net::Duration::minutes(10);
-  /// Unique-destination tracking stays exact up to this many distinct
-  /// destinations per event, then degrades to an HLL estimate. The default
-  /// keeps the Definition-1 10%-dispersion decision exact for darknets up
-  /// to ~160k addresses.
-  std::size_t exact_dest_limit = 16384;
-  int hll_precision = 12;
   /// How often (in event time) the lazy expiry sweep runs.
   net::Duration sweep_interval = net::Duration::minutes(5);
   /// Slots pre-reserved in the live-event table (hot per-packet map);
@@ -95,11 +89,13 @@ class EventAggregator {
   std::uint64_t darknet_size() const { return dark_space_.total_addresses(); }
 
   /// Snapshots the full aggregator state (live-event table, per-event
-  /// cardinality estimators, counters, stream clock) so a killed process
-  /// resumes mid-capture. Restore verifies the snapshot was taken under
-  /// the same configuration and dark space (std::runtime_error
-  /// otherwise, and for a snapshot that repeats a live-event key); the
-  /// sink is NOT serialized — the restoring caller wires its own.
+  /// destination sets, counters, stream clock) so a killed process
+  /// resumes mid-capture: the AGG2 section (DESIGN.md §8.1). Restore
+  /// verifies the snapshot was taken under the same configuration and
+  /// dark space (std::runtime_error otherwise, and for a snapshot that
+  /// repeats a live-event key or holds a destination set that cannot
+  /// exist); the sink is NOT serialized — the restoring caller wires its
+  /// own.
   void checkpoint(CheckpointWriter& writer) const;
   void restore(CheckpointReader& reader);
 
@@ -111,9 +107,7 @@ class EventAggregator {
     ToolPackets packets_by_tool{};
     stats::CardinalityEstimator dests;
 
-    LiveEvent(std::uint64_t darknet_size, std::size_t exact_limit,
-              int hll_precision)
-        : dests(darknet_size, exact_limit, hll_precision) {}
+    explicit LiveEvent(std::uint64_t darknet_size) : dests(darknet_size) {}
   };
 
   void emit(const EventKey& key, const LiveEvent& live);

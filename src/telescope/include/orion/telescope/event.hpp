@@ -44,8 +44,9 @@ constexpr std::size_t tool_index(pkt::ScanTool t) {
   return static_cast<std::size_t>(t);
 }
 
-/// A completed darknet event. `unique_dests` is exact for events below the
-/// aggregator's exact-tracking limit and an HLL estimate above it.
+/// A completed darknet event. `unique_dests` is the exact number of
+/// distinct dark-space addresses the event touched, never more than the
+/// darknet size, so dispersion() is at most 1.
 struct DarknetEvent {
   EventKey key;
   net::SimTime start;

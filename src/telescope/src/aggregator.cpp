@@ -1,6 +1,7 @@
 #include "orion/telescope/aggregator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -12,7 +13,7 @@ namespace orion::telescope {
 
 namespace {
 
-constexpr std::uint64_t kAggregatorTag = checkpoint_tag('A', 'G', 'G', '1');
+constexpr std::uint64_t kAggregatorTag = checkpoint_tag('A', 'G', 'G', '2');
 
 }  // namespace
 
@@ -153,10 +154,7 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
     const std::size_t new_bucket = static_cast<std::size_t>(g - base_granule_);
     if (live == nullptr) {
       live = live_
-                 .try_emplace_hashed(key, hash,
-                                     LiveEvent(dark_space_.total_addresses(),
-                                               config_.exact_dest_limit,
-                                               config_.hll_precision))
+                 .try_emplace_hashed(key, hash, LiveEvent(dark_space_.total_addresses()))
                  .first;
       live->start = ts;
       wheel_[new_bucket].emplace_back(key, hash);
@@ -341,7 +339,7 @@ void EventAggregator::emit(const EventKey& key, const LiveEvent& live) {
   event.end = live.last_seen;
   event.packets = live.packets;
   event.packets_by_tool = live.packets_by_tool;
-  event.unique_dests = live.dests.estimate();
+  event.unique_dests = live.dests.size();
   ++events_emitted_;
   if (sink_) sink_(event);
 }
@@ -351,8 +349,6 @@ void EventAggregator::checkpoint(CheckpointWriter& writer) const {
   // Configuration echo: resuming under different parameters would
   // silently change event delimitation, so restore() verifies these.
   writer.i64(config_.timeout.total_nanos());
-  writer.u64(config_.exact_dest_limit);
-  writer.u64(static_cast<std::uint64_t>(config_.hll_precision));
   writer.i64(config_.sweep_interval.total_nanos());
   writer.u64(dark_space_.prefixes().size());
   for (const net::Prefix& p : dark_space_.prefixes()) {
@@ -378,6 +374,7 @@ void EventAggregator::checkpoint(CheckpointWriter& writer) const {
   });
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::uint64_t bitmap_words = (dark_space_.total_addresses() + 63) / 64;
   for (const auto& [key, live_ptr] : ordered) {
     const LiveEvent& live = *live_ptr;
     writer.u64(key.src.value());
@@ -387,11 +384,12 @@ void EventAggregator::checkpoint(CheckpointWriter& writer) const {
     writer.i64(live.last_seen.since_epoch().total_nanos());
     writer.u64(live.packets);
     for (const std::uint64_t t : live.packets_by_tool) writer.u64(t);
-    writer.u8(live.dests.is_exact() ? 0 : 1);
-    const std::vector<std::uint64_t> exact = live.dests.exact_keys();  // ascending
-    writer.u64(exact.size());
-    writer.u64s(exact);
-    writer.bytes(live.dests.sketch().registers());
+    // The destination set in its smaller form, which its count decides:
+    // the ascending offsets while there are fewer of them than bitmap
+    // words, else the dark-space bitmap.
+    writer.u64(live.dests.size());
+    writer.u64s(live.dests.size() < bitmap_words ? live.dests.keys()
+                                                 : live.dests.words());
   }
 }
 
@@ -399,9 +397,6 @@ void EventAggregator::restore(CheckpointReader& reader) {
   reader.expect_tag(kAggregatorTag, "EventAggregator");
   const bool config_matches =
       net::Duration::nanos(reader.i64("timeout")) == config_.timeout &&
-      reader.u64("exact dest limit") == config_.exact_dest_limit &&
-      reader.u64("hll precision") ==
-          static_cast<std::uint64_t>(config_.hll_precision) &&
       net::Duration::nanos(reader.i64("sweep interval")) ==
           config_.sweep_interval;
   if (!config_matches) {
@@ -428,11 +423,15 @@ void EventAggregator::restore(CheckpointReader& reader) {
   ignored_out_of_space_ = reader.u64("ignored out of space");
   ignored_non_scanning_ = reader.u64("ignored non scanning");
   events_emitted_ = reader.u64("events emitted");
-  // Six u64 fields (the exact-key count among them), two single-byte
-  // fields, the per-tool packet counts and the 2^p HLL registers.
-  const std::size_t live_event_bytes = 6 * 8 + 2 + sizeof(ToolPackets) +
-                                       (std::size_t{1} << config_.hll_precision);
+  // Six u64 fields (the destination count among them), the type byte
+  // and the per-tool packet counts.
+  const std::size_t live_event_bytes = 6 * 8 + 1 + sizeof(ToolPackets);
   const std::uint64_t live_count = reader.count("live event count", live_event_bytes);
+  const std::uint64_t darknet = dark_space_.total_addresses();
+  const std::uint64_t bitmap_words = (darknet + 63) / 64;
+  // Bits of the last bitmap word past the darknet's last offset.
+  const std::uint64_t padding =
+      darknet % 64 == 0 ? 0 : ~std::uint64_t{0} << (darknet % 64);
   live_.clear();
   live_.reserve(static_cast<std::size_t>(live_count));
   for (std::uint64_t i = 0; i < live_count; ++i) {
@@ -444,39 +443,49 @@ void EventAggregator::restore(CheckpointReader& reader) {
       throw std::runtime_error("checkpoint: bad traffic type");
     }
     key.type = static_cast<pkt::TrafficType>(type);
-    LiveEvent live(dark_space_.total_addresses(), config_.exact_dest_limit,
-                   config_.hll_precision);
+    LiveEvent live(darknet);
     live.start = net::SimTime::at(net::Duration::nanos(reader.i64("event start")));
     live.last_seen =
         net::SimTime::at(net::Duration::nanos(reader.i64("event last seen")));
     live.packets = reader.u64("event packets");
     for (std::uint64_t& t : live.packets_by_tool) t = reader.u64("tool packets");
-    const bool promoted = reader.u8("estimator promoted") != 0;
-    const std::uint64_t exact_count = reader.u64("exact key count");
-    if (exact_count > config_.exact_dest_limit) {
-      throw std::runtime_error("checkpoint: exact key count over limit");
+    // The count decides the form the writer chose, so both forms must
+    // agree with it: a list strictly ascending (a repeat would restore a
+    // smaller set than the one checkpointed) and below the darknet size,
+    // a bitmap with that many bits set and none past the dark space.
+    const std::uint64_t count = reader.u64("destination count");
+    if (count > darknet) {
+      throw std::runtime_error("checkpoint: destination count above the darknet size");
     }
-    if (promoted && exact_count != 0) {
-      throw std::runtime_error("checkpoint: promoted estimator lists exact keys");
-    }
-    // The writer's canonical order is strictly ascending; a repeat would
-    // otherwise restore a smaller exact set than the one checkpointed.
-    // Keys are dark-space offsets, so none reaches the darknet size.
-    std::vector<std::uint64_t> exact;
-    exact.reserve(static_cast<std::size_t>(exact_count));
-    for (std::uint64_t k = 0; k < exact_count; ++k) {
-      const std::uint64_t key = reader.u64("exact key");
-      if (!exact.empty() && key <= exact.back()) {
-        throw std::runtime_error("checkpoint: exact keys not strictly ascending");
+    if (count < bitmap_words) {
+      std::uint64_t last = 0;
+      for (std::uint64_t k = 0; k < count; ++k) {
+        const std::uint64_t offset = reader.u64("destination offset");
+        if (offset >= darknet) {
+          throw std::runtime_error("checkpoint: destination offset outside the dark space");
+        }
+        if (k > 0 && offset <= last) {
+          throw std::runtime_error("checkpoint: destination offsets not strictly ascending");
+        }
+        live.dests.add(offset);
+        last = offset;
       }
-      if (key >= dark_space_.total_addresses()) {
-        throw std::runtime_error("checkpoint: exact key outside the dark space");
+    } else {
+      std::uint64_t set_bits = 0;
+      for (std::uint64_t w = 0; w < bitmap_words; ++w) {
+        const std::uint64_t word = reader.u64("destination bitmap word");
+        if (w + 1 == bitmap_words && (word & padding) != 0) {
+          throw std::runtime_error("checkpoint: destination bitmap sets a bit past the dark space");
+        }
+        set_bits += static_cast<std::uint64_t>(std::popcount(word));
+        for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
+          live.dests.add(w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits)));
+        }
       }
-      exact.push_back(key);
+      if (set_bits != count) {
+        throw std::runtime_error("checkpoint: destination bitmap popcount differs from its count");
+      }
     }
-    stats::HyperLogLog sketch(config_.hll_precision);
-    sketch.set_registers(reader.bytes(sketch.registers().size(), "hll registers"));
-    live.dests.restore(promoted, exact, std::move(sketch));
     if (!live_.try_emplace(key, std::move(live)).second) {
       throw std::runtime_error("checkpoint: duplicate live event key");
     }

@@ -1,6 +1,7 @@
 #include "orion/telescope/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -163,9 +164,29 @@ std::uint64_t CheckpointReader::count(const char* what,
   return n;
 }
 
+namespace {
+
+/// A section tag as its four characters, or in hex when it is not four
+/// printable ones.
+std::string tag_text(std::uint64_t tag) {
+  std::string text;
+  for (int i = 0; i < 4; ++i) text += static_cast<char>(tag >> (8 * i));
+  const bool printable = tag >> 32 == 0 && std::all_of(text.begin(), text.end(), [](char c) {
+                           return c >= 0x20 && c <= 0x7e;
+                         });
+  if (printable) return text;
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%llx", static_cast<unsigned long long>(tag));
+  return hex;
+}
+
+}  // namespace
+
 void CheckpointReader::expect_tag(std::uint64_t expected, const char* component) {
-  if (u64("section tag") != expected) {
-    fail(std::string("wrong section tag for ") + component);
+  const std::uint64_t found = u64("section tag");
+  if (found != expected) {
+    fail(std::string("wrong section tag for ") + component + ": expected " +
+         tag_text(expected) + ", found " + tag_text(found));
   }
 }
 

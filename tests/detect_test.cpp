@@ -780,7 +780,7 @@ TEST(DayClose, PinnedShardedCheckpointBytes) {
   while (auto p = generator.next()) packets.push_back(*p);
 
   const std::pair<std::size_t, std::uint32_t> pins[] = {
-      {1, 0xe0a2d159u}, {2, 0x8b31e7f0u}, {3, 0xa24d91abu}, {5, 0xaf5fdb10u}};
+      {1, 0x8e1d70f4u}, {2, 0xc91d5c0au}, {3, 0xd504ddedu}, {5, 0xc18bf823u}};
   for (const auto& [shards, pin] : pins) {
     telescope::ParallelConfig config;
     config.shards = shards;

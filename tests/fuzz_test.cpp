@@ -1,5 +1,5 @@
 // Seeded, structure-aware fuzzing of the ODE2 and FDE1 readers, of the
-// NetFlow v5 decoders, of the aggregator's AGG1 checkpoint restore and of
+// NetFlow v5 decoders, of the aggregator's AGG2 checkpoint restore and of
 // the OMF1 archive manifest load (label fuzz; `ctest --preset fuzz` runs
 // it under asan-ubsan).
 //
@@ -28,13 +28,16 @@
 // same packets with the same rows field for field, a rejected _into
 // must append nothing, and ingest_flow_batch must count exactly the
 // packets decode_netflow_v5 rejects.
-// AGG1 inputs are an aggregator checkpoint with one small, one
-// bitmap-form and one promoted live event, mutated by bit flips,
-// truncation, lying key and event counts, keys at or past the darknet
-// size, out-of-order keys, flipped promoted flags and keys moved within
-// their neighbours, three in four with the frame CRC resealed. Restore must succeed or throw
-// std::runtime_error, and after a success checkpoint -> restore ->
-// checkpoint must be byte-stable.
+// AGG2 inputs are an aggregator checkpoint over a dark space whose size
+// is not a multiple of 64, with live events on both sides of the
+// list/bitmap boundary (destination counts 3, 32, 33 and 300 against a
+// 33-word bitmap), mutated by bit flips, truncation, lying destination
+// counts (among them 32, 33 and 34) and event counts, offsets at or past
+// the darknet size, out-of-order offsets, set padding bits, bitmap bits
+// flipped so the popcount leaves the count (or the count follows), and
+// offsets moved within their neighbours, three in four with the frame CRC
+// resealed. Restore must succeed or throw std::runtime_error, and after a
+// success checkpoint -> restore -> checkpoint must be byte-stable.
 // OMF1 inputs are an archive manifest with three entries from two
 // publishes, mutated by bit flips, truncation, lying entry counts and
 // string lengths, lying generations and sizes, entry files that contain
@@ -279,9 +282,9 @@ void finishes_or_throws(const std::string& what, const char* step,
 
 /// At least a fifth of the inputs must pass the strict open, or the
 /// fuzzer only exercises the CRC and geometry checks.
-void expect_reach(const char* format, std::size_t opened, std::size_t inputs) {
-  std::printf("[fuzz] %s: %zu of %zu inputs passed the strict open\n", format,
-              opened, inputs);
+void expect_reach(const char* format, std::size_t opened, std::size_t inputs,
+                  const char* passed = "passed the strict open") {
+  std::printf("[fuzz] %s: %zu of %zu inputs %s\n", format, opened, inputs, passed);
   EXPECT_GE(opened * 5, inputs) << format;
 }
 
@@ -787,25 +790,26 @@ TEST(Fuzz, Netflow5SeededMutations) {
   EXPECT_LT(decodes, kIterations);
 }
 
-// ------------------------------------------------------------------ AGG1
+// ------------------------------------------------------------------ AGG2
 
-/// A two-prefix dark space of 4,096 addresses: one chunk, whose array
-/// holds up to 64 keys before it becomes a 512-byte bitmap.
-net::PrefixSet agg1_dark_space() {
+/// A two-prefix dark space of 2,080 addresses: one chunk, whose array
+/// holds up to 64 keys before it becomes a bitmap. Its checkpoint bitmap
+/// takes 33 words, the last with 32 bits past the dark space.
+net::PrefixSet agg2_dark_space() {
   return net::PrefixSet({*net::Prefix::parse("10.20.0.0/21"),
-                         *net::Prefix::parse("10.30.0.0/21")});
+                         *net::Prefix::parse("10.30.0.0/27")});
 }
+constexpr std::uint64_t kAgg2Darknet = 2080;
+constexpr std::uint64_t kAgg2Words = (kAgg2Darknet + 63) / 64;
 
-telescope::AggregatorConfig agg1_config() {
+telescope::AggregatorConfig agg2_config() {
   telescope::AggregatorConfig config;
   config.timeout = net::Duration::hours(1);
-  config.exact_dest_limit = 600;
-  config.hll_precision = 4;
   config.live_reserve = 16;
   return config;
 }
 
-std::vector<std::uint8_t> agg1_frame(const telescope::EventAggregator& agg) {
+std::vector<std::uint8_t> agg2_frame(const telescope::EventAggregator& agg) {
   telescope::CheckpointWriter writer;
   agg.checkpoint(writer);
   std::vector<std::uint8_t> frame;
@@ -813,22 +817,23 @@ std::vector<std::uint8_t> agg1_frame(const telescope::EventAggregator& agg) {
   return frame;
 }
 
-/// An aggregator checkpoint with three live events: one with 3 exact
-/// destinations, one with 300 (bitmap form) and one promoted past 600.
-std::vector<std::uint8_t> agg1_base_frame() {
-  telescope::EventAggregator agg(agg1_dark_space(), agg1_config(), {});
-  const net::PrefixSet dark = agg1_dark_space();
-  std::mt19937_64 rng(17);
+/// An aggregator checkpoint with four live events on both sides of the
+/// list/bitmap boundary: 3 and 32 destinations (offset lists), 33 and
+/// 300 (bitmaps).
+std::vector<std::uint8_t> agg2_base_frame() {
+  telescope::EventAggregator agg(agg2_dark_space(), agg2_config(), {});
+  const net::PrefixSet dark = agg2_dark_space();
   const std::pair<std::uint32_t, std::uint64_t> scans[] = {
-      {0xCB007101u, 3}, {0xCB007102u, 300}, {0xCB007103u, 700}};
+      {0xCB007101u, 3}, {0xCB007102u, kAgg2Words - 1}, {0xCB007103u, kAgg2Words},
+      {0xCB007104u, 300}};
   pkt::PacketBatch batch;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
+  for (std::uint64_t i = 0; i < 300; ++i) {
     for (const auto& [src, dests] : scans) {
       if (i >= dests) continue;
       pkt::Packet p;
       p.timestamp = net::SimTime::at(net::Duration::seconds(static_cast<std::int64_t>(i)));
       p.tuple.src = net::Ipv4Address(src);
-      p.tuple.dst = dark.address_at(i * 4093 % dark.total_addresses());
+      p.tuple.dst = dark.address_at(i * 2027 % kAgg2Darknet);
       p.tuple.dst_port = 23;
       p.tuple.proto = net::IpProto::Tcp;
       p.tcp_flags = 0x02;  // SYN
@@ -836,50 +841,51 @@ std::vector<std::uint8_t> agg1_base_frame() {
     }
   }
   agg.observe_batch(batch);
-  return agg1_frame(agg);
+  return agg2_frame(agg);
 }
 
-/// Where the base AGG1 payload keeps each live event's promoted flag,
-/// exact-key count and keys (offsets into the payload).
-struct Agg1Layout {
+/// Where the base AGG2 payload keeps each live event's destination count
+/// and its offsets or bitmap words (offsets into the payload).
+struct Agg2Layout {
   std::size_t live_count = 0;
   struct Entry {
-    std::size_t promoted, count, first_key;
-    std::uint64_t keys;
+    std::size_t count, first;  // the count, the first offset or word
+    std::uint64_t dests;
+    bool bitmap() const { return dests >= kAgg2Words; }
+    std::size_t items() const { return bitmap() ? kAgg2Words : dests; }
   };
   std::vector<Entry> entries;
 };
 
 constexpr std::size_t kFrameHead = 4 + 8 + 8;  // magic, version, length
 
-Agg1Layout agg1_layout(const std::vector<std::uint8_t>& frame) {
+Agg2Layout agg2_layout(const std::vector<std::uint8_t>& frame) {
   const std::string payload(frame.begin() + kFrameHead, frame.end() - 4);
-  const std::uint64_t prefixes = load(payload, 8 + 4 * 8);
-  Agg1Layout layout;
-  layout.live_count = 8 + 4 * 8 + 8 + prefixes * 16 + 1 + 2 * 8 + 5 * 8;
+  const std::uint64_t prefixes = load(payload, 8 + 2 * 8);
+  Agg2Layout layout;
+  layout.live_count = 8 + 2 * 8 + 8 + prefixes * 16 + 1 + 2 * 8 + 5 * 8;
   std::size_t at = layout.live_count + 8;
   for (std::uint64_t e = load(payload, layout.live_count); e > 0; --e) {
     at += 8 + 8 + 1 + 3 * 8 + sizeof(telescope::ToolPackets);
-    Agg1Layout::Entry entry{at, at + 1, at + 9, load(payload, at + 1)};
+    Agg2Layout::Entry entry{at, at + 8, load(payload, at)};
     layout.entries.push_back(entry);
-    at = entry.first_key + 8 * entry.keys + (std::size_t{1} << agg1_config().hll_precision);
+    at = entry.first + 8 * entry.items();
   }
   return layout;
 }
 
-/// The mutation of iteration `i` of a base AGG1 frame, drawn from kSeed + i.
-std::vector<std::uint8_t> mutate_agg1(const std::vector<std::uint8_t>& frame,
-                                      const Agg1Layout& layout, std::size_t i) {
+/// The mutation of iteration `i` of a base AGG2 frame, drawn from kSeed + i.
+std::vector<std::uint8_t> mutate_agg2(const std::vector<std::uint8_t>& frame,
+                                      const Agg2Layout& layout, std::size_t i) {
   std::mt19937_64 rng(kSeed + i);
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng() % n);
   };
   std::string payload(frame.begin() + kFrameHead, frame.end() - 4);
-  const std::uint64_t universe = agg1_dark_space().total_addresses();
-  const Agg1Layout::Entry& entry = layout.entries[pick(layout.entries.size())];
-  const std::size_t key_at =
-      entry.first_key + 8 * (entry.keys == 0 ? 0 : pick(entry.keys));
-  switch (pick(8)) {
+  const Agg2Layout::Entry& entry = layout.entries[pick(layout.entries.size())];
+  const std::size_t item_at = entry.first + 8 * pick(entry.items());
+  const std::size_t last_word = entry.first + 8 * (kAgg2Words - 1);
+  switch (pick(9)) {
     case 0:  // bit flips anywhere
       for (std::size_t n = 1 + pick(4); n > 0; --n) {
         payload[pick(payload.size())] ^= static_cast<char>(1u << pick(8));
@@ -888,38 +894,56 @@ std::vector<std::uint8_t> mutate_agg1(const std::vector<std::uint8_t>& frame,
     case 1:  // truncation
       payload.resize(pick(payload.size()));
       break;
-    case 2: {  // a lying exact-key count
-      const std::uint64_t lies[] = {entry.keys + 1, entry.keys - 1, 0, 600, 601,
-                                    entry.keys + (std::uint64_t{1} << 61), rng()};
-      store_u64(payload, entry.count, lies[pick(7)]);
+    case 2: {  // a lying count, around the list/bitmap boundary among others
+      const std::uint64_t lies[] = {kAgg2Words - 1, kAgg2Words, kAgg2Words + 1,
+                                    entry.dests + 1, entry.dests - 1, 0,
+                                    kAgg2Darknet, kAgg2Darknet + 1,
+                                    entry.dests + (std::uint64_t{1} << 61), rng()};
+      store_u64(payload, entry.count, lies[pick(10)]);
       break;
     }
-    case 3: {  // a key at or past the darknet size
-      if (entry.keys == 0) break;
-      const std::uint64_t keys[] = {universe, universe + 1, std::uint64_t{1} << 16,
-                                    std::uint64_t{1} << 32, ~std::uint64_t{0}, rng()};
-      store_u64(payload, key_at, keys[pick(6)]);
+    case 3: {  // an offset at or past the darknet size
+      if (entry.bitmap()) break;
+      const std::uint64_t offsets[] = {kAgg2Darknet, kAgg2Darknet + 1, std::uint64_t{1} << 16,
+                                       std::uint64_t{1} << 32, ~std::uint64_t{0}, rng()};
+      store_u64(payload, item_at, offsets[pick(6)]);
       break;
     }
-    case 4:  // a key out of order: the next one's value, or the previous one's
-      if (entry.keys < 2) break;
-      if (key_at + 8 < entry.first_key + 8 * entry.keys) {
-        store_u64(payload, key_at, load(payload, key_at + 8) + pick(2));
+    case 4:  // an offset out of order: the next one's value, or the previous one's
+      if (entry.bitmap() || entry.dests < 2) break;
+      if (item_at + 8 < entry.first + 8 * entry.dests) {
+        store_u64(payload, item_at, load(payload, item_at + 8) + pick(2));
       } else {
-        store_u64(payload, key_at, load(payload, key_at - 8) - pick(2));
+        store_u64(payload, item_at, load(payload, item_at - 8) - pick(2));
       }
       break;
-    case 5:  // a flipped promoted flag
-      payload[entry.promoted] = static_cast<char>(pick(2) == 0 ? payload[entry.promoted] ^ 1
-                                                               : static_cast<char>(rng()));
+    case 5:  // a set padding bit, alone or with the count raised to match
+      if (!entry.bitmap()) break;
+      store_u64(payload, last_word,
+                load(payload, last_word) |
+                    std::uint64_t{1} << (kAgg2Darknet % 64 + pick(64 - kAgg2Darknet % 64)));
+      if (pick(2) == 0) store_u64(payload, entry.count, entry.dests + 1);
       break;
-    case 6: {  // a valid key set: one key moved strictly between its neighbours
-      if (entry.keys == 0) break;
-      const bool first = key_at == entry.first_key;
-      const bool last = key_at + 8 == entry.first_key + 8 * entry.keys;
-      const std::uint64_t lo = first ? 0 : load(payload, key_at - 8) + 1;
-      const std::uint64_t hi = last ? universe : load(payload, key_at + 8);
-      store_u64(payload, key_at, lo + rng() % (hi - lo));
+    case 6: {  // one bit flipped inside the dark space: a popcount unlike
+               // the count, or the count moved to match
+      if (!entry.bitmap()) break;
+      const std::uint64_t offset = pick(kAgg2Darknet);
+      const std::size_t word_at = entry.first + 8 * (offset / 64);
+      const std::uint64_t bit = std::uint64_t{1} << (offset % 64);
+      const std::uint64_t word = load(payload, word_at) ^ bit;
+      store_u64(payload, word_at, word);
+      if (pick(2) == 0) {
+        store_u64(payload, entry.count, (word & bit) != 0 ? entry.dests + 1 : entry.dests - 1);
+      }
+      break;
+    }
+    case 7: {  // a valid set: one offset moved strictly between its neighbours
+      if (entry.bitmap()) break;
+      const bool first = item_at == entry.first;
+      const bool last = item_at + 8 == entry.first + 8 * entry.dests;
+      const std::uint64_t lo = first ? 0 : load(payload, item_at - 8) + 1;
+      const std::uint64_t hi = last ? kAgg2Darknet : load(payload, item_at + 8);
+      store_u64(payload, item_at, lo + rng() % (hi - lo));
       break;
     }
     default:  // a lying live-event count
@@ -942,9 +966,9 @@ std::vector<std::uint8_t> mutate_agg1(const std::vector<std::uint8_t>& frame,
 
 /// Restore succeeds or throws std::runtime_error; after a success,
 /// checkpoint -> restore -> checkpoint is byte-stable. True on success.
-bool expect_agg1_properties(const std::vector<std::uint8_t>& frame,
+bool expect_agg2_properties(const std::vector<std::uint8_t>& frame,
                             const std::string& what) {
-  telescope::EventAggregator agg(agg1_dark_space(), agg1_config(), {});
+  telescope::EventAggregator agg(agg2_dark_space(), agg2_config(), {});
   try {
     telescope::CheckpointReader reader(frame);
     agg.restore(reader);
@@ -954,30 +978,34 @@ bool expect_agg1_properties(const std::vector<std::uint8_t>& frame,
     ADD_FAILURE() << what << ": restore threw a non-runtime_error: " << e.what();
     return false;
   }
-  const std::vector<std::uint8_t> once = agg1_frame(agg);
-  telescope::EventAggregator again(agg1_dark_space(), agg1_config(), {});
+  const std::vector<std::uint8_t> once = agg2_frame(agg);
+  telescope::EventAggregator again(agg2_dark_space(), agg2_config(), {});
   telescope::CheckpointReader reader(once);
   again.restore(reader);
-  EXPECT_EQ(agg1_frame(again), once) << what;
+  EXPECT_EQ(agg2_frame(again), once) << what;
   return true;
 }
 
-TEST(Fuzz, Agg1SeededMutations) {
-  const std::vector<std::uint8_t> base = agg1_base_frame();
-  const Agg1Layout layout = agg1_layout(base);
-  ASSERT_EQ(layout.entries.size(), 3u);
-  // Key order: the 3-, 300- and 700-destination scans.
-  EXPECT_EQ(layout.entries[0].keys, 3u);
-  EXPECT_EQ(layout.entries[1].keys, 300u);
-  EXPECT_EQ(layout.entries[2].keys, 0u);
-  EXPECT_EQ(base[kFrameHead + layout.entries[2].promoted], 1u);
-  ASSERT_TRUE(expect_agg1_properties(base, "agg1 base"));
+TEST(Fuzz, Agg2SeededMutations) {
+  ASSERT_EQ(agg2_dark_space().total_addresses(), kAgg2Darknet);
+  const std::vector<std::uint8_t> base = agg2_base_frame();
+  const Agg2Layout layout = agg2_layout(base);
+  ASSERT_EQ(layout.entries.size(), 4u);
+  // Key order: the 3-, 32-, 33- and 300-destination scans.
+  EXPECT_EQ(layout.entries[0].dests, 3u);
+  EXPECT_EQ(layout.entries[1].dests, kAgg2Words - 1);
+  EXPECT_EQ(layout.entries[2].dests, kAgg2Words);
+  EXPECT_EQ(layout.entries[3].dests, 300u);
+  EXPECT_FALSE(layout.entries[1].bitmap());
+  EXPECT_TRUE(layout.entries[2].bitmap());
+  ASSERT_EQ(base.size(), kFrameHead + layout.entries[3].first + 8 * kAgg2Words + 4);
+  ASSERT_TRUE(expect_agg2_properties(base, "agg2 base"));
   std::size_t restored = 0;
   for (std::size_t i = 0; i < kIterations; ++i) {
-    restored += expect_agg1_properties(mutate_agg1(base, layout, i),
-                                       "agg1 iteration " + std::to_string(i));
+    restored += expect_agg2_properties(mutate_agg2(base, layout, i),
+                                       "agg2 iteration " + std::to_string(i));
   }
-  expect_reach("agg1", restored, kIterations);
+  expect_reach("agg2", restored, kIterations, "restored");
 }
 
 // ------------------------------------------------------------------ OMF1

@@ -22,7 +22,7 @@
 #include "orion/packet/batch.hpp"
 #include "orion/scangen/packet_gen.hpp"
 #include "orion/scangen/scenario.hpp"
-#include "orion/stats/hyperloglog.hpp"
+#include "orion/stats/cardinality.hpp"
 #include "orion/telescope/capture.hpp"
 #include "orion/telescope/checkpoint.hpp"
 #include "orion/telescope/parallel.hpp"
@@ -618,39 +618,30 @@ TEST(CardinalityEstimatorFlatSet, MatchesReferenceSetAndOrderInvariant) {
   std::shuffle(shuffled.begin(), shuffled.end(), rng);
 
   constexpr std::uint64_t kUniverse = std::uint64_t{1} << 20;
-  for (const std::size_t limit : {std::size_t{64}, std::size_t{4096}}) {
-    stats::CardinalityEstimator forward(kUniverse, limit);
-    stats::CardinalityEstimator reordered(kUniverse, limit);
-    std::vector<std::uint64_t> reference;
-    for (const std::uint64_t k : keys) {
-      forward.add(k);
-      if (std::find(reference.begin(), reference.end(), k) == reference.end()) {
-        reference.push_back(k);
-      }
+  stats::CardinalityEstimator forward(kUniverse);
+  stats::CardinalityEstimator reordered(kUniverse);
+  std::vector<std::uint64_t> reference;
+  for (const std::uint64_t k : keys) {
+    forward.add(k);
+    if (std::find(reference.begin(), reference.end(), k) == reference.end()) {
+      reference.push_back(k);
     }
-    for (const std::uint64_t k : shuffled) reordered.add(k);
-
-    EXPECT_EQ(forward.is_exact(), reference.size() <= limit);
-    EXPECT_EQ(forward.is_exact(), reordered.is_exact());
-    // Insertion order must not matter — exact phase or promoted sketch.
-    EXPECT_EQ(forward.estimate(), reordered.estimate());
-    if (forward.is_exact()) {
-      EXPECT_EQ(forward.estimate(), reference.size());
-      std::vector<std::uint64_t> got = forward.exact_keys();
-      std::sort(got.begin(), got.end());
-      std::sort(reference.begin(), reference.end());
-      EXPECT_EQ(got, reference);
-    } else {
-      EXPECT_EQ(forward.sketch().registers(), reordered.sketch().registers());
-    }
-
-    // restore() round-trips the flat set through the checkpoint shape.
-    stats::CardinalityEstimator restored(kUniverse, limit);
-    restored.restore(!forward.is_exact(), forward.exact_keys(),
-                     forward.sketch());
-    EXPECT_EQ(restored.estimate(), forward.estimate());
-    restored.add(999999);  // stays usable after restore
   }
+  for (const std::uint64_t k : shuffled) reordered.add(k);
+
+  // Insertion order must not matter.
+  std::sort(reference.begin(), reference.end());
+  EXPECT_EQ(forward.size(), reference.size());
+  EXPECT_EQ(forward.keys(), reference);
+  EXPECT_EQ(reordered.keys(), reference);
+  EXPECT_EQ(forward.words(), reordered.words());
+
+  // A set rebuilt from its keys stays usable.
+  stats::CardinalityEstimator restored(kUniverse);
+  for (const std::uint64_t k : forward.keys()) restored.add(k);
+  EXPECT_EQ(restored.size(), forward.size());
+  restored.add(999999);
+  EXPECT_EQ(restored.size(), forward.size() + 1);
 }
 
 }  // namespace

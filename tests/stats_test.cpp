@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -11,7 +12,7 @@
 #include "orion/stats/bottomk.hpp"
 #include "orion/stats/coverage.hpp"
 #include "orion/stats/ecdf.hpp"
-#include "orion/stats/hyperloglog.hpp"
+#include "orion/stats/cardinality.hpp"
 #include "orion/stats/timeseries.hpp"
 #include "orion/stats/topk.hpp"
 #include "orion/stats/zipf.hpp"
@@ -134,51 +135,7 @@ TEST(Jaccard, KnownValues) {
   EXPECT_DOUBLE_EQ(jaccard(empty, empty), 1.0);
 }
 
-// -------------------------------------------------------------- HyperLogLog
-
-class HllAccuracy : public testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(HllAccuracy, WithinExpectedError) {
-  const std::uint64_t cardinality = GetParam();
-  HyperLogLog hll(12);
-  for (std::uint64_t i = 0; i < cardinality; ++i) hll.add(hll_hash(i * 2654435761));
-  const double estimate = hll.estimate();
-  // 1.04/sqrt(4096) ~ 1.6% standard error; allow 5 sigma.
-  EXPECT_NEAR(estimate, static_cast<double>(cardinality),
-              std::max(5.0, 0.09 * static_cast<double>(cardinality)));
-}
-
-INSTANTIATE_TEST_SUITE_P(Cardinalities, HllAccuracy,
-                         testing::Values(1, 10, 100, 1000, 10000, 100000, 500000));
-
-TEST(HyperLogLog, DuplicatesDoNotInflate) {
-  HyperLogLog hll(12);
-  for (int round = 0; round < 10; ++round) {
-    for (std::uint64_t i = 0; i < 1000; ++i) hll.add(hll_hash(i));
-  }
-  EXPECT_NEAR(hll.estimate(), 1000, 80);
-}
-
-TEST(HyperLogLog, MergeEqualsUnion) {
-  HyperLogLog a(12), b(12), u(12);
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    a.add(hll_hash(i));
-    u.add(hll_hash(i));
-  }
-  for (std::uint64_t i = 2500; i < 7500; ++i) {
-    b.add(hll_hash(i));
-    u.add(hll_hash(i));
-  }
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.estimate(), u.estimate());
-}
-
-TEST(HyperLogLog, RejectsBadPrecisionAndMismatchedMerge) {
-  EXPECT_THROW(HyperLogLog(3), std::invalid_argument);
-  EXPECT_THROW(HyperLogLog(19), std::invalid_argument);
-  HyperLogLog a(10), b(12);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
+// ----------------------------------------------------- CardinalityEstimator
 
 constexpr std::uint64_t kSlash17 = std::uint64_t{1} << 15;  // paper scenario
 // ORION-sized multi-prefix dark space: 7 whole chunks and one clipped to
@@ -187,34 +144,40 @@ constexpr std::uint64_t kOrion = 7 * 65536 + 16384;
 constexpr std::uint64_t kSlash8 = std::uint64_t{1} << 24;
 
 TEST(CardinalityEstimator, ExactBelowLimit) {
-  CardinalityEstimator est(kSlash17, 100);
+  CardinalityEstimator est(kSlash17);
   for (std::uint64_t i = 0; i < 100; ++i) {
     est.add(i);
     est.add(i);  // duplicates
   }
-  EXPECT_TRUE(est.is_exact());
-  EXPECT_EQ(est.estimate(), 100u);
+  EXPECT_EQ(est.size(), 100u);
 }
 
-TEST(CardinalityEstimator, PromotesToSketchAboveLimit) {
-  CardinalityEstimator est(kSlash17, 100, 12);
-  for (std::uint64_t i = 0; i < 20000; ++i) est.add(i);
-  EXPECT_FALSE(est.is_exact());
-  EXPECT_NEAR(static_cast<double>(est.estimate()), 20000.0, 1800.0);
+// No limit: every offset of the dark space counts, past the 16,384 keys
+// where the set once turned into a sketch.
+TEST(CardinalityEstimator, CountsEveryOffsetOfTheDarkSpace) {
+  for (const std::uint64_t universe : {kSlash17, kOrion}) {
+    CardinalityEstimator est(universe);
+    for (std::uint64_t i = 0; i < universe; ++i) est.add(universe - 1 - i);
+    EXPECT_EQ(est.size(), universe);
+    const std::vector<std::uint64_t> words = est.words();
+    EXPECT_EQ(words.size(), (universe + 63) / 64);
+    EXPECT_TRUE(std::all_of(words.begin(), words.end(),
+                            [](std::uint64_t w) { return w == ~std::uint64_t{0}; }));
+  }
 }
 
 TEST(CardinalityEstimator, KeysOutsideTheUniverseThrow) {
-  CardinalityEstimator est(64, 16);
+  CardinalityEstimator est(64);
   EXPECT_THROW(est.add(64), std::out_of_range);
-  EXPECT_THROW(est.restore(false, {0, 64}, HyperLogLog(12)), std::invalid_argument);
-  for (std::uint64_t k = 0; k < 64; ++k) est.add(k);  // promotes at 17
-  EXPECT_FALSE(est.is_exact());
+  for (std::uint64_t k = 0; k < 64; ++k) est.add(k);
+  EXPECT_EQ(est.size(), 64u);
   EXPECT_THROW(est.add(64), std::out_of_range);
+  EXPECT_EQ(est.size(), 64u);
 }
 
-// exact_keys() is the canonical order AGG1 writes: it must equal std::sort
-// of the same set for every dark-space size, from one chunk to 256, with
-// key 0 and the last offset included.
+// keys() is the canonical order AGG2 writes a sparse set in: it must
+// equal std::sort of the same set for every dark-space size, from one
+// chunk to 256, with key 0 and the last offset included.
 TEST(CardinalityEstimator, ExactKeysEqualStdSortOfTheSameSet) {
   std::mt19937_64 rng(59);
   for (const std::uint64_t universe : {std::uint64_t{2048}, kSlash17, kOrion,
@@ -229,11 +192,10 @@ TEST(CardinalityEstimator, ExactKeysEqualStdSortOfTheSameSet) {
       while (keys.size() < size) keys.insert(rng() % universe);
       std::vector<std::uint64_t> feed(keys.begin(), keys.end());
       std::shuffle(feed.begin(), feed.end(), rng);
-      CardinalityEstimator est(universe, 16384);
+      CardinalityEstimator est(universe);
       for (const std::uint64_t k : feed) est.add(k);
-      ASSERT_TRUE(est.is_exact());
       std::sort(feed.begin(), feed.end());
-      EXPECT_EQ(est.exact_keys(), feed) << universe << " offsets, size " << size;
+      EXPECT_EQ(est.keys(), feed) << universe << " offsets, size " << size;
     }
   }
 }
@@ -291,10 +253,18 @@ std::set<std::uint64_t> pattern_keys(std::uint64_t universe, int pattern,
   return keys;
 }
 
-// The exact phase against std::set over every dark-space size and key
-// pattern: ascending keys, the count, a checkpoint-shaped restore, and
-// promotion on the key past the limit with the registers a fresh sketch
-// gets from hashing the same set.
+/// The bitmap a dense set is checkpointed as, built bit by bit from the
+/// keys: (universe + 63) / 64 words.
+std::vector<std::uint64_t> reference_words(const std::set<std::uint64_t>& keys,
+                                           std::uint64_t universe) {
+  std::vector<std::uint64_t> words((universe + 63) / 64, 0);
+  for (const std::uint64_t k : keys) words[k / 64] |= std::uint64_t{1} << (k % 64);
+  return words;
+}
+
+// The set against std::set over every dark-space size and key pattern:
+// the count, ascending keys and the universe bitmap, and a set rebuilt
+// from each of its two checkpoint forms.
 TEST(CardinalityEstimator, MatchesStdSetAcrossDarkSpacesAndPatterns) {
   std::mt19937_64 rng(71);
   for (const std::uint64_t universe : {std::uint64_t{1}, std::uint64_t{64}, kSlash17,
@@ -307,60 +277,59 @@ TEST(CardinalityEstimator, MatchesStdSetAcrossDarkSpacesAndPatterns) {
       const std::string where =
           std::to_string(universe) + " offsets, pattern " + std::to_string(pattern);
 
-      CardinalityEstimator est(universe, keys.size());
+      CardinalityEstimator est(universe);
       for (const std::uint64_t k : feed) {
         est.add(k);
         est.add(k);  // a repeat never counts
       }
-      ASSERT_TRUE(est.is_exact()) << where;
-      EXPECT_EQ(est.estimate(), keys.size()) << where;
-      EXPECT_EQ(est.exact_keys(), sorted) << where;
+      EXPECT_EQ(est.size(), keys.size()) << where;
+      EXPECT_EQ(est.keys(), sorted) << where;
+      const std::vector<std::uint64_t> words = est.words();
+      EXPECT_EQ(words, reference_words(keys, universe)) << where;
 
-      CardinalityEstimator restored(universe, keys.size());
-      restored.restore(false, est.exact_keys(), est.sketch());
-      EXPECT_EQ(restored.exact_keys(), sorted) << where;
-      EXPECT_EQ(restored.estimate(), keys.size()) << where;
-
-      // Limit one below the set: exact until the last new key, promoted by it.
-      CardinalityEstimator limited(universe, keys.size() - 1);
-      for (std::size_t i = 0; i + 1 < feed.size(); ++i) limited.add(feed[i]);
-      ASSERT_TRUE(limited.is_exact()) << where;
-      limited.add(feed.back());
-      ASSERT_FALSE(limited.is_exact()) << where;
-      EXPECT_TRUE(limited.exact_keys().empty()) << where;
-      HyperLogLog reference(12);
-      for (const std::uint64_t k : keys) reference.add(hll_hash(k));
-      EXPECT_EQ(limited.sketch().registers(), reference.registers()) << where;
+      CardinalityEstimator from_keys(universe);
+      for (const std::uint64_t k : est.keys()) from_keys.add(k);
+      EXPECT_EQ(from_keys.words(), words) << where;
+      CardinalityEstimator from_words(universe);
+      for (std::size_t w = 0; w < words.size(); ++w) {
+        for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+          from_words.add(w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits)));
+        }
+      }
+      EXPECT_EQ(from_words.keys(), sorted) << where;
+      EXPECT_EQ(from_words.size(), keys.size()) << where;
     }
   }
 }
 
-// The stated memory bound at the default 16,384-key limit, about half of
-// the 256 KiB the open-addressing table it replaced reached: under
-// 136 KiB for dark spaces up to 2^20 offsets, under 128 KiB for a /8, and
-// on the paper scenario's /17 a 64-key array or one 4 KiB bitmap, plus
-// one 64-byte directory entry.
+// The stated memory bound. Up to 2^20 offsets a set never holds more
+// than the universe as bitmaps plus 64-key arrays and the directory:
+// under 136 KiB, and on the paper scenario's /17, where the sequential
+// pattern sweeps every offset, a 64-key array or one 4 KiB bitmap plus
+// one 64-byte directory entry. Above 2^20, Roaring's rule: 16,384 keys
+// over a /8 stay under 128 KiB, half of the 256 KiB the open-addressing
+// table the set replaced reached.
 TEST(CardinalityEstimator, ExactPhaseMemoryBound) {
-  constexpr std::size_t kLimit = 16384;
   std::mt19937_64 rng(73);
   for (const std::uint64_t universe : {std::uint64_t{1}, std::uint64_t{64}, kSlash17,
                                        kOrion, kSlash8}) {
     const std::size_t bound = universe == kSlash17 ? 4096 + 64
                               : universe == kSlash8 ? 128 * 1024
                                                     : 136 * 1024;
+    const std::size_t cap = universe == kSlash8 ? 16384 : 40000;
     for (int pattern = 0; pattern < 5; ++pattern) {
       std::vector<std::uint64_t> feed;
-      for (const std::uint64_t k : pattern_keys(universe, pattern, kLimit, rng)) {
+      for (const std::uint64_t k : pattern_keys(universe, pattern, cap, rng)) {
         feed.push_back(k);
       }
       std::shuffle(feed.begin(), feed.end(), rng);
-      CardinalityEstimator est(universe, kLimit);
+      CardinalityEstimator est(universe);
       std::size_t peak = 0;
       for (const std::uint64_t k : feed) {
         est.add(k);
-        peak = std::max(peak, est.exact_bytes());
+        peak = std::max(peak, est.memory_bytes());
       }
-      ASSERT_TRUE(est.is_exact());
+      EXPECT_EQ(est.size(), feed.size());
       EXPECT_LE(peak, bound) << universe << " offsets, pattern " << pattern;
     }
   }

@@ -556,6 +556,65 @@ TEST(ZeroCopyAnalysis, DarknetMixesMatchDatasetPath) {
   }
 }
 
+// to_dataset() materializes every row, so it CRC-checks every block: a
+// flipped byte in block 1 fails there, naming the block, where it once
+// came back as a dataset with one wrong field.
+TEST(MappedStore, ToDatasetRejectsABlockWhoseCrcFails) {
+  std::string bytes = ode2_bytes(sample_dataset(), 16);
+  bytes[kOde2HeaderBytes + ode2_block_bytes(16) + 5] ^= 0x10;  // block 1
+  const TempFile file(bytes);
+  const MappedEventStore store(file.path());
+  ASSERT_EQ(store.verify_blocks(), 1u);
+  try {
+    (void)store.to_dataset();
+    ADD_FAILURE() << "to_dataset() accepted a block whose CRC fails";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "ode2 store: block 1 CRC mismatch");
+  }
+}
+
+// A row whose start day lies outside the footer's window, under a
+// resealed block CRC: to_dataset() raises the error for_each_event
+// raises, where it once handed the row out.
+TEST(MappedStore, ToDatasetRejectsARowOutsideTheDayWindow) {
+  std::string bytes = ode2_bytes(sample_dataset(), 16);
+  // Block 1's start column comes first: row 16's start_ns, 400 days later.
+  const std::size_t block1 = kOde2HeaderBytes + ode2_block_bytes(16);
+  std::int64_t start_ns = 0;
+  std::memcpy(&start_ns, bytes.data() + block1, 8);
+  start_ns += net::Duration::days(400).total_nanos();
+  std::memcpy(bytes.data() + block1, &start_ns, 8);
+  // Reseal: block 1's CRC after the footer's window, counts, day index and
+  // seven block metas, then the footer CRC.
+  std::uint64_t footer = 0;
+  std::uint64_t days = 0;
+  std::memcpy(&footer, bytes.data() + 32, 8);
+  std::memcpy(&days, bytes.data() + footer + 16, 8);
+  const std::size_t crcs = footer + 32 + 8 * (days + 1) + kOde2BlockMetaBytes * 7;
+  const std::uint32_t block_crc =
+      test_pins::crc_of(bytes.substr(block1, ode2_block_bytes(16)));
+  std::memcpy(bytes.data() + crcs + 4, &block_crc, 4);
+  const std::uint32_t footer_crc = test_pins::crc_of(bytes, footer, 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &footer_crc, 4);
+
+  const TempFile file(bytes);
+  const MappedEventStore store(file.path());
+  ASSERT_EQ(store.verify_blocks(), store.block_count());
+  const std::string want = "ode2 store: row 16 starts outside the day window";
+  try {
+    (void)store.to_dataset();
+    ADD_FAILURE() << "to_dataset() handed out a row outside the day window";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+  try {
+    store.for_each_event([](const EventRow&) {});
+    ADD_FAILURE() << "for_each_event() handed out a row outside the day window";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+}
+
 // Block payloads are not CRC-checked on the strict open, so a row can
 // claim a start day outside the footer's window. Consumers index per-day
 // tables by it; the store refuses to hand such a row out.

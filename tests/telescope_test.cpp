@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <set>
@@ -93,6 +94,40 @@ TEST(EventAggregator, SingleScanYieldsOneEvent) {
   EXPECT_EQ(e.key.dst_port, 23);
   EXPECT_EQ(e.start, net::SimTime::epoch());
   EXPECT_EQ(e.end, net::SimTime::epoch() + net::Duration::seconds(255));
+}
+
+/// The event one source's sweep of the /17 10.8.0.0/17 leaves: `dests`
+/// distinct destinations in a shuffled order, 10 ms apart, all inside one
+/// 10-minute timeout.
+DarknetEvent sweep_of_a_slash17(std::size_t dests) {
+  const net::PrefixSet dark({*net::Prefix::parse("10.8.0.0/17")});
+  std::vector<std::uint64_t> order(dark.total_addresses());
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(5));
+  EventCollector collector;
+  EventAggregator agg(dark, fast_config(), collector.sink());
+  pkt::ProbeBuilder builder(ip("203.0.113.1"), pkt::ScanTool::ZMap, net::Rng(4));
+  for (std::size_t i = 0; i < dests; ++i) {
+    agg.observe(builder.tcp_syn(net::SimTime::epoch() +
+                                    net::Duration::millis(10 * static_cast<std::int64_t>(i)),
+                                dark.address_at(order[i]), 23));
+  }
+  agg.finish();
+  EXPECT_EQ(collector.events().size(), 1u);
+  return collector.events().empty() ? DarknetEvent{} : collector.events()[0];
+}
+
+// Destination counts are exact past 16,384, where the aggregator once
+// switched to an HLL estimate: every address of a /17 is the whole dark
+// space, dispersion 1.0.
+TEST(EventAggregator, SweepOfEveryAddressOfASlash17IsExact) {
+  const DarknetEvent e = sweep_of_a_slash17(32768);
+  EXPECT_EQ(e.unique_dests, 32768u);
+  EXPECT_DOUBLE_EQ(e.dispersion(32768), 1.0);
+}
+
+TEST(EventAggregator, TwentyThousandDestinationsCountExactly) {
+  EXPECT_EQ(sweep_of_a_slash17(20000).unique_dests, 20000u);
 }
 
 TEST(EventAggregator, TimeoutSplitsIdleScans) {
@@ -351,9 +386,11 @@ TEST(SynthVsAggregatorPopulation, EventCountsAgreeOnTinyScenario) {
 // observe() and observe_batch() share one expiry mechanism (the timing
 // wheel, DESIGN.md §11.3), so per-packet vs chunked equivalence cannot
 // catch a change to it. These references do not share its code: CRC-32
-// pins of the sink-order emission sequence and of the AGG1 bytes,
-// recorded while observe() still expired events with a full-table scan,
-// and a gap-split model of event delimitation.
+// pins of the sink-order emission sequence and of the aggregator's
+// checkpoint bytes, recorded while observe() still expired events with a
+// full-table scan (the checkpoint pins as AGG1, carried to AGG2 by a
+// transcoder that shares no code with the writer), and a gap-split model
+// of event delimitation.
 
 using test_pins::checkpoint_bytes;
 using test_pins::payload_crc;
@@ -430,14 +467,14 @@ void drive(const ExpiryFeed& feed, EventAggregator& agg, std::size_t batch_size,
 
 struct PinnedRun {
   std::uint32_t emitted = 0;                // sink-order event list codec
-  std::array<std::uint32_t, 3> agg1 = {};  // at 1/4, 1/2 and 3/4 of the feed
+  std::array<std::uint32_t, 3> agg = {};  // at 1/4, 1/2 and 3/4 of the feed
 
   bool operator==(const PinnedRun&) const = default;
 };
 
 std::ostream& operator<<(std::ostream& os, const PinnedRun& run) {
-  return os << std::hex << "emitted 0x" << run.emitted << " agg1 0x" << run.agg1[0]
-            << " 0x" << run.agg1[1] << " 0x" << run.agg1[2] << std::dec;
+  return os << std::hex << "emitted 0x" << run.emitted << " agg 0x" << run.agg[0]
+            << " 0x" << run.agg[1] << " 0x" << run.agg[2] << std::dec;
 }
 
 PinnedRun pinned_run(const ExpiryFeed& feed, std::size_t batch_size) {
@@ -448,7 +485,7 @@ PinnedRun pinned_run(const ExpiryFeed& feed, std::size_t batch_size) {
   const std::size_t n = feed.packets.size();
   std::size_t cut = 0;
   drive(feed, agg, batch_size, {n / 4, n / 2, 3 * n / 4},
-        [&] { run.agg1[cut++] = payload_crc(checkpoint_bytes(agg)); });
+        [&] { run.agg[cut++] = payload_crc(checkpoint_bytes(agg)); });
   agg.finish();
   CheckpointWriter writer;
   put_events(writer, emitted);
@@ -460,9 +497,9 @@ PinnedRun pinned_run(const ExpiryFeed& feed, std::size_t batch_size) {
 
 TEST(ExpiryReference, PinnedEmissionOrderAndAggregatorBytes) {
   const PinnedRun pins[] = {
-      {0xcd12f2dfu, {0x154c22dau, 0x482f8de2u, 0x317348c8u}},
-      {0x88e90460u, {0x8fe993b0u, 0x593e5bdfu, 0x189d2ed2u}},
-      {0x1462cf0fu, {0x38bf9a19u, 0x72f4f959u, 0xb3dfdd23u}},
+      {0xcd12f2dfu, {0xb68d57d3u, 0x42361a89u, 0x9f956ea9u}},
+      {0x88e90460u, {0xaf6e7907u, 0xdbdcb0deu, 0xe6146830u}},
+      {0x1462cf0fu, {0x4f9590eau, 0xb3c8b64au, 0xf6174871u}},
   };
   const auto feeds = expiry_feeds();
   for (std::size_t f = 0; f < feeds.size(); ++f) {
@@ -546,12 +583,48 @@ std::vector<pkt::Packet> with_noise(const std::vector<pkt::Packet>& packets) {
   return out;
 }
 
+/// Sweeps of a /17 past 16,384 distinct destinations, where the
+/// aggregator once switched to an HLL estimate: one of all 32,768
+/// addresses and one of 20,000, each over an hour, among 150 short scans,
+/// a third of them spaced past the timeout so each probe is an event.
+ExpiryFeed wide_sweep_feed() {
+  ExpiryFeed feed{"wide sweeps of a /17", {},
+                  net::PrefixSet({*net::Prefix::parse("10.8.0.0/17")}), {}};
+  feed.config.timeout = net::Duration::minutes(10);
+  std::mt19937_64 rng(23);
+  std::vector<std::uint64_t> order(feed.dark.total_addresses());
+  std::iota(order.begin(), order.end(), 0);
+  const auto scan = [&](std::uint32_t src, std::size_t probes, std::int64_t start_s,
+                        std::int64_t span_s, std::uint16_t port) {
+    std::shuffle(order.begin(), order.end(), rng);
+    pkt::ProbeBuilder builder(net::Ipv4Address(src), pkt::ScanTool::ZMap, net::Rng(src));
+    for (std::size_t i = 0; i < probes; ++i) {
+      const std::int64_t at_ms =
+          1000 * start_s + 1000 * span_s * static_cast<std::int64_t>(i) /
+                               static_cast<std::int64_t>(probes);
+      feed.packets.push_back(builder.tcp_syn(
+          net::SimTime::epoch() + net::Duration::millis(at_ms),
+          feed.dark.address_at(order[i]), port));
+    }
+  };
+  scan(0xCB007101u, 32768, 0, 3600, 23);
+  scan(0xCB007102u, 20000, 600, 3600, 80);
+  for (std::uint32_t s = 0; s < 150; ++s) {
+    scan(0xC6336400u + s, 20, static_cast<std::int64_t>(rng() % 7200),
+         s % 3 == 0 ? 4 * 3600 : 1800, 443);
+  }
+  std::stable_sort(feed.packets.begin(), feed.packets.end(),
+                   [](const pkt::Packet& a, const pkt::Packet& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  return feed;
+}
+
 TEST(ExpiryReference, EventsEqualTheGapSplitModel) {
-  for (ExpiryFeed& feed : expiry_feeds()) {
+  std::vector<ExpiryFeed> feeds = expiry_feeds();
+  feeds.push_back(wide_sweep_feed());
+  for (ExpiryFeed& feed : feeds) {
     feed.packets = with_noise(feed.packets);
-    // Exact distinct-destination counts for every possible event.
-    feed.config.exact_dest_limit =
-        std::max<std::size_t>(feed.config.exact_dest_limit, feed.dark.total_addresses());
     std::array<std::uint64_t, 4> want_counters;
     const std::vector<DarknetEvent> want = gap_split_model(feed, want_counters);
     ASSERT_GT(want.size(), 100u) << feed.name;
@@ -570,6 +643,14 @@ TEST(ExpiryReference, EventsEqualTheGapSplitModel) {
           << feed.name << ", batch size " << batch_size;
     }
   }
+  // The model's own counts for the wide feed reach past 16,384.
+  std::array<std::uint64_t, 4> counters;
+  std::vector<std::uint64_t> widest;
+  for (const DarknetEvent& e : gap_split_model(feeds.back(), counters)) {
+    if (e.unique_dests > 16384) widest.push_back(e.unique_dests);
+  }
+  std::sort(widest.begin(), widest.end());
+  EXPECT_EQ(widest, (std::vector<std::uint64_t>{20000, 32768}));
 }
 
 TEST(ExpiryReference, NoEventIsEmittedBeforeItsTimeoutPasses) {
@@ -639,11 +720,13 @@ TEST(CaptureCheckpoint, RejectedPacketLeavesTheCheckpointUnchanged) {
   EXPECT_EQ(capture.unique_sources(), 1u);
 }
 
-// AGG1 payload pinned over a /8 dark space, whose destination offsets
-// reach 2^24 and so span three 11-bit radix digits; the /22 and /24 feeds
-// above have offsets below 2^10. At the cut three events are live: one
-// with 50 exact destinations (key 0 among them), one with about 12,000,
-// and one promoted past exact_dest_limit.
+// AGG2 payload pinned over a /8 dark space, whose destination offsets
+// reach 2^24, so each event's offsets spread over many of its 256
+// 2^16-offset chunks; the /22 and /24 feeds above fit one chunk. At the
+// cut three events are live, each written as its ascending offsets (far
+// fewer than the /8's 262,144 bitmap words): one with 50 destinations
+// (offset 0 among them), one with about 12,000, and one with about
+// 18,000, past the 16,384 where the set once became an HLL estimate.
 TEST(AggregatorCheckpoint, PinnedWideDarkSpaceExactKeyBytes) {
   const net::PrefixSet dark({*net::Prefix::parse("10.0.0.0/8")});
   AggregatorConfig config;
@@ -680,24 +763,35 @@ TEST(AggregatorCheckpoint, PinnedWideDarkSpaceExactKeyBytes) {
   const std::size_t cut = packets.size() / 2;
   for (std::size_t i = 0; i < cut; ++i) agg.observe(packets[i]);
   EXPECT_EQ(agg.live_events(), 3u);
-  EXPECT_EQ(payload_crc(checkpoint_bytes(agg)), 0x5c3e3e79u);
+  EXPECT_EQ(payload_crc(checkpoint_bytes(agg)), 0x54a8c0e0u);
 }
 
-// AGG1 payload of an aggregator with one live event: tag, config echo (4
-// fields), prefix count and the one prefix (base, length), saw-packet u8,
+// AGG2 payload of an aggregator with one live event: tag, config echo (2
+// fields), prefix count and the prefixes (base, length), saw-packet u8,
 // last timestamp, next sweep, five counters, then the live-event count and
 // the one entry, which runs to the end: key (src, port, type u8), start,
-// last seen, packets, per-tool packets, promoted u8, the exact-key count,
-// the exact keys and the 2^12 HLL registers.
-constexpr std::size_t kLiveCount = 8 + 4 * 8 + 8 + 2 * 8 + 1 + 2 * 8 + 5 * 8;
-constexpr std::size_t kPromoted =
-    kLiveCount + 8 + 2 * 8 + 1 + 3 * 8 + sizeof(ToolPackets);
-constexpr std::size_t kFirstKey = kPromoted + 1 + 8;
-constexpr std::size_t kRegisters = std::size_t{1} << 12;
+// last seen, packets, per-tool packets and the destination count, then
+// the ascending offsets when fewer than the bitmap's (darknet + 63) / 64
+// words, else those words. The /24 takes 4 words.
+constexpr std::size_t live_count_at(std::size_t prefixes) {
+  return 8 + 2 * 8 + 8 + 16 * prefixes + 1 + 2 * 8 + 5 * 8;
+}
+constexpr std::size_t dest_count_at(std::size_t prefixes) {
+  return live_count_at(prefixes) + 8 + 2 * 8 + 1 + 3 * 8 + sizeof(ToolPackets);
+}
+constexpr std::size_t kFirstKey = dest_count_at(1) + 8;
 
-/// The AGG1 payload of an aggregator fed one probe to each destination.
-std::vector<std::uint8_t> one_event_payload(std::initializer_list<const char*> dsts) {
-  EventAggregator agg(dark_space(), fast_config(), {});
+/// A /24 and a /27: 288 addresses, whose 5-word bitmap has 32 bits past
+/// the dark space.
+net::PrefixSet padded_dark_space() {
+  return net::PrefixSet({*net::Prefix::parse("198.18.0.0/24"),
+                         *net::Prefix::parse("198.18.1.0/27")});
+}
+
+/// The AGG2 payload of an aggregator fed one probe to each destination.
+std::vector<std::uint8_t> one_event_payload(std::initializer_list<const char*> dsts,
+                                            const net::PrefixSet& dark = dark_space()) {
+  EventAggregator agg(dark, fast_config(), {});
   for (const char* dst : dsts) {
     agg.observe(probe(net::SimTime::epoch(), "203.0.113.1", dst, 23));
   }
@@ -706,67 +800,108 @@ std::vector<std::uint8_t> one_event_payload(std::initializer_list<const char*> d
   return {frame.begin() + 20, frame.end() - 4};
 }
 
-/// Re-frames an edited AGG1 payload and restores it into a fresh aggregator.
-void restore_payload(const std::vector<std::uint8_t>& payload) {
+/// Re-frames an edited AGG2 payload and restores it into a fresh aggregator.
+void restore_payload(const std::vector<std::uint8_t>& payload,
+                     const net::PrefixSet& dark = dark_space()) {
   CheckpointWriter writer;
   writer.bytes(payload);
   std::vector<std::uint8_t> frame;
   writer.finish(frame);
   CheckpointReader reader(frame);
-  EventAggregator restored(dark_space(), fast_config(), {});
+  EventAggregator restored(dark, fast_config(), {});
   restored.restore(reader);
+}
+
+std::uint64_t load_u64(const std::vector<std::uint8_t>& payload, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t b = 0; b < 8; ++b) v |= std::uint64_t{payload[at + b]} << (8 * b);
+  return v;
+}
+
+void store_u64(std::vector<std::uint8_t>& payload, std::size_t at, std::uint64_t v) {
+  for (std::size_t b = 0; b < 8; ++b) payload[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
 }
 
 TEST(AggregatorCheckpoint, DuplicateLiveKeyIsATypedError) {
   std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1"});
-  const std::size_t entry_bytes = kFirstKey + 8 + kRegisters - (kLiveCount + 8);
-  ASSERT_EQ(payload.size(), kLiveCount + 8 + entry_bytes);
-  ASSERT_EQ(payload[kLiveCount], 1u);
+  const std::size_t entry_bytes = kFirstKey + 8 - (live_count_at(1) + 8);
+  ASSERT_EQ(payload.size(), live_count_at(1) + 8 + entry_bytes);
+  ASSERT_EQ(payload[live_count_at(1)], 1u);
   const std::vector<std::uint8_t> entry(payload.end() - static_cast<std::ptrdiff_t>(entry_bytes),
                                         payload.end());
-  payload[kLiveCount] = 2;
+  payload[live_count_at(1)] = 2;
   payload.insert(payload.end(), entry.begin(), entry.end());
   EXPECT_THROW(restore_payload(payload), std::runtime_error);
 }
 
-// The writer lists exact keys strictly ascending. A repeated key would
-// restore a smaller exact set than the one checkpointed.
+// The writer lists a sparse set's offsets strictly ascending. A repeated
+// offset would restore a smaller set than the one checkpointed.
 TEST(AggregatorCheckpoint, RepeatedExactKeyIsATypedError) {
   std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1", "198.18.0.2"});
-  ASSERT_EQ(payload.size(), kFirstKey + 2 * 8 + kRegisters);
+  ASSERT_EQ(payload.size(), kFirstKey + 2 * 8);
   ASSERT_EQ(payload[kFirstKey - 8], 2u);
   ASSERT_NO_THROW(restore_payload(payload));
   std::copy_n(payload.begin() + kFirstKey, 8, payload.begin() + kFirstKey + 8);
   EXPECT_THROW(restore_payload(payload), std::runtime_error);
 }
 
-// Exact keys are dark-space offsets, below the darknet size (256 for the
-// /24 here). A larger one would count a destination that cannot exist.
+// Offsets are below the darknet size (256 for the /24 here). A larger one
+// would count a destination that cannot exist.
 TEST(AggregatorCheckpoint, ExactKeyOutsideTheDarkSpaceIsATypedError) {
   std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1", "198.18.0.2"});
-  ASSERT_EQ(payload.size(), kFirstKey + 2 * 8 + kRegisters);
+  ASSERT_EQ(payload.size(), kFirstKey + 2 * 8);
   ASSERT_EQ(payload[kFirstKey + 8], 2u);
-  const auto set_last_key = [&payload](std::uint64_t key) {
-    for (std::size_t b = 0; b < 8; ++b) {
-      payload[kFirstKey + 8 + b] = static_cast<std::uint8_t>(key >> (8 * b));
-    }
-  };
-  set_last_key(255);
+  store_u64(payload, kFirstKey + 8, 255);
   ASSERT_NO_THROW(restore_payload(payload));
   for (const std::uint64_t key : {std::uint64_t{256}, std::uint64_t{1} << 24,
                                   ~std::uint64_t{0}}) {
-    set_last_key(key);
+    store_u64(payload, kFirstKey + 8, key);
     EXPECT_THROW(restore_payload(payload), std::runtime_error) << key;
   }
 }
 
-// A promoted estimator holds no exact keys, so its list must be empty.
-TEST(AggregatorCheckpoint, PromotedEstimatorWithExactKeysIsATypedError) {
-  std::vector<std::uint8_t> payload = one_event_payload({"198.18.0.1"});
-  ASSERT_EQ(payload[kPromoted], 0u);
+// Four destinations of the /24 fill as many offsets as its bitmap has
+// words, so the set is written as the 4 words. A count above the darknet
+// size cannot be; any other count but the popcount lies.
+TEST(AggregatorCheckpoint, BitmapCountUnlikeItsPopcountIsATypedError) {
+  const std::vector<std::uint8_t> payload = one_event_payload(
+      {"198.18.0.1", "198.18.0.70", "198.18.0.130", "198.18.0.255"});
+  ASSERT_EQ(payload.size(), kFirstKey + 4 * 8);
+  ASSERT_EQ(load_u64(payload, kFirstKey - 8), 4u);
+  ASSERT_EQ(load_u64(payload, kFirstKey), std::uint64_t{1} << 1);
   ASSERT_NO_THROW(restore_payload(payload));
-  payload[kPromoted] = 1;
-  EXPECT_THROW(restore_payload(payload), std::runtime_error);
+  for (const std::uint64_t count : {5, 6, 255, 256, 257}) {
+    std::vector<std::uint8_t> lying = payload;
+    store_u64(lying, kFirstKey - 8, count);
+    EXPECT_THROW(restore_payload(lying), std::runtime_error) << count;
+  }
+  for (const std::uint64_t word : {std::uint64_t{0}, std::uint64_t{3}}) {
+    std::vector<std::uint8_t> flipped = payload;
+    store_u64(flipped, kFirstKey, word);
+    EXPECT_THROW(restore_payload(flipped), std::runtime_error) << word;
+  }
+}
+
+// The padded dark space's last bitmap word holds offsets 256..287 in its
+// low 32 bits; a set bit above them is a destination outside the dark
+// space, even with the count raised to match the popcount.
+TEST(AggregatorCheckpoint, BitmapPaddingBitIsATypedError) {
+  const net::PrefixSet dark = padded_dark_space();
+  ASSERT_EQ(dark.total_addresses(), 288u);
+  const std::vector<std::uint8_t> payload = one_event_payload(
+      {"198.18.0.1", "198.18.0.70", "198.18.0.130", "198.18.0.200", "198.18.1.31"}, dark);
+  const std::size_t first_word = dest_count_at(2) + 8;
+  ASSERT_EQ(payload.size(), first_word + 5 * 8);
+  ASSERT_EQ(load_u64(payload, first_word - 8), 5u);
+  ASSERT_EQ(load_u64(payload, first_word + 4 * 8), std::uint64_t{1} << 31);
+  ASSERT_NO_THROW(restore_payload(payload, dark));
+  for (const int bit : {32, 63}) {
+    std::vector<std::uint8_t> padded = payload;
+    store_u64(padded, first_word + 4 * 8, (std::uint64_t{1} << 31) | (std::uint64_t{1} << bit));
+    EXPECT_THROW(restore_payload(padded, dark), std::runtime_error) << bit;
+    store_u64(padded, first_word - 8, 6);
+    EXPECT_THROW(restore_payload(padded, dark), std::runtime_error) << bit;
+  }
 }
 
 }  // namespace
