@@ -50,7 +50,7 @@ bool same_report(const impact::RouterDayReport& a,
          a.impact.matched_packets == b.impact.matched_packets &&
          a.impact.total_packets == b.impact.total_packets &&
          a.impact.matched_sources == b.impact.matched_sources &&
-         a.protocols == b.protocols && a.ports.counts() == b.ports.counts() &&
+         a.protocols == b.protocols && a.ports == b.ports &&
          a.probed_sources == b.probed_sources;
 }
 

@@ -271,7 +271,10 @@ void BM_FlatMapProbe(benchmark::State& state) {
                                            : net::simd::Level::Scalar);
   std::uint64_t sum = 0, probe = 0;
   for (auto _ : state) {
-    const std::uint64_t key = keys[probe++ & (keys.size() - 1)] ^ (probe & 1);
+    // Even probes look up a stored key, odd ones the key with its low bit
+    // flipped (a miss): the even hit/miss mix.
+    const std::uint64_t i = probe++;
+    const std::uint64_t key = keys[i & (keys.size() - 1)] ^ (i & 1);
     const std::uint64_t* v = map.find(key);
     sum += v ? *v : 0;
   }

@@ -55,13 +55,52 @@ struct RouterDayImpact {
 /// (the flow side of Table 3); indices follow pkt::TrafficType.
 using ProtocolMix = std::array<std::uint64_t, 3>;
 
-/// Distinct ports tracked exactly per (router, day) report. Figure 5 only
-/// reads the head of the port histogram, so the join bounds its TopK:
-/// the heavy head stays exact (any port whose weight exceeds the spill is
-/// provably tracked) while a multi-month walk stops carrying a full
-/// unordered_map per cell. Both join paths use the same bound, so the
+/// Distinct ports tracked exactly per (router, day) report: the first
+/// kPortMixBound distinct ports in add order (sources ascending, each
+/// source's entries in (port, type) order). Every later new port's weight
+/// goes to one spill bucket, stats::TopK's bounded rule, so the heavy head
+/// stays exact (any port whose weight exceeds the spill is provably
+/// tracked). Both join paths use the same rule, so the
 /// batched/scalar/mmap/parallel equivalence stays bit-exact.
 constexpr std::size_t kPortMixBound = 4096;
+
+/// One Figure-5 row: a destination port and its packet estimate.
+using PortRow = std::pair<std::uint16_t, std::uint64_t>;
+
+/// Figure 5's port estimates for one report, in the wire's shape: the
+/// tracked ports as rows sorted by port, plus the spilled weight and the
+/// number of adds that spilled.
+class PortMix {
+ public:
+  PortMix() = default;
+  /// `rows` must be sorted by port, one row per port.
+  PortMix(std::vector<PortRow> rows, std::uint64_t spilled_weight,
+          std::uint64_t spilled_adds)
+      : rows_(std::move(rows)),
+        spilled_weight_(spilled_weight),
+        spilled_adds_(spilled_adds) {}
+
+  const std::vector<PortRow>& rows() const& { return rows_; }
+  /// Moves the rows out (what the engine puts on the wire).
+  std::vector<PortRow> rows() && { return std::move(rows_); }
+
+  /// Estimate of a tracked port; 0 for a port never added or spilled.
+  std::uint64_t count(std::uint16_t port) const;
+  /// Total weight added, spill included.
+  std::uint64_t total() const;
+  /// Tracked ports (at most kPortMixBound).
+  std::size_t distinct() const { return rows_.size(); }
+  std::uint64_t spilled_weight() const { return spilled_weight_; }
+  std::uint64_t spilled_adds() const { return spilled_adds_; }
+
+  /// Rows and both spill fields.
+  friend bool operator==(const PortMix&, const PortMix&) = default;
+
+ private:
+  std::vector<PortRow> rows_;
+  std::uint64_t spilled_weight_ = 0;
+  std::uint64_t spilled_adds_ = 0;
+};
 
 /// Everything the Section 4 tables need from one (router, day, sources)
 /// join, filled by a single index probe: Table 2/4's impact row, Table 3's
@@ -72,7 +111,7 @@ constexpr std::size_t kPortMixBound = 4096;
 struct RouterDayReport {
   RouterDayImpact impact;
   ProtocolMix protocols{};
-  stats::TopK<std::uint16_t> ports;
+  PortMix ports;
   /// Distinct sources probed (the visibility denominator).
   std::size_t probed_sources = 0;
 
@@ -85,6 +124,12 @@ struct RouterDayReport {
   }
 };
 
+/// THE canonical form of a source list: sorted and distinct. A list that
+/// is already strictly ascending costs one O(n) check and is left as is;
+/// any other is sorted and deduplicated. SourceSet and the daemon's
+/// batching identity both go through this one rule.
+void canonicalize_sources(std::vector<net::Ipv4Address>& ips);
+
 /// A probe-ready AH source list: sorted distinct addresses with their
 /// index hashes precomputed once. Tables walk every router-day with the
 /// same definition list, so hashing is hoisted out of the join loop —
@@ -93,7 +138,8 @@ class SourceSet {
  public:
   SourceSet() = default;
   explicit SourceSet(const detect::IpSet& ips);
-  /// Duplicates are collapsed (the paper's active lists are unique).
+  /// Duplicates are collapsed (the paper's active lists are unique); a
+  /// list already in canonical form is not sorted again.
   explicit SourceSet(const std::vector<net::Ipv4Address>& ips);
 
   std::size_t size() const { return values_.size(); }
@@ -166,8 +212,11 @@ class FlowSourceIndex {
 
 /// The batched join core: one pass over the source set, hashes
 /// precomputed, group buckets prefetched 8 ahead, all four table outputs
-/// accumulated per matched group. Byte-identical to
-/// join_flow_index_scalar for every input (tests/flowjoin_test.cpp).
+/// accumulated per matched group. Ports accumulate in the calling
+/// thread's dense slot table (port -> slot in first-seen order; only the
+/// touched slots are reset), so concurrent queries share nothing.
+/// Byte-identical to join_flow_index_scalar for every input
+/// (tests/flowjoin_test.cpp).
 RouterDayReport join_flow_index(const FlowSourceIndex& index,
                                 const SourceSet& sources,
                                 std::uint32_t sampling_rate,
@@ -176,8 +225,9 @@ RouterDayReport join_flow_index(const FlowSourceIndex& index,
 
 /// The pinned scalar reference: the pre-redesign algorithm verbatim —
 /// four independent passes (impact, protocols, ports, visibility), each
-/// probing `sources` per group with the std hash. Kept as the equivalence
-/// gate and timing baseline for bench_flowjoin; not for production use.
+/// probing `sources` per group with the std hash, ports counted in a
+/// bounded stats::TopK. Kept as the equivalence gate and timing baseline
+/// for bench_flowjoin; not for production use.
 RouterDayReport join_flow_index_scalar(const FlowSourceIndex& index,
                                        const detect::IpSet& sources,
                                        std::uint32_t sampling_rate,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 
@@ -22,11 +23,91 @@ std::size_t type_index(pkt::TrafficType t) {
   return 0;
 }
 
+/// The calling thread's port accumulator for join_flow_index: a dense
+/// port -> slot table (slot + 1; 0 = untracked) and the tracked rows in
+/// first-seen order. Between joins every table entry is 0, so a join
+/// resets only the slots it touched.
+class PortSlots {
+ public:
+  PortSlots() : slot_of_(std::make_unique<std::uint16_t[]>(kPorts)) {
+    tracked_.reserve(kPortMixBound);
+  }
+
+  /// The calling thread's accumulator, emptied for a new join. Its table
+  /// is all zero already: take() resets it before anything can throw.
+  static PortSlots& for_new_join() {
+    thread_local PortSlots slots;
+    slots.tracked_.clear();
+    slots.spilled_weight_ = 0;
+    slots.spilled_adds_ = 0;
+    return slots;
+  }
+
+  /// Adds `weight` to a tracked port, tracks a new port while fewer than
+  /// kPortMixBound are, and otherwise spills. Never allocates: the tracked
+  /// rows were reserved to the bound up front.
+  void add(std::uint16_t port, std::uint64_t weight) {
+    std::uint16_t& slot = slot_of_[port];
+    if (slot == 0) {
+      if (tracked_.size() == kPortMixBound) {
+        spilled_weight_ += weight;
+        ++spilled_adds_;
+        return;
+      }
+      tracked_.emplace_back(port, 0);
+      slot = static_cast<std::uint16_t>(tracked_.size());
+    }
+    tracked_[slot - 1].second += weight;
+  }
+
+  /// The accumulated mix, rows sorted by port. Resets the touched slots
+  /// first, so a failed row allocation cannot leave a stale slot behind.
+  PortMix take() {
+    for (const PortRow& row : tracked_) slot_of_[row.first] = 0;
+    std::vector<PortRow> rows(tracked_.begin(), tracked_.end());
+    std::sort(rows.begin(), rows.end());
+    return PortMix(std::move(rows), spilled_weight_, spilled_adds_);
+  }
+
+ private:
+  static constexpr std::size_t kPorts = std::size_t{1} << 16;
+  static_assert(kPortMixBound < 0xFFFF, "slot + 1 must fit a u16");
+
+  std::unique_ptr<std::uint16_t[]> slot_of_;
+  std::vector<PortRow> tracked_;
+  std::uint64_t spilled_weight_ = 0;
+  std::uint64_t spilled_adds_ = 0;
+};
+
 }  // namespace
+
+std::uint64_t PortMix::count(std::uint16_t port) const {
+  const auto it = std::lower_bound(
+      rows_.begin(), rows_.end(), port,
+      [](const PortRow& row, std::uint16_t p) { return row.first < p; });
+  return it != rows_.end() && it->first == port ? it->second : 0;
+}
+
+std::uint64_t PortMix::total() const {
+  std::uint64_t t = spilled_weight_;
+  for (const auto& [port, estimate] : rows_) t += estimate;
+  return t;
+}
+
+void canonicalize_sources(std::vector<net::Ipv4Address>& ips) {
+  const auto not_ascending = [](net::Ipv4Address a, net::Ipv4Address b) {
+    return !(a < b);
+  };
+  if (std::adjacent_find(ips.begin(), ips.end(), not_ascending) == ips.end()) {
+    return;
+  }
+  std::sort(ips.begin(), ips.end());
+  ips.erase(std::unique(ips.begin(), ips.end()), ips.end());
+}
 
 SourceSet::SourceSet(const detect::IpSet& ips)
     : values_(ips.begin(), ips.end()) {
-  std::sort(values_.begin(), values_.end());
+  canonicalize_sources(values_);
   hashes_.reserve(values_.size());
   for (const net::Ipv4Address ip : values_) {
     hashes_.push_back(FlowSourceIndex::hash_of(ip));
@@ -34,8 +115,7 @@ SourceSet::SourceSet(const detect::IpSet& ips)
 }
 
 SourceSet::SourceSet(const std::vector<net::Ipv4Address>& ips) : values_(ips) {
-  std::sort(values_.begin(), values_.end());
-  values_.erase(std::unique(values_.begin(), values_.end()), values_.end());
+  canonicalize_sources(values_);
   hashes_.reserve(values_.size());
   for (const net::Ipv4Address ip : values_) {
     hashes_.push_back(FlowSourceIndex::hash_of(ip));
@@ -104,7 +184,6 @@ RouterDayReport join_flow_index(const FlowSourceIndex& index,
                                 std::uint64_t total_packets, std::size_t router,
                                 std::int64_t day) {
   RouterDayReport report;
-  report.ports = stats::TopK<std::uint16_t>(kPortMixBound);
   report.impact.router = router;
   report.impact.day = day;
   report.impact.total_packets = total_packets;
@@ -114,6 +193,7 @@ RouterDayReport join_flow_index(const FlowSourceIndex& index,
   const std::vector<std::uint16_t>& ports = index.entry_ports();
   const std::vector<std::uint8_t>& types = index.entry_types();
   const std::vector<std::uint64_t>& counts = index.entry_counts();
+  PortSlots& port_slots = PortSlots::for_new_join();
 
   // Same shape as EventAggregator::observe_batch: hashes were precomputed
   // by the SourceSet, so probe i can have probe i+8's bucket line already
@@ -134,10 +214,11 @@ RouterDayReport join_flow_index(const FlowSourceIndex& index,
       sampled += counts[e];
       report.protocols[type_index(static_cast<pkt::TrafficType>(types[e]))] +=
           estimate;
-      report.ports.add(ports[e], estimate);
+      port_slots.add(ports[e], estimate);
     }
   }
   report.impact.matched_packets = sampled * sampling_rate;
+  report.ports = port_slots.take();
   return report;
 }
 
@@ -147,7 +228,6 @@ RouterDayReport join_flow_index_scalar(const FlowSourceIndex& index,
                                        std::uint64_t total_packets,
                                        std::size_t router, std::int64_t day) {
   RouterDayReport report;
-  report.ports = stats::TopK<std::uint16_t>(kPortMixBound);
   report.impact.router = router;
   report.impact.day = day;
   report.impact.total_packets = total_packets;
@@ -183,13 +263,19 @@ RouterDayReport join_flow_index_scalar(const FlowSourceIndex& index,
     }
   }
 
-  // Pass 3 — port mix (legacy port_mix()).
+  // Pass 3 — port mix (legacy port_mix()), counted in a bounded TopK.
+  stats::TopK<std::uint16_t> port_mix(kPortMixBound);
   for (std::size_t g = 0; g < groups; ++g) {
     if (!sources.contains(srcs[g])) continue;
     for (std::uint32_t e = offsets[g]; e < offsets[g + 1]; ++e) {
-      report.ports.add(ports[e], counts[e] * sampling_rate);
+      port_mix.add(ports[e], counts[e] * sampling_rate);
     }
   }
+  std::vector<PortRow> port_rows(port_mix.counts().begin(),
+                                 port_mix.counts().end());
+  std::sort(port_rows.begin(), port_rows.end());
+  report.ports = PortMix(std::move(port_rows), port_mix.spilled_weight(),
+                         port_mix.spilled_adds());
 
   // Pass 4 — visibility (legacy visibility_percent()): one binary search
   // per probed source. Its count is the same "has >= 1 sampled flow"

@@ -5,15 +5,20 @@
 //   - one event-loop thread owns ALL socket I/O (accept, frame
 //     reassembly, in-order response writes) plus admission control and
 //     generation swaps: an inotify watch adopts a generation at its
-//     manifest commit rename, and the manifest poll is the fallback;
+//     manifest commit rename, and the manifest poll is the fallback.
+//     Frames are parsed in place in the connection's read buffer and
+//     each request is decoded straight from its payload's bytes;
 //   - a small worker pool executes queries. A worker drains the whole
-//     ready queue at once and groups it by (request_key, generation):
-//     co-arriving probes for the same cell with the same sources share
-//     ONE index walk and one canonical encoding — the response bytes are
-//     computed once and fanned out (stats().shared_computations counts
-//     the rides). Each task carries the shared_ptr of the snapshot it
-//     was admitted under, so a mid-run generation swap never migrates or
-//     tears an in-flight query.
+//     ready queue at once, puts each task's sources in canonical form
+//     (sorted, distinct) once, and groups the tasks by a hash of
+//     (kind, router, day, generation, sources), confirmed field by field
+//     on a hit; the tenant is not part of it. Co-arriving probes for the
+//     same cell with the same source set share ONE index walk and one
+//     canonical encoding — the response bytes are computed once and
+//     fanned out (stats().shared_computations counts the rides). Each
+//     task carries the shared_ptr of the snapshot it was admitted under,
+//     so a mid-run generation swap never migrates or tears an in-flight
+//     query.
 //
 // Responses go back strictly in per-connection request order (clients
 // may pipeline), whatever order workers finish in. Admission is a

@@ -73,8 +73,11 @@ struct QueryRequest {
   std::string tenant;
   std::uint32_t router = 0;
   std::int64_t day = 0;
-  /// The AH list to join (FlowImpact only). Duplicates are collapsed by
-  /// the executor, mirroring impact::SourceSet.
+  /// The AH list to join (FlowImpact only). Order and duplicates do not
+  /// matter: the executor collapses them (impact::canonicalize_sources),
+  /// and so does the daemon's batching identity — kind, router, day,
+  /// canonical sources and the store generation, never the tenant — under
+  /// which co-arriving requests share one computation (DESIGN.md §16.2).
   std::vector<net::Ipv4Address> sources;
 };
 
@@ -151,18 +154,15 @@ bool decode_response(std::span<const std::uint8_t> payload,
 void append_frame(std::vector<std::uint8_t>& out,
                   std::span<const std::uint8_t> payload);
 
-/// Incremental frame extraction over an accumulation buffer. Returns
+/// Incremental frame extraction over the unread bytes of an accumulation
+/// buffer. Returns
 ///   +1  a complete frame: [*begin, *end) of `buffer` is the payload
 ///    0  need more bytes
 ///   -1  protocol violation (oversized length prefix) — drop the peer
-/// Consumed frames are the caller's to erase (begin is 4, the prefix).
-int try_extract_frame(const std::vector<std::uint8_t>& buffer,
-                      std::size_t* begin, std::size_t* end);
-
-/// The batching identity of a request: canonical bytes of everything
-/// EXCEPT the tenant — two tenants asking for the same (kind, router,
-/// day, sources) cell share one computation (DESIGN.md §16.3). Returned
-/// as a string so it can key a hash map directly.
-std::string request_key(const QueryRequest& request);
+/// The frame takes `buffer`'s first *end bytes (begin is 4, the prefix):
+/// the daemon parses a whole read in place by advancing the span past
+/// each frame and decodes each payload where it lies.
+int try_extract_frame(std::span<const std::uint8_t> buffer, std::size_t* begin,
+                      std::size_t* end);
 
 }  // namespace orion::serve

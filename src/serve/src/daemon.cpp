@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -18,12 +19,15 @@
 #include <fcntl.h>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "orion/impact/flow_join.hpp"
+#include "orion/netbase/shard.hpp"
 #include "orion/serve/engine.hpp"
 #include "orion/serve/protocol.hpp"
 #include "orion/serve/store_cache.hpp"
@@ -58,6 +62,46 @@ struct Completion {
   std::uint64_t conn_id = 0;
   std::uint64_t seq = 0;
   std::vector<std::uint8_t> payload;
+};
+
+std::uint64_t generation_of(const Task& task) {
+  return task.snapshot ? task.snapshot->generation : 0;
+}
+
+/// A task's batching identity: (kind, router, day, generation, sources),
+/// with the sources already canonical. The tenant stays out, so two
+/// tenants asking for the same cell share one computation. The hash is
+/// taken once per task; a hit is confirmed field by field.
+struct BatchKey {
+  const Task* task = nullptr;
+  std::uint64_t hash = 0;
+
+  explicit BatchKey(const Task& t) : task(&t) {
+    const QueryRequest& r = t.request;
+    std::uint64_t h = net::mix64(
+        (std::uint64_t{static_cast<std::uint8_t>(r.kind)} << 32) | r.router);
+    h = net::mix64(h ^ static_cast<std::uint64_t>(r.day));
+    h = net::mix64(h ^ generation_of(t));
+    // One multiply per source; mix64 finishes.
+    for (const net::Ipv4Address ip : r.sources) {
+      h = std::rotl((h ^ ip.value()) * 0x9E3779B97F4A7C15ull, 29);
+    }
+    hash = net::mix64(h ^ r.sources.size());
+  }
+
+  friend bool operator==(const BatchKey& a, const BatchKey& b) {
+    const QueryRequest& x = a.task->request;
+    const QueryRequest& y = b.task->request;
+    return a.hash == b.hash && x.kind == y.kind && x.router == y.router &&
+           x.day == y.day && generation_of(*a.task) == generation_of(*b.task) &&
+           x.sources == y.sources;
+  }
+};
+
+struct BatchKeyHash {
+  std::size_t operator()(const BatchKey& key) const {
+    return static_cast<std::size_t>(key.hash);
+  }
 };
 
 struct Conn {
@@ -223,14 +267,13 @@ struct Daemon::Impl {
   }
 
   void on_frame(std::uint64_t conn_id, Conn& conn,
-                const std::uint8_t* payload, std::size_t size) {
+                std::span<const std::uint8_t> payload) {
     const std::uint64_t seq = conn.next_assign++;
     bump(&ServeStats::requests);
 
     QueryRequest request;
     std::string error;
-    if (!decode_request(std::vector<std::uint8_t>(payload, payload + size),
-                        request, error)) {
+    if (!decode_request(payload, request, error)) {
       bump(&ServeStats::bad_requests);
       QueryResponse resp;
       resp.status = Status::BadRequest;
@@ -277,19 +320,21 @@ struct Daemon::Impl {
       peer_closed = true;  // EOF or hard error
       break;
     }
+    // Frames are parsed in place: each request decodes straight from its
+    // span of inbuf, and the consumed prefix is erased once per read.
     std::size_t consumed = 0;
     for (;;) {
       std::size_t begin = 0;
       std::size_t end = 0;
-      std::vector<std::uint8_t> window(conn.inbuf.begin() + consumed,
-                                       conn.inbuf.end());
-      const int got = try_extract_frame(window, &begin, &end);
+      const std::span<const std::uint8_t> unread =
+          std::span<const std::uint8_t>(conn.inbuf).subspan(consumed);
+      const int got = try_extract_frame(unread, &begin, &end);
       if (got < 0) {  // oversized frame: protocol violation, drop the peer
         close_conn(conn_id);
         return;
       }
       if (got == 0) break;
-      on_frame(conn_id, conn, window.data() + begin, end - begin);
+      on_frame(conn_id, conn, unread.subspan(begin, end - begin));
       consumed += end;
     }
     if (consumed > 0) {
@@ -410,40 +455,40 @@ struct Daemon::Impl {
 
       std::vector<Completion> out;
       out.reserve(batch.size());
+      const auto execute = [](const Task& task) {
+        const EngineBackend backend =
+            task.snapshot ? task.snapshot->backend() : EngineBackend{};
+        return execute_query_bytes(task.request, backend);
+      };
       if (config.batching) {
-        // Group by canonical request identity AND generation: the same
-        // probe against two generations is two different answers.
-        std::map<std::string, std::vector<std::size_t>> groups;
-        std::vector<std::string> order;
+        // Group by identity AND generation: the same probe against two
+        // generations is two different answers. Each task's sources are
+        // put in canonical form once, here; the executor's SourceSet then
+        // finds them sorted and does not sort again.
+        std::unordered_map<BatchKey, std::size_t, BatchKeyHash> groups;
+        groups.reserve(batch.size());
+        std::vector<std::size_t> group_of(batch.size());
+        std::vector<std::size_t> leads;
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          std::string key = request_key(batch[i].request) + "|g" +
-                            std::to_string(batch[i].snapshot
-                                               ? batch[i].snapshot->generation
-                                               : 0);
-          auto [it, fresh] = groups.try_emplace(std::move(key));
-          if (fresh) order.push_back(it->first);
-          it->second.push_back(i);
+          impact::canonicalize_sources(batch[i].request.sources);
+          const auto [it, fresh] =
+              groups.try_emplace(BatchKey(batch[i]), leads.size());
+          if (fresh) leads.push_back(i);
+          group_of[i] = it->second;
         }
-        std::uint64_t shared = 0;
-        for (const std::string& key : order) {
-          const std::vector<std::size_t>& members = groups[key];
-          const Task& lead = batch[members.front()];
-          const EngineBackend backend =
-              lead.snapshot ? lead.snapshot->backend() : EngineBackend{};
-          const std::vector<std::uint8_t> payload =
-              execute_query_bytes(lead.request, backend);
-          shared += members.size() - 1;
-          for (const std::size_t i : members) {
-            out.push_back({batch[i].conn_id, batch[i].seq, payload});
-          }
+        std::vector<std::vector<std::uint8_t>> payloads;
+        payloads.reserve(leads.size());
+        for (const std::size_t lead : leads) {
+          payloads.push_back(execute(batch[lead]));
         }
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          out.push_back({batch[i].conn_id, batch[i].seq, payloads[group_of[i]]});
+        }
+        const std::uint64_t shared = batch.size() - leads.size();
         if (shared > 0) bump(&ServeStats::shared_computations, shared);
       } else {
         for (const Task& task : batch) {
-          const EngineBackend backend =
-              task.snapshot ? task.snapshot->backend() : EngineBackend{};
-          out.push_back(
-              {task.conn_id, task.seq, execute_query_bytes(task.request, backend)});
+          out.push_back({task.conn_id, task.seq, execute(task)});
         }
       }
       {

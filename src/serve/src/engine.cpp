@@ -1,7 +1,7 @@
 #include "orion/serve/engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "orion/impact/flow_join.hpp"
 #include "orion/store/mapped.hpp"
@@ -73,13 +73,11 @@ QueryResponse execute_flow_impact(const QueryRequest& request,
   for (std::size_t i = 0; i < report.protocols.size(); ++i) {
     b.protocols[i] = report.protocols[i];
   }
-  b.ports_bound = report.ports.bound();
+  b.ports_bound = impact::kPortMixBound;
   b.ports_spilled_weight = report.ports.spilled_weight();
   b.ports_spilled_adds = report.ports.spilled_adds();
-  // Canonical order: the TopK's unordered_map iteration order must not
-  // leak into the wire bytes (the equivalence gate diffs payloads).
-  b.ports.assign(report.ports.counts().begin(), report.ports.counts().end());
-  std::sort(b.ports.begin(), b.ports.end());
+  // The report's rows are already in the wire's canonical port order.
+  b.ports = std::move(report.ports).rows();
   return response;
 }
 

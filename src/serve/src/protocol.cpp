@@ -1,6 +1,5 @@
 #include "orion/serve/protocol.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 namespace orion::serve {
@@ -276,8 +275,8 @@ void append_frame(std::vector<std::uint8_t>& out,
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
-int try_extract_frame(const std::vector<std::uint8_t>& buffer,
-                      std::size_t* begin, std::size_t* end) {
+int try_extract_frame(std::span<const std::uint8_t> buffer, std::size_t* begin,
+                      std::size_t* end) {
   if (buffer.size() < 4) return 0;
   std::uint32_t len = 0;
   for (std::size_t i = 0; i < 4; ++i) {
@@ -288,29 +287,6 @@ int try_extract_frame(const std::vector<std::uint8_t>& buffer,
   *begin = 4;
   *end = 4 + len;
   return 1;
-}
-
-std::string request_key(const QueryRequest& request) {
-  std::string key;
-  key.reserve(17 + 4 * request.sources.size());
-  key.push_back(static_cast<char>(request.kind));
-  const auto push_u = [&key](std::uint64_t v, std::size_t bytes) {
-    for (std::size_t i = 0; i < bytes; ++i) {
-      key.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  };
-  push_u(request.router, 4);
-  push_u(static_cast<std::uint64_t>(request.day), 8);
-  // Sources are order- and duplicate-insensitive for execution (SourceSet
-  // collapses them), so canonicalize: sorted distinct values.
-  std::vector<std::uint32_t> values;
-  values.reserve(request.sources.size());
-  for (const net::Ipv4Address ip : request.sources) values.push_back(ip.value());
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  push_u(values.size(), 4);
-  for (const std::uint32_t v : values) push_u(v, 4);
-  return key;
 }
 
 }  // namespace orion::serve

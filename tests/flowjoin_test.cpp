@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "orion/flowsim/flow_batch.hpp"
@@ -16,6 +17,7 @@
 #include "orion/flowsim/sampler.hpp"
 #include "orion/impact/flow_join.hpp"
 #include "orion/scangen/scenario.hpp"
+#include "orion/serve/engine.hpp"
 
 #include "flow_fixtures.hpp"
 
@@ -64,7 +66,9 @@ void expect_same_report(const RouterDayReport& a, const RouterDayReport& b) {
   EXPECT_EQ(a.impact.total_packets, b.impact.total_packets);
   EXPECT_EQ(a.impact.matched_sources, b.impact.matched_sources);
   EXPECT_EQ(a.protocols, b.protocols);
-  EXPECT_EQ(a.ports.counts(), b.ports.counts());
+  EXPECT_EQ(a.ports.rows(), b.ports.rows());
+  EXPECT_EQ(a.ports.spilled_weight(), b.ports.spilled_weight());
+  EXPECT_EQ(a.ports.spilled_adds(), b.ports.spilled_adds());
   EXPECT_EQ(a.probed_sources, b.probed_sources);
 }
 
@@ -351,6 +355,159 @@ TEST(FlowJoin, SourceSetCollapsesDuplicates) {
   for (std::size_t i = 0; i < set.size(); ++i) {
     EXPECT_EQ(set.hash(i), FlowSourceIndex::hash_of(set.value(i)));
   }
+}
+
+// ------------------------------------------------------ port-mix spill
+
+/// One cell whose queried sources probe more than kPortMixBound distinct
+/// ports. 203.0.113.10 probes TCP ports [0, 3000), every seventh with a
+/// zero count; 203.0.113.20 probes TCP port 100 and UDP ports
+/// [2000, 6000), so the bound is reached at port 4095 and 4096..5999
+/// spill; 203.0.113.30 probes a tracked port (17), a spilled one with a
+/// zero count (5000) and one nobody probed before (65535). An unqueried
+/// source probes ports of its own.
+flowsim::FlowDataset wide_port_cell() {
+  flowsim::FlowSimConfig config;
+  config.isp_space = net::PrefixSet({*net::Prefix::parse("20.0.0.0/16")});
+  config.start_day = 0;
+  config.end_day = 1;
+  config.sampling_rate = 100;
+  std::vector<flowsim::RouterDay> cells = test_flows::grid(0, 1);
+  std::vector<flowsim::KeyedCount> counts;
+  for (std::uint16_t port = 0; port < 3000; ++port) {
+    counts.push_back({{ip("203.0.113.10"), port, pkt::TrafficType::TcpSyn},
+                      port % 7u});
+  }
+  counts.push_back({{ip("203.0.113.20"), 100, pkt::TrafficType::TcpSyn}, 9});
+  for (std::uint16_t port = 2000; port < 6000; ++port) {
+    counts.push_back({{ip("203.0.113.20"), port, pkt::TrafficType::Udp},
+                      1u + port % 5u});
+  }
+  counts.push_back(
+      {{ip("203.0.113.30"), 17, pkt::TrafficType::IcmpEchoReq}, 4});
+  counts.push_back({{ip("203.0.113.30"), 5000, pkt::TrafficType::TcpSyn}, 0});
+  counts.push_back({{ip("203.0.113.30"), 65535, pkt::TrafficType::Udp}, 3});
+  counts.push_back({{ip("203.0.113.99"), 7000, pkt::TrafficType::TcpSyn}, 50});
+  test_flows::set_rows(cells[0], std::move(counts));
+  cells[0].total_packets = 10'000'000;
+  return flowsim::FlowDataset(std::move(config), std::move(cells));
+}
+
+TEST(FlowJoin, PortSpillMatchesScalarAndTheWire) {
+  const test_flows::ImageAnalyzer image(wide_port_cell());
+  const FlowImpactAnalyzer& analyzer = image.analyzer;
+  const std::vector<net::Ipv4Address> listed = {
+      ip("203.0.113.30"), ip("203.0.113.10"), ip("192.0.2.1"),
+      ip("203.0.113.20"), ip("203.0.113.10")};
+  const detect::IpSet ips(listed.begin(), listed.end());
+
+  const RouterDayReport batched = analyzer.query(0, 0, SourceSet(listed));
+  const RouterDayReport scalar = analyzer.query_scalar(0, 0, ips);
+
+  // The bound really bit: 4,096 tracked ports, ports 4096..5999 and 5000,
+  // 65535 of the last source spilled.
+  EXPECT_EQ(batched.ports.distinct(), kPortMixBound);
+  EXPECT_EQ(batched.ports.spilled_adds(), 1904u + 2u);
+  std::uint64_t spilled = 3 * 100;
+  for (std::uint32_t port = 4096; port < 6000; ++port) {
+    spilled += (1 + port % 5) * 100;
+  }
+  EXPECT_EQ(batched.ports.spilled_weight(), spilled);
+  EXPECT_EQ(batched.ports.count(17), (17 % 7 + 4) * 100u);
+  EXPECT_EQ(batched.ports.count(100), (100 % 7 + 9) * 100u);
+  EXPECT_EQ(batched.ports.count(5999), 0u);
+  EXPECT_EQ(batched.ports.count(7000), 0u);
+  EXPECT_EQ(batched.ports.total(), batched.impact.matched_packets);
+
+  // Batched ≡ scalar on every tracked port and on both spill fields.
+  EXPECT_EQ(batched.ports.distinct(), scalar.ports.distinct());
+  std::size_t differing = 0;
+  for (std::uint32_t port = 0; port <= 0xFFFF; ++port) {
+    const auto p = static_cast<std::uint16_t>(port);
+    differing += batched.ports.count(p) != scalar.ports.count(p);
+  }
+  EXPECT_EQ(differing, 0u);
+  EXPECT_EQ(batched.ports.spilled_weight(), scalar.ports.spilled_weight());
+  EXPECT_EQ(batched.ports.spilled_adds(), scalar.ports.spilled_adds());
+  EXPECT_EQ(batched.ports.total(), scalar.ports.total());
+  EXPECT_EQ(batched.impact.matched_packets, scalar.impact.matched_packets);
+  EXPECT_EQ(batched.probed_sources, 4u);
+
+  // execute_query puts the same tracked ports and spill on the wire.
+  serve::QueryRequest request;
+  request.kind = serve::QueryKind::FlowImpact;
+  request.sources = listed;
+  serve::EngineBackend backend;
+  backend.analyzer = &analyzer;
+  backend.flows = &image.image;
+  const serve::QueryResponse response = serve::execute_query(request, backend);
+  ASSERT_EQ(response.status, serve::Status::Ok);
+  const serve::FlowImpactBody& body = response.impact;
+  EXPECT_EQ(body.ports_bound, kPortMixBound);
+  EXPECT_EQ(body.ports_spilled_weight, scalar.ports.spilled_weight());
+  EXPECT_EQ(body.ports_spilled_adds, scalar.ports.spilled_adds());
+  ASSERT_EQ(body.ports.size(), scalar.ports.distinct());
+  for (std::size_t i = 0; i < body.ports.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(body.ports[i - 1].first, body.ports[i].first);
+    }
+    EXPECT_EQ(body.ports[i].second, scalar.ports.count(body.ports[i].first));
+  }
+}
+
+// ------------------------------------------------- concurrent queries
+
+// The port accumulator is per-thread scratch: four threads querying one
+// analyzer over every cell and source list at once (each starting at a
+// different pair) get exactly the serial reports. The tsan preset runs
+// this label.
+TEST(FlowJoin, ConcurrentQueriesMatchTheSerialReports) {
+  const auto flows = tiny_flows();
+  const test_flows::ImageAnalyzer image(flows);
+  const FlowImpactAnalyzer& analyzer = image.analyzer;
+  analyzer.prebuild_indexes(2);
+
+  const scangen::Scenario scenario{scangen::tiny()};
+  std::vector<net::Ipv4Address> everyone;
+  for (const auto& s : scenario.population_2021().scanners) {
+    everyone.push_back(s.source);
+  }
+  const detect::IpSet cloud = tiny_sources();
+  const std::vector<SourceSet> lists = {
+      SourceSet(cloud), SourceSet(everyone), SourceSet(),
+      SourceSet(std::vector<net::Ipv4Address>{everyone.back(), everyone[0]})};
+
+  struct Probe {
+    std::size_t router;
+    std::int64_t day;
+    const SourceSet* sources;
+  };
+  std::vector<Probe> probes;
+  for (std::size_t router = 0; router < flowsim::kRouterCount; ++router) {
+    for (std::int64_t day = flows.start_day(); day < flows.end_day(); ++day) {
+      for (const SourceSet& list : lists) probes.push_back({router, day, &list});
+    }
+  }
+  std::vector<RouterDayReport> serial;
+  for (const Probe& p : probes) {
+    serial.push_back(analyzer.query(p.router, p.day, *p.sources));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t k = 0; k < probes.size(); ++k) {
+          const std::size_t i = (k + t * probes.size() / kThreads) % probes.size();
+          const Probe& p = probes[i];
+          expect_same_report(analyzer.query(p.router, p.day, *p.sources),
+                             serial[i]);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 }
 
 // ------------------------------------------------ cache-key regression

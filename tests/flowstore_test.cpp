@@ -140,8 +140,9 @@ void expect_same_report(const impact::RouterDayReport& a,
   EXPECT_EQ(a.impact.total_packets, b.impact.total_packets);
   EXPECT_EQ(a.impact.matched_sources, b.impact.matched_sources);
   EXPECT_EQ(a.protocols, b.protocols);
-  EXPECT_EQ(a.ports.counts(), b.ports.counts());
+  EXPECT_EQ(a.ports.rows(), b.ports.rows());
   EXPECT_EQ(a.ports.spilled_weight(), b.ports.spilled_weight());
+  EXPECT_EQ(a.ports.spilled_adds(), b.ports.spilled_adds());
   EXPECT_EQ(a.probed_sources, b.probed_sources);
 }
 

@@ -18,6 +18,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -214,21 +215,6 @@ TEST(ServeProtocol, FrameExtraction) {
   EXPECT_EQ(try_extract_frame(oversized, &begin, &end), -1);
 }
 
-TEST(ServeProtocol, RequestKeyIsCanonical) {
-  QueryRequest a = impact_request("alice");
-  QueryRequest b = impact_request("bob");
-  // Different tenants, shuffled + duplicated sources: same identity.
-  b.sources = {ip("203.0.113.1"), ip("203.0.113.7"), ip("203.0.113.1")};
-  EXPECT_EQ(request_key(a), request_key(b));
-
-  QueryRequest c = impact_request();
-  c.router = 1;
-  EXPECT_NE(request_key(a), request_key(c));
-  QueryRequest d = impact_request();
-  d.sources.push_back(ip("198.51.100.9"));
-  EXPECT_NE(request_key(a), request_key(d));
-}
-
 // ------------------------------------------------------------- engine
 
 TEST(ServeEngine, FlowImpactMatchesAnalyzerQuery) {
@@ -252,13 +238,13 @@ TEST(ServeEngine, FlowImpactMatchesAnalyzerQuery) {
   for (std::size_t i = 0; i < report.protocols.size(); ++i) {
     EXPECT_EQ(response.impact.protocols[i], report.protocols[i]);
   }
-  // Wire ports are the TopK counts in canonical ascending order.
-  auto expected = std::vector<std::pair<std::uint16_t, std::uint64_t>>(
-      report.ports.counts().begin(), report.ports.counts().end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(response.impact.ports, expected);
+  // Wire ports are the report's rows, in canonical ascending port order.
+  EXPECT_EQ(response.impact.ports, report.ports.rows());
   EXPECT_TRUE(std::is_sorted(response.impact.ports.begin(),
                              response.impact.ports.end()));
+  EXPECT_EQ(response.impact.ports_bound, impact::kPortMixBound);
+  EXPECT_EQ(response.impact.ports_spilled_weight, report.ports.spilled_weight());
+  EXPECT_EQ(response.impact.ports_spilled_adds, report.ports.spilled_adds());
 }
 
 TEST(ServeEngine, StatusesForAbsentCellAndEmptyBackend) {
@@ -377,6 +363,42 @@ TEST(ServeCache, RefreshSurvivesABitRottedFlowBlock) {
 
 // ------------------------------------------------------------- daemon
 
+/// A plain TCP connection to the daemon, for tests that control exactly
+/// how request bytes are split across write() calls.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads exactly `n` response frames' payloads from `fd`; fewer when the
+/// peer closes first.
+std::vector<std::vector<std::uint8_t>> read_frames(int fd, std::size_t n) {
+  std::vector<std::uint8_t> in;
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::uint8_t chunk[4096];
+  while (frames.size() < n) {
+    const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+    if (got <= 0) break;
+    in.insert(in.end(), chunk, chunk + got);
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    while (try_extract_frame(in, &begin, &end) == 1) {
+      frames.emplace_back(in.begin() + begin, in.begin() + end);
+      in.erase(in.begin(), in.begin() + end);
+    }
+  }
+  return frames;
+}
+
 TEST(ServeDaemon, ResponsesAreByteIdenticalToDirectExecution) {
   const std::string dir = temp_dir("daemon");
   publish_flows(dir, 0);
@@ -436,36 +458,17 @@ TEST(ServeDaemon, MalformedFrameGetsBadRequestAndConnectionSurvives) {
   // second — a malformed payload poisons neither the connection nor the
   // response ordering.
   {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connect_raw(daemon.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(daemon.port());
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
     std::vector<std::uint8_t> wire;
     const std::vector<std::uint8_t> garbage = {'X', 'X', 'X', 'X', 1, 2, 3};
     append_frame(wire, garbage);
     append_frame(wire, encode_request(request));
     ASSERT_EQ(::write(fd, wire.data(), wire.size()),
               static_cast<ssize_t>(wire.size()));
-    // Read two frames back.
-    std::vector<std::uint8_t> in;
-    std::vector<std::vector<std::uint8_t>> frames;
-    std::uint8_t chunk[4096];
-    while (frames.size() < 2) {
-      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-      ASSERT_GT(n, 0);
-      in.insert(in.end(), chunk, chunk + n);
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      while (try_extract_frame(in, &begin, &end) == 1) {
-        frames.emplace_back(in.begin() + begin, in.begin() + end);
-        in.erase(in.begin(), in.begin() + end);
-      }
-    }
+    const std::vector<std::vector<std::uint8_t>> frames = read_frames(fd, 2);
     ::close(fd);
+    ASSERT_EQ(frames.size(), 2u);
     QueryResponse first;
     QueryResponse second;
     std::string error;
@@ -528,6 +531,134 @@ TEST(ServeDaemon, BatchingSharesCoArrivingIdenticalQueries) {
   // With one worker and 300 identical pipelined queries, at least one
   // drain batch must have contained duplicates.
   EXPECT_GT(daemon.stats().shared_computations, 0u);
+  daemon.stop();
+}
+
+/// Pipelines `requests` on one connection of a one-worker daemon over
+/// `dir`, checks every response against execute_query_bytes and returns
+/// how many requests rode another's computation.
+std::uint64_t shared_while_pipelining(const std::string& dir,
+                                      const std::vector<QueryRequest>& requests) {
+  DaemonConfig config;
+  config.archive_dir = dir;
+  config.workers = 1;  // arrivals pile up behind the one worker
+  Daemon daemon(config);
+  daemon.start();
+  const auto snapshot = load_snapshot(store::ArchiveDir(dir), "flows", "events");
+  Client client;
+  client.connect("127.0.0.1", daemon.port());
+  for (const QueryRequest& request : requests) client.send(request);
+  std::size_t wrong = 0;
+  for (const QueryRequest& request : requests) {
+    wrong += client.recv_raw() != execute_query_bytes(request, snapshot->backend());
+  }
+  EXPECT_EQ(wrong, 0u);
+  daemon.stop();
+  return daemon.stats().shared_computations;
+}
+
+// The batching identity is (kind, router, day, canonical sources,
+// generation): requests that differ only in tenant, in source order or in
+// duplicated sources share one computation. No two requests of a phase
+// are byte-identical, so any sharing comes from the identity alone.
+TEST(ServeDaemon, BatchingIdentityIgnoresTenantOrderAndDuplicates) {
+  const std::string dir = temp_dir("identity");
+  publish_flows(dir, 0);
+  constexpr std::size_t kPipelined = 300;
+
+  std::vector<QueryRequest> tenants;
+  for (std::size_t i = 0; i < kPipelined; ++i) {
+    tenants.push_back(impact_request("tenant-" + std::to_string(i)));
+  }
+  EXPECT_GT(shared_while_pipelining(dir, tenants), 0u);
+
+  // 24 orders of four sources, each with 0..12 extra copies of one of them.
+  std::vector<net::Ipv4Address> base = {ip("203.0.113.1"), ip("203.0.113.2"),
+                                        ip("203.0.113.7"), ip("198.51.100.9")};
+  std::vector<QueryRequest> arranged;
+  for (std::size_t i = 0; i < kPipelined; ++i) {
+    QueryRequest request = impact_request();
+    request.sources = base;
+    request.sources.insert(request.sources.end(), i / 24, base[i % 4]);
+    std::next_permutation(base.begin(), base.end());
+    arranged.push_back(std::move(request));
+  }
+  EXPECT_GT(shared_while_pipelining(dir, arranged), 0u);
+}
+
+// Requests that differ in router, in day or in one source never share,
+// and each still gets its own bytes.
+TEST(ServeDaemon, BatchingNeverSharesAcrossCellsOrSourceLists) {
+  const std::string dir = temp_dir("distinct");
+  publish_flows(dir, 0);
+  std::vector<QueryRequest> requests;
+  for (std::uint32_t k = 0; k < 100; ++k) {
+    QueryRequest request = impact_request();
+    request.sources.push_back(net::Ipv4Address(0xC6336400u + k));  // one more
+    requests.push_back(request);
+    QueryRequest other_router = request;
+    other_router.router = 1 + k % 2;
+    requests.push_back(other_router);
+    QueryRequest other_day = request;
+    other_day.day = 11;  // outside the window: NotFound, still its own
+    requests.push_back(other_day);
+  }
+  EXPECT_EQ(shared_while_pipelining(dir, requests), 0u);
+}
+
+// Frames are parsed in place from whatever the socket delivers: 64 frames
+// in one write(), then one frame a byte per write(). Every response comes
+// back in order and byte-identical to direct execution.
+TEST(ServeDaemon, FramesParseInPlaceWhateverTheWriteBoundaries) {
+  const std::string dir = temp_dir("frames");
+  publish_flows(dir, 0);
+  DaemonConfig config;
+  config.archive_dir = dir;
+  Daemon daemon(config);
+  daemon.start();
+  const auto snapshot = load_snapshot(store::ArchiveDir(dir), "flows", "events");
+
+  std::vector<QueryRequest> requests;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    QueryRequest request = impact_request("t" + std::to_string(i % 5));
+    request.kind = i % 7 == 0   ? QueryKind::Ping
+                   : i % 7 == 1 ? QueryKind::StoreInfo
+                                : QueryKind::FlowImpact;
+    request.router = i % 3;
+    request.day = 10 + (i % 11 == 0);
+    for (std::uint32_t j = 0; j < i; ++j) {
+      request.sources.push_back(net::Ipv4Address(0xCB007100u + j * 7 % 13));
+    }
+    requests.push_back(std::move(request));
+  }
+  const int fd = connect_raw(daemon.port());
+  ASSERT_GE(fd, 0);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+
+  std::vector<std::uint8_t> wire;
+  for (const QueryRequest& request : requests) {
+    append_frame(wire, encode_request(request));
+  }
+  ASSERT_EQ(::write(fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  const std::vector<std::vector<std::uint8_t>> frames = read_frames(fd, 64);
+  ASSERT_EQ(frames.size(), 64u);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i], execute_query_bytes(requests[i], snapshot->backend()))
+        << "response " << i;
+  }
+
+  wire.clear();
+  append_frame(wire, encode_request(requests[63]));
+  for (const std::uint8_t byte : wire) {
+    ASSERT_EQ(::write(fd, &byte, 1), 1);
+  }
+  const std::vector<std::vector<std::uint8_t>> last = read_frames(fd, 1);
+  ::close(fd);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0], execute_query_bytes(requests[63], snapshot->backend()));
+  EXPECT_EQ(daemon.stats().responses, 65u);
   daemon.stop();
 }
 
