@@ -9,8 +9,9 @@
 //
 // The D1–D3 day rule exists once, as two pieces that the serial detector
 // and the sharded merge (shard_detector.hpp) both use: DayPartial folds a
-// day's events, and DayCloser turns a closed day's partials into its
-// published result. The rolling ECDFs are bottom-k samples
+// day's events and is sealed by its owner once the day is over, and
+// DayCloser turns a closed day's sealed partials into its published
+// result. The rolling ECDFs are bottom-k samples
 // (stats/bottomk.hpp), not reservoirs: a bottom-k sample is a pure
 // function of the events seen, so per-day and per-shard samples merge
 // into exactly the sample one serial pass draws — the root of the
@@ -19,11 +20,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "orion/detect/detector.hpp"
 #include "orion/detect/port_set.hpp"
+#include "orion/netbase/flat_map.hpp"
 #include "orion/stats/bottomk.hpp"
 #include "orion/telescope/event.hpp"
 
@@ -68,18 +70,37 @@ struct StreamingDayResult {
 
 /// One day's fold of its events. Every field is keyed by source (or is a
 /// bottom-k sample), so the fold is order-independent and a source
-/// partition splits it into disjoint partials.
+/// partition splits it into disjoint partials. Its owner seals it once,
+/// after the day's last event: seal() turns the live tables into the
+/// compact form DayCloser::close reads, and releases them.
 struct DayPartial {
+  /// (count, source) rows, count descending then source ascending: a
+  /// day list is the prefix of its table above the threshold.
+  using Ranked = std::vector<std::pair<std::uint64_t, net::Ipv4Address>>;
+
+  /// What close() reads of a sealed day.
+  struct Sealed {
+    std::vector<net::Ipv4Address> d1;  // ascending
+    Ranked best_packets;               // each source's max event packets
+    Ranked port_counts;                // each source's distinct ports
+    /// The day's port-count samples, identity (day, source): a bottom-k
+    /// partial of DayCloser::port_samples.
+    stats::BottomKSampler port_samples;
+  };
+
   /// D1 qualifiers (dispersion is scale-free: decidable per event).
   IpSet d1;
-  /// Per-source max event packets — D2 candidates for the day.
-  std::unordered_map<net::Ipv4Address, std::uint64_t> best_packets;
+  /// Per-source max event packets — D2 candidates for the day. Flat
+  /// tables: the checkpoint and the seal walk them whole.
+  net::FlatMap<net::Ipv4Address, std::uint64_t> best_packets;
   /// Per-source distinct darknet ports — D3 candidates for the day.
-  std::unordered_map<net::Ipv4Address, PortSet> ports;
+  net::FlatMap<net::Ipv4Address, PortSet> ports;
   /// The day's per-event packet-volume samples. Day-local truncation to
   /// k is lossless: an entry outside its own day's bottom-k is outside
   /// every cumulative bottom-k that includes that day.
   stats::BottomKSampler packet_samples;
+  /// Set by seal(); the three live tables above are empty from then on.
+  std::optional<Sealed> sealed;
 
   explicit DayPartial(const StreamingConfig& config);
 
@@ -87,6 +108,9 @@ struct DayPartial {
   /// and port set, and the event's packet sample.
   void add(const telescope::DarknetEvent& event, const StreamingConfig& config,
            std::uint64_t darknet_size);
+
+  /// Seals the partial of `day` (no-op when already sealed).
+  void seal(std::int64_t day, const StreamingConfig& config);
 };
 
 /// What outlives a day: the rolling packet-volume and port-count samples
@@ -99,11 +123,12 @@ struct DayCloser {
 
   explicit DayCloser(const StreamingConfig& config);
 
-  /// Closes `day` over partials with disjoint sources: folds their packet
-  /// samples into the rolling sample (today's events inform today's
-  /// threshold — the list is published after the day ends), calibrates,
-  /// qualifies and sorts the D1–D3 lists, then folds the day's port
-  /// counts in for later days' thresholds.
+  /// Closes `day` over sealed partials with disjoint sources: merges
+  /// their packet samples into the rolling sample (today's events inform
+  /// today's threshold — the list is published after the day ends),
+  /// calibrates, takes the D1–D3 lists and sorts them, then merges the
+  /// day's port-count samples in for later days' thresholds. An unsealed
+  /// partial throws std::logic_error.
   StreamingDayResult close(std::int64_t day,
                            const std::vector<const DayPartial*>& partials);
 };

@@ -16,9 +16,17 @@ ShardDetectorSlice::ShardDetectorSlice(StreamingConfig config,
 }
 
 void ShardDetectorSlice::observe(const telescope::DarknetEvent& event) {
+  if (sealed_) {
+    throw std::logic_error("ShardDetectorSlice::observe after seal");
+  }
   ++events_seen_;
   days_.try_emplace(event.day(), config_)
       .first->second.add(event, config_, darknet_size_);
+}
+
+void ShardDetectorSlice::seal() {
+  for (auto& [day, partial] : days_) partial.seal(day, config_);
+  sealed_ = true;
 }
 
 MergedDetection merge_shard_slices(
@@ -35,13 +43,28 @@ MergedDetection merge_shard_slices(
       throw std::invalid_argument(
           "merge_shard_slices: slices disagree on configuration");
     }
+    if (!slice->sealed()) {
+      throw std::logic_error("merge_shard_slices: slice not sealed");
+    }
     merged.events_seen += slice->events_seen();
     if (slice->days().empty()) continue;
     first_day = std::min(first_day, slice->days().begin()->first);
     last_day = std::max(last_day, slice->days().rbegin()->first);
   }
 
+  // The slices hold every sample the rolling ones will take in: size
+  // them once instead of growing them day by day.
   DayCloser closer(config);
+  std::size_t packet_samples = 0;
+  std::size_t port_samples = 0;
+  for (const ShardDetectorSlice* slice : slices) {
+    for (const auto& [day, partial] : slice->days()) {
+      packet_samples += partial.packet_samples.sample_size();
+      port_samples += partial.sealed->port_samples.sample_size();
+    }
+  }
+  closer.packet_samples.reserve(packet_samples);
+  closer.port_samples.reserve(port_samples);
   for (std::int64_t day = first_day; day <= last_day; ++day) {
     std::vector<const DayPartial*> partials;
     for (const ShardDetectorSlice* slice : slices) {

@@ -4,8 +4,11 @@
 // are byte-deterministic.
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "orion/detect/shard_detector.hpp"
 #include "orion/telescope/checkpoint.hpp"
@@ -78,10 +81,6 @@ void get_sampler(CheckpointReader& r, stats::BottomKSampler& sampler) {
   sampler.restore(seen, std::move(entries));
 }
 
-net::Ipv4Address get_ip(CheckpointReader& r, const char* what) {
-  return net::Ipv4Address(static_cast<std::uint32_t>(r.u64(what)));
-}
-
 void put_ip_set(CheckpointWriter& w, const IpSet& ips) {
   std::vector<net::Ipv4Address> sorted(ips.begin(), ips.end());
   std::sort(sorted.begin(), sorted.end());
@@ -89,60 +88,81 @@ void put_ip_set(CheckpointWriter& w, const IpSet& ips) {
   for (const net::Ipv4Address ip : sorted) w.u64(ip.value());
 }
 
+/// Every keyed list below is written in ascending key order, so each
+/// reader takes its keys through CheckpointReader::ascending.
 IpSet get_ip_set(CheckpointReader& r) {
   const std::uint64_t count = r.count("ip set size", 8);
   IpSet ips;
   ips.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) ips.insert(get_ip(r, "ip"));
+  std::optional<std::uint32_t> ip;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ip = r.ascending(ip, "ip");
+    ips.insert(net::Ipv4Address(*ip));
+  }
   return ips;
 }
 
-template <typename Map>
-std::vector<net::Ipv4Address> sorted_keys(const Map& map) {
-  std::vector<net::Ipv4Address> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
+/// A day table's (source, entry) rows in ascending source order, sorted
+/// once, so writing them looks nothing up again. Entry is the mapped
+/// value or a pointer to it.
+template <typename Entry, typename Map>
+std::vector<std::pair<net::Ipv4Address, Entry>> rows_by_source(const Map& map) {
+  std::vector<std::pair<net::Ipv4Address, Entry>> rows;
+  rows.reserve(map.size());
+  map.for_each([&](net::Ipv4Address src, const auto& entry) {
+    if constexpr (std::is_pointer_v<Entry>) {
+      rows.emplace_back(src, &entry);
+    } else {
+      rows.emplace_back(src, entry);
+    }
+  });
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return rows;
 }
 
 void put_ports(CheckpointWriter& w, const DayPartial& partial) {
   w.u64(partial.ports.size());
-  for (const net::Ipv4Address src : sorted_keys(partial.ports)) {
-    const PortSet& ports = partial.ports.at(src);
+  for (const auto& [src, ports] : rows_by_source<const PortSet*>(partial.ports)) {
     w.u64(src.value());
-    w.u64(ports.size());
-    ports.for_each([&](std::uint16_t port) { w.u64(port); });
+    w.u64(ports->size());
+    ports->for_each([&](std::uint16_t port) { w.u64(port); });
   }
 }
 
 void get_ports(CheckpointReader& r, DayPartial& partial) {
   const std::uint64_t sources = r.count("port source count", 16);
   partial.ports.reserve(static_cast<std::size_t>(sources));
+  std::optional<std::uint32_t> src;
   for (std::uint64_t i = 0; i < sources; ++i) {
-    const net::Ipv4Address src = get_ip(r, "port source");
+    src = r.ascending(src, "port source");
     const std::uint64_t port_count = r.u64("port count");
-    auto& ports = partial.ports[src];
+    PortSet& ports = *partial.ports.try_emplace(net::Ipv4Address(*src)).first;
+    std::optional<std::uint16_t> port;
     for (std::uint64_t p = 0; p < port_count; ++p) {
-      ports.insert(static_cast<std::uint16_t>(r.u64("port")));
+      port = r.ascending(port, "port");
+      ports.insert(*port);
     }
   }
 }
 
 void put_best_packets(CheckpointWriter& w, const DayPartial& partial) {
   w.u64(partial.best_packets.size());
-  for (const net::Ipv4Address src : sorted_keys(partial.best_packets)) {
+  for (const auto& [src, packets] :
+       rows_by_source<std::uint64_t>(partial.best_packets)) {
     w.u64(src.value());
-    w.u64(partial.best_packets.at(src));
+    w.u64(packets);
   }
 }
 
 void get_best_packets(CheckpointReader& r, DayPartial& partial) {
   const std::uint64_t sources = r.count("best source count", 16);
   partial.best_packets.reserve(static_cast<std::size_t>(sources));
+  std::optional<std::uint32_t> src;
   for (std::uint64_t i = 0; i < sources; ++i) {
-    const net::Ipv4Address src = get_ip(r, "best source");
-    partial.best_packets[src] = r.u64("best packets");
+    src = r.ascending(src, "best source");
+    *partial.best_packets.try_emplace(net::Ipv4Address(*src), 0).first =
+        r.u64("best packets");
   }
 }
 
@@ -190,6 +210,9 @@ void StreamingDetector::restore(CheckpointReader& reader) {
 }
 
 void ShardDetectorSlice::checkpoint(CheckpointWriter& writer) const {
+  if (sealed_) {
+    throw std::logic_error("ShardDetectorSlice::checkpoint after seal");
+  }
   writer.tag(kSliceTag);
   put_config(writer, config_, darknet_size_);
   writer.u64(events_seen_);

@@ -14,13 +14,15 @@
 // the paper's definitions need lives in exactly one shard by
 // construction. Drained batch arenas flow back to the dispatcher on a
 // per-shard recycle ring, so the steady-state hot path allocates nothing.
-// finish() joins the workers and runs a deterministic merge —
-// event-dataset concatenation under the dataset's total (start, key)
-// order plus detect::merge_shard_slices — whose output is byte-identical
-// to the single-threaded TelescopeCapture + StreamingDetector path for
-// ANY shard count and ANY batch/ring interleaving (pinned by
-// tests/parallel_test.cpp and tests/hotpath_test.cpp; argument in
-// DESIGN.md §9 and §11).
+// finish() closes the window on the workers: each one, on its in-band stop
+// batch and in parallel with the others, finishes its aggregator, sorts
+// its events in the dataset's total (start, key) order and seals its day
+// partials. The dispatcher then only merges: one k-way merge of the sorted
+// event runs and detect::merge_shard_slices over the sealed partials. The
+// output is byte-identical to the single-threaded TelescopeCapture +
+// StreamingDetector path for ANY shard count and ANY batch/ring
+// interleaving (pinned by tests/parallel_test.cpp and
+// tests/hotpath_test.cpp; argument in DESIGN.md §9 and §11).
 //
 // Backpressure: by default a full ring blocks the dispatcher
 // (spin/yield/nap, see spsc_ring.hpp) — packets are never dropped, so the
@@ -86,10 +88,11 @@ struct SupervisorConfig {
   std::chrono::microseconds backoff_base{50};
   std::chrono::microseconds backoff_cap{5000};
   /// Test seam: invoked by the worker before applying each data batch,
-  /// and before writing its section for a checkpoint request, with
-  /// (shard index, ring sequence). Throwing from it is exactly a worker
-  /// panic — this is how the crash tests kill workers at deterministic
-  /// points without corrupting real state.
+  /// before writing its section for a checkpoint request, and before
+  /// closing its shard on the stop batch, with (shard index, ring
+  /// sequence). Throwing from it is exactly a worker panic — this is how
+  /// the crash tests kill workers at deterministic points without
+  /// corrupting real state.
   std::function<void(std::size_t, std::uint64_t)> fault_hook;
 };
 
@@ -156,8 +159,9 @@ class ParallelPipeline {
   /// std::length_error.
   void observe_batch(const pkt::PacketBatch& batch);
 
-  /// Flushes, stops and joins the workers, then merges shard state into
-  /// the serial-identical result. Call at most once.
+  /// Flushes, then closes every shard on its own worker (in band, at the
+  /// stop batch) and joins them, then merges the closed shards into the
+  /// serial-identical result. Call at most once.
   ParallelResult finish();
 
   /// Packets accepted so far — the resume cursor used by live_monitor to
@@ -184,6 +188,8 @@ class ParallelPipeline {
     /// per incoming batch and scatters the result here, so shard
     /// aggregators skip recomputing membership per record.
     std::vector<std::uint8_t> member;
+    /// The last batch: the worker closes the shard (close_shard) and
+    /// exits. Logged for replay, never shed.
     bool stop = false;
     /// Checkpoint request: the worker writes the shard's section into
     /// Shard::section. Logged for replay like any batch, never shed.
@@ -209,7 +215,8 @@ class ParallelPipeline {
     std::uint64_t delivered = 0;
 
     /// Shard-local capture state (worker-owned while batches are in
-    /// flight; dispatcher may touch it only when quiesced).
+    /// flight; dispatcher may touch it only when quiesced). The events are
+    /// in emission order until close_shard() sorts them.
     std::vector<DarknetEvent> events;
     std::unique_ptr<EventAggregator> aggregator;
     std::unique_ptr<detect::ShardDetectorSlice> slice;
@@ -267,6 +274,9 @@ class ParallelPipeline {
   void abort_workers();
   void worker_loop(Shard& shard, std::uint64_t start_batches);
   void spawn_worker(Shard& shard, std::uint64_t start_batches);
+  /// Worker-side, on the stop batch: finish the aggregator, sort the
+  /// shard's events by start_key_less and seal its day partials.
+  static void close_shard(Shard& shard);
   /// A shard's state: the body of its PPL2 section and of its SSH1
   /// frame, written and read by these two functions only.
   static void write_shard_state(const Shard& shard, CheckpointWriter& writer);

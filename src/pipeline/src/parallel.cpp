@@ -23,6 +23,33 @@ constexpr std::uint64_t kPipelineTagV1 = checkpoint_tag('P', 'P', 'L', '1');
 // whole-pipeline PPL2 section so one can never be restored as the other.
 constexpr std::uint64_t kShardSnapTag = checkpoint_tag('S', 'S', 'H', '1');
 
+/// The shards' closed event lists, each sorted by start_key_less, as one
+/// list in that order: a k-way merge that copies each event once. A lone
+/// non-empty run is moved, not copied.
+std::vector<DarknetEvent> merge_runs(std::vector<std::vector<DarknetEvent>*> runs) {
+  std::erase_if(runs, [](const std::vector<DarknetEvent>* run) { return run->empty(); });
+  if (runs.empty()) return {};
+  if (runs.size() == 1) return std::move(*runs.front());
+  std::size_t total = 0;
+  std::vector<std::span<const DarknetEvent>> heads;
+  for (const std::vector<DarknetEvent>* run : runs) {
+    total += run->size();
+    heads.emplace_back(*run);
+  }
+  std::vector<DarknetEvent> merged;
+  merged.reserve(total);
+  while (!heads.empty()) {
+    std::size_t least = 0;
+    for (std::size_t i = 1; i < heads.size(); ++i) {
+      if (start_key_less(heads[i].front(), heads[least].front())) least = i;
+    }
+    merged.push_back(heads[least].front());
+    heads[least] = heads[least].subspan(1);
+    if (heads[least].empty()) heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(least));
+  }
+  return merged;
+}
+
 }  // namespace
 
 ParallelPipeline::ParallelPipeline(net::PrefixSet dark_space,
@@ -99,8 +126,7 @@ void ParallelPipeline::worker_loop(Shard& shard, std::uint64_t start_batches) {
       bool stop = false;
       for (std::size_t i = 0; i < n; ++i) {
         Batch& batch = batches[i];
-        stop = stop || batch.stop;
-        if (batch.records.empty() && !batch.checkpoint) continue;
+        if (batch.records.empty() && !batch.checkpoint && !batch.stop) continue;
         if (config_.supervisor.fault_hook) {
           config_.supervisor.fault_hook(shard.index, seq + i);
         }
@@ -109,6 +135,13 @@ void ParallelPipeline::worker_loop(Shard& shard, std::uint64_t start_batches) {
           // death mid-write.
           shard.section = CheckpointWriter();
           write_shard_state(shard, shard.section);
+          continue;
+        }
+        if (batch.stop) {
+          // The last batch: close the shard here, in parallel with the
+          // other workers. A healed worker closes again from its snapshot.
+          close_shard(shard);
+          stop = true;
           continue;
         }
         shard.aggregator->observe_batch(batch.records, batch.member);
@@ -139,6 +172,12 @@ void ParallelPipeline::worker_loop(Shard& shard, std::uint64_t start_batches) {
   // with the dispatcher's acquire loads; panic itself is read only after
   // join(), which synchronizes everything.
   shard.dead.store(true, std::memory_order_release);
+}
+
+void ParallelPipeline::close_shard(Shard& shard) {
+  shard.aggregator->finish();
+  std::sort(shard.events.begin(), shard.events.end(), start_key_less);
+  shard.slice->seal();
 }
 
 void ParallelPipeline::write_shard_state(const Shard& shard,
@@ -442,26 +481,20 @@ ParallelResult ParallelPipeline::finish() {
     throw std::logic_error("ParallelPipeline::finish called twice");
   }
   flush_pending();
+  // Each worker closes its own shard on its stop batch (close_shard), so
+  // once joined only the cross-shard steps are left.
   stop_workers();
   finished_ = true;
 
-  std::vector<DarknetEvent> events;
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    shard->aggregator->finish();
-    total += shard->events.size();
-  }
-  events.reserve(total);
+  std::vector<std::vector<DarknetEvent>*> runs;
   std::vector<const detect::ShardDetectorSlice*> slices;
-  slices.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    events.insert(events.end(), shard->events.begin(), shard->events.end());
     health_.delivered += shard->delivered;
+    runs.push_back(&shard->events);
     slices.push_back(shard->slice.get());
   }
-
   detect::MergedDetection merged = detect::merge_shard_slices(slices);
-  return ParallelResult{EventDataset(std::move(events), darknet_size_),
+  return ParallelResult{EventDataset(merge_runs(std::move(runs)), darknet_size_),
                         std::move(merged.days), std::move(merged.ips),
                         health_};
 }

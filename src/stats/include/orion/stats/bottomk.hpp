@@ -16,9 +16,11 @@
 #include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "orion/netbase/shard.hpp"
+#include "orion/stats/ecdf.hpp"
 
 namespace orion::stats {
 
@@ -33,9 +35,7 @@ class BottomKSampler {
   };
 
   BottomKSampler(std::size_t capacity, std::uint64_t seed)
-      : capacity_(capacity), seed_(seed) {
-    entries_.reserve(std::min<std::size_t>(capacity, 4096));
-  }
+      : capacity_(capacity), seed_(seed) {}
 
   /// Feeds one element. (id_a, id_b) must uniquely identify the element
   /// within the stream; value is what the sample stores.
@@ -46,24 +46,42 @@ class BottomKSampler {
 
   /// Merges another sampler over a disjoint part of the same logical
   /// stream (same capacity and seed): the result is exactly the sampler
-  /// that would have seen both parts.
+  /// that would have seen both parts. What fits below capacity is one
+  /// append; only the rest is folded through the heap.
   void merge(const BottomKSampler& other) {
     seen_ += other.seen_;
-    for (const Entry& e : other.entries_) fold(e);
+    const auto fits = other.entries_.begin() +
+                      static_cast<std::ptrdiff_t>(std::min(
+                          capacity_ - entries_.size(), other.entries_.size()));
+    entries_.insert(entries_.end(), other.entries_.begin(), fits);
+    if (fits != other.entries_.begin() && full()) heapify();
+    for (auto it = fits; it != other.entries_.end(); ++it) fold(*it);
   }
+
+  /// Makes room for `n` entries (at most the capacity) in one allocation,
+  /// for a caller that knows how much it will merge.
+  void reserve(std::size_t n) { entries_.reserve(std::min(n, capacity_)); }
 
   /// Elements seen so far (not the sample size).
   std::uint64_t seen() const { return seen_; }
   std::size_t capacity() const { return capacity_; }
   std::size_t sample_size() const { return entries_.size(); }
 
-  /// The sampled values, in unspecified order (callers sort or feed an
-  /// ECDF). The multiset is a pure function of the elements fed.
+  /// The sampled values, in unspecified order (arrival order below
+  /// capacity, heap order once full; callers sort or feed an ECDF). The
+  /// multiset is a pure function of the elements fed.
   std::vector<std::uint64_t> values() const {
     std::vector<std::uint64_t> out;
     out.reserve(entries_.size());
     for (const Entry& e : entries_) out.push_back(e.value);
     return out;
+  }
+
+  /// top_alpha_threshold(values(), alpha) read in place, without the
+  /// copy. Throws std::logic_error when the sample is empty.
+  std::uint64_t top_alpha_threshold(double alpha) const {
+    return stats::top_alpha_threshold(std::span<const Entry>(entries_), alpha,
+                                      [](const Entry& e) { return e.value; });
   }
 
   /// Entries sorted by (rank, value): the canonical form used by
@@ -78,7 +96,7 @@ class BottomKSampler {
   void restore(std::uint64_t seen, std::vector<Entry> entries) {
     seen_ = seen;
     entries_ = std::move(entries);
-    std::make_heap(entries_.begin(), entries_.end());
+    if (full()) heapify();
   }
 
   /// Same sample and stream position (heap layout is ignored).
@@ -95,12 +113,17 @@ class BottomKSampler {
                       net::mix64(id_b ^ value * 0xD1B54A32D192ED03ull));
   }
 
-  /// Keeps the k smallest entries; entries_ is a max-heap on (rank, value).
+  bool full() const { return entries_.size() == capacity_; }
+  void heapify() { std::make_heap(entries_.begin(), entries_.end()); }
+
+  /// Keeps the k smallest entries. Below capacity entries_ is in arrival
+  /// order (nothing is evicted yet, so no order is needed); the max-heap
+  /// on (rank, value) is built once, when the sample fills.
   void fold(Entry e) {
     if (capacity_ == 0) return;
-    if (entries_.size() < capacity_) {
+    if (!full()) {
       entries_.push_back(e);
-      std::push_heap(entries_.begin(), entries_.end());
+      if (full()) heapify();
       return;
     }
     if (e < entries_.front()) {

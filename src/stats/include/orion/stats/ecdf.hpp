@@ -1,8 +1,14 @@
 // Empirical CDF and the top-α threshold rule used by AH definitions 2 & 3.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace orion::stats {
@@ -50,8 +56,34 @@ class Ecdf {
 std::size_t quantile_index(double q, std::size_t n);
 
 /// Ecdf(samples).top_alpha_threshold(alpha) without the sort: the same
-/// order statistic of the same multiset, found by one std::nth_element.
-/// Throws std::logic_error when `samples` is empty.
+/// order statistic of the same multiset, where `value_of` reads each
+/// item's value. A radix select: values of one bit width are contiguous
+/// in sorted order, so one pass counts the widths, a second copies the
+/// values of the width that holds the statistic, and one std::nth_element
+/// runs over that copy alone. Throws std::logic_error when `samples` is
+/// empty.
+template <typename Item, typename ValueOf = std::identity>
+std::uint64_t top_alpha_threshold(std::span<const Item> samples, double alpha,
+                                  ValueOf value_of = {}) {
+  if (samples.empty()) throw std::logic_error("top_alpha_threshold: no samples");
+  std::size_t rank = quantile_index(1.0 - alpha, samples.size());
+  const auto width_of = [&](const Item& item) {
+    return static_cast<std::size_t>(std::bit_width(std::uint64_t{value_of(item)}));
+  };
+  std::array<std::size_t, 65> widths{};
+  for (const Item& item : samples) ++widths[width_of(item)];
+  std::size_t width = 0;
+  while (rank >= widths[width]) rank -= widths[width++];
+  std::vector<std::uint64_t> bucket;
+  bucket.reserve(widths[width]);
+  for (const Item& item : samples) {
+    if (width_of(item) == width) bucket.push_back(value_of(item));
+  }
+  const auto nth = bucket.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(bucket.begin(), nth, bucket.end());
+  return *nth;
+}
+
 std::uint64_t top_alpha_threshold(std::vector<std::uint64_t> samples,
                                   double alpha);
 

@@ -74,12 +74,7 @@ std::size_t quantile_index(double q, std::size_t n) {
 
 std::uint64_t top_alpha_threshold(std::vector<std::uint64_t> samples,
                                   double alpha) {
-  if (samples.empty()) throw std::logic_error("top_alpha_threshold: no samples");
-  const auto nth =
-      samples.begin() +
-      static_cast<std::ptrdiff_t>(quantile_index(1.0 - alpha, samples.size()));
-  std::nth_element(samples.begin(), nth, samples.end());
-  return *nth;
+  return top_alpha_threshold(std::span<const std::uint64_t>(samples), alpha);
 }
 
 double ks_distance(const Ecdf& a, const Ecdf& b) {

@@ -20,9 +20,12 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -140,6 +143,29 @@ class CheckpointReader {
   std::uint64_t u64(const char* what);
   std::int64_t i64(const char* what) {
     return static_cast<std::int64_t>(u64(what));
+  }
+
+  /// Reads a u64 field that holds a narrower value (an address, a port)
+  /// and throws unless it fits in T: the one read for every such field,
+  /// so no lie is truncated into a different, valid-looking value.
+  template <std::unsigned_integral T>
+  T narrow(const char* what) {
+    const std::uint64_t v = u64(what);
+    if (v > std::numeric_limits<T>::max()) {
+      fail(std::string("field out of range: ") + what);
+    }
+    return static_cast<T>(v);
+  }
+
+  /// Reads the next key of a list its writer emits strictly ascending
+  /// (as narrow<T>) and throws unless it is above `prev`, the list's
+  /// previous key (none before the first): a repeat would restore two
+  /// entries as one.
+  template <std::unsigned_integral T>
+  T ascending(std::optional<T> prev, const char* what) {
+    const T key = narrow<T>(what);
+    if (prev && key <= *prev) fail(std::string("not strictly ascending: ") + what);
+    return key;
   }
   double f64(const char* what);
   std::uint8_t u8(const char* what);

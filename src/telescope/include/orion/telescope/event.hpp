@@ -72,6 +72,14 @@ struct DarknetEvent {
   friend bool operator==(const DarknetEvent&, const DarknetEvent&) = default;
 };
 
+/// The event dataset's total order, (start, key): unique, since a key has
+/// at most one live event at a time, so a sorted list does not depend on
+/// the order the events were emitted in.
+inline bool start_key_less(const DarknetEvent& a, const DarknetEvent& b) {
+  if (a.start != b.start) return a.start < b.start;
+  return a.key < b.key;
+}
+
 using EventSink = std::function<void(const DarknetEvent&)>;
 
 }  // namespace orion::telescope

@@ -405,8 +405,8 @@ void EventAggregator::restore(CheckpointReader& reader) {
   const std::uint64_t prefix_count = reader.u64("prefix count");
   bool space_matches = prefix_count == dark_space_.prefixes().size();
   for (std::uint64_t i = 0; i < prefix_count; ++i) {
-    const auto base = static_cast<std::uint32_t>(reader.u64("prefix base"));
-    const auto length = static_cast<int>(reader.u64("prefix length"));
+    const std::uint32_t base = reader.narrow<std::uint32_t>("prefix base");
+    const int length = reader.narrow<std::uint8_t>("prefix length");
     if (space_matches) {
       const net::Prefix& p = dark_space_.prefixes()[static_cast<std::size_t>(i)];
       space_matches = p.base().value() == base && p.length() == length;
@@ -436,8 +436,8 @@ void EventAggregator::restore(CheckpointReader& reader) {
   live_.reserve(static_cast<std::size_t>(live_count));
   for (std::uint64_t i = 0; i < live_count; ++i) {
     EventKey key;
-    key.src = net::Ipv4Address(static_cast<std::uint32_t>(reader.u64("event src")));
-    key.dst_port = static_cast<std::uint16_t>(reader.u64("event port"));
+    key.src = net::Ipv4Address(reader.narrow<std::uint32_t>("event src"));
+    key.dst_port = reader.narrow<std::uint16_t>("event port");
     const std::uint8_t type = reader.u8("event type");
     if (type > static_cast<std::uint8_t>(pkt::TrafficType::Other)) {
       throw std::runtime_error("checkpoint: bad traffic type");

@@ -1,6 +1,7 @@
 #include "orion/telescope/capture.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "orion/telescope/checkpoint.hpp"
@@ -11,35 +12,56 @@ namespace {
 
 constexpr std::uint64_t kCaptureTag = checkpoint_tag('C', 'A', 'P', '1');
 
+/// Distinct sources by open addressing over the sources themselves (0
+/// marks an empty slot; 0.0.0.0 is counted apart). The table doubles
+/// whenever it is half full, so it is sized by the distinct count, far
+/// below the event count, and stays in cache; no copy is sorted.
+std::size_t distinct_sources(const std::vector<DarknetEvent>& events) {
+  int bits = 10;
+  std::vector<std::uint32_t> slots(std::size_t{1} << bits);
+  std::size_t distinct = 0;
+  bool zero = false;
+  // Fibonacci hashing: the product's top bits pick the home slot.
+  const auto insert = [&](std::uint32_t src) {
+    const std::size_t mask = slots.size() - 1;
+    auto slot = static_cast<std::size_t>((src * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+    while (slots[slot] != 0 && slots[slot] != src) slot = (slot + 1) & mask;
+    if (slots[slot] != 0) return false;
+    slots[slot] = src;
+    return true;
+  };
+  for (const DarknetEvent& e : events) {
+    const std::uint32_t src = e.key.src.value();
+    if (src == 0) {
+      zero = true;
+    } else if (insert(src) && 2 * ++distinct > slots.size()) {
+      std::vector<std::uint32_t> old(std::size_t{1} << ++bits);
+      old.swap(slots);
+      for (const std::uint32_t kept : old) {
+        if (kept != 0) insert(kept);
+      }
+    }
+  }
+  return distinct + (zero ? 1 : 0);
+}
+
 }  // namespace
 
 EventDataset::EventDataset(std::vector<DarknetEvent> events,
                            std::uint64_t darknet_size)
     : events_(std::move(events)), darknet_size_(darknet_size) {
-  // Total order (start, key): (start, key) is unique — one live event per
-  // key at a time — so dataset order is independent of emission order,
-  // which the sharded pipeline relies on for byte-identical merges.
-  std::sort(events_.begin(), events_.end(),
-            [](const DarknetEvent& a, const DarknetEvent& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.key < b.key;
-            });
-  std::vector<std::uint32_t> sources;
-  sources.reserve(events_.size());
-  for (const DarknetEvent& e : events_) {
-    total_packets_ += e.packets;
-    sources.push_back(e.key.src.value());
+  // Total order (start, key), which the sharded pipeline relies on for
+  // byte-identical merges. Input already in it (the pipeline's merged
+  // shard runs, ODE2 readers) costs one pass.
+  if (!std::is_sorted(events_.begin(), events_.end(), start_key_less)) {
+    std::sort(events_.begin(), events_.end(), start_key_less);
   }
-  std::sort(sources.begin(), sources.end());
-  unique_sources_ = static_cast<std::size_t>(
-      std::unique(sources.begin(), sources.end()) - sources.begin());
-  if (!events_.empty()) {
-    first_day_ = events_.front().day();
-    last_day_ = 0;
-    for (const DarknetEvent& e : events_) {
-      last_day_ = std::max(last_day_, e.day());
-    }
-  }
+  unique_sources_ = distinct_sources(events_);
+  for (const DarknetEvent& e : events_) total_packets_ += e.packets;
+  if (events_.empty()) return;
+  first_day_ = events_.front().day();
+  // Days follow starts, so the last event's is the latest (never below 0).
+  last_day_ = std::max<std::int64_t>(0, events_.back().day());
 }
 
 TelescopeCapture::TelescopeCapture(net::PrefixSet dark_space,
@@ -94,8 +116,10 @@ void TelescopeCapture::restore(CheckpointReader& reader) {
   const std::uint64_t source_count = reader.count("source count", 8);
   sources_.clear();
   sources_.reserve(static_cast<std::size_t>(source_count));
+  std::optional<std::uint32_t> source;
   for (std::uint64_t i = 0; i < source_count; ++i) {
-    sources_.insert(net::Ipv4Address(static_cast<std::uint32_t>(reader.u64("source"))));
+    source = reader.ascending(source, "source");
+    sources_.insert(net::Ipv4Address(*source));
   }
   collector_.restore(get_events(reader));
   aggregator_.restore(reader);

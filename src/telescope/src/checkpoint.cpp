@@ -214,8 +214,8 @@ std::vector<DarknetEvent> get_events(CheckpointReader& r) {
   std::vector<DarknetEvent> events(
       static_cast<std::size_t>(r.count("event count", kEventBytes)));
   for (DarknetEvent& e : events) {
-    e.key.src = net::Ipv4Address(static_cast<std::uint32_t>(r.u64("event src")));
-    e.key.dst_port = static_cast<std::uint16_t>(r.u64("event port"));
+    e.key.src = net::Ipv4Address(r.narrow<std::uint32_t>("event src"));
+    e.key.dst_port = r.narrow<std::uint16_t>("event port");
     const std::uint8_t type = r.u8("event type");
     if (type > static_cast<std::uint8_t>(pkt::TrafficType::Other)) {
       throw std::runtime_error("checkpoint: bad traffic type");

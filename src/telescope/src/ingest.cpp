@@ -29,19 +29,19 @@ void put_packet(CheckpointWriter& w, const pkt::Packet& p) {
 pkt::Packet get_packet(CheckpointReader& r) {
   pkt::Packet p;
   p.timestamp = net::SimTime::at(net::Duration::nanos(r.i64("packet timestamp")));
-  p.tuple.src = net::Ipv4Address(static_cast<std::uint32_t>(r.u64("packet src")));
-  p.tuple.dst = net::Ipv4Address(static_cast<std::uint32_t>(r.u64("packet dst")));
-  const std::uint64_t ports = r.u64("packet ports");
+  p.tuple.src = net::Ipv4Address(r.narrow<std::uint32_t>("packet src"));
+  p.tuple.dst = net::Ipv4Address(r.narrow<std::uint32_t>("packet dst"));
+  const std::uint32_t ports = r.narrow<std::uint32_t>("packet ports");
   p.tuple.src_port = static_cast<std::uint16_t>(ports >> 16);
   p.tuple.dst_port = static_cast<std::uint16_t>(ports);
   p.tuple.proto = static_cast<net::IpProto>(r.u8("packet proto"));
-  p.ip_id = static_cast<std::uint16_t>(r.u64("packet ip_id"));
+  p.ip_id = r.narrow<std::uint16_t>("packet ip_id");
   p.ttl = r.u8("packet ttl");
   p.tcp_flags = r.u8("packet tcp_flags");
-  p.tcp_seq = static_cast<std::uint32_t>(r.u64("packet tcp_seq"));
-  p.tcp_window = static_cast<std::uint16_t>(r.u64("packet tcp_window"));
+  p.tcp_seq = r.narrow<std::uint32_t>("packet tcp_seq");
+  p.tcp_window = r.narrow<std::uint16_t>("packet tcp_window");
   p.icmp_type = r.u8("packet icmp_type");
-  p.wire_length = static_cast<std::uint16_t>(r.u64("packet wire_length"));
+  p.wire_length = r.narrow<std::uint16_t>("packet wire_length");
   return p;
 }
 

@@ -801,6 +801,73 @@ TEST_F(CrashSafeTest, SupervisedCheckpointHealsDeathOnTheRequest) {
   expect_uninterrupted(restored);
 }
 
+// finish() closes each shard on its own worker, at the stop batch, which
+// fires the fault hook like a data batch. One worker dies on its close and
+// another on its last data batch; both heal, replay and close again, and
+// the merged result is the serial path's.
+TEST_F(CrashSafeTest, SupervisedFinishHealsDeathOnTheClose) {
+  const std::vector<pkt::Packet> packets = packet_stream(4);
+  telescope::TelescopeCapture capture(scenario().darknet(),
+                                      {.timeout = scenario().event_timeout()});
+  for (const pkt::Packet& p : packets) capture.observe(p);
+  const telescope::EventDataset serial_dataset = capture.finish();
+  detect::StreamingDetector detector(detector_config(),
+                                     scenario().darknet().total_addresses());
+  std::vector<detect::StreamingDayResult> serial_days;
+  for (const telescope::DarknetEvent& e : serial_dataset.events()) {
+    for (auto& day : detector.observe(e)) serial_days.push_back(std::move(day));
+  }
+  if (auto last = detector.finish()) serial_days.push_back(std::move(*last));
+
+  // A fault-free run lists each shard's ring sequences: the last is its
+  // stop batch, the one before it its last data batch.
+  constexpr std::size_t kShards = 3;
+  std::array<std::vector<std::uint64_t>, kShards> seen;
+  {
+    telescope::ParallelConfig config = supervised_config(kShards);
+    config.supervisor.fault_hook = [&seen](std::size_t shard, std::uint64_t seq) {
+      seen[shard].push_back(seq);
+    };
+    telescope::ParallelPipeline pipeline(scenario().darknet(), config);
+    for (const pkt::Packet& p : packets) pipeline.observe(p);
+    (void)pipeline.finish();
+  }
+  for (const auto& seqs : seen) ASSERT_GE(seqs.size(), 2u);
+  const std::uint64_t close_seq = seen[0].back();
+  const std::uint64_t last_data_seq = seen[1][seen[1].size() - 2];
+
+  std::atomic<bool> killed_close{false};
+  std::atomic<bool> killed_data{false};
+  telescope::ParallelConfig config = supervised_config(kShards);
+  config.supervisor.fault_hook = [&](std::size_t shard, std::uint64_t seq) {
+    if (shard == 0 && seq == close_seq && !killed_close.exchange(true)) {
+      throw std::runtime_error("injected death on the close");
+    }
+    if (shard == 1 && seq == last_data_seq && !killed_data.exchange(true)) {
+      throw std::runtime_error("injected death on the last data batch");
+    }
+  };
+  telescope::ParallelPipeline pipeline(scenario().darknet(), config);
+  for (const pkt::Packet& p : packets) pipeline.observe(p);
+  const telescope::ParallelResult result = pipeline.finish();
+
+  EXPECT_TRUE(killed_close.load());
+  EXPECT_TRUE(killed_data.load());
+  EXPECT_EQ(result.health.worker_restarts, 2u);
+  EXPECT_EQ(result.dataset.events(), serial_dataset.events());
+  EXPECT_EQ(result.dataset.unique_sources(), serial_dataset.unique_sources());
+  ASSERT_EQ(result.days.size(), serial_days.size());
+  for (std::size_t i = 0; i < serial_days.size(); ++i) {
+    EXPECT_EQ(result.days[i], serial_days[i]) << "day index " << i;
+  }
+  for (std::size_t d = 0; d < 3; ++d) {
+    EXPECT_EQ(result.ips[d], detector.ips(detect::kAllDefinitions[d])) << "definition " << d;
+  }
+  EXPECT_EQ(result.health.ingested, packets.size());
+  EXPECT_EQ(result.health.delivered, packets.size());
+  EXPECT_TRUE(result.health.consistent());
+}
+
 TEST_F(CrashSafeTest, RestartBudgetExhaustionThrowsShardFailure) {
   telescope::ParallelConfig config = supervised_config(2);
   config.supervisor.max_restarts = 2;

@@ -886,6 +886,7 @@ TEST(DayClose, ShuffledSlicesMergeToTheSerialDetector) {
         }
         slices.push_back(std::make_unique<ShardDetectorSlice>(config, tiny_darknet()));
         for (const auto& e : part) slices.back()->observe(e);
+        slices.back()->seal();
         views.push_back(slices.back().get());
       }
       const MergedDetection merged = merge_shard_slices(views);
@@ -911,6 +912,146 @@ std::string with_payload_u64(const std::string& frame, std::size_t offset,
   std::vector<std::uint8_t> out;
   writer.finish(out);
   return {out.begin(), out.end()};
+}
+
+// ------------------------------------------------ SDS1 fields that lie
+
+/// The SDS1 payload of a slice holding one day: 203.0.113.1 with dispersed
+/// TCP events to ports 80 and 81 (10 packets each) and 203.0.113.2 with one
+/// to port 80 (20 packets). The day's three tables end the payload:
+///   D1 set      count, .1, .2                          at kD1 from the end
+///   best table  count, (.1, 10), (.2, 20)              at kBest
+///   port table  count, (.1, 2, 80, 81), (.2, 1, 80)    at kPorts
+struct SlicePayload {
+  static constexpr std::size_t kPorts = 8 * 8;
+  static constexpr std::size_t kBest = kPorts + 5 * 8;
+  static constexpr std::size_t kD1 = kBest + 3 * 8;
+  std::vector<std::uint8_t> bytes;
+
+  SlicePayload() {
+    ShardDetectorSlice slice(tiny_config(), tiny_darknet());
+    const auto event = [](const char* src, std::uint16_t port, std::uint64_t packets) {
+      telescope::DarknetEvent e;
+      e.key.src = *net::Ipv4Address::parse(src);
+      e.key.dst_port = port;
+      e.start = net::SimTime::epoch() + net::Duration::hours(1);
+      e.end = e.start + net::Duration::minutes(5);
+      e.packets = packets;
+      e.unique_dests = tiny_darknet();
+      return e;
+    };
+    slice.observe(event("203.0.113.1", 80, 10));
+    slice.observe(event("203.0.113.1", 81, 10));
+    slice.observe(event("203.0.113.2", 80, 20));
+    const std::string frame = test_pins::checkpoint_bytes(slice);
+    bytes.assign(frame.begin() + 20, frame.end() - 4);
+  }
+  /// The u64 `back` bytes before the payload's end.
+  std::uint64_t at(std::size_t back) const {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      v |= std::uint64_t{bytes[bytes.size() - back + i]} << (8 * i);
+    }
+    return v;
+  }
+  void set(std::size_t back, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[bytes.size() - back + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  /// Restores the payload, resealed, into a fresh slice and merges that
+  /// day alone: its published D1–D3 lists.
+  std::string restore() const {
+    telescope::CheckpointWriter writer;
+    writer.bytes(bytes);
+    std::vector<std::uint8_t> frame;
+    writer.finish(frame);
+    telescope::CheckpointReader reader(frame);
+    ShardDetectorSlice restored(tiny_config(), tiny_darknet());
+    restored.restore(reader);
+    restored.seal();
+    return render(merge_shard_slices({&restored}).days);
+  }
+  /// Expects restore() to throw a std::runtime_error naming `field`.
+  void expect_refused(const std::string& field) const {
+    try {
+      restore();
+      ADD_FAILURE() << "restored a payload whose " << field << " lies";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find(field), std::string::npos) << err.what();
+    }
+  }
+};
+
+std::uint64_t address(const char* text) { return net::Ipv4Address::parse(text)->value(); }
+
+TEST(SliceCheckpoint, TheLayoutTheLiesEdit) {
+  const SlicePayload payload;
+  EXPECT_EQ(payload.at(SlicePayload::kD1), 2u);
+  EXPECT_EQ(payload.at(SlicePayload::kD1 - 8), address("203.0.113.1"));
+  EXPECT_EQ(payload.at(SlicePayload::kD1 - 16), address("203.0.113.2"));
+  EXPECT_EQ(payload.at(SlicePayload::kBest), 2u);
+  EXPECT_EQ(payload.at(SlicePayload::kBest - 8), address("203.0.113.1"));
+  EXPECT_EQ(payload.at(SlicePayload::kBest - 16), 10u);
+  EXPECT_EQ(payload.at(SlicePayload::kBest - 24), address("203.0.113.2"));
+  EXPECT_EQ(payload.at(SlicePayload::kBest - 32), 20u);
+  EXPECT_EQ(payload.at(SlicePayload::kPorts), 2u);
+  EXPECT_EQ(payload.at(SlicePayload::kPorts - 8), address("203.0.113.1"));
+  EXPECT_EQ(payload.at(SlicePayload::kPorts - 16), 2u);
+  EXPECT_EQ(payload.at(SlicePayload::kPorts - 24), 80u);
+  EXPECT_EQ(payload.at(SlicePayload::kPorts - 32), 81u);
+  EXPECT_EQ(payload.at(SlicePayload::kPorts - 40), address("203.0.113.2"));
+  EXPECT_EQ(payload.at(SlicePayload::kPorts - 48), 1u);
+  EXPECT_EQ(payload.at(SlicePayload::kPorts - 56), 80u);
+  EXPECT_NO_THROW(payload.restore());
+}
+
+// Ports are u16 values in u64 slots. Port 65,617 used to be cut to 81, so
+// (65617, 81) restored as the one-port set {81}: one port fewer toward D3.
+TEST(SliceCheckpoint, PortOutsideSixteenBitsIsATypedError) {
+  SlicePayload payload;
+  payload.set(SlicePayload::kPorts - 24, 65617);
+  payload.expect_refused("field out of range: port");
+}
+
+// Each source's ports are written strictly ascending; a repeat used to
+// restore as one port.
+TEST(SliceCheckpoint, RepeatedPortIsATypedError) {
+  SlicePayload payload;
+  payload.set(SlicePayload::kPorts - 24, 81);
+  payload.expect_refused("not strictly ascending: port");
+}
+
+// A repeated source in the port table used to merge both rows' ports into
+// one source and drop the other source.
+TEST(SliceCheckpoint, RepeatedPortSourceIsATypedError) {
+  SlicePayload payload;
+  payload.set(SlicePayload::kPorts - 40, address("203.0.113.1"));
+  payload.expect_refused("not strictly ascending: port source");
+}
+
+// A repeated source in the best-packets table used to keep the last row's
+// packets for it and drop the other source: a different D2 candidate.
+TEST(SliceCheckpoint, RepeatedBestPacketsSourceIsATypedError) {
+  SlicePayload payload;
+  payload.set(SlicePayload::kBest - 24, address("203.0.113.1"));
+  payload.expect_refused("not strictly ascending: best source");
+}
+
+// IP sets (D1 here; SDT2's cumulative sets share the reader) are written
+// strictly ascending; a repeat used to restore as one member.
+TEST(SliceCheckpoint, RepeatedIpSetMemberIsATypedError) {
+  SlicePayload payload;
+  payload.set(SlicePayload::kD1 - 16, address("203.0.113.1"));
+  payload.expect_refused("not strictly ascending: ip");
+}
+
+// Addresses are u32 values in u64 slots; one with a high bit set used to
+// be cut to 32 bits, here into the other D1 member.
+TEST(SliceCheckpoint, AddressOutsideThirtyTwoBitsIsATypedError) {
+  SlicePayload payload;
+  payload.set(SlicePayload::kD1 - 16, std::uint64_t{1} << 32 | address("203.0.113.1"));
+  payload.expect_refused("field out of range: ip");
 }
 
 TEST(CheckpointCounts, LyingCountIsATypedError) {

@@ -8,6 +8,8 @@
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "orion/stats/bottomk.hpp"
 #include "orion/stats/coverage.hpp"
@@ -608,6 +610,151 @@ TEST(BottomKSampler, SeedChangesTheSample) {
   std::sort(va.begin(), va.end());
   std::sort(vb.begin(), vb.end());
   EXPECT_NE(va, vb);
+}
+
+/// The sampler as it was before it kept arrival order below capacity: a
+/// max-heap on (rank, value) from the first entry. Entries come from a
+/// one-entry BottomKSampler, so only the ranks are shared.
+struct HeapFromTheFirstEntry {
+  HeapFromTheFirstEntry(std::size_t capacity, std::uint64_t seed)
+      : capacity(capacity), seed(seed) {}
+
+  std::size_t capacity;
+  std::uint64_t seed;
+  std::uint64_t seen = 0;
+  std::vector<BottomKSampler::Entry> heap;
+
+  static BottomKSampler::Entry entry_of(std::uint64_t seed, std::uint64_t a,
+                                        std::uint64_t b, std::uint64_t value) {
+    BottomKSampler one(1, seed);
+    one.add(a, b, value);
+    return one.sorted_entries().front();
+  }
+  void fold(BottomKSampler::Entry e) {
+    if (capacity == 0) return;
+    if (heap.size() < capacity) {
+      heap.push_back(e);
+      std::push_heap(heap.begin(), heap.end());
+    } else if (e < heap.front()) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = e;
+      std::push_heap(heap.begin(), heap.end());
+    }
+  }
+  void add(std::uint64_t a, std::uint64_t b, std::uint64_t value) {
+    ++seen;
+    fold(entry_of(seed, a, b, value));
+  }
+  void merge(const HeapFromTheFirstEntry& other) {
+    seen += other.seen;
+    for (const auto& e : other.heap) fold(e);
+  }
+  std::vector<BottomKSampler::Entry> sorted_entries() const {
+    auto out = heap;
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+};
+
+/// The bytes SDT2/SDS1 store for a sampler: seen, size, then each sorted
+/// entry's rank and value.
+std::vector<std::uint64_t> checkpoint_words(std::uint64_t seen,
+                                            const std::vector<BottomKSampler::Entry>& sorted) {
+  std::vector<std::uint64_t> words{seen, sorted.size()};
+  for (const auto& e : sorted) {
+    words.push_back(e.rank);
+    words.push_back(e.value);
+  }
+  return words;
+}
+
+// Below capacity the sampler keeps arrival order and merges by appending;
+// the heap is built when it fills. Adds and merges that stay below
+// capacity, fill it exactly, or cross it inside one merge keep the sample
+// of a sampler that heaps from the first entry, and so do later adds.
+TEST(BottomKSampler, HeapifyingWhenFullKeepsTheHeapFromTheFirstEntrysSample) {
+  constexpr std::size_t kCapacity = 40;
+  constexpr std::uint64_t kSeed = 5;
+  struct Part {
+    std::uint64_t first, count;
+  };
+  // Each case: the entries added to the target, then the parts merged in.
+  const std::vector<std::pair<Part, std::vector<Part>>> cases = {
+      {{0, 10}, {{100, 5}, {200, 7}}},     // stays below capacity
+      {{0, 40}, {}},                       // adds fill it exactly
+      {{0, 25}, {{100, 15}}},              // a merge fills it exactly
+      {{0, 30}, {{100, 25}}},              // a merge crosses capacity
+      {{0, 0}, {{100, 90}, {300, 3}}},     // an empty target takes a full part
+      {{0, 60}, {{100, 10}, {200, 70}}},   // merges into a full target
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [own, parts] = cases[c];
+    BottomKSampler got(kCapacity, kSeed);
+    HeapFromTheFirstEntry want(kCapacity, kSeed);
+    for (std::uint64_t i = own.first; i < own.first + own.count; ++i) {
+      got.add(i, i * 3, i % 11);
+      want.add(i, i * 3, i % 11);
+    }
+    for (const Part& part : parts) {
+      BottomKSampler piece(kCapacity, kSeed);
+      HeapFromTheFirstEntry want_piece(kCapacity, kSeed);
+      for (std::uint64_t i = part.first; i < part.first + part.count; ++i) {
+        piece.add(i, i * 3, i % 11);
+        want_piece.add(i, i * 3, i % 11);
+      }
+      got.merge(piece);
+      want.merge(want_piece);
+    }
+    EXPECT_EQ(got.seen(), want.seen) << "case " << c;
+    EXPECT_EQ(got.sorted_entries(), want.sorted_entries()) << "case " << c;
+    EXPECT_EQ(checkpoint_words(got.seen(), got.sorted_entries()),
+              checkpoint_words(want.seen, want.sorted_entries()))
+        << "case " << c;
+    // The heap, if built, must evict like the reference's from here on.
+    for (std::uint64_t i = 1000; i < 1100; ++i) {
+      got.add(i, i * 3, i % 11);
+      want.add(i, i * 3, i % 11);
+    }
+    EXPECT_EQ(got.sorted_entries(), want.sorted_entries()) << "case " << c << ", later adds";
+  }
+}
+
+// A restored sampler below capacity keeps evolving like the original, and
+// one restored full evicts like it.
+TEST(BottomKSampler, RestoreBelowAndAtCapacityKeepsEvolving) {
+  for (const std::uint64_t fed : {std::uint64_t{12}, std::uint64_t{30}, std::uint64_t{200}}) {
+    BottomKSampler sampler(30, 4);
+    for (std::uint64_t i = 0; i < fed; ++i) sampler.add(i, 0, i);
+    BottomKSampler restored(30, 4);
+    restored.restore(sampler.seen(), sampler.sorted_entries());
+    for (std::uint64_t i = 500; i < 560; ++i) {
+      sampler.add(i, 0, i);
+      restored.add(i, 0, i);
+    }
+    EXPECT_EQ(restored, sampler) << fed;
+  }
+}
+
+// The day close reads its thresholds from the sample in place: the sorted
+// ECDF's value over values(), below, at and past capacity, and with values
+// of every bit width (0 and 2^64 - 1 among them).
+TEST(BottomKSampler, InPlaceThresholdIsTheSortedEcdfsOverItsValues) {
+  std::mt19937_64 rng(24);
+  for (const std::uint64_t fed : {1, 2, 999, 1000, 1001, 6000}) {
+    BottomKSampler sampler(1000, 6);
+    for (std::uint64_t i = 0; i < fed; ++i) {
+      const std::uint64_t value = i % 97 == 1   ? 0
+                                  : i % 89 == 2 ? ~std::uint64_t{0}
+                                                : rng() >> (rng() % 64);
+      sampler.add(i, 0, value);
+    }
+    for (const double alpha : {1e-4, 2e-4, 0.028, 0.5, 1.0}) {
+      EXPECT_EQ(sampler.top_alpha_threshold(alpha),
+                Ecdf(sampler.values()).top_alpha_threshold(alpha))
+          << "fed " << fed << " alpha " << alpha;
+    }
+  }
+  EXPECT_THROW(BottomKSampler(10, 1).top_alpha_threshold(0.5), std::logic_error);
 }
 
 TEST(BottomKSampler, RestoreRoundTrips) {

@@ -10,6 +10,7 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "orion/packet/batch.hpp"
@@ -902,6 +903,136 @@ TEST(AggregatorCheckpoint, BitmapPaddingBitIsATypedError) {
     store_u64(padded, first_word - 8, 6);
     EXPECT_THROW(restore_payload(padded, dark), std::runtime_error) << bit;
   }
+}
+
+/// CAP1 payload of a capture with two sources, 203.0.113.1 and
+/// 203.0.113.2, whose first event has closed: tag, darknet size, packets
+/// captured, the source count and the sources (ascending), then the closed
+/// events — the count, then each one's source, port, type u8, ... — and AGG2.
+constexpr std::size_t kCapSources = 4 * 8;
+constexpr std::size_t kCapFirstEvent = kCapSources + 2 * 8 + 8;
+
+std::vector<std::uint8_t> two_source_capture_payload() {
+  TelescopeCapture capture(dark_space(), fast_config());
+  capture.observe(probe(net::SimTime::epoch(), "203.0.113.1", "198.18.0.1", 23));
+  capture.observe(probe(net::SimTime::epoch() + net::Duration::minutes(30),
+                        "203.0.113.2", "198.18.0.2", 23));
+  const std::string frame = checkpoint_bytes(capture);
+  return {frame.begin() + 20, frame.end() - 4};
+}
+
+/// Re-frames an edited CAP1 payload, restores it into a fresh capture and
+/// returns the capture's source count.
+std::size_t restore_capture(const std::vector<std::uint8_t>& payload) {
+  CheckpointWriter writer;
+  writer.bytes(payload);
+  std::vector<std::uint8_t> frame;
+  writer.finish(frame);
+  CheckpointReader reader(frame);
+  TelescopeCapture restored(dark_space(), fast_config());
+  restored.restore(reader);
+  return restored.unique_sources();
+}
+
+/// Expects restoring `payload` to throw a std::runtime_error naming `field`.
+void expect_capture_refused(const std::vector<std::uint8_t>& payload,
+                            const std::string& field) {
+  try {
+    restore_capture(payload);
+    ADD_FAILURE() << "restored a payload whose " << field << " lies";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find(field), std::string::npos) << err.what();
+  }
+}
+
+std::uint64_t address(const char* text) { return ip(text).value(); }
+
+// CAP1's sources are u32 addresses in u64 slots. One with a high bit set
+// used to be cut to 32 bits: here it became the other source, and the
+// capture restored one source instead of two.
+TEST(CaptureCheckpoint, SourceOutsideThirtyTwoBitsIsATypedError) {
+  std::vector<std::uint8_t> payload = two_source_capture_payload();
+  ASSERT_EQ(load_u64(payload, kCapSources - 8), 2u);
+  ASSERT_EQ(load_u64(payload, kCapSources + 8), address("203.0.113.2"));
+  ASSERT_EQ(restore_capture(payload), 2u);
+  store_u64(payload, kCapSources + 8, std::uint64_t{1} << 32 | address("203.0.113.1"));
+  expect_capture_refused(payload, "field out of range: source");
+}
+
+// The writer lists the sources strictly ascending; a repeat used to
+// restore as one source.
+TEST(CaptureCheckpoint, RepeatedSourceIsATypedError) {
+  std::vector<std::uint8_t> payload = two_source_capture_payload();
+  ASSERT_EQ(load_u64(payload, kCapSources), address("203.0.113.1"));
+  store_u64(payload, kCapSources + 8, address("203.0.113.1"));
+  expect_capture_refused(payload, "not strictly ascending: source");
+}
+
+// The closed events' sources and ports (the list CAP1, PPL2 and SSH1
+// share) were cut to 32 and 16 bits.
+TEST(CaptureCheckpoint, EventSourceOutsideThirtyTwoBitsIsATypedError) {
+  std::vector<std::uint8_t> payload = two_source_capture_payload();
+  ASSERT_EQ(load_u64(payload, kCapFirstEvent - 8), 1u);
+  ASSERT_EQ(load_u64(payload, kCapFirstEvent), address("203.0.113.1"));
+  store_u64(payload, kCapFirstEvent, std::uint64_t{1} << 32 | address("203.0.113.1"));
+  expect_capture_refused(payload, "field out of range: event src");
+}
+
+TEST(CaptureCheckpoint, EventPortOutsideSixteenBitsIsATypedError) {
+  std::vector<std::uint8_t> payload = two_source_capture_payload();
+  ASSERT_EQ(load_u64(payload, kCapFirstEvent + 8), 23u);
+  store_u64(payload, kCapFirstEvent + 8, 65536 + 23);
+  expect_capture_refused(payload, "field out of range: event port");
+}
+
+// ------------------------------------------------------------ EventDataset
+
+// Input already in (start, key) order skips the sort; any other order is
+// sorted. Both give the same dataset, with counts recomputed here by
+// plain loops (two events from 0.0.0.0 among them).
+TEST(EventDataset, SortedAndShuffledInputGiveTheSameDataset) {
+  const scangen::Scenario scenario{scangen::tiny()};
+  std::vector<DarknetEvent> events = scangen::synthesize_events(
+      scenario.population_2021(),
+      {.darknet_size = scenario.darknet().total_addresses(), .seed = 17});
+  ASSERT_GT(events.size(), 1000u);
+  for (const std::uint16_t port : {std::uint16_t{22}, std::uint16_t{23}}) {
+    DarknetEvent zero = events[events.size() / 2];
+    zero.key.src = net::Ipv4Address(0);
+    zero.key.dst_port = port;
+    events.push_back(zero);
+  }
+  std::vector<DarknetEvent> sorted = events;
+  std::sort(sorted.begin(), sorted.end(), [](const DarknetEvent& a, const DarknetEvent& b) {
+    return std::tie(a.start, a.key) < std::tie(b.start, b.key);
+  });
+  std::vector<DarknetEvent> shuffled = events;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(3));
+  ASSERT_NE(shuffled, sorted);
+
+  std::set<std::uint32_t> sources;
+  std::uint64_t packets = 0;
+  std::int64_t last_day = 0;
+  for (const DarknetEvent& e : events) {
+    sources.insert(e.key.src.value());
+    packets += e.packets;
+    last_day = std::max(last_day, e.day());
+  }
+  const std::uint64_t darknet = scenario.darknet().total_addresses();
+  const EventDataset in_order(sorted, darknet);
+  const EventDataset reordered(shuffled, darknet);
+  for (const EventDataset* dataset : {&in_order, &reordered}) {
+    EXPECT_EQ(dataset->events(), sorted);
+    EXPECT_EQ(dataset->total_packets(), packets);
+    EXPECT_EQ(dataset->unique_sources(), sources.size());
+    EXPECT_EQ(dataset->first_day(), sorted.front().day());
+    EXPECT_EQ(dataset->last_day(), last_day);
+  }
+
+  const EventDataset empty({}, darknet);
+  EXPECT_EQ(empty.unique_sources(), 0u);
+  EXPECT_EQ(empty.total_packets(), 0u);
+  EXPECT_EQ(empty.last_day(), -1);
 }
 
 }  // namespace
